@@ -55,7 +55,6 @@ from .operators import (
 from .report import BaselineStore, CaseRecord, VerificationReport, render_reports
 from .spaces import (
     EuclideanInner,
-    GraphNormInner,
     InterpNormInner,
     ScalarInner,
     SequenceBesovInner,
@@ -98,7 +97,6 @@ __all__ = [
     "EMBEDDING_EXAMPLE_PAIRS",
     "EuclideanInner",
     "ExtensionOperator",
-    "GraphNormInner",
     "GridFunction",
     "GridSpec",
     "InnerTriple",

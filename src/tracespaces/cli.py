@@ -47,9 +47,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    config = SuiteConfig(half_width=args.grid_l, n_samples=args.grid_n,
-                         seed=args.seed, family_size=args.family_size)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        config = SuiteConfig(half_width=args.grid_l, n_samples=args.grid_n,
+                             seed=args.seed, family_size=args.family_size)
+    except ValueError as exc:
+        parser.error(str(exc))
     names = args.suite or ["all"]
     if "all" in names:
         names = list(SUITE_ORDER)

@@ -34,9 +34,6 @@ from scipy.special import gammaln
 __all__ = [
     "MultiplierOperator",
     "InterpQuadSpec",
-    "resolvent_apply",
-    "frac_power_apply",
-    "semigroup_apply",
     "interp_norm_resolvent",
     "interp_norm_semigroup",
     "batch_interp_norm_resolvent",
@@ -123,25 +120,6 @@ class MultiplierOperator:
 
     def __repr__(self):
         return f"MultiplierOperator({self.label})"
-
-
-def resolvent_apply(op: MultiplierOperator, sigma: float, x) -> np.ndarray:
-    """(sigma + A)^{-1} x for sigma >= 0 (sigma = 0 is allowed: A is invertible)."""
-    if sigma < 0:
-        raise ValueError(f"resolvent parameter must be >= 0, got {sigma}")
-    return op._vec(x) / (sigma + op.eigenvalues)
-
-
-def frac_power_apply(op: MultiplierOperator, beta: float, x) -> np.ndarray:
-    """A^beta x (any real beta)."""
-    return op._vec(x) * op.eigenvalues ** beta
-
-
-def semigroup_apply(op: MultiplierOperator, t: float, x) -> np.ndarray:
-    """exp(-t A) x for t >= 0."""
-    if t < 0:
-        raise ValueError(f"semigroup time must be >= 0, got {t}")
-    return op._vec(x) * np.exp(-t * op.eigenvalues)
 
 
 # ---------------------------------------------------------------------
@@ -347,17 +325,23 @@ def batch_interp_norm_resolvent(op: MultiplierOperator, alpha: float, r: float,
     if math.isinf(r):
         sigma, _ = quad.nodes()
         fac2 = (op.eigenvalues[None, :] / (sigma[:, None] + op.eigenvalues[None, :])) ** (2 * m)
-        mags = np.sqrt(sq @ fac2.T)  # (batch, n_sigma)
-        out = np.max(sigma[None, :] ** alpha * mags, axis=1)
-        return out.reshape(vals.shape[:-1])
+        grand = sq @ fac2.T  # (batch, n_sigma), then worked on in place
+        np.sqrt(grand, out=grand)
+        grand *= sigma ** alpha
+        return np.max(grand, axis=1).reshape(vals.shape[:-1])
 
     quad = _cleared_window(op, r, m, quad)
     sigma, du = quad.nodes()
     fac2 = (op.eigenvalues[None, :] / (sigma[:, None] + op.eigenvalues[None, :])) ** (2 * m)
-    mags = np.sqrt(sq @ fac2.T)
     w = np.full(sigma.size, du)
     w[0] = w[-1] = du / 2.0  # composite trapezoid, closed-form tails beyond
-    grand = sigma[None, :] ** (alpha * r) * mags ** r
+    # one (batch, n_sigma) array worked on in place: a fresh temporary per
+    # step makes the allocator return its pages to the system and fault
+    # them in again on every call
+    grand = sq @ fac2.T
+    np.sqrt(grand, out=grand)
+    grand **= r
+    grand *= sigma ** (alpha * r)
     core = grand @ w
     # leading Euler-Maclaurin boundary correction (power-law end slopes)
     core += du ** 2 / 12.0 * (alpha * r * grand[:, 0] + (m - alpha) * r * grand[:, -1])

@@ -41,7 +41,6 @@ __all__ = [
     "ScalarInner",
     "EuclideanInner",
     "WeightedEuclideanInner",
-    "GraphNormInner",
     "InterpNormInner",
     "SequenceBesovInner",
     "SpaceSpec",
@@ -52,7 +51,9 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------
-# inner spaces: batchable norms on C^dim values
+# inner spaces: batchable norms on C^dim values.  An inner space is
+# immutable and carries `dim`, `batch_norm` and a hashable `key` of its
+# exact defining values; cached norm magnitudes are keyed by it.
 # ---------------------------------------------------------------------
 
 
@@ -60,6 +61,7 @@ class ScalarInner:
     """C with the absolute value."""
 
     dim = 1
+    key = ("scalar",)
 
     def batch_norm(self, values: np.ndarray) -> np.ndarray:
         return np.abs(values[..., 0])
@@ -73,6 +75,7 @@ class EuclideanInner:
 
     def __init__(self, dim: int):
         self.dim = int(dim)
+        self.key = ("euclidean", self.dim)
 
     def batch_norm(self, values: np.ndarray) -> np.ndarray:
         return np.sqrt(np.sum(np.abs(values) ** 2, axis=-1))
@@ -93,6 +96,7 @@ class WeightedEuclideanInner:
         self.weights = u
         self.weights.flags.writeable = False
         self.dim = u.size
+        self.key = ("weighted-euclidean", tuple(u.tolist()))
 
     def geometric_mix(self, other: "WeightedEuclideanInner",
                       theta: float) -> "WeightedEuclideanInner":
@@ -108,24 +112,6 @@ class WeightedEuclideanInner:
         return f"WeightedEuclideanInner({np.array2string(self.weights, precision=6)})"
 
 
-class GraphNormInner:
-    """Domain of a fractional power: ||x|| + ||A^power x||."""
-
-    def __init__(self, op: MultiplierOperator, power: float = 1.0):
-        self.op = op
-        self.power = float(power)
-        self.dim = op.dim
-        self._factors = op.eigenvalues ** power
-
-    def batch_norm(self, values: np.ndarray) -> np.ndarray:
-        base = np.sqrt(np.sum(np.abs(values) ** 2, axis=-1))
-        dom = np.sqrt(np.sum(np.abs(values * self._factors) ** 2, axis=-1))
-        return base + dom
-
-    def __repr__(self):
-        return f"GraphNormInner({self.op.label}, power={self.power})"
-
-
 class InterpNormInner:
     """Real-interpolation space D_A(alpha, r) in the resolvent form."""
 
@@ -139,6 +125,7 @@ class InterpNormInner:
         # a lean default grid: the batch evaluator widens it if tails demand
         self.quad = quad or InterpQuadSpec(1e-6, 1e6, nodes_per_decade=10)
         self.dim = op.dim
+        self.key = ("interp", tuple(op.eigenvalues.tolist()), self.alpha, self.r, self.quad)
 
     def batch_norm(self, values: np.ndarray) -> np.ndarray:
         return batch_interp_norm_resolvent(self.op, self.alpha, self.r, values,
@@ -164,6 +151,8 @@ class SequenceBesovInner:
         self.base = float(base)
         self.dim = int(dim)
         self._weights = base ** (smoothness * np.arange(1, dim + 1))
+        self.key = ("sequence-besov", self.smoothness, self.integrability,
+                    self.summability, self.base, self.dim)
 
     def batch_norm(self, values: np.ndarray) -> np.ndarray:
         w = np.abs(values) * self._weights
@@ -236,29 +225,30 @@ def _lq_combine(arr: np.ndarray, q: float, axis: int = 0) -> np.ndarray:
 
 def _block_magnitudes(f: GridFunction, sys: DyadicSystem, mesh: QuadratureMesh,
                       inner) -> np.ndarray:
-    """(K+1, n_nodes) array of ||S_k f(node)||_X, cached on f per (sys, mesh, inner)."""
-    key = ("blockmags", sys.max_block, sys.sharpness,
-           mesh.half_width, mesh.n_cells, mesh.grading, mesh.order, repr(inner))
-    got = f._eval_cache.get(key)
-    if got is not None:
-        return got
-    vkey = ("blockvals", sys.max_block, sys.sharpness,
-            mesh.half_width, mesh.n_cells, mesh.grading, mesh.order)
-    vals = f._eval_cache.get(vkey)
-    if vals is None:
-        symbols = sys.block_symbols_for(f)
-        freqs = f.grid.frequencies()
-        active = f.active_indices
-        e = np.exp((2j * np.pi) * np.multiply.outer(mesh.nodes, freqs[active]))
-        vals = []
-        for k in range(sys.max_block + 1):
-            ck = f.coeffs[active] * symbols[k][active][:, None]
-            vals.append(e @ ck)
-        f._eval_cache[vkey] = vals
-    mags = np.stack([inner.batch_norm(v) for v in vals])
-    mags.flags.writeable = False
-    f._eval_cache[key] = mags
-    return mags
+    """(K+1, n_nodes) array of ||S_k f(node)||_X, cached on f per (sys, mesh, inner).
+
+    The blocks whose symbol vanishes on f's active set are zero and skip
+    synthesis; the others are synthesized in one stacked product.
+    """
+    active = f.active_indices
+    symbols = sys.block_symbols_for(f)[:, active]
+    live = np.flatnonzero(np.any(symbols != 0.0, axis=1))
+
+    def block_values():  # (n_nodes, n_live, dim)
+        stacked = symbols[live].T[:, :, None] * f.coeffs[active][:, None, :]
+        vals = mesh.synthesize(f.grid, active, stacked.reshape(active.size, -1))
+        return vals.reshape(mesh.nodes.size, live.size, f.dim)
+
+    def magnitudes():
+        vals = f.cached(("blockvals", sys, mesh.key), block_values)
+        mags = np.zeros((sys.max_block + 1, mesh.nodes.size))
+        # one batch_norm per block: a single call over all blocks makes the
+        # interpolation norm build its sigma grid for every block at once
+        for i, k in enumerate(live):
+            mags[k] = inner.batch_norm(vals[:, i])
+        return mags
+
+    return f.cached(("blockmags", sys, mesh.key, inner.key), magnitudes)
 
 
 def space_norm(f: GridFunction, spec: SpaceSpec, sys: DyadicSystem | None = None,
@@ -321,16 +311,13 @@ def _difference_mags(f: GridFunction, m: int, h_values: np.ndarray,
     """||Delta^m_h f(x)||_X on (mesh nodes) x (h values).
 
     Delta^m_h f has coefficients c_k (exp(2 pi i xi_k h) - 1)^m, so one
-    mode matrix serves every h.
+    stacked synthesis serves every h.
     """
     active = f.active_indices
-    xi = f.active_frequencies()
-    coeff = f.coeffs[active]
-    e = np.exp((2j * np.pi) * np.multiply.outer(mesh.nodes, xi))
-    fac = (np.exp((2j * np.pi) * np.multiply.outer(h_values, xi)) - 1.0) ** m
-    bundle = fac[:, :, None] * coeff[None, :, :]
-    vals = np.einsum("xk,hkd->xhd", e, bundle, optimize=True)
-    return inner.batch_norm(vals)
+    fac = (np.exp((2j * np.pi) * np.multiply.outer(f.active_frequencies(), h_values)) - 1.0) ** m
+    bundle = fac[:, :, None] * f.coeffs[active][:, None, :]
+    vals = mesh.synthesize(f.grid, active, bundle.reshape(active.size, -1))
+    return inner.batch_norm(vals.reshape(mesh.nodes.size, h_values.size, f.dim))
 
 
 def difference_seminorm(f: GridFunction, s: float, p: float, q: float, gamma: float,

@@ -111,8 +111,11 @@ class SuiteConfig:
     family_size: int = 50
 
     def __post_init__(self):
-        if self.n_samples < 64 or self.n_samples % 2:
-            raise ValueError("n_samples must be even and at least 64")
+        n = self.n_samples
+        if n < 64 or n & (n - 1):
+            raise ValueError(f"n_samples must be a power of two >= 64, got {n}")
+        if not self.half_width > 0:
+            raise ValueError(f"half_width must be positive, got {self.half_width}")
         if self.family_size < 2:
             raise ValueError("family_size must be at least 2")
 

@@ -53,3 +53,11 @@ def test_custom_config_separates_baselines(tmp_path):
     code = main(["--suite", "stefan", "--seed", "77", "--baseline-dir", bdir,
                  "--out", str(tmp_path / "r.json")])
     assert code == 1
+
+
+@pytest.mark.parametrize("flags", [["--grid-n", "96"], ["--grid-l", "0"], ["--family-size", "1"]])
+def test_bad_config_is_a_usage_error(flags, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--suite", "counterexample"] + flags)
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err

@@ -108,3 +108,29 @@ def test_norm_homogeneity(scale, seed):
     base = weighted_lp_norm(f, 2.0, 0.3)
     scaled = weighted_lp_norm(f.scaled(scale), 2.0, 0.3)
     assert scaled == pytest.approx(scale * base, rel=1e-10)
+
+
+@pytest.mark.parametrize("n,cells,dim", [(1024, 512, 6), (1024, 1536, 3), (8, 64, 2),
+                                         (256, 512, 1), (2048, 512, 2)])
+def test_mesh_synthesis_matches_dense_evaluation(n, cells, dim):
+    """The phase-table kernel against dense exp synthesis on the full band;
+    the bound covers the rounding of the dense phase t * xi itself."""
+    grid = GridSpec(1.0, n)
+    mesh = QuadratureMesh(1.0, cells)
+    edge = grid.nyquist - grid.fundamental
+    f = random_band_limited(grid, (-edge, edge), seed=(n, dim), dim=dim)
+    assert f.active_indices.size == n - 1
+    dense = f.evaluate(mesh.nodes)
+    got = mesh.synthesize(grid, f.active_indices, f.coeffs[f.active_indices])
+    assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+def test_mesh_synthesis_sparse_and_empty_active_sets(grid, mesh):
+    f = fourier_synthesize(grid, {-255.5: [1.0], -3.0: [2.0j], 0.0: [0.5], 17.5: [-1.0],
+                                  255.5: [3.0]})
+    dense = f.evaluate(mesh.nodes)
+    got = mesh.synthesize(grid, f.active_indices, f.coeffs[f.active_indices])
+    assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
+    np.testing.assert_array_equal(f.values_on_mesh(mesh), got)
+    empty = mesh.synthesize(grid, np.array([], dtype=int), np.zeros((0, 4)))
+    assert empty.shape == (mesh.nodes.size, 4) and not np.any(empty)

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from tracespaces import (
     GridSpec,
+    InterpNormInner,
+    InterpQuadSpec,
     MultiplierOperator,
     QuadratureMesh,
     SequenceBesovInner,
@@ -138,7 +140,7 @@ def test_difference_norm_equivalence_window(grid, system, s, p, q, gamma, m):
 def test_interp_inner_scale_with_operator(grid, system):
     """The interpolation-norm inner on a scalar operator is a multiple of
     the plain modulus, so the F-norm scales by exactly that multiple."""
-    from tracespaces import InterpNormInner, interp_norm_resolvent
+    from tracespaces import interp_norm_resolvent
     mesh = QuadratureMesh.for_band(grid, 16.0, min_cells=256)
     op = MultiplierOperator.scalar(2.0)
     f = random_band_limited(grid, (-16.0, 16.0), seed=41)
@@ -148,3 +150,30 @@ def test_interp_inner_scale_with_operator(grid, system):
     got = space_norm(f, spec, system, mesh=mesh)
     factor = inner.batch_norm(np.array([1.0 + 0j]))
     assert got == pytest.approx(factor * plain, rel=1e-9)
+
+
+_OP3 = MultiplierOperator.diagonal([0.5, 2.0, 16.0])
+_NARROW = InterpQuadSpec(1e-1, 1e1, nodes_per_decade=4)
+
+
+@pytest.mark.parametrize("first,second", [
+    (InterpNormInner(_OP3, 0.5, math.inf), InterpNormInner(_OP3, 0.5, math.inf, quad=_NARROW)),
+    (WeightedEuclideanInner([1.0, 1.0, 1.0]), WeightedEuclideanInner([1.0, 1.0, 1.0 + 1e-7])),
+], ids=["quad", "weights"])
+def test_norm_is_independent_of_cache_state(grid, system, first, second):
+    """A norm must not depend on what was computed on the function before
+    it: inner spaces that differ only in the sigma window or in the
+    seventh digit of a weight are distinct cache keys."""
+    mesh = QuadratureMesh.for_band(grid, 16.0, min_cells=256)
+
+    def norm(f, inner):
+        return space_norm(f, SpaceSpec("F", 0.5, 2.0, 2.0, 0.0, inner=inner), system, mesh=mesh)
+
+    def fresh():
+        return random_band_limited(grid, (-16.0, 16.0), seed=51, dim=3)
+
+    want = norm(fresh(), second)
+    assert want != norm(fresh(), first)
+    f = fresh()
+    norm(f, first)
+    assert norm(f, second) == want

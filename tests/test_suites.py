@@ -15,6 +15,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SuiteConfig(n_samples=32)
     with pytest.raises(ValueError):
+        SuiteConfig(n_samples=96)  # even, but the spectral grid needs a power of two
+    with pytest.raises(ValueError):
+        SuiteConfig(half_width=0.0)
+    with pytest.raises(ValueError):
         SuiteConfig(family_size=1)
 
 
