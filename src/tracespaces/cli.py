@@ -5,7 +5,8 @@ reports as JSON or CSV, and checks baseline-compared cases against
 values pinned in a baseline directory.  ``--pin-baselines`` records the
 current values instead of checking them; pinned files are keyed by a
 hash of the configuration, so values from one configuration are never
-compared against another.
+compared against another.  A suite that raises is reported with one
+failed ``error`` case and is never pinned; the other suites still run.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .report import BaselineStore, render_reports
+from .report import BaselineStore, CaseRecord, VerificationReport, render_reports
 from .suites import SUITE_ORDER, SuiteConfig, run_suite
 
 __all__ = ["main", "build_parser"]
@@ -58,14 +59,25 @@ def main(argv=None) -> int:
     if "all" in names:
         names = list(SUITE_ORDER)
 
-    reports = [run_suite(name, config) for name in names]
+    reports, errored = [], set()
+    for name in names:
+        try:
+            reports.append(run_suite(name, config))
+        except Exception as exc:  # one failing suite must not abort the run
+            print(f"{name}: error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            errored.add(name)
+            reports.append(VerificationReport(
+                suite=name, config=config.config_dict(),
+                cases=[CaseRecord("error", 1.0, 0.0)]))
     store = BaselineStore(args.baseline_dir)
     ok = True
 
     if args.pin_baselines:
         for report in reports:
-            store.pin(report)
             ok = ok and report.verdict()
+            if report.suite in errored:
+                continue  # never overwrite a pinned file with an empty one
+            store.pin(report)
             print(f"pinned {report.suite} -> {store.path(report.suite, report.config_hash)}")
     else:
         for report in reports:

@@ -37,7 +37,7 @@ import numpy as np
 
 from .dyadic import DyadicSystem
 from .grid import QuadratureMesh
-from .spaces import SpaceSpec, WeightedEuclideanInner, space_norm
+from .spaces import SpaceSpec, WeightedEuclideanInner, _lq_combine, space_norm
 
 __all__ = [
     "EMBEDDING_EXAMPLE_PAIRS",
@@ -305,12 +305,6 @@ def mixed_derivative_check(f, params: MixedDerivativeParams, triple: InnerTriple
 # ---------------------------------------------------------------------
 
 
-def _seq_norm(v: np.ndarray, r: float) -> float:
-    if math.isinf(r):
-        return float(np.max(v))
-    return float(np.sum(v ** r) ** (1.0 / r))
-
-
 def counterexample_norms(coefficients, u: float, q: float, s: float = 0.0,
                          t: float = 0.0, alpha: float = 1.0,
                          beta: float = 1.0) -> dict:
@@ -336,8 +330,8 @@ def counterexample_norms(coefficients, u: float, q: float, s: float = 0.0,
     e = s + alpha + t * alpha / beta
     w = 2.0 ** (e * np.arange(1, a.size + 1))
     seq = w * a
-    target = _seq_norm(seq, u)
-    source = _seq_norm(seq, q)
+    target = float(_lq_combine(seq, u))
+    source = float(_lq_combine(seq, q))
     return {"target": target, "source": source, "ratio": target / source,
             "scale_ratio": 2.0 ** (alpha / beta), "weight_exponent": e,
             "n_terms": int(a.size)}

@@ -84,10 +84,6 @@ class ExtensionOperator:
         return reflection_coefficients(self.order, self.twist)
 
     @property
-    def float_coefficients(self) -> np.ndarray:
-        return np.array([float(c) for c in self.coefficients])
-
-    @property
     def n_reflections(self) -> int:
         return self.order + 1
 

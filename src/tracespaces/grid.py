@@ -212,14 +212,6 @@ class GridFunction:
     def scaled(self, c: complex) -> "GridFunction":
         return GridFunction(self.grid, self._coeffs * c)
 
-    def __add__(self, other: "GridFunction") -> "GridFunction":
-        if other.grid != self.grid or other.dim != self.dim:
-            raise GridError("grid/dimension mismatch")
-        return GridFunction(self.grid, self._coeffs + other._coeffs)
-
-    def __sub__(self, other: "GridFunction") -> "GridFunction":
-        return self + other.scaled(-1.0)
-
     def multiplied(self, factors: np.ndarray) -> "GridFunction":
         """New function with coefficients factors[j] * c[j] (FFT order)."""
         factors = np.asarray(factors)

@@ -21,6 +21,15 @@ which are estimated in closed form and pushed below 1e-12 of the total by
 widening the window.  For a scalar operator (and for diagonal ones at
 p = 2, by linearity of the p-th power) the integrals collapse to Beta and
 Gamma functions, used as cross-checks.
+
+The resolvent form has one integrator, `batch_interp_norm_resolvent`;
+`interp_norm_resolvent` is a batch of one.  The batch shares one sigma
+grid, chosen once for all its rows.  For finite p the window is widened
+in whole decades until it clears the spectrum far enough for the
+closed-form tails (trapezoid in log sigma plus the leading
+Euler-Maclaurin end correction inside it).  For p = inf the window is
+widened by 4 decades at an end while the integrand of some nonzero row
+is still at least 0.7 of that row's peak there, for at most 40 rounds.
 """
 
 from __future__ import annotations
@@ -71,24 +80,6 @@ class MultiplierOperator:
     def diagonal(cls, eigenvalues) -> "MultiplierOperator":
         return cls(eigenvalues, kind="diagonal")
 
-    @classmethod
-    def fourier_symbol(cls, beta: float | None = None, freqs=(0.0,), symbol=None) -> "MultiplierOperator":
-        """Multiplier a(xi) on a finite set of spatial modes.
-
-        Default symbol is (1 + |2 pi xi|^2)^{beta/2}, the model of the
-        Bessel operator (1 - Laplacian)^{beta/2} in the exp(2 pi i xi x)
-        frequency convention.
-        """
-        xi = np.atleast_1d(np.asarray(freqs, dtype=float))
-        if symbol is None:
-            if beta is None:
-                raise ValueError("give either beta or an explicit symbol")
-            lam = (1.0 + np.abs(2.0 * np.pi * xi) ** 2) ** (beta / 2.0)
-        else:
-            lam = np.asarray([symbol(x) for x in xi], dtype=float)
-        return cls(lam, kind="fourier_symbol",
-                   label=f"symbol on {xi.size} modes")
-
     # -- structure -----------------------------------------------------
 
     @property
@@ -102,11 +93,6 @@ class MultiplierOperator:
     @property
     def max_eigenvalue(self) -> float:
         return float(np.max(self.eigenvalues))
-
-    @property
-    def resolvent_bound_constant(self) -> float:
-        """C with ||(sigma + A)^{-1}|| <= C / (1 + sigma) for sigma >= 0."""
-        return max(1.0, 1.0 / self.min_eigenvalue)
 
     def frac_power(self, beta: float) -> "MultiplierOperator":
         return MultiplierOperator(self.eigenvalues ** beta, kind=self.kind,
@@ -206,62 +192,76 @@ def _extend_until(quad, tail_fn, total_fn, tol=1e-12, max_rounds=40):
     raise ValueError("interpolation-norm quadrature window failed to converge")
 
 
-def interp_norm_resolvent(op: MultiplierOperator, alpha: float, p: float, x,
-                          quad: InterpQuadSpec | None = None,
-                          auto_extend: bool = True) -> float:
-    """D_A(alpha, p) norm of x in the resolvent form; p = inf is the grid sup."""
+def batch_interp_norm_resolvent(op: MultiplierOperator, alpha: float, r: float,
+                                values: np.ndarray,
+                                quad: InterpQuadSpec | None = None) -> np.ndarray:
+    """Resolvent-form D_A(alpha, r) norms of a batch of vectors, shape
+    (..., dim) -> (...); r = inf is the supremum over the sigma grid.
+    The window is widened once for the whole batch, by the rules in the
+    module docstring."""
     if not alpha > 0:
         raise ValueError(f"interpolation order must be positive, got alpha={alpha}")
+    if not r >= 1:
+        raise ValueError(f"need r >= 1, got r={r}")
     if quad is None:
         quad = InterpQuadSpec()
     m = quad.order_for(alpha)
-    v = op._vec(x)
-    xnorm = float(np.linalg.norm(v))
-    if xnorm == 0.0:
-        return 0.0
+    vals = np.asarray(values, dtype=complex)
+    if vals.shape[-1] != op.dim:
+        raise ValueError("value dimension mismatch")
+    flat = vals.reshape(-1, op.dim)
+    sq = np.abs(flat) ** 2
+    if not np.any(sq):
+        return np.zeros(vals.shape[:-1])
 
-    def values_on(q):
-        sigma, du = q.nodes()
-        factors = (op.eigenvalues[None, :] / (sigma[:, None] + op.eigenvalues[None, :])) ** m
-        mags = np.linalg.norm(factors * v[None, :], axis=1)
-        return sigma, du, mags
+    def magnitudes(sigma):  # (batch, n_sigma): ||(A (sigma + A)^{-1})^m x||
+        fac2 = (op.eigenvalues[None, :] / (sigma[:, None] + op.eigenvalues[None, :])) ** (2 * m)
+        # one (batch, n_sigma) array worked on in place: a fresh temporary
+        # per step makes the allocator return its pages to the system and
+        # fault them in again on every call
+        grand = sq @ fac2.T
+        np.sqrt(grand, out=grand)
+        return grand
 
-    if math.isinf(p):
-        sigma, _, mags = values_on(quad)
-        vals = sigma ** alpha * mags
-        if auto_extend:
-            for _ in range(40):
-                peak = float(np.max(vals))
-                if vals[0] < 0.7 * peak and vals[-1] < 0.7 * peak:
-                    break
-                quad = quad.widened(4.0 if vals[0] >= 0.7 * peak else 0.0,
-                                    4.0 if vals[-1] >= 0.7 * peak else 0.0)
-                sigma, _, mags = values_on(quad)
-                vals = sigma ** alpha * mags
-        return float(np.max(vals))
+    if math.isinf(r):
+        for rounds in range(41):
+            sigma, _ = quad.nodes()
+            grand = magnitudes(sigma)
+            grand *= sigma ** alpha
+            peak = np.max(grand, axis=1)
+            cut = 0.7 * peak
+            live = peak > 0.0  # a zero row peaks at 0 at both ends
+            need_lo = bool(np.any((grand[:, 0] >= cut) & live))
+            need_hi = bool(np.any((grand[:, -1] >= cut) & live))
+            if rounds == 40 or not (need_lo or need_hi):
+                return peak.reshape(vals.shape[:-1])
+            quad = quad.widened(4.0 if need_lo else 0.0, 4.0 if need_hi else 0.0)
 
-    if not p >= 1:
-        raise ValueError(f"need p >= 1, got {p}")
+    quad = _cleared_window(op, r, m, quad)
+    sigma, du = quad.nodes()
+    w = np.full(sigma.size, du)
+    w[0] = w[-1] = du / 2.0  # composite trapezoid, closed-form tails beyond
+    grand = magnitudes(sigma)
+    grand **= r
+    grand *= sigma ** (alpha * r)
+    core = grand @ w
+    # leading Euler-Maclaurin boundary correction (power-law end slopes)
+    core += du ** 2 / 12.0 * (alpha * r * grand[:, 0] + (m - alpha) * r * grand[:, -1])
+    xnorms = np.sqrt(np.sum(sq, axis=1))
+    domnorms = np.sqrt(sq @ op.eigenvalues ** (2.0 * m))
+    lo, hi = _resolvent_tail_pieces(alpha, r, m, quad, xnorms, domnorms)
+    out = (core + lo + hi) ** (1.0 / r)
+    return out.reshape(vals.shape[:-1])
 
-    if auto_extend:
-        quad = _cleared_window(op, p, m, quad)
-    sigma, du, mags = values_on(quad)
-    vals = sigma ** (alpha * p) * mags ** p
-    g_lo, g_hi = vals[0], vals[-1]
-    vals[0] *= 0.5
-    vals[-1] *= 0.5  # composite trapezoid; the closed forms continue the ends
-    total = float(np.sum(vals)) * du
-    # leading Euler-Maclaurin boundary correction: beyond the cleared window
-    # the integrand is a pure power law in log sigma with known slopes
-    total += du ** 2 / 12.0 * (alpha * p * g_lo + (m - alpha) * p * g_hi)
-    domnorm = float(np.linalg.norm(op.eigenvalues ** m * v))
-    lo, hi = _resolvent_tail_pieces(alpha, p, m, quad, xnorm, domnorm)
-    return (total + lo + hi) ** (1.0 / p)
+
+def interp_norm_resolvent(op: MultiplierOperator, alpha: float, p: float, x,
+                          quad: InterpQuadSpec | None = None) -> float:
+    """D_A(alpha, p) norm of one vector x in the resolvent form: a batch of one."""
+    return float(batch_interp_norm_resolvent(op, alpha, p, op._vec(x)[None, :], quad)[0])
 
 
 def interp_norm_semigroup(op: MultiplierOperator, alpha: float, p: float, x,
-                          quad: InterpQuadSpec | None = None,
-                          auto_extend: bool = True) -> float:
+                          quad: InterpQuadSpec | None = None) -> float:
     """D_A(alpha, p) norm of x in the semigroup form; p = inf is the grid sup."""
     if not alpha > 0:
         raise ValueError(f"interpolation order must be positive, got alpha={alpha}")
@@ -300,56 +300,8 @@ def interp_norm_semigroup(op: MultiplierOperator, alpha: float, p: float, x,
         t, du, mags = values_on(q)
         return float(np.sum(t ** ((m - alpha) * p) * mags ** p) * du)
 
-    if auto_extend:
-        quad = _extend_until(quad, tails, total_fn)
+    quad = _extend_until(quad, tails, total_fn)
     return total_fn(quad) ** (1.0 / p)
-
-
-def batch_interp_norm_resolvent(op: MultiplierOperator, alpha: float, r: float,
-                                values: np.ndarray,
-                                quad: InterpQuadSpec | None = None) -> np.ndarray:
-    """Resolvent-form D_A(alpha, r) norms of a batch of vectors, shape
-    (..., dim) -> (...).  One shared sigma grid; no per-vector widening
-    (the window is widened once, for the worst-case tail over the batch)."""
-    if quad is None:
-        quad = InterpQuadSpec()
-    m = quad.order_for(alpha)
-    vals = np.asarray(values, dtype=complex)
-    if vals.shape[-1] != op.dim:
-        raise ValueError("value dimension mismatch")
-    flat = vals.reshape(-1, op.dim)
-    sq = np.abs(flat) ** 2
-    if not np.any(sq):
-        return np.zeros(vals.shape[:-1])
-
-    if math.isinf(r):
-        sigma, _ = quad.nodes()
-        fac2 = (op.eigenvalues[None, :] / (sigma[:, None] + op.eigenvalues[None, :])) ** (2 * m)
-        grand = sq @ fac2.T  # (batch, n_sigma), then worked on in place
-        np.sqrt(grand, out=grand)
-        grand *= sigma ** alpha
-        return np.max(grand, axis=1).reshape(vals.shape[:-1])
-
-    quad = _cleared_window(op, r, m, quad)
-    sigma, du = quad.nodes()
-    fac2 = (op.eigenvalues[None, :] / (sigma[:, None] + op.eigenvalues[None, :])) ** (2 * m)
-    w = np.full(sigma.size, du)
-    w[0] = w[-1] = du / 2.0  # composite trapezoid, closed-form tails beyond
-    # one (batch, n_sigma) array worked on in place: a fresh temporary per
-    # step makes the allocator return its pages to the system and fault
-    # them in again on every call
-    grand = sq @ fac2.T
-    np.sqrt(grand, out=grand)
-    grand **= r
-    grand *= sigma ** (alpha * r)
-    core = grand @ w
-    # leading Euler-Maclaurin boundary correction (power-law end slopes)
-    core += du ** 2 / 12.0 * (alpha * r * grand[:, 0] + (m - alpha) * r * grand[:, -1])
-    xnorms = np.sqrt(np.sum(sq, axis=1))
-    domnorms = np.sqrt(sq @ op.eigenvalues ** (2.0 * m))
-    lo, hi = _resolvent_tail_pieces(alpha, r, m, quad, xnorms, domnorms)
-    out = (core + lo + hi) ** (1.0 / r)
-    return out.reshape(vals.shape[:-1])
 
 
 def closed_form_resolvent_norm(op: MultiplierOperator, alpha: float, p: float, x,

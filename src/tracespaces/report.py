@@ -83,10 +83,6 @@ class VerificationReport:
     def config_hash(self) -> str:
         return config_hash(self.config)
 
-    def add(self, *cases: CaseRecord) -> None:
-        self.cases.extend(cases)
-        self.__post_init__()
-
     def verdict(self) -> bool:
         """True when no decided case failed.  Baseline cases count only
         after a check has filled their passed flag."""

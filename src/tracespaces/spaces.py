@@ -119,6 +119,8 @@ class InterpNormInner:
                  quad: InterpQuadSpec | None = None):
         if not alpha > 0:
             raise ValueError("interpolation order must be positive")
+        if not r >= 1:
+            raise ValueError(f"need r >= 1, got r={r}")
         self.op = op
         self.alpha = float(alpha)
         self.r = float(r)
@@ -155,10 +157,7 @@ class SequenceBesovInner:
                     self.summability, self.base, self.dim)
 
     def batch_norm(self, values: np.ndarray) -> np.ndarray:
-        w = np.abs(values) * self._weights
-        if math.isinf(self.summability):
-            return np.max(w, axis=-1)
-        return np.sum(w ** self.summability, axis=-1) ** (1.0 / self.summability)
+        return _lq_combine(np.abs(values) * self._weights, self.summability, axis=-1)
 
     def __repr__(self):
         return (f"SequenceBesovInner(t={self.smoothness}, r={self.integrability}, "
@@ -200,21 +199,6 @@ class SpaceSpec:
             raise ValueError(f"weight power must exceed -1, got gamma={self.gamma}")
         if self.kind == "W" and (self.s < 0 or self.s != int(self.s)):
             raise ValueError(f"W-spaces need integer smoothness >= 0, got {self.s}")
-
-    @property
-    def ap_compatible(self) -> bool:
-        """Whether the weight is A_p (the F-scale's natural condition);
-        gamma in [p-1, inf) is still admissible but only A_inf."""
-        return -1.0 < self.gamma < self.p - 1.0
-
-    def describe(self) -> str:
-        if self.kind in ("B", "F"):
-            return f"{self.kind}^{self.s:g}_{{{self.p:g},{self.q:g}}}(w_{self.gamma:g})"
-        if self.kind == "H":
-            return f"H^{{{self.s:g},{self.p:g}}}(w_{self.gamma:g})"
-        if self.kind == "W":
-            return f"W^{{{int(self.s)},{self.p:g}}}(w_{self.gamma:g})"
-        return f"L^{self.p:g}(w_{self.gamma:g})"
 
 
 def _lq_combine(arr: np.ndarray, q: float, axis: int = 0) -> np.ndarray:

@@ -65,7 +65,6 @@ from .operators import (
 )
 from .report import CaseRecord, VerificationReport
 from .spaces import (
-    ScalarInner,
     SpaceSpec,
     WeightedEuclideanInner,
     norm_equivalence_ratio,
@@ -181,12 +180,14 @@ def run_dyadic(config: SuiteConfig) -> VerificationReport:
             worst = max(worst, float(np.max(np.abs(symbols[k] * symbols[l]))))
     cases.append(CaseRecord("disjoint_blocks_max_product", worst, 0.0))
 
+    # the band stays strictly below Nyquist on coarse grids
+    band = min(250.0, grid.nyquist - grid.fundamental)
     # reconstruction is bitwise on single-precision coefficient data:
     # the snapped symbols of the two blocks meeting at any frequency are
     # complementary 26-bit values, so both products and their sum are exact
     err = 0.0
     for i in range(config.family_size):
-        f = random_band_limited(grid, (-250.0, 250.0), (config.seed, 100, i))
+        f = random_band_limited(grid, (-band, band), (config.seed, 100, i))
         f = GridFunction(grid, f.coeffs.astype(np.complex64).astype(complex))
         total = np.zeros_like(f.coeffs)
         for k in range(sys.max_block + 1):
@@ -390,14 +391,14 @@ _TRACE_EIGENVALUES = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
 _MICRO = (1.0, 2.0, math.inf)
 
 
-def _trace_mesh(config: SuiteConfig, grid: GridSpec) -> QuadratureMesh:
+def _trace_mesh(grid: GridSpec) -> QuadratureMesh:
     return QuadratureMesh.for_band(grid, 16.0)
 
 
 def _trace_ratio_cases(config: SuiteConfig, kind: str) -> list[CaseRecord]:
     grid = config.grid()
     sys = config.system()
-    mesh = _trace_mesh(config, grid)
+    mesh = _trace_mesh(grid)
     op = MultiplierOperator.diagonal(_TRACE_EIGENVALUES)
     cases = []
     spread_worst = 0.0
@@ -432,7 +433,7 @@ def _trace_ratio_cases(config: SuiteConfig, kind: str) -> list[CaseRecord]:
 def run_trace_f(config: SuiteConfig) -> VerificationReport:
     grid = config.grid()
     sys = config.system()
-    mesh = _trace_mesh(config, grid)
+    mesh = _trace_mesh(grid)
     cases = _trace_ratio_cases(config, "F")
 
     scalar = MultiplierOperator.scalar(1.0)
@@ -609,7 +610,7 @@ def run_counterexample(config: SuiteConfig) -> VerificationReport:
 def run_semigroup(config: SuiteConfig) -> VerificationReport:
     grid = config.grid()
     sys = config.system()
-    mesh = _trace_mesh(config, grid)
+    mesh = _trace_mesh(grid)
     cases = []
 
     unit = MultiplierOperator.scalar(1.0)
@@ -682,21 +683,17 @@ _STEFAN_EXPECTED = (
 )
 
 
-def _descriptor(family, s, p, q) -> SpaceDescriptor:
-    return SpaceDescriptor(family, s, p, q)
-
-
 def run_stefan(config: SuiteConfig) -> VerificationReport:
     cases = []
     for (p, q), want_h, want_dt, want_conds in _STEFAN_EXPECTED:
         params = StefanParams(p, q)
         spaces = classify_spaces(params)
         conds = compatibility_conditions(params)
-        ok = spaces["Xh"] == (_descriptor(*want_h),)
+        ok = spaces["Xh"] == (SpaceDescriptor(*want_h),)
         if want_dt is None:
             ok = ok and spaces["Xdth"] is None
         else:
-            ok = ok and spaces["Xdth"] == (_descriptor(*want_dt),)
+            ok = ok and spaces["Xdth"] == (SpaceDescriptor(*want_dt),)
         ok = ok and conds == want_conds and params.admissible
         tag = f"p{Fraction(p)}_q{Fraction(q)}".replace("/", "over")
         cases.append(CaseRecord(f"classification_{tag}", _flag(ok), 0.0))

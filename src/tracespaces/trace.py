@@ -35,7 +35,7 @@ from .dyadic import DyadicSystem, smooth_step
 from .extension import ExtensionOperator
 from .grid import GridFunction, GridSpec, QuadratureMesh
 from .operators import MultiplierOperator, interp_norm_resolvent
-from .spaces import EuclideanInner, InterpNormInner, ScalarInner, SpaceSpec, space_norm
+from .spaces import InterpNormInner, SpaceSpec, space_norm
 
 __all__ = [
     "TraceProblem",
@@ -289,9 +289,7 @@ def hardy_young_check(breakpoints, values, beta: float, p: float,
 
 def _pair_norms(problem: TraceProblem, u: GridFunction, sys: DyadicSystem,
                 kind: str, r: float, mesh: QuadratureMesh | None) -> tuple[float, float]:
-    base_inner = ScalarInner() if u.dim == 1 else EuclideanInner(u.dim)
-    hi = SpaceSpec(kind, problem.s + problem.alpha, problem.p, problem.q,
-                   problem.gamma, inner=base_inner)
+    hi = SpaceSpec(kind, problem.s + problem.alpha, problem.p, problem.q, problem.gamma)
     lo = SpaceSpec(kind, problem.s, problem.p, problem.q, problem.gamma,
                    inner=InterpNormInner(problem.op, problem.alpha, r))
     return (space_norm(u, hi, sys, mesh=mesh), space_norm(u, lo, sys, mesh=mesh))
@@ -365,9 +363,7 @@ def semigroup_orbit_ratio(problem: TraceProblem, x, grid: GridSpec,
     branch = select_extension_branch(problem)
     ext = ExtensionOperator(branch["order"], branch["twist"])
     u = semigroup_orbit(grid, problem.op, x, ext)
-    base_inner = ScalarInner() if u.dim == 1 else EuclideanInner(u.dim)
-    outer = SpaceSpec("F", problem.s + problem.alpha, problem.p, 1.0,
-                      problem.gamma, inner=base_inner)
+    outer = SpaceSpec("F", problem.s + problem.alpha, problem.p, 1.0, problem.gamma)
     inner_alpha = (1.0 - mix) * problem.alpha
     mixed = SpaceSpec("F", problem.s + mix * problem.alpha, problem.p, 1.0,
                       problem.gamma,

@@ -61,3 +61,26 @@ def test_bad_config_is_a_usage_error(flags, capsys):
         main(["--suite", "counterexample"] + flags)
     assert exc.value.code == 2
     assert "usage:" in capsys.readouterr().err
+
+
+def test_raising_suite_gives_failed_report(tmp_path, capsys):
+    # at N = 64 the norms family band lies above Nyquist, so that suite raises
+    base = ["--grid-n", "64", "--suite", "norms", "--suite", "hardy",
+            "--baseline-dir", str(tmp_path / "b")]
+    out = tmp_path / "r.json"
+    assert main(base + ["--out", str(out)]) == 1
+    assert "norms: error: GridError: " in capsys.readouterr().err
+    doc = {d["suite"]: d["cases"] for d in json.loads(out.read_text())}
+    assert [(c["case_id"], c["value"], c["bound"], c["passed"]) for c in doc["norms"]] == [
+        ("error", 1.0, 0.0, False)]
+    assert all(c["passed"] for c in doc["hardy"])
+
+    # the suite that raised is not pinned; the other one is
+    assert main(base + ["--pin-baselines"]) == 1
+    assert [p.name for p in (tmp_path / "b").glob("*/*.json")] == ["hardy.json"]
+
+
+def test_dyadic_band_follows_the_grid(tmp_path):
+    assert main(["--grid-n", "128", "--suite", "dyadic",
+                 "--baseline-dir", str(tmp_path / "b"),
+                 "--out", str(tmp_path / "r.json")]) == 0

@@ -26,11 +26,15 @@ def x6():
     return rng.standard_normal(6) + 1j * rng.standard_normal(6)
 
 
-def test_operator_validation():
+def test_operator_validation(diag, x6):
     with pytest.raises(ValueError):
         MultiplierOperator.diagonal((1.0, -2.0))
     with pytest.raises(ValueError):
         MultiplierOperator.scalar(0.0)
+    with pytest.raises(ValueError):
+        batch_interp_norm_resolvent(diag, 0.5, 0.5, x6[None, :])   # r below 1
+    with pytest.raises(ValueError):
+        batch_interp_norm_resolvent(diag, -0.5, 2.0, x6[None, :])  # alpha not positive
 
 
 def test_resolvent_norm_unit_scalar():
@@ -81,19 +85,34 @@ def test_small_exponent_window_stays_finite(diag, x6):
     assert got == pytest.approx(fine, rel=1e-5)
 
 
-def test_batch_matches_single_vector(diag, x6):
-    batch = np.stack([x6, 2.0 * x6, np.roll(x6, 1)])
-    got = batch_interp_norm_resolvent(diag, 0.6, 2.0, batch,
-                                      quad=InterpQuadSpec(1e-8, 1e8, 40))
+_NARROW = InterpQuadSpec(1e-1, 1e1, nodes_per_decade=4)
+
+
+@pytest.mark.parametrize("quad", [None, _NARROW], ids=["default", "narrow"])
+@pytest.mark.parametrize("r", [1.0, 2.0, math.inf])
+def test_batch_matches_single_vector(diag, x6, r, quad):
+    """At r = inf the integrands of these rows still peak near the ends of
+    the narrow window, so the batch must widen it as one vector does."""
+    batch = np.stack([x6[::-1], 2.0 * x6[::-1], np.roll(x6, 2)])
+    got = batch_interp_norm_resolvent(diag, 0.6, r, batch, quad=quad)
     for row, x in zip(got, batch):
-        want = interp_norm_resolvent(diag, 0.6, 2.0, x,
-                                     quad=InterpQuadSpec(1e-8, 1e8, 40))
+        want = interp_norm_resolvent(diag, 0.6, r, x, quad=quad)
         assert row == pytest.approx(want, rel=1e-9)
 
 
 def test_batch_zero_rows(diag):
     got = batch_interp_norm_resolvent(diag, 0.5, 2.0, np.zeros((4, 6)))
     np.testing.assert_array_equal(got, np.zeros(4))
+    # the nonzero rows peak inside the narrow window and have a second,
+    # higher hump near sigma = 1e4 beyond it; a zero row (peak 0 at both
+    # ends) that widened the window would reach that hump
+    op = MultiplierOperator.diagonal((1.0, 1e4))
+    batch = np.array([[1.0, 0.02], [0.0, 0.0], [2.0, 0.03]])
+    got = batch_interp_norm_resolvent(op, 0.5, math.inf, batch, quad=_NARROW)
+    assert got[1] == 0.0
+    for i in (0, 2):
+        want = interp_norm_resolvent(op, 0.5, math.inf, batch[i], quad=_NARROW)
+        assert got[i] == pytest.approx(want, rel=1e-12)
 
 
 def test_batch_sup_norm_scales_linearly(diag, x6):

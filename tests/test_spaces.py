@@ -39,6 +39,10 @@ def test_space_spec_validation():
         SpaceSpec("B", 0.5, 2.0, 2.0, -1.0)  # weight not integrable
     with pytest.raises(ValueError):
         SpaceSpec("W", 0.5, 2.0, 2.0, 0.0)   # integer smoothness only
+    op = MultiplierOperator.scalar(1.0)
+    for r in (0.5, math.nan):                # interpolation index below 1
+        with pytest.raises(ValueError):
+            InterpNormInner(op, 0.5, r)
 
 
 @pytest.mark.parametrize("s,p,gamma", [(0.5, 2.0, 0.0), (1.0, 3.0, 0.5),
