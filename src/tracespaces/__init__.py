@@ -38,7 +38,6 @@ from .grid import (
     GridFunction,
     GridSpec,
     QuadratureMesh,
-    fourier_synthesize,
     random_band_limited,
     weighted_lp_norm,
 )
@@ -132,7 +131,6 @@ __all__ = [
     "difference_seminorm",
     "dt_boundedness_check",
     "finite_difference",
-    "fourier_synthesize",
     "frac_power_reparam_ratio",
     "h_sandwich_ratios",
     "hardy_young_check",

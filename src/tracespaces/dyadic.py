@@ -27,10 +27,10 @@ __all__ = ["DyadicSystem", "build_system", "apply_block", "partition_check", "sm
 _SNAP = float(2 ** 26)
 
 
-def smooth_step(x, sharpness: float = 1.0):
-    """C^inf monotone step: 0 for x <= 0, 1 for x >= 1, exp(-s/x) profile.
+def smooth_step(x):
+    """C^inf monotone step: 0 for x <= 0, 1 for x >= 1, exp(-1/x) profile.
 
-    smooth_step(1/2) = 1/2 for every sharpness by symmetry.
+    smooth_step(1/2) = 1/2 by symmetry.
     """
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
@@ -38,8 +38,8 @@ def smooth_step(x, sharpness: float = 1.0):
     mid = (x > 0.0) & (x < 1.0)
     if np.any(mid):
         xm = x[mid]
-        h0 = np.exp(-sharpness / xm)
-        h1 = np.exp(-sharpness / (1.0 - xm))
+        h0 = np.exp(-1.0 / xm)
+        h1 = np.exp(-1.0 / (1.0 - xm))
         out[mid] = h0 / (h0 + h1)
     return out if out.ndim else float(out)
 
@@ -50,14 +50,11 @@ class DyadicSystem:
     usable block index K (the partition sums to 1 on |xi| <= 2^K)."""
 
     max_block: int = 8
-    sharpness: float = 1.0
     _symbol_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.max_block < 1:
             raise ValueError("max_block must be >= 1")
-        if not self.sharpness > 0:
-            raise ValueError("sharpness must be positive")
 
     def generator(self, xi):
         """phi_hat(xi): 1 for |xi| <= 1, 0 for |xi| >= 3/2, smooth between.
@@ -70,7 +67,7 @@ class DyadicSystem:
         most 26 significant bits, so each product fits in a double).
         """
         a = np.abs(np.asarray(xi, dtype=float))
-        g = smooth_step((1.5 - a) / 0.5, self.sharpness)
+        g = smooth_step((1.5 - a) / 0.5)
         snapped = np.round(np.asarray(g) * _SNAP) / _SNAP
         return snapped if snapped.ndim else float(snapped)
 
@@ -98,8 +95,8 @@ class DyadicSystem:
         return xi_max <= 2.0 ** self.max_block
 
 
-def build_system(max_block: int = 8, sharpness: float = 1.0) -> DyadicSystem:
-    return DyadicSystem(max_block=max_block, sharpness=sharpness)
+def build_system(max_block: int = 8) -> DyadicSystem:
+    return DyadicSystem(max_block=max_block)
 
 
 def apply_block(sys: DyadicSystem, k: int, f: GridFunction) -> GridFunction:

@@ -222,7 +222,7 @@ class MixedDerivativeParams:
 def diagonal_holder_constant(inner0: WeightedEuclideanInner,
                              inner1: WeightedEuclideanInner,
                              inner_theta: WeightedEuclideanInner,
-                             theta: float, grid_points: int = 801) -> float:
+                             theta: float) -> float:
     """Smallest C with ||x||_theta <= C ||x||_0^{1-theta} ||x||_1^{theta}
     over x != 0, for three diagonal weights.
 
@@ -230,8 +230,8 @@ def diagonal_holder_constant(inner0: WeightedEuclideanInner,
     mean of two linear forms; a stationary point on the simplex pins the
     active weights to a two-parameter linear family, so for weights in
     general position at most two coordinates carry an interior maximum.
-    Candidates: all axes exactly, all coordinate pairs on a dense segment
-    grid.
+    Candidates: all axes exactly, all coordinate pairs on an 801-point
+    segment grid.
     """
     a = inner_theta.weights ** 2
     b = inner0.weights ** 2
@@ -242,7 +242,7 @@ def diagonal_holder_constant(inner0: WeightedEuclideanInner,
     n = a.size
     if n > 1:
         iu, ju = np.triu_indices(n, k=1)
-        tau = np.linspace(0.0, 1.0, grid_points)[None, :]
+        tau = np.linspace(0.0, 1.0, 801)[None, :]
         na = a[iu, None] * tau + a[ju, None] * (1.0 - tau)
         nb = b[iu, None] * tau + b[ju, None] * (1.0 - tau)
         nc = c[iu, None] * tau + c[ju, None] * (1.0 - tau)
@@ -253,19 +253,18 @@ def diagonal_holder_constant(inner0: WeightedEuclideanInner,
 @dataclass(frozen=True)
 class InnerTriple:
     """Inner spaces (X_0, X_1, X_theta) with the pointwise constant C in
-    ||x||_theta <= C ||x||_0^{1-theta} ||x||_1^theta."""
+    ||x||_theta <= C ||x||_0^{1-theta} ||x||_1^theta, computed at
+    construction."""
 
     inner0: WeightedEuclideanInner
     inner1: WeightedEuclideanInner
     inner_theta: WeightedEuclideanInner
     theta: float
-    holder_constant: float = field(default=0.0)
+    holder_constant: float = field(init=False)
 
     def __post_init__(self):
-        if self.holder_constant == 0.0:
-            c = diagonal_holder_constant(self.inner0, self.inner1,
-                                         self.inner_theta, self.theta)
-            object.__setattr__(self, "holder_constant", c)
+        c = diagonal_holder_constant(self.inner0, self.inner1, self.inner_theta, self.theta)
+        object.__setattr__(self, "holder_constant", c)
 
     @classmethod
     def geometric(cls, inner0: WeightedEuclideanInner,
@@ -276,13 +275,12 @@ class InnerTriple:
 
 
 def mixed_derivative_check(f, params: MixedDerivativeParams, triple: InnerTriple,
-                           sys: DyadicSystem, mesh: QuadratureMesh | None = None,
-                           tol: float | None = None) -> dict:
+                           sys: DyadicSystem, mesh: QuadratureMesh | None = None) -> dict:
     """Evaluate both sides of the mixed-derivative estimate on f.
 
     With shared weights the comparison is exact discrete Hoelder and the
-    default tolerance is rounding-level; with distinct weights the three
-    quadratures differ and the default widens to the quadrature scale.
+    tolerance is rounding-level; with distinct weights the three
+    quadratures differ and the tolerance widens to the quadrature scale.
     """
     if abs(float(params.theta) - triple.theta) > 1e-15:
         raise ValueError("triple and parameter set disagree on theta")
@@ -293,8 +291,7 @@ def mixed_derivative_check(f, params: MixedDerivativeParams, triple: InnerTriple
     n0 = space_norm(f, params.source0_spec(triple.inner0), sys, mesh=mesh)
     n1 = space_norm(f, params.source1_spec(triple.inner1), sys, mesh=mesh)
     rhs = triple.holder_constant * n0 ** (1.0 - theta) * n1 ** theta
-    if tol is None:
-        tol = 1e-12 if params.shared_weights else 1e-6
+    tol = 1e-12 if params.shared_weights else 1e-6
     return {"lhs": lhs, "factor0": n0, "factor1": n1,
             "constant": triple.holder_constant, "rhs": rhs,
             "passed": lhs <= rhs * (1.0 + tol), "tol": tol}

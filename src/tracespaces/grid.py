@@ -44,7 +44,6 @@ __all__ = [
     "GridFunction",
     "QuadratureMesh",
     "weighted_lp_norm",
-    "fourier_synthesize",
     "random_band_limited",
 ]
 
@@ -198,10 +197,6 @@ class GridFunction:
             return 0.0
         return float(np.max(np.abs(self.active_frequencies())))
 
-    def coeff_map(self) -> dict:
-        freqs = self.grid.frequencies()
-        return {float(freqs[j]): self._coeffs[j].copy() for j in self._active}
-
     @property
     def value_at_zero(self) -> np.ndarray:
         """Sample value at t = 0 (a grid point)."""
@@ -271,6 +266,11 @@ _GL_WEIGHTS = 0.5 * _GL_WEIGHTS
 # 1023 modes stays near 4 MB, inside the cache.
 _SYNTH_ROWS = 256
 
+# QuadratureMesh.for_band: cells per wavelength of the top frequency on
+# each side, and the cell count it never exceeds.
+_CELLS_PER_WAVE = 24
+_MAX_CELLS = 20000
+
 
 def _lagrange_monomial_matrix(order: int) -> np.ndarray:
     """Row n: monomial coefficients (in the local coordinate u in [0,1])
@@ -295,16 +295,16 @@ class QuadratureMesh:
     values can be reused across every gamma.
     """
 
-    def __init__(self, half_width: float, n_cells: int = 2048, grading: float = 2.0, order: int = 3):
-        if order not in (1, 3):
-            raise GridError("interpolation order must be 1 or 3")
+    grading = 2.0
+    order = 3  # piecewise-cubic interpolant
+
+    def __init__(self, half_width: float, n_cells: int = 2048):
         if n_cells < 4:
             raise GridError("need at least 4 cells per side")
         self.half_width = float(half_width)
         self.n_cells = int(n_cells)
-        self.grading = float(grading)
-        self.order = int(order)
-        edges = half_width * (np.arange(n_cells + 1) / n_cells) ** grading
+        order = self.order
+        edges = half_width * (np.arange(n_cells + 1) / n_cells) ** self.grading
         self.pos_edges = edges
         u = np.linspace(0.0, 1.0, order + 1)
         a, b = edges[:-1], edges[1:]
@@ -320,23 +320,20 @@ class QuadratureMesh:
     @property
     def key(self) -> tuple:
         """The defining values of the mesh: equal keys, equal nodes and weights."""
-        return (self.half_width, self.n_cells, self.grading, self.order)
+        return (self.half_width, self.n_cells)
 
     def __repr__(self):
-        return (f"QuadratureMesh(L={self.half_width}, cells={self.n_cells}, "
-                f"grading={self.grading}, order={self.order})")
+        return f"QuadratureMesh(L={self.half_width}, cells={self.n_cells})"
 
     @classmethod
-    def for_band(cls, grid: GridSpec, band_max: float, cells_per_wave: int = 24,
-                 min_cells: int = 512, max_cells: int = 20000, grading: float = 2.0,
-                 order: int = 3) -> "QuadratureMesh":
+    def for_band(cls, grid: GridSpec, band_max: float, min_cells: int = 512) -> "QuadratureMesh":
         """Mesh resolving oscillation up to |xi| = band_max on one side."""
-        need = int(math.ceil(cells_per_wave * max(band_max, 1.0) * grid.half_width))
-        return cls(grid.half_width, min(max(need, min_cells), max_cells), grading, order)
+        need = int(math.ceil(_CELLS_PER_WAVE * max(band_max, 1.0) * grid.half_width))
+        return cls(grid.half_width, min(max(need, min_cells), _MAX_CELLS))
 
     @classmethod
-    def for_function(cls, f: GridFunction, **kw) -> "QuadratureMesh":
-        return cls.for_band(f.grid, f.max_frequency, **kw)
+    def for_function(cls, f: GridFunction) -> "QuadratureMesh":
+        return cls.for_band(f.grid, f.max_frequency)
 
     # -- synthesis ----------------------------------------------------
 
@@ -490,11 +487,6 @@ def weighted_lp_norm(f: GridFunction, p: float, gamma: float,
         return float(np.max(mags)) if mags.size else 0.0
     val = mesh.integrate(mags ** p, gamma, interval)
     return float(max(val, 0.0) ** (1.0 / p))
-
-
-def fourier_synthesize(grid: GridSpec, coeff_map: dict) -> GridFunction:
-    """Band-limited function from an explicit frequency -> value map."""
-    return GridFunction.from_coeff_map(grid, coeff_map)
 
 
 def random_band_limited(grid: GridSpec, band: tuple[float, float], seed,

@@ -288,6 +288,7 @@ def space_norm(f: GridFunction, spec: SpaceSpec, sys: DyadicSystem | None = None
 # ---------------------------------------------------------------------
 
 _H_GL_NODES, _H_GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_N_SCALES = 60  # geometric scale grid of the q > 1 seminorm
 
 
 def _difference_mags(f: GridFunction, m: int, h_values: np.ndarray,
@@ -306,7 +307,7 @@ def _difference_mags(f: GridFunction, m: int, h_values: np.ndarray,
 
 def difference_seminorm(f: GridFunction, s: float, p: float, q: float, gamma: float,
                         m: int, mesh: QuadratureMesh | None = None,
-                        n_scales: int = 60, inner=None) -> float:
+                        inner=None) -> float:
     """Seminorm [f] built from m-th differences: the scale functional
 
         G(x) = ( int t^{-s q} ( t^{-1} int_{|h|<=t} ||Delta^m_h f(x)|| dh )^q
@@ -347,9 +348,9 @@ def difference_seminorm(f: GridFunction, s: float, p: float, q: float, gamma: fl
         # tail over t in (0, t_min): int t^{m-s-1} (2/(m+1)) |f^(m)| dt
         G = mags @ w + dmag * (tail_coeff * t_min ** (m - s) / (m - s))
     else:
-        t = np.geomspace(t_min, t_max, n_scales)
+        t = np.geomspace(t_min, t_max, _N_SCALES)
         dlog = math.log(t[1] / t[0])
-        h_nodes = np.multiply.outer(t, _H_GL_NODES).ravel()  # (n_scales * 16)
+        h_nodes = np.multiply.outer(t, _H_GL_NODES).ravel()  # (_N_SCALES * 16)
         mags = _difference_mags(f, m, h_nodes, mesh, inner)
         mags = mags.reshape(mags.shape[0], t.size, _H_GL_NODES.size)
         # t^{-1} int_{-t}^{t} ||Delta_h f|| dh: the GL nodes cover both signs

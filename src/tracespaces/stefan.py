@@ -226,7 +226,7 @@ def dt_boundedness_check(params: StefanParams, grid: GridSpec | None = None,
         return (2.0 * r_a - r_2a) * x0[None, :] + (r_a - r_2a) / lam * x1[None, :]
 
     ext = ExtensionOperator(3, 0)
-    u = windowed_orbit(grid, ext, orbit, x0, {"kind": "double-trace", "dim": dim})
+    u = windowed_orbit(grid, ext, orbit, x0)
     du = u.derivative(1)
     dt_trace = du.value_at_zero
     dt_err = float(np.linalg.norm(dt_trace - x1) / np.linalg.norm(x1))

@@ -43,6 +43,7 @@ from .embeddings import (
     counterexample_norms,
     h_sandwich_ratios,
     mixed_derivative_check,
+    q_monotonicity_check,
     sobolev_embed_ratio,
     validate_embedding_pair,
     w_sandwich_ratios,
@@ -105,7 +106,6 @@ class SuiteConfig:
 
     half_width: float = 1.0
     n_samples: int = 1024
-    max_block: int = 8
     seed: int = 2024
     family_size: int = 50
 
@@ -122,7 +122,7 @@ class SuiteConfig:
         return {
             "half_width": self.half_width,
             "n_samples": self.n_samples,
-            "max_block": self.max_block,
+            "max_block": self.system().max_block,
             "seed": self.seed,
             "family_size": self.family_size,
         }
@@ -131,12 +131,21 @@ class SuiteConfig:
         return GridSpec(self.half_width, self.n_samples)
 
     def system(self) -> DyadicSystem:
-        return build_system(self.max_block)
+        """The shallowest dyadic system (K >= 1) whose blocks cover every
+        representable frequency of the grid, |xi| <= 2^K."""
+        grid = self.grid()
+        top = grid.nyquist - grid.fundamental
+        depth = 1
+        while 2 ** depth < top:
+            depth += 1
+        return build_system(depth)
 
     def family(self, grid: GridSpec, band: float, count: int, stream: int,
                dim: int = 1) -> list[GridFunction]:
-        """Seeded band-limited test functions; the stream index separates
-        the draws of different suites."""
+        """Seeded band-limited test functions on |xi| <= band, capped at the
+        largest representable frequency; the stream index separates the
+        draws of different suites."""
+        band = min(band, grid.nyquist - grid.fundamental)
         return [random_band_limited(grid, (-band, band), (self.seed, stream, i), dim)
                 for i in range(count)]
 
@@ -180,14 +189,11 @@ def run_dyadic(config: SuiteConfig) -> VerificationReport:
             worst = max(worst, float(np.max(np.abs(symbols[k] * symbols[l]))))
     cases.append(CaseRecord("disjoint_blocks_max_product", worst, 0.0))
 
-    # the band stays strictly below Nyquist on coarse grids
-    band = min(250.0, grid.nyquist - grid.fundamental)
     # reconstruction is bitwise on single-precision coefficient data:
     # the snapped symbols of the two blocks meeting at any frequency are
     # complementary 26-bit values, so both products and their sum are exact
     err = 0.0
-    for i in range(config.family_size):
-        f = random_band_limited(grid, (-band, band), (config.seed, 100, i))
+    for f in config.family(grid, 250.0, config.family_size, stream=100):
         f = GridFunction(grid, f.coeffs.astype(np.complex64).astype(complex))
         total = np.zeros_like(f.coeffs)
         for k in range(sys.max_block + 1):
@@ -240,12 +246,13 @@ def run_norms(config: SuiteConfig) -> VerificationReport:
             rel = max(rel, abs(b - fn) / max(b, fn))
         cases.append(CaseRecord(f"bf_diagonal_s{s:g}_p{p:g}_g{g:g}", rel, 1e-8))
 
-    s, p, g = 0.5, 2.0, 0.3
+    qs = (1.0, 2.0, math.inf)
     for kind in ("B", "F"):
-        norms = {q: [space_norm(f, SpaceSpec(kind, s, p, q, g), sys, mesh=mesh)
-                     for f in family] for q in (1.0, 2.0, math.inf)}
+        norms = [dict(zip(qs, q_monotonicity_check(f, kind, 0.5, 2.0, 0.3, qs, sys,
+                                                   mesh=mesh)["norms"]))
+                 for f in family]
         for q0, q1 in _QMONO_PAIRS:
-            ratio = max(n1 / n0 for n0, n1 in zip(norms[q0], norms[q1]))
+            ratio = max(n[q1] / n[q0] for n in norms)
             cases.append(CaseRecord(f"qmono_{kind}_q{q0:g}_to_q{q1:g}", ratio,
                                     1.0 + 1e-12))
 

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from tracespaces import suites
 from tracespaces.cli import build_parser, main
+from tracespaces.grid import GridError
 
 
 def test_parser_rejects_unknown_suite():
@@ -63,10 +65,12 @@ def test_bad_config_is_a_usage_error(flags, capsys):
     assert "usage:" in capsys.readouterr().err
 
 
-def test_raising_suite_gives_failed_report(tmp_path, capsys):
-    # at N = 64 the norms family band lies above Nyquist, so that suite raises
-    base = ["--grid-n", "64", "--suite", "norms", "--suite", "hardy",
-            "--baseline-dir", str(tmp_path / "b")]
+def test_raising_suite_gives_failed_report(tmp_path, capsys, monkeypatch):
+    def raising(config):
+        raise GridError("band must lie strictly inside (-Nyquist, Nyquist)")
+
+    monkeypatch.setitem(suites._RUNNERS, "norms", raising)
+    base = ["--suite", "norms", "--suite", "hardy", "--baseline-dir", str(tmp_path / "b")]
     out = tmp_path / "r.json"
     assert main(base + ["--out", str(out)]) == 1
     assert "norms: error: GridError: " in capsys.readouterr().err

@@ -16,7 +16,6 @@ from tracespaces import (
     bf_sandwich_check,
     counterexample_norms,
     diagonal_holder_constant,
-    fourier_synthesize,
     mixed_derivative_check,
     q_monotonicity_check,
     random_band_limited,
@@ -120,7 +119,7 @@ def test_single_mode_equality(grid, system):
     mesh = QuadratureMesh.for_band(grid, 16.0)
     one = WeightedEuclideanInner([1.0])
     triple = InnerTriple(one, one, one, 0.5)
-    f = fourier_synthesize(grid, {2.0: [1.0 + 0.5j]})
+    f = GridFunction.from_coeff_map(grid, {2.0: [1.0 + 0.5j]})
     got = mixed_derivative_check(f, _mixed_params(), triple, system, mesh=mesh)
     assert got["lhs"] == pytest.approx(got["rhs"], rel=1e-12)
     assert got["passed"]
@@ -142,6 +141,8 @@ def test_holder_constant_geometric_mix_is_one():
     triple = InnerTriple.geometric(w0, WeightedEuclideanInner([0.3, 1.0, 0.7]),
                                    0.5)
     assert triple.holder_constant == pytest.approx(1.0, abs=1e-9)
+    with pytest.raises(TypeError):  # computed, never supplied
+        InnerTriple(w0, w0, w0, 0.5, holder_constant=2.0)
 
 
 def test_holder_constant_matches_brute_force():

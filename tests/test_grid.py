@@ -9,7 +9,6 @@ from tracespaces import (
     GridFunction,
     GridSpec,
     QuadratureMesh,
-    fourier_synthesize,
     random_band_limited,
     weighted_lp_norm,
 )
@@ -22,12 +21,12 @@ def test_grid_spec_basics(grid):
 
 
 def test_value_at_zero_matches_coefficient_sum(grid):
-    f = fourier_synthesize(grid, {1.0: [2.0], -3.5: [1.0 + 1j]})
+    f = GridFunction.from_coeff_map(grid, {1.0: [2.0], -3.5: [1.0 + 1j]})
     assert f.value_at_zero == pytest.approx(3.0 + 1j)
 
 
 def test_single_mode_samples(grid):
-    f = fourier_synthesize(grid, {2.0: [1.0]})
+    f = GridFunction.from_coeff_map(grid, {2.0: [1.0]})
     t = grid.sample_points()
     np.testing.assert_allclose(f.samples[:, 0], np.exp(2j * np.pi * 2.0 * t),
                                atol=1e-12)
@@ -35,7 +34,7 @@ def test_single_mode_samples(grid):
 
 def test_derivative_of_single_mode(grid):
     xi = 3.0
-    f = fourier_synthesize(grid, {xi: [1.0]})
+    f = GridFunction.from_coeff_map(grid, {xi: [1.0]})
     df = f.derivative(1)
     np.testing.assert_allclose(df.coeffs, 2j * np.pi * xi * f.coeffs, atol=1e-12)
 
@@ -89,13 +88,13 @@ def test_interval_integration_splits_whole_axis(grid):
 
 
 def test_weighted_lp_norm_of_constant(grid):
-    f = fourier_synthesize(grid, {0.0: [3.0]})
+    f = GridFunction.from_coeff_map(grid, {0.0: [3.0]})
     got = weighted_lp_norm(f, 2.0, 0.0)
     assert got == pytest.approx(3.0 * math.sqrt(2.0), rel=1e-8)
 
 
 def test_weighted_sup_norm(grid):
-    f = fourier_synthesize(grid, {1.0: [2.0]})
+    f = GridFunction.from_coeff_map(grid, {1.0: [2.0]})
     got = weighted_lp_norm(f, math.inf, 0.0)
     assert got == pytest.approx(2.0, rel=1e-6)
 
@@ -126,8 +125,8 @@ def test_mesh_synthesis_matches_dense_evaluation(n, cells, dim):
 
 
 def test_mesh_synthesis_sparse_and_empty_active_sets(grid, mesh):
-    f = fourier_synthesize(grid, {-255.5: [1.0], -3.0: [2.0j], 0.0: [0.5], 17.5: [-1.0],
-                                  255.5: [3.0]})
+    f = GridFunction.from_coeff_map(grid, {-255.5: [1.0], -3.0: [2.0j], 0.0: [0.5],
+                                           17.5: [-1.0], 255.5: [3.0]})
     dense = f.evaluate(mesh.nodes)
     got = mesh.synthesize(grid, f.active_indices, f.coeffs[f.active_indices])
     assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
