@@ -97,8 +97,6 @@ def sobolev_embed_ratio(f, src: SpaceSpec, dst: SpaceSpec, sys: DyadicSystem,
                         mesh: QuadratureMesh | None = None) -> dict:
     """||f||_dst / ||f||_src for a validated embedding pair."""
     validate_embedding_pair(src, dst)
-    if mesh is None:
-        mesh = QuadratureMesh.for_function(f)
     src_norm = space_norm(f, src, sys, mesh=mesh)
     dst_norm = space_norm(f, dst, sys, mesh=mesh)
     if src_norm == 0.0:
@@ -284,8 +282,6 @@ def mixed_derivative_check(f, params: MixedDerivativeParams, triple: InnerTriple
     """
     if abs(float(params.theta) - triple.theta) > 1e-15:
         raise ValueError("triple and parameter set disagree on theta")
-    if mesh is None:
-        mesh = QuadratureMesh.for_function(f)
     theta = float(params.theta)
     lhs = space_norm(f, params.target_spec(triple.inner_theta), sys, mesh=mesh)
     n0 = space_norm(f, params.source0_spec(triple.inner0), sys, mesh=mesh)
@@ -345,8 +341,6 @@ def q_monotonicity_check(f, kind: str, s: float, p: float, gamma: float,
     """Norms against increasing q never increase; with shared nodes and
     weights this holds term by term, so the tolerance is rounding-level."""
     qs = sorted(float(q) for q in q_values)
-    if mesh is None:
-        mesh = QuadratureMesh.for_function(f)
     norms = [space_norm(f, SpaceSpec(kind, s, p, q, gamma), sys, mesh=mesh)
              for q in qs]
     passed = all(norms[i + 1] <= norms[i] * (1.0 + 1e-12)
@@ -359,8 +353,6 @@ def bf_sandwich_check(f, s: float, p: float, q: float, gamma: float,
     """B^s_{p, min(p,q)} >= F^s_{p,q} >= B^s_{p, max(p,q)} with constant 1:
     on shared nodes both steps are literal Minkowski/monotonicity, so the
     inequalities hold to rounding."""
-    if mesh is None:
-        mesh = QuadratureMesh.for_function(f)
     fn = space_norm(f, SpaceSpec("F", s, p, q, gamma), sys, mesh=mesh)
     b_small = space_norm(f, SpaceSpec("B", s, p, min(p, q), gamma), sys, mesh=mesh)
     b_large = space_norm(f, SpaceSpec("B", s, p, max(p, q), gamma), sys, mesh=mesh)
@@ -374,8 +366,6 @@ def h_sandwich_ratios(f, s: float, p: float, gamma: float, sys: DyadicSystem,
     """Ratios placing the potential space between F^s_{p,1} and
     F^s_{p,inf}: ratio_in = H/F_1 and ratio_out = F_inf/H are the two
     embedding constants, tracked against pinned baselines."""
-    if mesh is None:
-        mesh = QuadratureMesh.for_function(f)
     h = space_norm(f, SpaceSpec("H", s, p, gamma=gamma), mesh=mesh)
     f1 = space_norm(f, SpaceSpec("F", s, p, 1.0, gamma), sys, mesh=mesh)
     finf = space_norm(f, SpaceSpec("F", s, p, math.inf, gamma), sys, mesh=mesh)
@@ -388,8 +378,6 @@ def h_sandwich_ratios(f, s: float, p: float, gamma: float, sys: DyadicSystem,
 def w_sandwich_ratios(f, m: int, p: float, gamma: float, sys: DyadicSystem,
                       mesh: QuadratureMesh | None = None) -> dict:
     """Same two-sided comparison for the integer-derivative norm at s = m."""
-    if mesh is None:
-        mesh = QuadratureMesh.for_function(f)
     w = space_norm(f, SpaceSpec("W", float(m), p, gamma=gamma), mesh=mesh)
     f1 = space_norm(f, SpaceSpec("F", float(m), p, 1.0, gamma), sys, mesh=mesh)
     finf = space_norm(f, SpaceSpec("F", float(m), p, math.inf, gamma), sys, mesh=mesh)

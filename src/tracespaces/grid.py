@@ -43,6 +43,8 @@ __all__ = [
     "GridSpec",
     "GridFunction",
     "QuadratureMesh",
+    "ScalarInner",
+    "EuclideanInner",
     "weighted_lp_norm",
     "random_band_limited",
 ]
@@ -115,16 +117,16 @@ def _alternating_signs(n: int) -> np.ndarray:
 
 class GridFunction:
     """A band-limited function on a GridSpec, stored as exact Fourier
-    coefficients plus the matching sample values.
+    coefficients.
 
     Coefficients are a complex array of shape (N, dim) in FFT index
     order.  Construction from a coefficient map keeps the coefficients
-    exact and synthesizes samples; construction from samples projects
-    onto the band (the empty Nyquist bin is enforced) and re-synthesizes
-    so the stored pair stays consistent.  Instances are immutable.
+    exact; construction from samples projects onto the band (the empty
+    Nyquist bin is enforced).  The sample values are synthesized on first
+    read.  Instances are immutable.
     """
 
-    def __init__(self, grid: GridSpec, coeffs: np.ndarray, samples: np.ndarray | None = None):
+    def __init__(self, grid: GridSpec, coeffs: np.ndarray):
         coeffs = np.ascontiguousarray(coeffs, dtype=complex)
         if coeffs.ndim == 1:
             coeffs = coeffs[:, None]
@@ -135,12 +137,7 @@ class GridFunction:
             raise GridError("Nyquist bin must stay empty: the unpaired mode is not band-limited")
         self.grid = grid
         self._coeffs = coeffs
-        if samples is None:
-            alt = _alternating_signs(grid.n_samples)[:, None]
-            samples = grid.n_samples * np.fft.ifft(coeffs * alt, axis=0)
-        self._samples = np.ascontiguousarray(samples)
         self._coeffs.flags.writeable = False
-        self._samples.flags.writeable = False
         active = np.flatnonzero(np.any(coeffs != 0, axis=1))
         self._active = active
         self._cache: dict[tuple, np.ndarray] = {}
@@ -178,7 +175,9 @@ class GridFunction:
 
     @property
     def samples(self) -> np.ndarray:
-        return self._samples
+        n = self.grid.n_samples
+        return self.cached(("samples",), lambda: n * np.fft.ifft(
+            self._coeffs * _alternating_signs(n)[:, None], axis=0))
 
     @property
     def dim(self) -> int:
@@ -200,7 +199,7 @@ class GridFunction:
     @property
     def value_at_zero(self) -> np.ndarray:
         """Sample value at t = 0 (a grid point)."""
-        return self._samples[self.grid.n_samples // 2]
+        return self.samples[self.grid.n_samples // 2]
 
     # -- algebra ------------------------------------------------------
 
@@ -376,14 +375,10 @@ class QuadratureMesh:
 
     # -- moment machinery ---------------------------------------------
 
-    def _cell_basis_weights(self, a: np.ndarray, b: np.ndarray, gamma: float,
-                            lo: np.ndarray | None = None, hi: np.ndarray | None = None) -> np.ndarray:
+    def _cell_basis_weights(self, gamma: float, lo: float, hi: float) -> np.ndarray:
         """w[cell, node] = int_{lo}^{hi} t^gamma * lagrange_node(t; cell [a,b]) dt
-        for positive cells 0 <= a < b; integration limits default to the cell."""
-        if lo is None:
-            lo = a
-        if hi is None:
-            hi = b
+        for the positive cells 0 <= a < b and 0 <= lo <= hi."""
+        a, b = self.pos_edges[:-1], self.pos_edges[1:]
         h = b - a
         order = self.order
         w = np.zeros((a.size, order + 1))
@@ -398,7 +393,7 @@ class QuadratureMesh:
         rest = ~thin
         if np.any(rest):
             ar, hr = a[rest], h[rest]
-            lor, hir = np.maximum(lo[rest], ar), np.minimum(hi[rest], b[rest])
+            lor, hir = np.maximum(lo, ar), np.minimum(hi, b[rest])
             live = hir > lor
             m = np.zeros((ar.size, order + 1))
             # I_i = int_lo^hi t^{gamma+i} dt, exact; gamma + i + 1 > 0 for gamma > -1
@@ -419,32 +414,21 @@ class QuadratureMesh:
 
     def weights(self, gamma: float) -> np.ndarray:
         """Node weights so that sum(w * g(nodes)) = int |t|^gamma * interp(g) dt."""
-        if gamma <= -1:
-            raise GridError(f"weight exponent must exceed -1, got gamma={gamma}")
         got = self._weight_cache.get(gamma)
-        if got is not None:
-            return got
-        a, b = self.pos_edges[:-1], self.pos_edges[1:]
-        wp = self._cell_basis_weights(a, b, gamma)
-        wn = wp[::-1, ::-1]  # mirrored cells, mirrored node order
-        w = np.concatenate([wn.ravel(), wp.ravel()])
-        w.flags.writeable = False
-        self._weight_cache[gamma] = w
-        return w
+        if got is None:
+            got = self.weights_on_interval(gamma, -self.half_width, self.half_width)
+            got.flags.writeable = False
+            self._weight_cache[gamma] = got
+        return got
 
     def weights_on_interval(self, gamma: float, lo: float, hi: float) -> np.ndarray:
         """Weights for int_{[lo,hi]} |t|^gamma * interp(g) dt (subset of [-L, L])."""
         if gamma <= -1:
             raise GridError(f"weight exponent must exceed -1, got gamma={gamma}")
-        a, b = self.pos_edges[:-1], self.pos_edges[1:]
-        # positive side clipped to [max(lo,0), max(hi,0)]
-        plo, phi = max(lo, 0.0), max(hi, 0.0)
-        wp = self._cell_basis_weights(a, b, gamma,
-                                      lo=np.full_like(a, plo), hi=np.full_like(b, phi))
-        # negative side: reflect [lo,hi] onto [|hi|, |lo|]
-        nlo, nhi = max(-hi, 0.0), max(-lo, 0.0)
-        wn = self._cell_basis_weights(a, b, gamma,
-                                      lo=np.full_like(a, nlo), hi=np.full_like(b, nhi))
+        pos, neg = (max(lo, 0.0), max(hi, 0.0)), (max(-hi, 0.0), max(-lo, 0.0))
+        wp = self._cell_basis_weights(gamma, *pos)
+        # negative side: [lo, hi] reflected onto [|hi|, |lo|]; a symmetric interval mirrors wp
+        wn = wp if neg == pos else self._cell_basis_weights(gamma, *neg)
         return np.concatenate([wn[::-1, ::-1].ravel(), wp.ravel()])
 
     def integrate(self, node_values: np.ndarray, gamma: float,
@@ -452,19 +436,52 @@ class QuadratureMesh:
         w = self.weights(gamma) if interval is None else self.weights_on_interval(gamma, *interval)
         return float(np.real(np.dot(w, node_values)))
 
+    def lp_norm(self, mags: np.ndarray, p: float, gamma: float,
+                interval: tuple[float, float] | None = None) -> np.ndarray:
+        """(int |t|^gamma mags^p dt)^{1/p} along the last (node) axis, over
+        [-L, L] or a subinterval; p = inf gives the node maximum."""
+        if math.isinf(p):
+            return np.max(mags, axis=-1)
+        w = self.weights(gamma) if interval is None else self.weights_on_interval(gamma, *interval)
+        return np.maximum(mags ** p @ w, 0.0) ** (1.0 / p)
+
 
 # ---------------------------------------------------------------------
 # norms and constructors
 # ---------------------------------------------------------------------
 
 
-def _scalar_magnitudes(values: np.ndarray, inner=None) -> np.ndarray:
-    if inner is None:
-        if values.shape[-1] != 1:
-            # default inner norm on C^dim is Euclidean
-            return np.sqrt(np.sum(np.abs(values) ** 2, axis=-1))
+class ScalarInner:
+    """C with the absolute value."""
+
+    dim = 1
+    key = ("scalar",)
+
+    def batch_norm(self, values: np.ndarray) -> np.ndarray:
         return np.abs(values[..., 0])
-    return inner.batch_norm(values)
+
+    def __repr__(self):
+        return "ScalarInner()"
+
+
+class EuclideanInner:
+    """C^dim with the Euclidean norm (the base space of diagonal operators)."""
+
+    def __init__(self, dim: int):
+        self.dim = int(dim)
+        self.key = ("euclidean", self.dim)
+
+    def batch_norm(self, values: np.ndarray) -> np.ndarray:
+        return np.sqrt(np.sum(np.abs(values) ** 2, axis=-1))
+
+    def __repr__(self):
+        return f"EuclideanInner({self.dim})"
+
+
+def default_inner(dim: int):
+    """The inner space of a norm that names none: C for scalar values,
+    Euclidean C^dim otherwise."""
+    return ScalarInner() if dim == 1 else EuclideanInner(dim)
 
 
 def weighted_lp_norm(f: GridFunction, p: float, gamma: float,
@@ -482,11 +499,8 @@ def weighted_lp_norm(f: GridFunction, p: float, gamma: float,
         raise GridError(f"integrability exponent must satisfy p >= 1, got {p}")
     if mesh is None:
         mesh = QuadratureMesh.for_function(f)
-    mags = _scalar_magnitudes(f.values_on_mesh(mesh), inner)
-    if math.isinf(p):
-        return float(np.max(mags)) if mags.size else 0.0
-    val = mesh.integrate(mags ** p, gamma, interval)
-    return float(max(val, 0.0) ** (1.0 / p))
+    mags = (inner or default_inner(f.dim)).batch_norm(f.values_on_mesh(mesh))
+    return float(mesh.lp_norm(mags, p, gamma, interval))
 
 
 def random_band_limited(grid: GridSpec, band: tuple[float, float], seed,

@@ -34,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import DyadicSystem
-from .grid import GridError, GridFunction, QuadratureMesh, weighted_lp_norm
+from .grid import (EuclideanInner, GridError, GridFunction, QuadratureMesh, ScalarInner,
+                   default_inner, weighted_lp_norm)
 from .operators import InterpQuadSpec, MultiplierOperator, batch_interp_norm_resolvent
 
 __all__ = [
@@ -53,35 +54,9 @@ __all__ = [
 # ---------------------------------------------------------------------
 # inner spaces: batchable norms on C^dim values.  An inner space is
 # immutable and carries `dim`, `batch_norm` and a hashable `key` of its
-# exact defining values; cached norm magnitudes are keyed by it.
+# exact defining values; cached norm magnitudes are keyed by it.  The
+# default ones, ScalarInner and EuclideanInner, live in grid.
 # ---------------------------------------------------------------------
-
-
-class ScalarInner:
-    """C with the absolute value."""
-
-    dim = 1
-    key = ("scalar",)
-
-    def batch_norm(self, values: np.ndarray) -> np.ndarray:
-        return np.abs(values[..., 0])
-
-    def __repr__(self):
-        return "ScalarInner()"
-
-
-class EuclideanInner:
-    """C^dim with the Euclidean norm (the base space of diagonal operators)."""
-
-    def __init__(self, dim: int):
-        self.dim = int(dim)
-        self.key = ("euclidean", self.dim)
-
-    def batch_norm(self, values: np.ndarray) -> np.ndarray:
-        return np.sqrt(np.sum(np.abs(values) ** 2, axis=-1))
-
-    def __repr__(self):
-        return f"EuclideanInner({self.dim})"
 
 
 class WeightedEuclideanInner:
@@ -164,10 +139,6 @@ class SequenceBesovInner:
                 f"z={self.summability}, base={self.base}, dim={self.dim})")
 
 
-def _default_inner(f: GridFunction):
-    return ScalarInner() if f.dim == 1 else EuclideanInner(f.dim)
-
-
 # ---------------------------------------------------------------------
 # space specification and norms
 # ---------------------------------------------------------------------
@@ -207,6 +178,21 @@ def _lq_combine(arr: np.ndarray, q: float, axis: int = 0) -> np.ndarray:
     return np.sum(arr ** q, axis=axis) ** (1.0 / q)
 
 
+def _multiplier_values(f: GridFunction, factors: np.ndarray,
+                       mesh: QuadratureMesh) -> np.ndarray:
+    """(n_nodes, n_filters, dim) node values of the filtered copies of f:
+    copy j has coefficients factors[:, j] * c_k over f's active bins.
+
+    Every Fourier multiplier a norm applies (dyadic blocks, the potential
+    symbol, derivatives, differences) goes through this one stacked
+    synthesis.
+    """
+    active = f.active_indices
+    bank = factors[:, :, None] * f.coeffs[active][:, None, :]
+    vals = mesh.synthesize(f.grid, active, bank.reshape(active.size, -1))
+    return vals.reshape(mesh.nodes.size, factors.shape[1], f.dim)
+
+
 def _block_magnitudes(f: GridFunction, sys: DyadicSystem, mesh: QuadratureMesh,
                       inner) -> np.ndarray:
     """(K+1, n_nodes) array of ||S_k f(node)||_X, cached on f per (sys, mesh, inner).
@@ -214,17 +200,12 @@ def _block_magnitudes(f: GridFunction, sys: DyadicSystem, mesh: QuadratureMesh,
     The blocks whose symbol vanishes on f's active set are zero and skip
     synthesis; the others are synthesized in one stacked product.
     """
-    active = f.active_indices
-    symbols = sys.block_symbols_for(f)[:, active]
+    symbols = sys.block_symbols_for(f)[:, f.active_indices]
     live = np.flatnonzero(np.any(symbols != 0.0, axis=1))
 
-    def block_values():  # (n_nodes, n_live, dim)
-        stacked = symbols[live].T[:, :, None] * f.coeffs[active][:, None, :]
-        vals = mesh.synthesize(f.grid, active, stacked.reshape(active.size, -1))
-        return vals.reshape(mesh.nodes.size, live.size, f.dim)
-
     def magnitudes():
-        vals = f.cached(("blockvals", sys, mesh.key), block_values)
+        vals = f.cached(("blockvals", sys, mesh.key),
+                        lambda: _multiplier_values(f, symbols[live].T, mesh))
         mags = np.zeros((sys.max_block + 1, mesh.nodes.size))
         # one batch_norm per block: a single call over all blocks makes the
         # interpolation norm build its sigma grid for every block at once
@@ -242,7 +223,7 @@ def space_norm(f: GridFunction, spec: SpaceSpec, sys: DyadicSystem | None = None
     B/F kinds need a dyadic system whose blocks cover f's band; the H
     multiplier and W derivatives act exactly on coefficients.
     """
-    inner = spec.inner or _default_inner(f)
+    inner = spec.inner or default_inner(f.dim)
     if getattr(inner, "dim", f.dim) != f.dim:
         raise GridError(f"inner space dimension {inner.dim} != value dimension {f.dim}")
     if mesh is None:
@@ -252,17 +233,16 @@ def space_norm(f: GridFunction, spec: SpaceSpec, sys: DyadicSystem | None = None
     if spec.kind == "Lp":
         return weighted_lp_norm(f, p, gamma, mesh=mesh, inner=inner)
 
-    if spec.kind == "H":
-        xi = f.grid.frequencies()
-        g = f.multiplied((1.0 + xi ** 2) ** (spec.s / 2.0))
-        return weighted_lp_norm(g, p, gamma, mesh=mesh, inner=inner)
-
-    if spec.kind == "W":
-        total = 0.0
-        for j in range(int(spec.s) + 1):
-            total += weighted_lp_norm(f.derivative(j) if j else f, p, gamma,
-                                      mesh=mesh, inner=inner)
-        return total
+    if spec.kind in ("H", "W"):
+        xi = f.active_frequencies()
+        if spec.kind == "H":
+            factors = ((1.0 + xi ** 2) ** (spec.s / 2.0))[:, None]
+        else:  # W: the sum over the derivatives of order 0..s
+            factors = np.stack([(2j * np.pi * xi) ** j for j in range(int(spec.s) + 1)], axis=1)
+        vals = _multiplier_values(f, factors, mesh)
+        # one batch_norm per copy, as for the dyadic blocks below
+        mags = np.stack([inner.batch_norm(vals[:, j]) for j in range(factors.shape[1])])
+        return float(np.sum(mesh.lp_norm(mags, p, gamma)))
 
     if sys is None:
         raise ValueError("B/F norms need a dyadic system")
@@ -274,13 +254,11 @@ def space_norm(f: GridFunction, spec: SpaceSpec, sys: DyadicSystem | None = None
     scales = 2.0 ** (spec.s * np.arange(sys.max_block + 1))
 
     if spec.kind == "B":
-        w = mesh.weights(gamma)
-        block_norms = np.maximum(mags ** p @ w, 0.0) ** (1.0 / p)
-        return float(_lq_combine(scales * block_norms, spec.q))
+        return float(_lq_combine(scales * mesh.lp_norm(mags, p, gamma), spec.q))
 
     # F: pointwise ell^q across blocks, then the weighted L^p norm
     pointwise = _lq_combine(scales[:, None] * mags, spec.q, axis=0)
-    return float(max(mesh.integrate(pointwise ** p, gamma), 0.0) ** (1.0 / p))
+    return float(mesh.lp_norm(pointwise, p, gamma))
 
 
 # ---------------------------------------------------------------------
@@ -298,11 +276,8 @@ def _difference_mags(f: GridFunction, m: int, h_values: np.ndarray,
     Delta^m_h f has coefficients c_k (exp(2 pi i xi_k h) - 1)^m, so one
     stacked synthesis serves every h.
     """
-    active = f.active_indices
     fac = (np.exp((2j * np.pi) * np.multiply.outer(f.active_frequencies(), h_values)) - 1.0) ** m
-    bundle = fac[:, :, None] * f.coeffs[active][:, None, :]
-    vals = mesh.synthesize(f.grid, active, bundle.reshape(active.size, -1))
-    return inner.batch_norm(vals.reshape(mesh.nodes.size, h_values.size, f.dim))
+    return inner.batch_norm(_multiplier_values(f, fac, mesh))
 
 
 def difference_seminorm(f: GridFunction, s: float, p: float, q: float, gamma: float,
@@ -324,14 +299,15 @@ def difference_seminorm(f: GridFunction, s: float, p: float, q: float, gamma: fl
         raise ValueError(f"need q >= 1, got {q}")
     if mesh is None:
         mesh = QuadratureMesh.for_function(f)
-    inner = inner or _default_inner(f)
+    inner = inner or default_inner(f.dim)
     L = f.grid.half_width
     t_min = L / f.grid.n_samples
     t_max = 2.0 * L
 
     # analytic tail below t_min from Delta^m_h f ~ h^m f^(m):
     # inner average ~ (2/(m+1)) t^m |f^(m)(x)|
-    dmag = inner.batch_norm(f.derivative(m).values_on_mesh(mesh))
+    deriv = ((2j * np.pi * f.active_frequencies()) ** m)[:, None]
+    dmag = inner.batch_norm(_multiplier_values(f, deriv, mesh)[:, 0])
     tail_coeff = 2.0 / (m + 1.0)
 
     if q == 1.0:
@@ -340,8 +316,8 @@ def difference_seminorm(f: GridFunction, s: float, p: float, q: float, gamma: fl
         h = np.geomspace(h_min, t_max, n_h)
         dlog = math.log(h[1] / h[0])
         kern = (np.maximum(h, t_min) ** (-s - 1.0) - t_max ** (-s - 1.0)) / (s + 1.0)
-        mags = (_difference_mags(f, m, h, mesh, inner)
-                + _difference_mags(f, m, -h, mesh, inner))
+        both = _difference_mags(f, m, np.concatenate([h, -h]), mesh, inner)
+        mags = both[:, :n_h] + both[:, n_h:]
         w = kern * h * dlog
         w[0] *= 0.5
         w[-1] *= 0.5
@@ -367,9 +343,7 @@ def difference_seminorm(f: GridFunction, s: float, p: float, q: float, gamma: fl
             tail = (tail_coeff * dmag) ** q * t_min ** ((m - s) * q) / ((m - s) * q)
             G = (core ** q @ wts + tail) ** (1.0 / q)
 
-    if math.isinf(p):
-        return float(np.max(G))
-    return float(max(mesh.integrate(G ** p, gamma), 0.0) ** (1.0 / p))
+    return float(mesh.lp_norm(G, p, gamma))
 
 
 def norm_equivalence_ratio(f: GridFunction, spec: SpaceSpec, m: int,
@@ -379,10 +353,7 @@ def norm_equivalence_ratio(f: GridFunction, spec: SpaceSpec, m: int,
     dyadic norm.  Tracked as a ratio window, not an absolute constant."""
     if spec.kind != "F":
         raise ValueError("the difference characterization is tracked on the F-scale")
-    if mesh is None:
-        mesh = QuadratureMesh.for_function(f)
-    lp = weighted_lp_norm(f, spec.p, spec.gamma, mesh=mesh,
-                          inner=spec.inner or _default_inner(f))
+    lp = weighted_lp_norm(f, spec.p, spec.gamma, mesh=mesh, inner=spec.inner)
     semi = difference_seminorm(f, spec.s, spec.p, spec.q, spec.gamma, m,
                                mesh=mesh, inner=spec.inner)
     dyadic_norm = space_norm(f, spec, sys, mesh=mesh)

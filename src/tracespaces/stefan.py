@@ -42,7 +42,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dyadic import DyadicSystem, build_system
+from .dyadic import DyadicSystem
 from .extension import ExtensionOperator
 from .grid import GridSpec, QuadratureMesh, weighted_lp_norm
 from .operators import MultiplierOperator
@@ -185,9 +185,8 @@ def compatibility_conditions(params: StefanParams) -> tuple[str, ...]:
     return tuple(sorted(conds))
 
 
-def dt_boundedness_check(params: StefanParams, grid: GridSpec | None = None,
-                         sys: DyadicSystem | None = None, dim: int = 3,
-                         seed: int = 7, mesh: QuadratureMesh | None = None) -> dict:
+def dt_boundedness_check(params: StefanParams, grid: GridSpec, sys: DyadicSystem,
+                         seed: int = 7) -> dict:
     """Boundedness of the time derivative of the reconstructed height
     orbit, in the finite sequence model.
 
@@ -210,9 +209,8 @@ def dt_boundedness_check(params: StefanParams, grid: GridSpec | None = None,
     if not 2.0 - 2.0 / q - 4.0 * eps > 1.0 - 1.0 / q:
         raise ValueError("margin exponent too large: shifted trace smoothness "
                          "falls below the interior inner smoothness")
-    grid = grid or GridSpec()
-    sys = sys or build_system()
     spaces = classify_spaces(params)
+    dim = 3  # spatial scales of the sequence model
 
     lam = 4.0 ** np.arange(1, dim + 1) / 4.0 ** (dim - 1)
     op = MultiplierOperator.diagonal(lam)
@@ -231,8 +229,7 @@ def dt_boundedness_check(params: StefanParams, grid: GridSpec | None = None,
     dt_trace = du.value_at_zero
     dt_err = float(np.linalg.norm(dt_trace - x1) / np.linalg.norm(x1))
 
-    if mesh is None:
-        mesh = QuadratureMesh.for_band(grid, 64.0)
+    mesh = QuadratureMesh.for_band(grid, 64.0)
     inner_flat = SequenceBesovInner(0.0, q, q, dim=dim)
     inner_b = SequenceBesovInner(1.0 - 1.0 / q, q, q, dim=dim)
     s2 = 0.5 - 1.0 / (2.0 * q)

@@ -216,8 +216,6 @@ def select_extension_branch(problem: TraceProblem) -> dict:
             k += 1
     m = int(math.ceil(max(s + alpha + 1.0, alpha + 1.0)))
     j = max(k + 1, int(math.floor((gamma + 1.0) / p - s)) + 1, 1)
-    while j <= (gamma + 1.0) / p - s:
-        j += 1
     return {"order": m + k, "twist": k, "j": j}
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tracespaces import (
+    EuclideanInner,
     GridFunction,
     GridSpec,
     InterpNormInner,
@@ -82,6 +83,26 @@ def test_sobolev_norm_counts_derivatives(grid, mesh):
     l2 = space_norm(f, SpaceSpec("Lp", p=2.0), mesh=mesh)
     want = l2 + 2.0 * math.pi * 2.0 * l2  # |f| + |f'| for a pure mode
     assert w1 == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("kind,s", [("H", 1.5), ("W", 2.0)])
+def test_potential_and_sobolev_match_dense_reference(grid, mesh, kind, s):
+    """A vector-valued multi-mode function whose band holds xi = 0: the H
+    and W norms equal Euclidean magnitudes of densely synthesized filtered
+    copies, integrated against the mesh weights."""
+    f = random_band_limited(grid, (-6.0, 9.0), seed=17, dim=3)
+    assert 0 in f.active_indices
+    p, gamma = 3.0, 0.4
+    xi = grid.frequencies()
+    if kind == "H":
+        copies = [f.multiplied((1.0 + xi ** 2) ** (s / 2.0))]
+    else:
+        copies = [f.multiplied((2j * np.pi * xi) ** j) for j in range(int(s) + 1)]
+    inner = EuclideanInner(3)
+    want = sum(mesh.integrate(inner.batch_norm(g.evaluate(mesh.nodes)) ** p, gamma) ** (1.0 / p)
+               for g in copies)
+    got = space_norm(f, SpaceSpec(kind, s, p, gamma=gamma), mesh=mesh)
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_norm_rejects_uncovered_band(grid, mesh):
