@@ -42,7 +42,6 @@ from .grid import (
     weighted_lp_norm,
 )
 from .operators import (
-    InterpQuadSpec,
     MultiplierOperator,
     batch_interp_norm_resolvent,
     closed_form_resolvent_norm,
@@ -100,7 +99,6 @@ __all__ = [
     "GridSpec",
     "InnerTriple",
     "InterpNormInner",
-    "InterpQuadSpec",
     "MixedDerivativeParams",
     "MultiplierOperator",
     "OrbitFunction",

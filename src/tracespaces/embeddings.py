@@ -298,36 +298,27 @@ def mixed_derivative_check(f, params: MixedDerivativeParams, triple: InnerTriple
 # ---------------------------------------------------------------------
 
 
-def counterexample_norms(coefficients, u: float, q: float, s: float = 0.0,
-                         t: float = 0.0, alpha: float = 1.0,
-                         beta: float = 1.0) -> dict:
+def counterexample_norms(coefficients, u: float, q: float) -> dict:
     """Target and source norms of a lacunary block sequence.
 
-    Blocks sit at scale ratio R = 2^{alpha/beta}; both source norms share
-    the weighted ell^q sum with weight 2^{(s + alpha + t alpha/beta) j},
-    while the would-be target needs the same sum in ell^u.  The common
-    profile factor is normalized to 1.  For u < q the ratio grows like
-    N^{1/u - 1/q} in the number of active blocks, so no embedding into
-    the ell^u side can hold; u >= q is rejected because nothing diverges
-    there.
+    Blocks sit at scale ratio 2; both source norms share the weighted
+    ell^q sum with weight 2^j on block j, while the would-be target needs
+    the same sum in ell^u.  The common profile factor is normalized to 1.
+    For u < q the ratio grows like N^{1/u - 1/q} in the number of active
+    blocks, so no embedding into the ell^u side can hold; u >= q is
+    rejected because nothing diverges there.
     """
     if not u >= 1:
         raise ValueError(f"need u >= 1, got {u}")
     if not u < q:
         raise ValueError(f"divergence needs u < q, got u={u}, q={q}")
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("scale orders must be positive")
     a = np.abs(np.asarray(coefficients, dtype=complex))
     if a.ndim != 1 or a.size == 0 or not np.any(a > 0):
         raise ValueError("need a nonzero 1-d coefficient sequence")
-    e = s + alpha + t * alpha / beta
-    w = 2.0 ** (e * np.arange(1, a.size + 1))
-    seq = w * a
+    seq = 2.0 ** np.arange(1, a.size + 1) * a
     target = float(_lq_combine(seq, u))
     source = float(_lq_combine(seq, q))
-    return {"target": target, "source": source, "ratio": target / source,
-            "scale_ratio": 2.0 ** (alpha / beta), "weight_exponent": e,
-            "n_terms": int(a.size)}
+    return {"target": target, "source": source, "ratio": target / source}
 
 
 # ---------------------------------------------------------------------

@@ -33,6 +33,7 @@ synthesis at arbitrary points, the reference for the tables.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -326,9 +327,10 @@ class QuadratureMesh:
 
     @classmethod
     def for_band(cls, grid: GridSpec, band_max: float, min_cells: int = 512) -> "QuadratureMesh":
-        """Mesh resolving oscillation up to |xi| = band_max on one side."""
+        """Mesh resolving oscillation up to |xi| = band_max on one side: one
+        shared instance per key, so its tables and weights are built once."""
         need = int(math.ceil(_CELLS_PER_WAVE * max(band_max, 1.0) * grid.half_width))
-        return cls(grid.half_width, min(max(need, min_cells), _MAX_CELLS))
+        return _shared_mesh(grid.half_width, min(max(need, min_cells), _MAX_CELLS))
 
     @classmethod
     def for_function(cls, f: GridFunction) -> "QuadratureMesh":
@@ -439,11 +441,22 @@ class QuadratureMesh:
     def lp_norm(self, mags: np.ndarray, p: float, gamma: float,
                 interval: tuple[float, float] | None = None) -> np.ndarray:
         """(int |t|^gamma mags^p dt)^{1/p} along the last (node) axis, over
-        [-L, L] or a subinterval; p = inf gives the node maximum."""
+        [-L, L] or a subinterval; p = inf gives the maximum over the nodes
+        in it."""
         if math.isinf(p):
-            return np.max(mags, axis=-1)
+            if interval is not None:
+                mags = mags[..., (self.nodes >= interval[0]) & (self.nodes <= interval[1])]
+            return np.max(mags, axis=-1, initial=0.0)
         w = self.weights(gamma) if interval is None else self.weights_on_interval(gamma, *interval)
         return np.maximum(mags ** p @ w, 0.0) ** (1.0 / p)
+
+
+# Safe to share, because a mesh's nodes follow from its key and all else
+# it holds is a cache keyed exactly; the bound keeps the phase tables of
+# meshes no longer in use (4-20 MB each at N = 1024) from piling up.
+@functools.lru_cache(maxsize=8)
+def _shared_mesh(half_width: float, n_cells: int) -> QuadratureMesh:
+    return QuadratureMesh(half_width, n_cells)
 
 
 # ---------------------------------------------------------------------

@@ -36,7 +36,7 @@ import numpy as np
 from .dyadic import DyadicSystem
 from .grid import (EuclideanInner, GridError, GridFunction, QuadratureMesh, ScalarInner,
                    default_inner, weighted_lp_norm)
-from .operators import InterpQuadSpec, MultiplierOperator, batch_interp_norm_resolvent
+from .operators import MultiplierOperator, batch_interp_norm_resolvent
 
 __all__ = [
     "ScalarInner",
@@ -90,8 +90,7 @@ class WeightedEuclideanInner:
 class InterpNormInner:
     """Real-interpolation space D_A(alpha, r) in the resolvent form."""
 
-    def __init__(self, op: MultiplierOperator, alpha: float, r: float,
-                 quad: InterpQuadSpec | None = None):
+    def __init__(self, op: MultiplierOperator, alpha: float, r: float):
         if not alpha > 0:
             raise ValueError("interpolation order must be positive")
         if not r >= 1:
@@ -99,44 +98,35 @@ class InterpNormInner:
         self.op = op
         self.alpha = float(alpha)
         self.r = float(r)
-        # a lean default grid: the batch evaluator widens it if tails demand
-        self.quad = quad or InterpQuadSpec(1e-6, 1e6, nodes_per_decade=10)
         self.dim = op.dim
-        self.key = ("interp", tuple(op.eigenvalues.tolist()), self.alpha, self.r, self.quad)
+        self.key = ("interp", tuple(op.eigenvalues.tolist()), self.alpha, self.r)
 
     def batch_norm(self, values: np.ndarray) -> np.ndarray:
-        return batch_interp_norm_resolvent(self.op, self.alpha, self.r, values,
-                                           quad=self.quad)
+        return batch_interp_norm_resolvent(self.op, self.alpha, self.r, values)
 
     def __repr__(self):
-        return f"InterpNormInner({self.op.label}, alpha={self.alpha}, r={self.r})"
+        return f"InterpNormInner({self.op!r}, alpha={self.alpha}, r={self.r})"
 
 
 class SequenceBesovInner:
     """Closed-form sequence model of an inner Besov space B^t_{r,z}: the
-    norm of (a_n)_{n=1..dim} is || (R^{t n} a_n)_n ||_{ell^z}.  The
-    integrability r rides along for bookkeeping; the shared profile factor
-    it would contribute is normalized to 1."""
+    norm of (a_n)_{n=1..dim} is || (2^{t n} a_n)_n ||_{ell^z}.  The shared
+    profile factor that the integrability r would contribute is normalized
+    to 1, so the model does not depend on r."""
 
-    def __init__(self, smoothness: float, integrability: float, summability: float,
-                 base: float = 2.0, dim: int = 8):
-        if base <= 1.0:
-            raise ValueError("sequence model base must exceed 1")
+    def __init__(self, smoothness: float, summability: float, dim: int = 8):
         self.smoothness = float(smoothness)
-        self.integrability = float(integrability)
         self.summability = float(summability)
-        self.base = float(base)
         self.dim = int(dim)
-        self._weights = base ** (smoothness * np.arange(1, dim + 1))
-        self.key = ("sequence-besov", self.smoothness, self.integrability,
-                    self.summability, self.base, self.dim)
+        self._weights = 2.0 ** (smoothness * np.arange(1, dim + 1))
+        self.key = ("sequence-besov", self.smoothness, self.summability, self.dim)
 
     def batch_norm(self, values: np.ndarray) -> np.ndarray:
         return _lq_combine(np.abs(values) * self._weights, self.summability, axis=-1)
 
     def __repr__(self):
-        return (f"SequenceBesovInner(t={self.smoothness}, r={self.integrability}, "
-                f"z={self.summability}, base={self.base}, dim={self.dim})")
+        return (f"SequenceBesovInner(t={self.smoothness}, z={self.summability}, "
+                f"dim={self.dim})")
 
 
 # ---------------------------------------------------------------------
@@ -295,6 +285,8 @@ def difference_seminorm(f: GridFunction, s: float, p: float, q: float, gamma: fl
     """
     if not 0 < s < m:
         raise ValueError(f"need smoothness 0 < s < m, got s={s}, m={m}")
+    if not (p >= 1):
+        raise ValueError(f"need p >= 1, got {p}")
     if not (q >= 1):
         raise ValueError(f"need q >= 1, got {q}")
     if mesh is None:

@@ -230,8 +230,8 @@ def dt_boundedness_check(params: StefanParams, grid: GridSpec, sys: DyadicSystem
     dt_err = float(np.linalg.norm(dt_trace - x1) / np.linalg.norm(x1))
 
     mesh = QuadratureMesh.for_band(grid, 64.0)
-    inner_flat = SequenceBesovInner(0.0, q, q, dim=dim)
-    inner_b = SequenceBesovInner(1.0 - 1.0 / q, q, q, dim=dim)
+    inner_flat = SequenceBesovInner(0.0, q, dim=dim)
+    inner_b = SequenceBesovInner(1.0 - 1.0 / q, q, dim=dim)
     s2 = 0.5 - 1.0 / (2.0 * q)
     num = (space_norm(du, SpaceSpec("F", s2, p, q, 0.0, inner=inner_flat),
                       sys, mesh=mesh)
@@ -239,8 +239,8 @@ def dt_boundedness_check(params: StefanParams, grid: GridSpec, sys: DyadicSystem
 
     sig_h = float(spaces["Xh"][0].smoothness)
     sig_dt = float(spaces["Xdth"][0].smoothness)
-    den = (SequenceBesovInner(sig_h, q, p, dim=dim).batch_norm(x0[None, :])[0]
-           + SequenceBesovInner(sig_dt, q, p, dim=dim).batch_norm(x1[None, :])[0])
+    den = (SequenceBesovInner(sig_h, p, dim=dim).batch_norm(x0[None, :])[0]
+           + SequenceBesovInner(sig_dt, p, dim=dim).batch_norm(x1[None, :])[0])
     return {
         "admissible": params.admissible,
         "conditions": conds,

@@ -462,8 +462,7 @@ def run_trace_f(config: SuiteConfig) -> VerificationReport:
         exact = True
         for _ in range(2):
             x = rng.standard_normal(diag.dim) + 1j * rng.standard_normal(diag.dim)
-            got = right_inverse_check(problem, x, grid, sys, kind="F", r=1.0,
-                                      mesh=mesh)
+            got = right_inverse_check(problem, x, grid, sys, mesh=mesh)
             worst = max(worst, got["ratio"])
             exact = exact and got["trace_exact"]
         cases.append(CaseRecord(f"right_inverse_ratio_set{i}", worst,

@@ -303,19 +303,18 @@ def trace_continuity_ratio(problem: TraceProblem, u: GridFunction,
 
 
 def right_inverse_check(problem: TraceProblem, x, grid: GridSpec,
-                        sys: DyadicSystem, kind: str = "F", r: float = 1.0,
-                        mesh: QuadratureMesh | None = None) -> dict:
+                        sys: DyadicSystem, mesh: QuadratureMesh | None = None) -> dict:
     """Build the branch-selected orbit for the datum x, confirm the trace
-    returns x exactly, and measure the co-retraction ratio
-    (orbit norms over || x ||_{D_A(theta, .)})."""
+    returns x exactly, and measure the co-retraction ratio on the F-scale
+    with inner index r = 1 (orbit norms over || x ||_{D_A(theta, p)})."""
     branch = select_extension_branch(problem)
     ext = ExtensionOperator(branch["order"], branch["twist"])
     u = resolvent_orbit(grid, problem.op, x, branch["j"], ext)
     xr = trace_at_zero(u)
     exact = bool(np.array_equal(xr, np.atleast_1d(problem.op._vec(x))))
-    num_hi, num_lo = _pair_norms(problem, u, sys, kind, r, mesh)
+    num_hi, num_lo = _pair_norms(problem, u, sys, "F", 1.0, mesh)
     den = interp_norm_resolvent(problem.op, problem.theta,
-                                problem.target_second_index(kind), xr)
+                                problem.target_second_index("F"), xr)
     if den == 0.0:
         raise ValueError("zero datum has no right-inverse ratio")
     return {"branch": branch, "trace_exact": exact,
@@ -338,27 +337,23 @@ def frac_power_reparam_ratio(op: MultiplierOperator, theta: float, p: float,
 
 
 def semigroup_orbit_ratio(problem: TraceProblem, x, grid: GridSpec,
-                          sys: DyadicSystem, mix: float = 0.5,
-                          mesh: QuadratureMesh | None = None) -> dict:
+                          sys: DyadicSystem, mesh: QuadratureMesh | None = None) -> dict:
     """Smoothing of the semigroup orbit u(t) = e^{-tA} x of a datum
     x in D_A(theta, p): the ratio
 
         ( ||u||_{F^{s+alpha}_{p,1}(X)} +
-          ||u||_{F^{s+mix.alpha}_{p,1}(D_A((1-mix) alpha, 1))} )
+          ||u||_{F^{s+alpha/2}_{p,1}(D_A(alpha/2, 1))} )
             / || x ||_{D_A(theta, p)}
 
-    with mix in (0, 1) splitting smoothness between the outer scale and
-    the inner interpolation space."""
-    if not 0.0 < mix < 1.0:
-        raise ValueError("mix must lie in (0, 1)")
+    with the smoothness split evenly between the outer scale and the inner
+    interpolation space."""
     branch = select_extension_branch(problem)
     ext = ExtensionOperator(branch["order"], branch["twist"])
     u = semigroup_orbit(grid, problem.op, x, ext)
     outer = SpaceSpec("F", problem.s + problem.alpha, problem.p, 1.0, problem.gamma)
-    inner_alpha = (1.0 - mix) * problem.alpha
-    mixed = SpaceSpec("F", problem.s + mix * problem.alpha, problem.p, 1.0,
-                      problem.gamma,
-                      inner=InterpNormInner(problem.op, inner_alpha, 1.0))
+    half = 0.5 * problem.alpha
+    mixed = SpaceSpec("F", problem.s + half, problem.p, 1.0, problem.gamma,
+                      inner=InterpNormInner(problem.op, half, 1.0))
     num = space_norm(u, outer, sys, mesh=mesh) + space_norm(u, mixed, sys, mesh=mesh)
     den = interp_norm_resolvent(problem.op, problem.theta, problem.p,
                                 trace_at_zero(u))

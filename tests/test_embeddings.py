@@ -92,12 +92,6 @@ def test_counterexample_needs_strictly_smaller_u():
         counterexample_norms(np.ones(4), 3.0, 2.0)
 
 
-def test_counterexample_weight_exponent_default():
-    got = counterexample_norms(2.0 ** (-np.arange(1, 5)), 1.0, 2.0)
-    assert got["weight_exponent"] == pytest.approx(1.0)
-    assert got["n_terms"] == 4
-
-
 # -- mixed derivative estimate -----------------------------------------
 
 

@@ -99,6 +99,24 @@ def test_weighted_sup_norm(grid):
     assert got == pytest.approx(2.0, rel=1e-6)
 
 
+def test_sup_norm_on_interval_keeps_to_it(grid):
+    """|1 + 0.8 exp(i pi t)| falls from 1.8 at t = 0 to 0.2 at t = 1, so its
+    supremum over [0.5, 1] is |1 + 0.8 i| = 1.28, not the 1.8 of [-1, 1]."""
+    f = GridFunction.from_coeff_map(grid, {0.0: [1.0], 0.5: [0.8]})
+    got = weighted_lp_norm(f, math.inf, 0.0, interval=(0.5, 1.0))
+    assert got == pytest.approx(math.hypot(1.0, 0.8), rel=2e-3)  # node spacing
+    assert weighted_lp_norm(f, math.inf, 0.0) == pytest.approx(1.8, rel=1e-6)
+
+
+def test_for_band_shares_one_mesh_per_key(grid):
+    mesh = QuadratureMesh.for_band(grid, 24.0)
+    assert QuadratureMesh.for_band(grid, 24.0) is mesh
+    assert QuadratureMesh.for_band(grid, 23.99) is mesh  # same cell count
+    assert QuadratureMesh.for_band(grid, 48.0) is not mesh
+    f = random_band_limited(grid, (-24.0, 24.0), seed=2)
+    assert QuadratureMesh.for_function(f) is QuadratureMesh.for_band(grid, f.max_frequency)
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(scale=st.floats(0.01, 100.0), seed=st.integers(0, 50))
 def test_norm_homogeneity(scale, seed):

@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from tracespaces import (
-    InterpQuadSpec,
     MultiplierOperator,
     batch_interp_norm_resolvent,
     closed_form_resolvent_norm,
@@ -59,13 +59,13 @@ def test_resolvent_matches_closed_form_scalar(alpha, p):
     op = MultiplierOperator.scalar(2.5)
     got = interp_norm_resolvent(op, alpha, p, [1.5])
     want = closed_form_resolvent_norm(op, alpha, p, [1.5])
-    assert got == pytest.approx(want, rel=1e-9)
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_resolvent_matches_closed_form_diagonal(diag, x6):
     got = interp_norm_resolvent(diag, 0.6, 2.0, x6)
     want = closed_form_resolvent_norm(diag, 0.6, 2.0, x6)
-    assert got == pytest.approx(want, rel=1e-9)
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_semigroup_matches_closed_form_diagonal(diag, x6):
@@ -74,45 +74,98 @@ def test_semigroup_matches_closed_form_diagonal(diag, x6):
     assert got == pytest.approx(want, rel=1e-9)
 
 
+def _dense_resolvent_norm(op, alpha, p, x):
+    """The resolvent-form integral by adaptive quadrature in sigma, with
+    the sigma^{alpha p - 1} singularity at 0 taken as a quadrature weight."""
+    lam, sq = op.eigenvalues, np.abs(np.asarray(x)) ** 2
+    m = math.floor(alpha) + 1
+
+    def h(s):
+        return np.sum(sq * (lam / (s + lam)) ** (2 * m)) ** (0.5 * p)
+
+    near = quad(h, 0.0, 1.0, weight="alg", wvar=(alpha * p - 1.0, 0.0),
+                epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    far = quad(lambda s: s ** (alpha * p - 1.0) * h(s), 1.0, np.inf,
+               epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    return (near + far) ** (1.0 / p)
+
+
 def test_small_exponent_window_stays_finite(diag, x6):
-    """sigma^{alpha p} decays so slowly for small alpha*p that the window
-    cannot be widened until the tail vanishes; the closed-form tail pieces
+    """sigma^{alpha p} decays so slowly for small alpha*p that no window
+    reaches far enough for the tail to vanish; the closed-form tail pieces
     must carry it instead."""
     got = interp_norm_resolvent(diag, 0.05, 1.0, x6)
-    fine = interp_norm_resolvent(diag, 0.05, 1.0, x6,
-                                 quad=InterpQuadSpec(1e-8, 1e8, 160))
     assert math.isfinite(got)
-    assert got == pytest.approx(fine, rel=1e-5)
+    assert got == pytest.approx(_dense_resolvent_norm(diag, 0.05, 1.0, x6), rel=1e-10)
 
 
-_NARROW = InterpQuadSpec(1e-1, 1e1, nodes_per_decade=4)
+@pytest.mark.parametrize("a", [0.25, 2.5, 16.0])
+@pytest.mark.parametrize("alpha,m", [(0.05, None), (0.5, None), (0.9, None), (1.7, None),
+                                     (0.5, 2), (1.7, 3)])
+def test_sup_norm_matches_closed_form_scalar(a, alpha, m):
+    """sup_sigma sigma^alpha (a / (sigma + a))^m |x| is attained at
+    sigma = alpha a / (m - alpha); the window around that one peak must
+    keep a decade of margin on both sides."""
+    order = m or math.floor(alpha) + 1
+    got = interp_norm_resolvent(MultiplierOperator.scalar(a), alpha, math.inf, [1.5], m)
+    want = (a ** alpha * 1.5 * alpha ** alpha * (order - alpha) ** (order - alpha)
+            / order ** order)
+    assert got == pytest.approx(want, rel=2e-4)
 
 
-@pytest.mark.parametrize("quad", [None, _NARROW], ids=["default", "narrow"])
+@pytest.mark.parametrize("alpha", [0.3, 0.6, 0.9, 1.7])
+def test_sup_norm_matches_dense_supremum(diag, x6, alpha):
+    m = math.floor(alpha) + 1
+    sigma = np.geomspace(1e-4, 1e5, 200001)
+    lam = diag.eigenvalues
+    for x in (x6, x6[::-1], np.roll(x6, 2)):
+        grand = np.sqrt(np.abs(x) ** 2 @ (lam[:, None] / (sigma + lam[:, None])) ** (2 * m))
+        want = float(np.max(grand * sigma ** alpha))
+        got = interp_norm_resolvent(diag, alpha, math.inf, x)
+        assert got == pytest.approx(want, rel=2e-4)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("alpha", [0.3, 0.6, 1.7])
+def test_semigroup_matches_closed_form_scalar(alpha, p):
+    op = MultiplierOperator.scalar(2.5)
+    got = interp_norm_semigroup(op, alpha, p, [1.5])
+    assert got == pytest.approx(closed_form_semigroup_norm(op, alpha, p, [1.5]), rel=1e-11)
+
+
+@pytest.mark.parametrize("a", [0.25, 2.5, 16.0])
+@pytest.mark.parametrize("alpha", [0.05, 0.6, 1.7])
+def test_semigroup_sup_norm_matches_closed_form_scalar(a, alpha):
+    """sup_t t^e a^m e^{-t a} |x| = a^alpha |x| (e / exp(1))^e, e = m - alpha."""
+    e = math.floor(alpha) + 1 - alpha
+    got = interp_norm_semigroup(MultiplierOperator.scalar(a), alpha, math.inf, [1.5])
+    assert got == pytest.approx(a ** alpha * 1.5 * (e / math.e) ** e, rel=2e-4)
+
+
+@pytest.mark.parametrize("case", ["default", "wide-spectrum"])
 @pytest.mark.parametrize("r", [1.0, 2.0, math.inf])
-def test_batch_matches_single_vector(diag, x6, r, quad):
-    """At r = inf the integrands of these rows still peak near the ends of
-    the narrow window, so the batch must widen it as one vector does."""
-    batch = np.stack([x6[::-1], 2.0 * x6[::-1], np.roll(x6, 2)])
-    got = batch_interp_norm_resolvent(diag, 0.6, r, batch, quad=quad)
+def test_batch_matches_single_vector(diag, x6, r, case):
+    """The window depends on the operator alone, so each row of a batch,
+    a zero row among them, is its norm computed alone, bitwise.  The
+    wide-spectrum rows peak near sigma = 1 and have a second, higher hump
+    near sigma = 1e4."""
+    if case == "default":
+        rng = np.random.default_rng(5)
+        rows = rng.standard_normal((30, 6)) + 1j * rng.standard_normal((30, 6))
+        op, batch = diag, np.vstack([x6[::-1], np.zeros(6), 2.0 * x6[::-1], np.roll(x6, 2), rows])
+    else:
+        op = MultiplierOperator.diagonal((1.0, 1e4))
+        batch = np.array([[1.0, 0.02], [0.0, 0.0], [2.0, 0.03], [0.0, 1.0]])
+    got = batch_interp_norm_resolvent(op, 0.6, r, batch)
+    assert got[1] == 0.0
     for row, x in zip(got, batch):
-        want = interp_norm_resolvent(diag, 0.6, r, x, quad=quad)
-        assert row == pytest.approx(want, rel=1e-9)
+        assert row == interp_norm_resolvent(op, 0.6, r, x)
 
 
 def test_batch_zero_rows(diag):
-    got = batch_interp_norm_resolvent(diag, 0.5, 2.0, np.zeros((4, 6)))
-    np.testing.assert_array_equal(got, np.zeros(4))
-    # the nonzero rows peak inside the narrow window and have a second,
-    # higher hump near sigma = 1e4 beyond it; a zero row (peak 0 at both
-    # ends) that widened the window would reach that hump
-    op = MultiplierOperator.diagonal((1.0, 1e4))
-    batch = np.array([[1.0, 0.02], [0.0, 0.0], [2.0, 0.03]])
-    got = batch_interp_norm_resolvent(op, 0.5, math.inf, batch, quad=_NARROW)
-    assert got[1] == 0.0
-    for i in (0, 2):
-        want = interp_norm_resolvent(op, 0.5, math.inf, batch[i], quad=_NARROW)
-        assert got[i] == pytest.approx(want, rel=1e-12)
+    for r in (1.0, 2.0, math.inf):
+        got = batch_interp_norm_resolvent(diag, 0.5, r, np.zeros((4, 6)))
+        np.testing.assert_array_equal(got, np.zeros(4))
 
 
 def test_batch_sup_norm_scales_linearly(diag, x6):
@@ -138,6 +191,6 @@ def test_norm_order_equivalence_near_integer():
     """Raising the integer power m changes the norm by a bounded equivalence
     factor only; both orders must land within the same decade."""
     op = MultiplierOperator.scalar(1.0)
-    a = interp_norm_resolvent(op, 0.5, 2.0, [1.0], quad=InterpQuadSpec(m=1))
-    b = interp_norm_resolvent(op, 0.5, 2.0, [1.0], quad=InterpQuadSpec(m=2))
+    a = interp_norm_resolvent(op, 0.5, 2.0, [1.0], m=1)
+    b = interp_norm_resolvent(op, 0.5, 2.0, [1.0], m=2)
     assert 0.1 < a / b < 10.0

@@ -10,7 +10,6 @@ from tracespaces import (
     GridFunction,
     GridSpec,
     InterpNormInner,
-    InterpQuadSpec,
     MultiplierOperator,
     QuadratureMesh,
     SequenceBesovInner,
@@ -135,11 +134,11 @@ def test_vector_inner_changes_norm(grid, system, mesh):
 
 
 def test_sequence_besov_inner_closed_form():
-    inner = SequenceBesovInner(0.5, 2.0, 2.0, base=2.0, dim=3)
+    inner = SequenceBesovInner(0.5, 2.0, dim=3)
     vals = np.array([1.0, 1.0, 1.0])
     want = math.sqrt(2.0 ** 1.0 + 2.0 ** 2.0 + 2.0 ** 3.0)
     assert inner.batch_norm(vals) == pytest.approx(want, rel=1e-14)
-    sup = SequenceBesovInner(0.5, 2.0, math.inf, base=2.0, dim=3)
+    sup = SequenceBesovInner(0.5, math.inf, dim=3)
     assert sup.batch_norm(vals) == pytest.approx(2.0 ** 1.5, rel=1e-14)
 
 
@@ -148,6 +147,10 @@ def test_difference_seminorm_validation(grid, f24):
         difference_seminorm(f24, 1.5, 2.0, 1.0, 0.0, m=1)  # needs s < m
     with pytest.raises(ValueError):
         difference_seminorm(f24, -0.5, 2.0, 1.0, 0.0, m=1)  # needs s > 0
+    with pytest.raises(ValueError):
+        difference_seminorm(f24, 0.5, 0.5, 1.0, 0.0, m=1)  # needs p >= 1
+    with pytest.raises(ValueError):
+        difference_seminorm(f24, 0.5, math.nan, 1.0, 0.0, m=1)
 
 
 @pytest.mark.parametrize("s,p,q,gamma,m", [(0.5, 2.0, 1.0, 0.0, 1),
@@ -177,17 +180,16 @@ def test_interp_inner_scale_with_operator(grid, system):
 
 
 _OP3 = MultiplierOperator.diagonal([0.5, 2.0, 16.0])
-_NARROW = InterpQuadSpec(1e-1, 1e1, nodes_per_decade=4)
 
 
 @pytest.mark.parametrize("first,second", [
-    (InterpNormInner(_OP3, 0.5, math.inf), InterpNormInner(_OP3, 0.5, math.inf, quad=_NARROW)),
+    (InterpNormInner(_OP3, 0.5, math.inf), InterpNormInner(_OP3, 0.5000001, math.inf)),
     (WeightedEuclideanInner([1.0, 1.0, 1.0]), WeightedEuclideanInner([1.0, 1.0, 1.0 + 1e-7])),
-], ids=["quad", "weights"])
+], ids=["alpha", "weights"])
 def test_norm_is_independent_of_cache_state(grid, system, first, second):
     """A norm must not depend on what was computed on the function before
-    it: inner spaces that differ only in the sigma window or in the
-    seventh digit of a weight are distinct cache keys."""
+    it: inner spaces that differ only in the seventh digit of the
+    interpolation order or of a weight are distinct cache keys."""
     mesh = QuadratureMesh.for_band(grid, 16.0, min_cells=256)
 
     def norm(f, inner):
