@@ -12,6 +12,7 @@ failed ``error`` case and is never pinned; the other suites still run.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .report import BaselineStore, CaseRecord, VerificationReport, render_reports
@@ -32,7 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--pin-baselines", action="store_true",
                         help="record current values as the pinned baselines")
     parser.add_argument("--baseline-tolerance", type=float, default=0.01,
-                        help="allowed relative excess over a pinned value")
+                        help="allowed relative excess over a pinned value (finite, >= 0)")
     parser.add_argument("--grid-n", type=int, default=1024,
                         help="number of samples of the periodic grid")
     parser.add_argument("--grid-l", type=float, default=1.0,
@@ -55,6 +56,8 @@ def main(argv=None) -> int:
                              seed=args.seed, family_size=args.family_size)
     except ValueError as exc:
         parser.error(str(exc))
+    if not (math.isfinite(args.baseline_tolerance) and args.baseline_tolerance >= 0):
+        parser.error(f"baseline tolerance must be finite and >= 0, got {args.baseline_tolerance}")
     names = args.suite or ["all"]
     if "all" in names:
         names = list(SUITE_ORDER)

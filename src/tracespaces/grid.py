@@ -18,17 +18,30 @@ interpolant of the smooth factor g (never by blind quadrature of the
 product, which loses the |t|^gamma singularity for gamma < 0).
 
 Every evaluation at quadrature nodes goes through one kernel,
-QuadratureMesh.synthesize.  Writing a signed frequency index as
-k + N/2 = a B + b with B = isqrt(N), the mesh keeps, per GridSpec, the
-phase tables exp(2 pi i t b / (2L)) for b < B and exp(2 pi i t (a B - N/2)
-/ (2L)) for every a, so the mode matrix of any active set is a gathered
-product of two table columns, built in fixed row chunks and multiplied at
-once by a stacked coefficient matrix; no exp runs per call.  The tables
-hold (B + N/B) complex values per node, O(nodes * 2 sqrt(N)): 4 MB for
-4096 nodes at N = 1024.  Nothing is cached per active set.  Node values
-and quantities derived from them are cached on the GridFunction under
-explicit keys (GridFunction.cached).  GridFunction.evaluate stays dense
-synthesis at arbitrary points, the reference for the tables.
+QuadratureMesh.synthesize, which has two paths; the size of the active
+set alone picks one (_NUFFT_MIN_MODES = 256), so a function's node values
+never depend on what is stacked with it or computed before it.
+
+- Narrow sets: writing a signed frequency index as k + N/2 = a B + b with
+  B = isqrt(N), the mesh keeps, per GridSpec, the phase tables
+  exp(2 pi i t b / (2L)) for b < B and exp(2 pi i t (a B - N/2) / (2L))
+  for every a, so the mode matrix of any active set is a gathered product
+  of two table columns, built in fixed row chunks and multiplied at once
+  by a stacked coefficient matrix; no exp runs per call.  The tables hold
+  (B + N/B) complex values per node: 4 MB for 4096 nodes at N = 1024.
+- Wide sets: a type-2 NUFFT (Dutt & Rokhlin 1993; Barnett, Magland & af
+  Klinteberg 2019).  The coefficients are divided by the Fourier
+  transform of an exponential-of-semicircle kernel, placed on a 2N grid
+  and inverse transformed, one FFT per column, and a real sparse matrix
+  with 16 kernel values per node interpolates them onto the nodes.  The
+  mesh keeps that matrix and the N divisors per GridSpec: 192 bytes per
+  node, 2.4 MB for 12288 nodes.  Its error is about 4e-15 of the largest
+  value, below that of dense synthesis, whose phases t * xi round.
+
+Nothing is cached per active set.  Node values and quantities derived from
+them are cached on the GridFunction under explicit keys
+(GridFunction.cached).  GridFunction.evaluate stays dense synthesis at
+arbitrary points, the reference for both paths.
 """
 
 from __future__ import annotations
@@ -262,9 +275,34 @@ _GL_NODES = 0.5 * (_GL_NODES + 1.0)  # shifted to [0, 1]
 _GL_WEIGHTS = 0.5 * _GL_WEIGHTS
 
 
-# Node rows per mode-matrix chunk in QuadratureMesh.synthesize: a chunk of
-# 1023 modes stays near 4 MB, inside the cache.
+# Node rows per mode-matrix chunk of the phase-table product: a chunk of
+# 255 modes, the most that path takes, stays near 1 MB, inside the cache.
 _SYNTH_ROWS = 256
+
+# QuadratureMesh.synthesize takes the NUFFT from this many active modes up
+# and the phase-table product below it.  Measured at 4096-12288 nodes and
+# N = 1024-4096: at 256 modes the NUFFT takes 0.04-0.84 of the product's
+# time for 1 to 300 columns (N <= 2048); at 64 modes and 54 or more
+# columns the product is faster.
+_NUFFT_MIN_MODES = 256
+
+# The NUFFT's kernel exp(beta (sqrt(1 - z^2) - 1)), z in [-1, 1], spans
+# _NUFFT_WIDTH cells of a twice oversampled grid, with beta = 2.30 width
+# for that oversampling (Barnett, Magland & af Klinteberg 2019).  Against
+# phases computed exactly its error is about 4e-15 of the largest value.
+_NUFFT_WIDTH = 16
+_NUFFT_BETA = 2.30 * _NUFFT_WIDTH
+# The kernel's Fourier transform is taken by the midpoint rule at a quarter
+# cell: exact to rounding, since the kernel is smooth inside [-1, 1] and
+# below 1e-16 at its ends.  Gauss-Legendre is not: at 64 nodes it is off
+# by 2e-15 to 8e-15, which would bias every NUFFT value by as much.
+_NUFFT_FT_STEP = 2.0 / (4 * _NUFFT_WIDTH)
+_NUFFT_FT_NODES = -1.0 + _NUFFT_FT_STEP * (np.arange(4 * _NUFFT_WIDTH) + 0.5)
+
+
+def _nufft_kernel(z: np.ndarray) -> np.ndarray:
+    return np.exp(_NUFFT_BETA * (np.sqrt(1.0 - z * z) - 1.0))
+
 
 # QuadratureMesh.for_band: cells per wavelength of the top frequency on
 # each side, and the cell count it never exceeds.
@@ -316,6 +354,7 @@ class QuadratureMesh:
         self._lagrange = _lagrange_monomial_matrix(order)
         self._weight_cache: dict[float, np.ndarray] = {}
         self._phase_tables: dict[GridSpec, tuple[np.ndarray, np.ndarray]] = {}
+        self._nufft_plans: dict[GridSpec, tuple] = {}
 
     @property
     def key(self) -> tuple:
@@ -353,17 +392,60 @@ class QuadratureMesh:
             self._phase_tables[grid] = got
         return got
 
+    def _nufft_plan(self, grid: GridSpec) -> tuple:
+        """(spread, deconv): the sparse (n_nodes, 2N) interpolation from the
+        oversampled grid to the nodes, and 1 / (the kernel's Fourier
+        transform) at each bin of grid, in FFT order."""
+        got = self._nufft_plans.get(grid)
+        if got is None:
+            # imported here: only wide active sets need it, and importing it
+            # would lengthen the start-up of every run
+            from scipy import sparse
+
+            n = grid.n_samples
+            fine = 2 * n
+            half = 0.5 * _NUFFT_WIDTH
+            s = self.nodes * (fine * grid.fundamental)  # node positions in fine cells
+            cols = np.ceil(s - half).astype(np.int64)[:, None] + np.arange(_NUFFT_WIDTH)
+            vals = _nufft_kernel((cols - s[:, None]) / half)
+            spread = sparse.csr_matrix(
+                (vals.ravel(), (cols % fine).ravel(), np.arange(0, vals.size + 1, _NUFFT_WIDTH)),
+                shape=(self.nodes.size, fine))
+            # int_{-half}^{half} kernel(x / half) exp(-2 pi i k x / fine) dx
+            omega = np.fft.fftfreq(n, 1.0 / n) * (2.0 * np.pi * half / fine)
+            ft = (half * _NUFFT_FT_STEP) * (np.cos(np.multiply.outer(omega, _NUFFT_FT_NODES))
+                                            @ _nufft_kernel(_NUFFT_FT_NODES))
+            got = (spread, 1.0 / ft)
+            self._nufft_plans[grid] = got
+        return got
+
+    def _synthesize_nufft(self, grid: GridSpec, active: np.ndarray,
+                          coeffs: np.ndarray) -> np.ndarray:
+        """Type-2 NUFFT: deconvolve the coefficients, place them on the 2N
+        grid, one inverse FFT per column, and interpolate onto the nodes
+        (real and imaginary parts in one sparse product)."""
+        spread, deconv = self._nufft_plan(grid)
+        n = grid.n_samples
+        padded = np.zeros((2 * n, coeffs.shape[1]), dtype=complex)
+        padded[np.where(active < n // 2, active, active + n)] = coeffs * deconv[active, None]
+        on_grid = np.fft.ifft(padded, axis=0, norm="forward")
+        return (spread @ on_grid.view(float)).view(complex)
+
     def synthesize(self, grid: GridSpec, active: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
         """Values at the nodes of sum_j coeffs[j] exp(2 pi i xi_{active[j]} t),
         shape (n_nodes, ncols).
 
         active holds FFT-order bin indices of grid and coeffs has one row
         per active bin; its columns are independent functions, so stacking
-        several functions on one active set costs one matrix product.
+        several functions on one active set costs one product.  The size
+        of the active set alone picks the path, so a function's values
+        never depend on what is stacked with it.
         """
         coeffs = np.asarray(coeffs, dtype=complex)
         if active.size == 0:
             return np.zeros((self.nodes.size, coeffs.shape[1]), dtype=complex)
+        if active.size >= _NUFFT_MIN_MODES:
+            return self._synthesize_nufft(grid, active, coeffs)
         out = np.empty((self.nodes.size, coeffs.shape[1]), dtype=complex)
         fine, coarse = self._phase_table(grid)
         n = grid.n_samples
@@ -452,8 +534,9 @@ class QuadratureMesh:
 
 
 # Safe to share, because a mesh's nodes follow from its key and all else
-# it holds is a cache keyed exactly; the bound keeps the phase tables of
-# meshes no longer in use (4-20 MB each at N = 1024) from piling up.
+# it holds is a cache keyed exactly; the bound keeps the phase tables and
+# NUFFT plans of meshes no longer in use (4-20 MB each at N = 1024) from
+# piling up.
 @functools.lru_cache(maxsize=8)
 def _shared_mesh(half_width: float, n_cells: int) -> QuadratureMesh:
     return QuadratureMesh(half_width, n_cells)

@@ -117,6 +117,8 @@ class SuiteConfig:
             raise ValueError(f"half_width must be positive, got {self.half_width}")
         if self.family_size < 2:
             raise ValueError("family_size must be at least 2")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
     def config_dict(self) -> dict:
         return {

@@ -130,8 +130,9 @@ def test_norm_homogeneity(scale, seed):
 @pytest.mark.parametrize("n,cells,dim", [(1024, 512, 6), (1024, 1536, 3), (8, 64, 2),
                                          (256, 512, 1), (2048, 512, 2)])
 def test_mesh_synthesis_matches_dense_evaluation(n, cells, dim):
-    """The phase-table kernel against dense exp synthesis on the full band;
-    the bound covers the rounding of the dense phase t * xi itself."""
+    """synthesize against dense exp synthesis on the full band: N >= 512
+    takes the NUFFT, N <= 256 (at most 255 modes) the phase tables; the
+    bound covers the rounding of the dense phase t * xi itself."""
     grid = GridSpec(1.0, n)
     mesh = QuadratureMesh(1.0, cells)
     edge = grid.nyquist - grid.fundamental
@@ -140,6 +141,89 @@ def test_mesh_synthesis_matches_dense_evaluation(n, cells, dim):
     dense = f.evaluate(mesh.nodes)
     got = mesh.synthesize(grid, f.active_indices, f.coeffs[f.active_indices])
     assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("n,cells,dim,band", [
+    (1024, 512, 6, (-63.5, 63.5)), (1024, 1536, 2, (200.0, 255.5)),
+    (2048, 512, 3, (-20.0, 20.0)), (4096, 256, 1, (-1023.5, -960.0)),
+])
+def test_phase_table_synthesis_matches_dense_evaluation(n, cells, dim, band):
+    """Narrow active sets, up to the largest of 255 modes, keep the
+    phase-table product; same bound as on the full band."""
+    grid = GridSpec(1.0, n)
+    mesh = QuadratureMesh(1.0, cells)
+    f = random_band_limited(grid, band, seed=(n, dim), dim=dim)
+    assert f.active_indices.size < 256
+    dense = f.evaluate(mesh.nodes)
+    got = mesh.synthesize(grid, f.active_indices, f.coeffs[f.active_indices])
+    assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+def _exact_phase_synthesis(f, t):
+    """Dense synthesis with each phase t * xi_k formed exactly as p + e
+    (Dekker's product) and reduced mod 1 before exp, so that only the
+    rounding of exp and of the sum remains.  Runs in chunks of 256 points."""
+    def split(x):
+        c = 134217729.0 * x  # 2^27 + 1
+        hi = c - (c - x)
+        return hi, x - hi
+
+    xi = f.active_frequencies()
+    xh, xl = split(xi)
+    out = []
+    for start in range(0, t.size, 256):
+        tt = t[start:start + 256, None]
+        p = tt * xi
+        th, tl = split(tt)
+        e = ((th * xh - p) + th * xl + tl * xh) + tl * xl
+        out.append(np.exp((2j * np.pi) * ((p - np.round(p)) + e)) @ f.coeffs[f.active_indices])
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("n,half_width,cells,dim,band", [
+    (1024, 1.0, 512, 1, None), (2048, 1.0, 256, 1, None), (4096, 1.0, 128, 1, None),
+    (1024, 1.0, 512, 3, None),                    # dim > 1
+    (1024, 1.0, 512, 2, (0.0, 255.5)),            # one-sided
+    (1024, 1.0, 1536, 1, (-60.0, 200.0)),         # off-center
+    (1024, 1.5, 512, 2, None),                    # nodes past +-L wrap around the period
+])
+def test_nufft_synthesis_matches_dense_evaluation(n, half_width, cells, dim, band):
+    """Wide active sets take the NUFFT.  Its own error, against phases formed
+    exactly, is about 4e-15 of the largest value; against evaluate the bound
+    also carries evaluate's rounding of t * xi, up to N/4 cycles, which
+    reaches 2e-13 at N = 4096."""
+    grid = GridSpec(1.0, n)
+    mesh = QuadratureMesh(half_width, cells)
+    edge = grid.nyquist - grid.fundamental
+    f = random_band_limited(grid, band or (-edge, edge), seed=(n, dim, 1), dim=dim)
+    assert f.active_indices.size >= 256
+    got = mesh.synthesize(grid, f.active_indices, f.coeffs[f.active_indices])
+    dense = f.evaluate(mesh.nodes)
+    scale = np.max(np.abs(dense))
+    assert np.max(np.abs(got - _exact_phase_synthesis(f, mesh.nodes))) <= 2e-14 * scale
+    assert np.max(np.abs(got - dense)) <= 2e-13 * max(1.0, n / 2048) * scale
+    # the nodes at -L and L sit one period apart
+    at_l = np.flatnonzero(np.isin(mesh.nodes, (-1.0, 1.0)))
+    assert at_l.size == 2 or half_width != 1.0
+    if at_l.size == 2:
+        assert np.max(np.abs(got[at_l[0]] - got[at_l[1]])) <= 2e-14 * scale
+
+
+@pytest.mark.parametrize("band", [(-10.0, 10.0), (-64.0, 63.5), (-255.5, 255.5)])
+def test_synthesis_path_does_not_depend_on_stacked_columns(grid, band):
+    """A column synthesized alone equals the same column inside a stack of
+    300 to within 1e-15, below the 5e-15 by which the two paths differ; the
+    NUFFT treats each column on its own, bit for bit."""
+    mesh = QuadratureMesh(1.0, 512)
+    f = random_band_limited(grid, band, seed=5, dim=300)
+    active, coeffs = f.active_indices, f.coeffs[f.active_indices]
+    stacked = mesh.synthesize(grid, active, coeffs)
+    for j in (0, 299):
+        alone = mesh.synthesize(grid, active, coeffs[:, j:j + 1])[:, 0]
+        if active.size >= 256:
+            np.testing.assert_array_equal(alone, stacked[:, j])
+        else:
+            assert np.max(np.abs(alone - stacked[:, j])) <= 1e-15 * np.max(np.abs(stacked))
 
 
 def test_mesh_synthesis_sparse_and_empty_active_sets(grid, mesh):
