@@ -82,8 +82,8 @@ class GridSpec:
     n_samples: int = 1024
 
     def __post_init__(self):
-        if not (self.half_width > 0):
-            raise GridError(f"half_width must be positive, got {self.half_width}")
+        if not (0 < self.half_width < math.inf):
+            raise GridError(f"half_width must be finite and positive, got {self.half_width}")
         n = self.n_samples
         if n < 8 or (n & (n - 1)) != 0:
             raise GridError(f"n_samples must be a power of two >= 8, got {n}")

@@ -21,13 +21,15 @@ The smoothness seminorm built from m-th order differences
 
 uses the scale integral over t in [t_min, 2L] (geometric grid, t_min = L/N)
 with the analytic t -> 0 tail appended from Delta^m_h f ~ h^m f^(m), so the
-computed value is stable under halving t_min.  For q = 1 the scale integral
-is folded into a single h-integral with the exact kernel
-(max(|h|, t_min)^{-s-1} - (2L)^{-s-1}) / (s + 1).
+computed value is stable under halving t_min.  Every q takes one h-rule:
+Gauss-Legendre cells [0, t_0], [t_0, t_1], ... between the scales, sized
+by the band, whose running sums give int_{|h|<=t} ||Delta^m_h f|| dh at
+every scale at once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -256,19 +258,27 @@ def space_norm(f: GridFunction, spec: SpaceSpec, sys: DyadicSystem | None = None
 # difference seminorm
 # ---------------------------------------------------------------------
 
-_H_GL_NODES, _H_GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-_N_SCALES = 60  # geometric scale grid of the q > 1 seminorm
+_N_SCALES = 60  # geometric scale grid t_0 = L/N < ... < t_59 = 2L
 
 
-def _difference_mags(f: GridFunction, m: int, h_values: np.ndarray,
-                     mesh: QuadratureMesh, inner) -> np.ndarray:
-    """||Delta^m_h f(x)||_X on (mesh nodes) x (h values).
+@functools.lru_cache(maxsize=None)
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(n)
 
-    Delta^m_h f has coefficients c_k (exp(2 pi i xi_k h) - 1)^m, so one
-    stacked synthesis serves every h.
-    """
-    fac = (np.exp((2j * np.pi) * np.multiply.outer(f.active_frequencies(), h_values)) - 1.0) ** m
-    return inner.batch_norm(_multiplier_values(f, fac, mesh))
+
+def _h_rule(t: np.ndarray, rate: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes h > 0 and weights W[h, j] with
+    int_{-t_j}^{t_j} g(h) dh ~ sum_h W[h, j] (g(h) + g(-h)) at every scale
+    t_j: Gauss-Legendre on the cells [0, t_0], [t_0, t_1], ..., a node
+    counting at its own cell's scale and every larger one.  A cell of
+    width w gets 2 + ceil(rate * w) nodes."""
+    a = np.concatenate([[0.0], t[:-1]])
+    counts = 2 + np.ceil(rate * (t - a)).astype(int)
+    x, w = (np.concatenate(v) for v in zip(*(_leggauss(n) for n in counts)))
+    cell = np.repeat(np.arange(t.size), counts)
+    half = (0.5 * (t - a))[cell]
+    h = (0.5 * (a + t))[cell] + half * x
+    return h, np.where(cell[:, None] <= np.arange(t.size), (half * w)[:, None], 0.0)
 
 
 def difference_seminorm(f: GridFunction, s: float, p: float, q: float, gamma: float,
@@ -280,10 +290,11 @@ def difference_seminorm(f: GridFunction, s: float, p: float, q: float, gamma: fl
                  dt/t )^{1/q}
 
     over scales t in [L/N, 2L] plus the analytic t -> 0 tail, followed by
-    the weighted L^p norm in x.  q = 1 uses the equivalent single
-    h-integral with the exact truncated kernel; q = inf takes the scale
-    supremum.
+    the weighted L^p norm in x.  q = inf takes the scale supremum.
     """
+    if not (float(m).is_integer() and m >= 1):
+        raise ValueError(f"need an integer difference order m >= 1, got {m}")
+    m = int(m)
     if not 0 < s < m:
         raise ValueError(f"need smoothness 0 < s < m, got s={s}, m={m}")
     if not (p >= 1):
@@ -295,46 +306,31 @@ def difference_seminorm(f: GridFunction, s: float, p: float, q: float, gamma: fl
     inner = inner or default_inner(f.dim)
     L = f.grid.half_width
     t_min = L / f.grid.n_samples
-    t_max = 2.0 * L
+    t = np.geomspace(t_min, 2.0 * L, _N_SCALES)
 
+    # ||Delta^m_h f(x)|| oscillates in h at most at 2 m band.  One synthesis
+    # serves f^(m), with coefficients (2 pi i xi_k)^m c_k, and every
+    # Delta^m_h f, with coefficients (exp(2 pi i xi_k h) - 1)^m c_k
+    h, cum = _h_rule(t, m * f.max_frequency)
+    xi = f.active_frequencies()
+    shifts = np.exp(2j * np.pi * np.multiply.outer(xi, np.concatenate([h, -h])))
+    factors = np.column_stack([(2j * np.pi * xi) ** m, (shifts - 1.0) ** m])
+    mags = inner.batch_norm(_multiplier_values(f, factors, mesh))
+    dmag, plus, minus = mags[:, 0], mags[:, 1:h.size + 1], mags[:, h.size + 1:]
+    # the averaged core t^{-s} (t^{-1} int_{|h|<=t} ||Delta^m_h f|| dh)
+    core = t ** (-s - 1.0) * ((plus + minus) @ cum)
     # analytic tail below t_min from Delta^m_h f ~ h^m f^(m):
     # inner average ~ (2/(m+1)) t^m |f^(m)(x)|
-    deriv = ((2j * np.pi * f.active_frequencies()) ** m)[:, None]
-    dmag = inner.batch_norm(_multiplier_values(f, deriv, mesh)[:, 0])
     tail_coeff = 2.0 / (m + 1.0)
-
-    if q == 1.0:
-        h_min = t_min * 1e-3
-        n_h = max(int(16 * math.log10(t_max / h_min)), 32) + 1
-        h = np.geomspace(h_min, t_max, n_h)
-        dlog = math.log(h[1] / h[0])
-        kern = (np.maximum(h, t_min) ** (-s - 1.0) - t_max ** (-s - 1.0)) / (s + 1.0)
-        both = _difference_mags(f, m, np.concatenate([h, -h]), mesh, inner)
-        mags = both[:, :n_h] + both[:, n_h:]
-        w = kern * h * dlog
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        # tail over t in (0, t_min): int t^{m-s-1} (2/(m+1)) |f^(m)| dt
-        G = mags @ w + dmag * (tail_coeff * t_min ** (m - s) / (m - s))
+    if math.isinf(q):
+        tail = tail_coeff * t_min ** (m - s) * dmag
+        G = np.maximum(np.max(core, axis=1), tail)
     else:
-        t = np.geomspace(t_min, t_max, _N_SCALES)
-        dlog = math.log(t[1] / t[0])
-        h_nodes = np.multiply.outer(t, _H_GL_NODES).ravel()  # (_N_SCALES * 16)
-        mags = _difference_mags(f, m, h_nodes, mesh, inner)
-        mags = mags.reshape(mags.shape[0], t.size, _H_GL_NODES.size)
-        # t^{-1} int_{-t}^{t} ||Delta_h f|| dh: the GL nodes cover both signs
-        # of h and the t-jacobian cancels the 1/t average (weights sum to 2)
-        avg = np.einsum("xtg,g->xt", mags, _H_GL_WEIGHTS)
-        core = t[None, :] ** (-s) * avg
-        if math.isinf(q):
-            tail = tail_coeff * t_min ** (m - s) * dmag
-            G = np.maximum(np.max(core, axis=1), tail)
-        else:
-            wts = np.full(t.size, dlog)
-            wts[0] *= 0.5
-            wts[-1] *= 0.5
-            tail = (tail_coeff * dmag) ** q * t_min ** ((m - s) * q) / ((m - s) * q)
-            G = (core ** q @ wts + tail) ** (1.0 / q)
+        wts = np.full(t.size, math.log(t[1] / t[0]))
+        wts[0] *= 0.5
+        wts[-1] *= 0.5
+        tail = (tail_coeff * dmag) ** q * t_min ** ((m - s) * q) / ((m - s) * q)
+        G = (core ** q @ wts + tail) ** (1.0 / q)
 
     return float(mesh.lp_norm(G, p, gamma))
 

@@ -113,8 +113,8 @@ class SuiteConfig:
         n = self.n_samples
         if n < 64 or n & (n - 1):
             raise ValueError(f"n_samples must be a power of two >= 64, got {n}")
-        if not self.half_width > 0:
-            raise ValueError(f"half_width must be positive, got {self.half_width}")
+        if not 0 < self.half_width < math.inf:
+            raise ValueError(f"half_width must be finite and positive, got {self.half_width}")
         if self.family_size < 2:
             raise ValueError("family_size must be at least 2")
         if self.seed < 0:

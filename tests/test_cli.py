@@ -60,7 +60,7 @@ def test_custom_config_separates_baselines(tmp_path):
 @pytest.mark.parametrize("flags", [
     ["--grid-n", "96"], ["--grid-l", "0"], ["--family-size", "1"], ["--seed", "-1"],
     ["--baseline-tolerance", "nan"], ["--baseline-tolerance", "inf"],
-    ["--baseline-tolerance", "-0.01"],
+    ["--baseline-tolerance", "-0.01"], ["--grid-l", "inf"],
 ])
 def test_bad_config_is_a_usage_error(flags, capsys):
     with pytest.raises(SystemExit) as exc:

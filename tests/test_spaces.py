@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from tracespaces import (
     EuclideanInner,
@@ -151,6 +152,76 @@ def test_difference_seminorm_validation(grid, f24):
         difference_seminorm(f24, 0.5, 0.5, 1.0, 0.0, m=1)  # needs p >= 1
     with pytest.raises(ValueError):
         difference_seminorm(f24, 0.5, math.nan, 1.0, 0.0, m=1)
+    f8 = random_band_limited(grid, (-8.0, 8.0), seed=31)
+    for m in (1.5, 0, math.nan, math.inf):  # needs an integer m >= 1
+        with pytest.raises(ValueError):
+            difference_seminorm(f8, 0.5, 2.0, 2.0, 0.0, m=m)
+
+
+def _single_mode_h_integral(xi, m, t):
+    """int_{|h|<=t} ||Delta^m_h f|| dh for f = exp(2 pi i xi x), m = 1 or 2:
+    ||Delta^m_h f(x)|| = (2 |sin(pi xi h)|)^m does not depend on x."""
+    if m == 1:
+        k, r = np.divmod(xi * t, 1.0)
+        return 2.0 * (4.0 * k + 2.0 * (1.0 - np.cos(np.pi * r))) / (np.pi * xi)
+    return 2.0 * (2.0 * t - np.sin(2.0 * np.pi * xi * t) / (np.pi * xi))
+
+
+def _single_mode_tail(xi, s, m, t_min):
+    """The averaged core at t_min of the analytic tail difference_seminorm
+    appends: (2 / (m + 1)) t_min^{m-s} |f^(m)|."""
+    return 2.0 / (m + 1.0) * (2.0 * math.pi * xi) ** m * t_min ** (m - s)
+
+
+def _single_mode_seminorm(xi, s, p, q, gamma, m, L, N):
+    """The seminorm of exp(2 pi i xi x) on [-L, L] with the scale integral
+    over [L/N, 2L] by adaptive quadrature."""
+    t_min = L / N
+
+    def core(u):  # in u = log t
+        return (math.exp(u * (-s - 1.0)) * _single_mode_h_integral(xi, m, math.exp(u))) ** q
+
+    scales, _ = quad(core, math.log(t_min), math.log(2.0 * L), limit=500, epsabs=0.0, epsrel=1e-12)
+    tail = _single_mode_tail(xi, s, m, t_min) ** q / ((m - s) * q)
+    weight_mass = 2.0 * L ** (gamma + 1.0) / (gamma + 1.0)
+    return (scales + tail) ** (1.0 / q) * weight_mass ** (1.0 / p)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5])
+@pytest.mark.parametrize("q", [1.0, 2.0])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("xi", [1.0, 3.0, 8.0])
+def test_difference_seminorm_matches_single_mode_reference(grid, xi, m, q, gamma):
+    f = GridFunction.from_coeff_map(grid, {xi: [1.0]})
+    s = m - 0.5
+    got = difference_seminorm(f, s, 2.0, q, gamma, m)
+    want = _single_mode_seminorm(xi, s, 2.0, q, gamma, m, grid.half_width, grid.n_samples)
+    assert got == pytest.approx(want, rel=1e-3)
+
+
+@pytest.mark.parametrize("q", [2.0, math.inf])
+@pytest.mark.parametrize("xi", [1.0, 3.0, 8.0])
+def test_difference_seminorm_h_rule_on_its_scale_grid(grid, xi, q):
+    """With m = 2, (2 sin(pi xi h))^2 is smooth in h, so on the seminorm's
+    60 geometric scales over [L/N, 2L] the Gauss cells match the closed-form
+    h-integral to about 1e-8; one node fewer per cell, or a rate that drops
+    the factor m, misses by 5e-8 or more.  (With m = 1 the cone points of
+    |sin| cap any h-rule at algebraic convergence; the reference test above
+    bounds that case.)"""
+    L, N = grid.half_width, grid.n_samples
+    s, m = 1.5, 2
+    t = np.geomspace(L / N, 2.0 * L, 60)
+    core = t ** (-s - 1.0) * _single_mode_h_integral(xi, m, t)
+    tail = _single_mode_tail(xi, s, m, L / N)
+    if math.isinf(q):
+        scale_norm = max(core.max(), tail)
+    else:
+        w = np.full(t.size, math.log(t[1] / t[0]))
+        w[[0, -1]] *= 0.5
+        scale_norm = (core ** q @ w + tail ** q / ((m - s) * q)) ** (1.0 / q)
+    f = GridFunction.from_coeff_map(grid, {xi: [1.0]})
+    got = difference_seminorm(f, s, 2.0, q, 0.0, m)
+    assert got == pytest.approx(scale_norm * math.sqrt(2.0 * L), rel=2e-8)
 
 
 @pytest.mark.parametrize("s,p,q,gamma,m", [(0.5, 2.0, 1.0, 0.0, 1),

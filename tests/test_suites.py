@@ -1,6 +1,8 @@
+import math
+
 import pytest
 
-from tracespaces import SUITE_ORDER, SuiteConfig, run_suite
+from tracespaces import SUITE_ORDER, GridSpec, SuiteConfig, run_suite
 from tracespaces.report import config_hash, render_reports
 
 
@@ -16,8 +18,11 @@ def test_config_validation():
         SuiteConfig(n_samples=32)
     with pytest.raises(ValueError):
         SuiteConfig(n_samples=96)  # even, but the spectral grid needs a power of two
-    with pytest.raises(ValueError):
-        SuiteConfig(half_width=0.0)
+    for half_width in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            SuiteConfig(half_width=half_width)
+        with pytest.raises(ValueError):  # GridError is a ValueError
+            GridSpec(half_width, 1024)
     with pytest.raises(ValueError):
         SuiteConfig(family_size=1)
 
