@@ -20,12 +20,11 @@ from .embeddings import (
     bf_sandwich_check,
     counterexample_norms,
     diagonal_holder_constant,
-    h_sandwich_ratios,
     mixed_derivative_check,
     q_monotonicity_check,
+    sandwich_ratios,
     sobolev_embed_ratio,
     validate_embedding_pair,
-    w_sandwich_ratios,
 )
 from .extension import (
     ExtensionOperator,
@@ -39,7 +38,6 @@ from .grid import (
     GridSpec,
     QuadratureMesh,
     random_band_limited,
-    weighted_lp_norm,
 )
 from .operators import (
     MultiplierOperator,
@@ -61,6 +59,7 @@ from .spaces import (
     difference_seminorm,
     norm_equivalence_ratio,
     space_norm,
+    weighted_lp_norm,
 )
 from .stefan import (
     DegenerateCaseError,
@@ -130,7 +129,6 @@ __all__ = [
     "dt_boundedness_check",
     "finite_difference",
     "frac_power_reparam_ratio",
-    "h_sandwich_ratios",
     "hardy_young_check",
     "interp_norm_resolvent",
     "interp_norm_semigroup",
@@ -148,6 +146,7 @@ __all__ = [
     "right_inverse_check",
     "run_all",
     "run_suite",
+    "sandwich_ratios",
     "select_extension_branch",
     "semigroup_orbit",
     "semigroup_orbit_ratio",
@@ -157,7 +156,6 @@ __all__ = [
     "trace_at_zero",
     "trace_continuity_ratio",
     "validate_embedding_pair",
-    "w_sandwich_ratios",
     "weighted_lp_norm",
     "windowed_orbit",
 ]

@@ -50,8 +50,7 @@ __all__ = [
     "counterexample_norms",
     "q_monotonicity_check",
     "bf_sandwich_check",
-    "h_sandwich_ratios",
-    "w_sandwich_ratios",
+    "sandwich_ratios",
 ]
 
 
@@ -352,27 +351,17 @@ def bf_sandwich_check(f, s: float, p: float, q: float, gamma: float,
             "passed": fn <= b_small * (1 + eps) and b_large <= fn * (1 + eps)}
 
 
-def h_sandwich_ratios(f, s: float, p: float, gamma: float, sys: DyadicSystem,
-                      mesh: QuadratureMesh | None = None) -> dict:
-    """Ratios placing the potential space between F^s_{p,1} and
-    F^s_{p,inf}: ratio_in = H/F_1 and ratio_out = F_inf/H are the two
+def sandwich_ratios(f, spec: SpaceSpec, sys: DyadicSystem,
+                    mesh: QuadratureMesh | None = None) -> dict:
+    """Ratios placing the H or W space of spec between F^s_{p,1} and
+    F^s_{p,inf}: ratio_in = norm/F_1 and ratio_out = F_inf/norm are the two
     embedding constants, tracked against pinned baselines."""
-    h = space_norm(f, SpaceSpec("H", s, p, gamma=gamma), mesh=mesh)
-    f1 = space_norm(f, SpaceSpec("F", s, p, 1.0, gamma), sys, mesh=mesh)
-    finf = space_norm(f, SpaceSpec("F", s, p, math.inf, gamma), sys, mesh=mesh)
-    if h == 0.0:
+    if spec.kind not in ("H", "W"):
+        raise ValueError(f"sandwich ratios place H or W spaces, got {spec.kind!r}")
+    norm = space_norm(f, spec, mesh=mesh)
+    f1 = space_norm(f, SpaceSpec("F", spec.s, spec.p, 1.0, spec.gamma), sys, mesh=mesh)
+    finf = space_norm(f, SpaceSpec("F", spec.s, spec.p, math.inf, spec.gamma), sys, mesh=mesh)
+    if norm == 0.0:
         raise ValueError("zero function has no sandwich ratios")
-    return {"h_norm": h, "f_q1": f1, "f_qinf": finf,
-            "ratio_in": h / f1, "ratio_out": finf / h}
-
-
-def w_sandwich_ratios(f, m: int, p: float, gamma: float, sys: DyadicSystem,
-                      mesh: QuadratureMesh | None = None) -> dict:
-    """Same two-sided comparison for the integer-derivative norm at s = m."""
-    w = space_norm(f, SpaceSpec("W", float(m), p, gamma=gamma), mesh=mesh)
-    f1 = space_norm(f, SpaceSpec("F", float(m), p, 1.0, gamma), sys, mesh=mesh)
-    finf = space_norm(f, SpaceSpec("F", float(m), p, math.inf, gamma), sys, mesh=mesh)
-    if w == 0.0:
-        raise ValueError("zero function has no sandwich ratios")
-    return {"w_norm": w, "f_q1": f1, "f_qinf": finf,
-            "ratio_in": w / f1, "ratio_out": finf / w}
+    return {"norm": norm, "f_q1": f1, "f_qinf": finf,
+            "ratio_in": norm / f1, "ratio_out": finf / norm}

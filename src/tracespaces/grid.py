@@ -57,9 +57,6 @@ __all__ = [
     "GridSpec",
     "GridFunction",
     "QuadratureMesh",
-    "ScalarInner",
-    "EuclideanInner",
-    "weighted_lp_norm",
     "random_band_limited",
 ]
 
@@ -217,9 +214,6 @@ class GridFunction:
 
     # -- algebra ------------------------------------------------------
 
-    def scaled(self, c: complex) -> "GridFunction":
-        return GridFunction(self.grid, self._coeffs * c)
-
     def multiplied(self, factors: np.ndarray) -> "GridFunction":
         """New function with coefficients factors[j] * c[j] (FFT order)."""
         factors = np.asarray(factors)
@@ -244,11 +238,6 @@ class GridFunction:
         xi = self.active_frequencies()
         e = np.exp((2j * np.pi) * np.multiply.outer(t, xi))
         return e @ self._coeffs[self._active]
-
-    def values_on_mesh(self, mesh: "QuadratureMesh") -> np.ndarray:
-        """Values at the mesh nodes, shape (n_nodes, dim), cached per mesh."""
-        return self.cached(("values", mesh.key), lambda: mesh.synthesize(
-            self.grid, self._active, self._coeffs[self._active]))
 
     def cached(self, key: tuple, compute) -> np.ndarray:
         """The array derived from this function under `key`, computed once
@@ -507,13 +496,19 @@ class QuadratureMesh:
 
     def weights_on_interval(self, gamma: float, lo: float, hi: float) -> np.ndarray:
         """Weights for int_{[lo,hi]} |t|^gamma * interp(g) dt (subset of [-L, L])."""
-        if gamma <= -1:
+        if not gamma > -1:
             raise GridError(f"weight exponent must exceed -1, got gamma={gamma}")
+        self._check_interval(lo, hi)
         pos, neg = (max(lo, 0.0), max(hi, 0.0)), (max(-hi, 0.0), max(-lo, 0.0))
         wp = self._cell_basis_weights(gamma, *pos)
         # negative side: [lo, hi] reflected onto [|hi|, |lo|]; a symmetric interval mirrors wp
         wn = wp if neg == pos else self._cell_basis_weights(gamma, *neg)
         return np.concatenate([wn[::-1, ::-1].ravel(), wp.ravel()])
+
+    def _check_interval(self, lo: float, hi: float) -> None:
+        if not -self.half_width <= lo <= hi <= self.half_width:
+            raise GridError(f"interval ({lo}, {hi}) is not an ordered subinterval of "
+                            f"[-{self.half_width}, {self.half_width}]")
 
     def integrate(self, node_values: np.ndarray, gamma: float,
                   interval: tuple[float, float] | None = None) -> float:
@@ -527,6 +522,7 @@ class QuadratureMesh:
         in it."""
         if math.isinf(p):
             if interval is not None:
+                self._check_interval(*interval)
                 mags = mags[..., (self.nodes >= interval[0]) & (self.nodes <= interval[1])]
             return np.max(mags, axis=-1, initial=0.0)
         w = self.weights(gamma) if interval is None else self.weights_on_interval(gamma, *interval)
@@ -543,60 +539,8 @@ def _shared_mesh(half_width: float, n_cells: int) -> QuadratureMesh:
 
 
 # ---------------------------------------------------------------------
-# norms and constructors
+# constructors
 # ---------------------------------------------------------------------
-
-
-class ScalarInner:
-    """C with the absolute value."""
-
-    dim = 1
-    key = ("scalar",)
-
-    def batch_norm(self, values: np.ndarray) -> np.ndarray:
-        return np.abs(values[..., 0])
-
-    def __repr__(self):
-        return "ScalarInner()"
-
-
-class EuclideanInner:
-    """C^dim with the Euclidean norm (the base space of diagonal operators)."""
-
-    def __init__(self, dim: int):
-        self.dim = int(dim)
-        self.key = ("euclidean", self.dim)
-
-    def batch_norm(self, values: np.ndarray) -> np.ndarray:
-        return np.sqrt(np.sum(np.abs(values) ** 2, axis=-1))
-
-    def __repr__(self):
-        return f"EuclideanInner({self.dim})"
-
-
-def default_inner(dim: int):
-    """The inner space of a norm that names none: C for scalar values,
-    Euclidean C^dim otherwise."""
-    return ScalarInner() if dim == 1 else EuclideanInner(dim)
-
-
-def weighted_lp_norm(f: GridFunction, p: float, gamma: float,
-                     mesh: QuadratureMesh | None = None, inner=None,
-                     interval: tuple[float, float] | None = None) -> float:
-    """|| f ||_{L^p(|t|^gamma dt; X)} on [-L, L] (or on a subinterval).
-
-    The pointwise magnitude ||f(t)||_X is sampled on the mesh nodes and its
-    p-th power integrated exactly against |t|^gamma as a piecewise cubic.
-    p = inf returns the node supremum (weight-independent).
-    """
-    if gamma <= -1:
-        raise GridError(f"power weight needs gamma > -1, got {gamma}")
-    if not (p >= 1):
-        raise GridError(f"integrability exponent must satisfy p >= 1, got {p}")
-    if mesh is None:
-        mesh = QuadratureMesh.for_function(f)
-    mags = (inner or default_inner(f.dim)).batch_norm(f.values_on_mesh(mesh))
-    return float(mesh.lp_norm(mags, p, gamma, interval))
 
 
 def random_band_limited(grid: GridSpec, band: tuple[float, float], seed,

@@ -69,8 +69,8 @@ class MultiplierOperator:
         lam = np.atleast_1d(np.asarray(eigenvalues, dtype=float))
         if lam.ndim != 1 or lam.size == 0:
             raise ValueError("need a nonempty 1-d eigenvalue list")
-        if np.any(lam <= 0):
-            raise ValueError("all eigenvalues must be strictly positive")
+        if not np.all((lam > 0) & np.isfinite(lam)):
+            raise ValueError("all eigenvalues must be finite and strictly positive")
         self.eigenvalues = lam
         self.eigenvalues.flags.writeable = False
 
@@ -117,13 +117,14 @@ class MultiplierOperator:
 
 _PER_DECADE = 10  # log-axis nodes per decade of every window
 _TAIL_TOL = 1e-10  # first-order relative error allowed in a closed-form tail
+_BATCH_ROWS = 4096  # rows per pass of the resolvent form: 7.5 MB at 241 sigma nodes
 
 
 def _order(alpha: float, m: int | None) -> int:
     """The integer power m of the norm, floor(alpha) + 1 unless given; any
     integer above alpha gives an equivalent norm."""
-    if not alpha > 0:
-        raise ValueError(f"interpolation order must be positive, got alpha={alpha}")
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"interpolation order must be finite and positive, got alpha={alpha}")
     if m is None:
         m = int(math.floor(alpha)) + 1
     if not m > alpha:
@@ -194,7 +195,7 @@ def batch_interp_norm_resolvent(op: MultiplierOperator, alpha: float, r: float,
     """Resolvent-form D_A(alpha, r) norms of a batch of vectors, shape
     (..., dim) -> (...), by the rules in the module docstring.  The window
     depends on the operator alone, so each row's norm equals its norm
-    computed alone, bitwise."""
+    computed alone, bitwise; the nonzero rows go in chunks of _BATCH_ROWS."""
     m = _order(alpha, m)
     if not r >= 1:
         raise ValueError(f"need r >= 1, got r={r}")
@@ -202,28 +203,30 @@ def batch_interp_norm_resolvent(op: MultiplierOperator, alpha: float, r: float,
     if vals.shape[-1] != op.dim:
         raise ValueError("value dimension mismatch")
     sq = np.abs(vals.reshape(-1, op.dim)) ** 2
-    live = np.any(sq > 0, axis=1)
-    out = np.zeros(live.size)
-    sq = sq[live]
+    live = np.flatnonzero(np.any(sq > 0, axis=1))
+    out = np.zeros(sq.shape[0])
     lam = op.eigenvalues
 
     def kernel(sigma):  # sigma^{2 alpha} ||(A (sigma + A)^{-1})^m e_k||^2
         return (lam / np.add.outer(sigma, lam)) ** (2 * m) * (sigma ** (2.0 * alpha))[..., None]
 
-    if math.isinf(r):
-        out[live] = _supremum(sq, kernel, alpha * lam / (m - alpha))
-        return out.reshape(vals.shape[:-1])
     c = max(m * r, 1.0)
-    core, lo, hi = _power_integral(sq, kernel, r, _TAIL_TOL * op.min_eigenvalue / c,
-                                   op.max_eigenvalue * c / _TAIL_TOL,
-                                   (alpha * r, (m - alpha) * r))
-    # closed-form tails: below the spectrum the resolvent factors are 1 up
-    # to O(sigma/lambda_min), above it (lambda/sigma)^m up to O(lambda_max/sigma)
-    xnorm = np.sum(sq, axis=1) ** (0.5 * r)
-    domnorm = np.sum(sq * lam ** (2.0 * m), axis=1) ** (0.5 * r)
-    tails = (lo ** (alpha * r) / (alpha * r) * xnorm
-             + domnorm * hi ** ((alpha - m) * r) / ((m - alpha) * r))
-    out[live] = (core + tails) ** (1.0 / r)
+    for start in range(0, live.size, _BATCH_ROWS):
+        rows = live[start:start + _BATCH_ROWS]
+        chunk = sq[rows]
+        if math.isinf(r):
+            out[rows] = _supremum(chunk, kernel, alpha * lam / (m - alpha))
+            continue
+        core, lo, hi = _power_integral(chunk, kernel, r, _TAIL_TOL * op.min_eigenvalue / c,
+                                       op.max_eigenvalue * c / _TAIL_TOL,
+                                       (alpha * r, (m - alpha) * r))
+        # closed-form tails: below the spectrum the resolvent factors are 1 up
+        # to O(sigma/lambda_min), above it (lambda/sigma)^m up to O(lambda_max/sigma)
+        xnorm = np.sum(chunk, axis=1) ** (0.5 * r)
+        domnorm = np.sum(chunk * lam ** (2.0 * m), axis=1) ** (0.5 * r)
+        tails = (lo ** (alpha * r) / (alpha * r) * xnorm
+                 + domnorm * hi ** ((alpha - m) * r) / ((m - alpha) * r))
+        out[rows] = (core + tails) ** (1.0 / r)
     return out.reshape(vals.shape[:-1])
 
 

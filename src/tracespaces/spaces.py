@@ -9,6 +9,11 @@ S_k, a power weight w(t) = |t|^gamma and smoothness s:
     Sobolev          W^{m,p}:    sum_{j<=m} ||f^(j)||_{L^p(w; X)} (spectral derivatives)
     Lebesgue         Lp:         plain weighted norm
 
+Every norm is one filter bank, whose magnitudes are synthesized once per
+mesh and cached on f, and one of two reductions: B, H, W and Lp take the
+ell^q over the copies of their weighted L^p norms (q = 1 but for B), and F
+the L^p norm of the pointwise ell^q.
+
 B^s_{p,p} and F^s_{p,p} are evaluated as the same weighted double sum over
 (block, node) in two association orders, so they agree to float rounding.
 The pointwise ell^q of the F-norm is taken at quadrature nodes only; the
@@ -36,8 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import DyadicSystem
-from .grid import (EuclideanInner, GridError, GridFunction, QuadratureMesh, ScalarInner,
-                   default_inner, weighted_lp_norm)
+from .grid import GridError, GridFunction, QuadratureMesh
 from .operators import MultiplierOperator, batch_interp_norm_resolvent
 
 __all__ = [
@@ -48,6 +52,7 @@ __all__ = [
     "SequenceBesovInner",
     "SpaceSpec",
     "space_norm",
+    "weighted_lp_norm",
     "difference_seminorm",
     "norm_equivalence_ratio",
 ]
@@ -56,9 +61,42 @@ __all__ = [
 # ---------------------------------------------------------------------
 # inner spaces: batchable norms on C^dim values.  An inner space is
 # immutable and carries `dim`, `batch_norm` and a hashable `key` of its
-# exact defining values; cached norm magnitudes are keyed by it.  The
-# default ones, ScalarInner and EuclideanInner, live in grid.
+# exact defining values; cached norm magnitudes are keyed by it.
+# batch_norm maps values of shape (..., dim) to norms of shape (...).
 # ---------------------------------------------------------------------
+
+
+class ScalarInner:
+    """C with the absolute value."""
+
+    dim = 1
+    key = ("scalar",)
+
+    def batch_norm(self, values: np.ndarray) -> np.ndarray:
+        return np.abs(values[..., 0])
+
+    def __repr__(self):
+        return "ScalarInner()"
+
+
+class EuclideanInner:
+    """C^dim with the Euclidean norm (the base space of diagonal operators)."""
+
+    def __init__(self, dim: int):
+        self.dim = int(dim)
+        self.key = ("euclidean", self.dim)
+
+    def batch_norm(self, values: np.ndarray) -> np.ndarray:
+        return np.sqrt(np.sum(np.abs(values) ** 2, axis=-1))
+
+    def __repr__(self):
+        return f"EuclideanInner({self.dim})"
+
+
+def default_inner(dim: int):
+    """The inner space of a norm that names none: C for scalar values,
+    Euclidean C^dim otherwise."""
+    return ScalarInner() if dim == 1 else EuclideanInner(dim)
 
 
 class WeightedEuclideanInner:
@@ -68,8 +106,8 @@ class WeightedEuclideanInner:
 
     def __init__(self, weights):
         u = np.atleast_1d(np.asarray(weights, dtype=float))
-        if u.ndim != 1 or np.any(u <= 0):
-            raise ValueError("component weights must be positive")
+        if u.ndim != 1 or not np.all((u > 0) & np.isfinite(u)):
+            raise ValueError("component weights must be finite and positive")
         self.weights = u
         self.weights.flags.writeable = False
         self.dim = u.size
@@ -93,8 +131,8 @@ class InterpNormInner:
     """Real-interpolation space D_A(alpha, r) in the resolvent form."""
 
     def __init__(self, op: MultiplierOperator, alpha: float, r: float):
-        if not alpha > 0:
-            raise ValueError("interpolation order must be positive")
+        if not 0 < alpha < math.inf:
+            raise ValueError("interpolation order must be finite and positive")
         if not r >= 1:
             raise ValueError(f"need r >= 1, got r={r}")
         self.op = op
@@ -117,6 +155,8 @@ class SequenceBesovInner:
     to 1, so the model does not depend on r."""
 
     def __init__(self, smoothness: float, summability: float, dim: int = 8):
+        if not (math.isfinite(smoothness) and summability >= 1):
+            raise ValueError(f"need finite t and z >= 1, got t={smoothness}, z={summability}")
         self.smoothness = float(smoothness)
         self.summability = float(summability)
         self.dim = int(dim)
@@ -154,6 +194,8 @@ class SpaceSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
+        if not math.isfinite(self.s):
+            raise ValueError(f"smoothness must be finite, got s={self.s}")
         if not (1.0 < self.p < math.inf):
             raise ValueError(f"integrability must satisfy 1 < p < inf, got {self.p}")
         if self.kind in ("B", "F") and not (1.0 <= self.q):
@@ -181,32 +223,37 @@ def _multiplier_values(f: GridFunction, factors: np.ndarray,
     """
     active = f.active_indices
     bank = factors[:, :, None] * f.coeffs[active][:, None, :]
-    vals = mesh.synthesize(f.grid, active, bank.reshape(active.size, -1))
+    vals = mesh.synthesize(f.grid, active, bank.reshape(active.size, factors.shape[1] * f.dim))
     return vals.reshape(mesh.nodes.size, factors.shape[1], f.dim)
 
 
-def _block_magnitudes(f: GridFunction, sys: DyadicSystem, mesh: QuadratureMesh,
-                      inner) -> np.ndarray:
-    """(K+1, n_nodes) array of ||S_k f(node)||_X, cached on f per (sys, mesh, inner).
-
-    The blocks whose symbol vanishes on f's active set are zero and skip
-    synthesis; the others are synthesized in one stacked product.
-    """
-    symbols = sys.block_symbols_for(f)[:, f.active_indices]
-    live = np.flatnonzero(np.any(symbols != 0.0, axis=1))
+def _magnitudes(f: GridFunction, mesh: QuadratureMesh, inner, kind: str, s: float = 0.0,
+                sys: DyadicSystem | None = None) -> np.ndarray:
+    """(n_filters, n_nodes) array of ||copy_j f(node)||_X over the filter
+    bank of a norm kind: Lp the factor 1, H (1 + xi^2)^{s/2}, W
+    (2 pi i xi)^j for j <= s, B and F the dyadic symbols.  Cached on f:
+    node values per (bank, mesh), magnitudes per (bank, mesh, inner).  A
+    column that vanishes on f's active set gives a zero row and skips
+    synthesis."""
+    xi = f.active_frequencies()
+    if kind == "Lp":
+        key, factors = ("Lp",), np.ones((xi.size, 1))
+    elif kind == "H":
+        key, factors = ("H", s), ((1.0 + xi ** 2) ** (s / 2.0))[:, None]
+    elif kind == "W":
+        key, factors = ("W", s), np.stack([(2j * np.pi * xi) ** j for j in range(int(s) + 1)], 1)
+    else:
+        key, factors = sys, sys.block_symbols_for(f)[:, f.active_indices].T
+    live = np.flatnonzero(np.any(factors != 0.0, axis=0))
 
     def magnitudes():
-        vals = f.cached(("blockvals", sys, mesh.key),
-                        lambda: _multiplier_values(f, symbols[live].T, mesh))
-        mags = np.zeros((sys.max_block + 1, mesh.nodes.size))
-        # one batch_norm per block bounds memory: an interpolation norm's
-        # working array of nodes x sigma nodes (about 230) takes 7.6 MB per
-        # block at 4096 nodes and 22 MB at 12288
-        for i, k in enumerate(live):
-            mags[k] = inner.batch_norm(vals[:, i])
+        vals = f.cached(("bank", key, mesh.key),
+                        lambda: _multiplier_values(f, factors[:, live], mesh))
+        mags = np.zeros((factors.shape[1], mesh.nodes.size))
+        mags[live] = inner.batch_norm(vals).T
         return mags
 
-    return f.cached(("blockmags", sys, mesh.key, inner.key), magnitudes)
+    return f.cached(("mags", key, mesh.key, inner.key), magnitudes)
 
 
 def space_norm(f: GridFunction, spec: SpaceSpec, sys: DyadicSystem | None = None,
@@ -219,39 +266,44 @@ def space_norm(f: GridFunction, spec: SpaceSpec, sys: DyadicSystem | None = None
     inner = spec.inner or default_inner(f.dim)
     if getattr(inner, "dim", f.dim) != f.dim:
         raise GridError(f"inner space dimension {inner.dim} != value dimension {f.dim}")
+    if spec.kind in ("B", "F"):
+        if sys is None:
+            raise ValueError("B/F norms need a dyadic system")
+        if not sys.covers(f.max_frequency):
+            raise GridError(
+                f"dyadic system with max block {sys.max_block} does not cover the "
+                f"band |xi| <= {f.max_frequency}")
     if mesh is None:
         mesh = QuadratureMesh.for_function(f)
     p, gamma = spec.p, spec.gamma
+    mags = _magnitudes(f, mesh, inner, spec.kind, spec.s, sys)
+    scales = 2.0 ** (spec.s * np.arange(mags.shape[0]))  # dyadic weights of B and F
 
-    if spec.kind == "Lp":
-        return weighted_lp_norm(f, p, gamma, mesh=mesh, inner=inner)
-
-    if spec.kind in ("H", "W"):
-        xi = f.active_frequencies()
-        if spec.kind == "H":
-            factors = ((1.0 + xi ** 2) ** (spec.s / 2.0))[:, None]
-        else:  # W: the sum over the derivatives of order 0..s
-            factors = np.stack([(2j * np.pi * xi) ** j for j in range(int(spec.s) + 1)], axis=1)
-        vals = _multiplier_values(f, factors, mesh)
-        # one batch_norm per copy, to bound memory as for the dyadic blocks
-        mags = np.stack([inner.batch_norm(vals[:, j]) for j in range(factors.shape[1])])
-        return float(np.sum(mesh.lp_norm(mags, p, gamma)))
-
-    if sys is None:
-        raise ValueError("B/F norms need a dyadic system")
-    if not sys.covers(f.max_frequency):
-        raise GridError(
-            f"dyadic system with max block {sys.max_block} does not cover the "
-            f"band |xi| <= {f.max_frequency}")
-    mags = _block_magnitudes(f, sys, mesh, inner)
-    scales = 2.0 ** (spec.s * np.arange(sys.max_block + 1))
-
+    if spec.kind == "F":
+        return float(mesh.lp_norm(_lq_combine(scales[:, None] * mags, spec.q), p, gamma))
+    norms = mesh.lp_norm(mags, p, gamma)
     if spec.kind == "B":
-        return float(_lq_combine(scales * mesh.lp_norm(mags, p, gamma), spec.q))
+        return float(_lq_combine(scales * norms, spec.q))
+    return float(np.sum(norms))
 
-    # F: pointwise ell^q across blocks, then the weighted L^p norm
-    pointwise = _lq_combine(scales[:, None] * mags, spec.q, axis=0)
-    return float(mesh.lp_norm(pointwise, p, gamma))
+
+def weighted_lp_norm(f: GridFunction, p: float, gamma: float,
+                     mesh: QuadratureMesh | None = None, inner=None,
+                     interval: tuple[float, float] | None = None) -> float:
+    """|| f ||_{L^p(|t|^gamma dt; X)} on [-L, L] (or on a subinterval).
+
+    The pointwise magnitude ||f(t)||_X of the Lp bank is sampled on the
+    mesh nodes and its p-th power integrated exactly against |t|^gamma as
+    a piecewise cubic.  p = inf returns the node supremum (weight-independent).
+    """
+    if not gamma > -1:
+        raise GridError(f"power weight needs gamma > -1, got {gamma}")
+    if not (p >= 1):
+        raise GridError(f"integrability exponent must satisfy p >= 1, got {p}")
+    if mesh is None:
+        mesh = QuadratureMesh.for_function(f)
+    mags = _magnitudes(f, mesh, inner or default_inner(f.dim), "Lp")
+    return float(mesh.lp_norm(mags[0], p, gamma, interval))
 
 
 # ---------------------------------------------------------------------

@@ -44,9 +44,9 @@ import numpy as np
 
 from .dyadic import DyadicSystem
 from .extension import ExtensionOperator
-from .grid import GridSpec, QuadratureMesh, weighted_lp_norm
+from .grid import GridSpec, QuadratureMesh
 from .operators import MultiplierOperator
-from .spaces import SequenceBesovInner, SpaceSpec, space_norm
+from .spaces import SequenceBesovInner, SpaceSpec, space_norm, weighted_lp_norm
 from .trace import windowed_orbit
 
 __all__ = [

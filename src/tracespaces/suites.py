@@ -41,12 +41,11 @@ from .embeddings import (
     MixedDerivativeParams,
     bf_sandwich_check,
     counterexample_norms,
-    h_sandwich_ratios,
     mixed_derivative_check,
     q_monotonicity_check,
+    sandwich_ratios,
     sobolev_embed_ratio,
     validate_embedding_pair,
-    w_sandwich_ratios,
 )
 from .extension import (
     ExtensionOperator,
@@ -55,7 +54,7 @@ from .extension import (
     reflected_norm_ratio,
     reflection_coefficients,
 )
-from .grid import GridFunction, GridSpec, QuadratureMesh, random_band_limited, weighted_lp_norm
+from .grid import GridFunction, GridSpec, QuadratureMesh, random_band_limited
 from .operators import (
     MultiplierOperator,
     closed_form_resolvent_norm,
@@ -70,6 +69,7 @@ from .spaces import (
     WeightedEuclideanInner,
     norm_equivalence_ratio,
     space_norm,
+    weighted_lp_norm,
 )
 from .stefan import (
     DegenerateCaseError,
@@ -267,8 +267,8 @@ def run_norms(config: SuiteConfig) -> VerificationReport:
 
     h_in = h_out = w_in = w_out = 0.0
     for f in family[:8]:
-        hs = h_sandwich_ratios(f, 0.5, 2.0, 0.3, sys, mesh=mesh)
-        ws = w_sandwich_ratios(f, 1, 2.0, 0.3, sys, mesh=mesh)
+        hs = sandwich_ratios(f, SpaceSpec("H", 0.5, 2.0, gamma=0.3), sys, mesh=mesh)
+        ws = sandwich_ratios(f, SpaceSpec("W", 1.0, 2.0, gamma=0.3), sys, mesh=mesh)
         h_in, h_out = max(h_in, hs["ratio_in"]), max(h_out, hs["ratio_out"])
         w_in, w_out = max(w_in, ws["ratio_in"]), max(w_out, ws["ratio_out"])
     cases.append(CaseRecord("h_sandwich_in", h_in, compare="baseline"))

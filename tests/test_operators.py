@@ -13,6 +13,7 @@ from tracespaces import (
     interp_norm_semigroup,
     reiteration_ratio,
 )
+from tracespaces import operators
 
 
 @pytest.fixture(scope="module")
@@ -31,10 +32,15 @@ def test_operator_validation(diag, x6):
         MultiplierOperator.diagonal((1.0, -2.0))
     with pytest.raises(ValueError):
         MultiplierOperator.scalar(0.0)
+    for bad in (math.nan, math.inf):                               # not finite
+        with pytest.raises(ValueError):
+            MultiplierOperator.diagonal((1.0, bad))
     with pytest.raises(ValueError):
         batch_interp_norm_resolvent(diag, 0.5, 0.5, x6[None, :])   # r below 1
     with pytest.raises(ValueError):
         batch_interp_norm_resolvent(diag, -0.5, 2.0, x6[None, :])  # alpha not positive
+    with pytest.raises(ValueError):
+        batch_interp_norm_resolvent(diag, math.inf, 2.0, x6[None, :])  # alpha not finite
 
 
 def test_resolvent_norm_unit_scalar():
@@ -142,24 +148,40 @@ def test_semigroup_sup_norm_matches_closed_form_scalar(a, alpha):
     assert got == pytest.approx(a ** alpha * 1.5 * (e / math.e) ** e, rel=2e-4)
 
 
-@pytest.mark.parametrize("case", ["default", "wide-spectrum"])
+@pytest.mark.parametrize("case", ["default", "wide-spectrum", "chunk-edge"])
 @pytest.mark.parametrize("r", [1.0, 2.0, math.inf])
 def test_batch_matches_single_vector(diag, x6, r, case):
     """The window depends on the operator alone, so each row of a batch,
     a zero row among them, is its norm computed alone, bitwise.  The
     wide-spectrum rows peak near sigma = 1 and have a second, higher hump
-    near sigma = 1e4."""
+    near sigma = 1e4.  The chunk-edge batch holds more nonzero rows than
+    one chunk, with zero rows on both sides of the edge, and equals the
+    same rows taken in two batches of under one chunk each."""
     if case == "default":
         rng = np.random.default_rng(5)
         rows = rng.standard_normal((30, 6)) + 1j * rng.standard_normal((30, 6))
         op, batch = diag, np.vstack([x6[::-1], np.zeros(6), 2.0 * x6[::-1], np.roll(x6, 2), rows])
-    else:
+    elif case == "wide-spectrum":
         op = MultiplierOperator.diagonal((1.0, 1e4))
         batch = np.array([[1.0, 0.02], [0.0, 0.0], [2.0, 0.03], [0.0, 1.0]])
+    else:
+        edge = operators._BATCH_ROWS
+        rng = np.random.default_rng(7)
+        op = diag
+        batch = rng.standard_normal((edge + 600, 6)) + 1j * rng.standard_normal((edge + 600, 6))
+        # nonzero row `edge` is the last of the first chunk, `edge + 2` the
+        # first of the second
+        batch[[1, edge + 1, edge + 3]] = 0.0
     got = batch_interp_norm_resolvent(op, 0.6, r, batch)
     assert got[1] == 0.0
-    for row, x in zip(got, batch):
-        assert row == interp_norm_resolvent(op, 0.6, r, x)
+    checked = range(len(batch))
+    if case == "chunk-edge":
+        split = [batch_interp_norm_resolvent(op, 0.6, r, part) for part in np.split(batch, [2000])]
+        np.testing.assert_array_equal(got, np.concatenate(split))
+        assert got[edge + 1] == got[edge + 3] == 0.0
+        checked = (0, 2, edge - 1, edge, edge + 2, edge + 4, len(batch) - 1)
+    for i in checked:
+        assert got[i] == interp_norm_resolvent(op, 0.6, r, batch[i])
 
 
 def test_batch_zero_rows(diag):

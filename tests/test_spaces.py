@@ -41,10 +41,38 @@ def test_space_spec_validation():
         SpaceSpec("B", 0.5, 2.0, 2.0, -1.0)  # weight not integrable
     with pytest.raises(ValueError):
         SpaceSpec("W", 0.5, 2.0, 2.0, 0.0)   # integer smoothness only
+    for kind, s in (("B", math.nan), ("H", math.inf)):  # smoothness not finite
+        with pytest.raises(ValueError):
+            SpaceSpec(kind, s, 2.0, 2.0, 0.0)
+    with pytest.raises(ValueError):
+        WeightedEuclideanInner([1.0, math.nan])  # component weight not finite
+    for t, z in ((0.5, 0.5), (0.5, math.nan), (math.nan, 2.0)):  # z below 1, t not finite
+        with pytest.raises(ValueError):
+            SequenceBesovInner(t, z)
     op = MultiplierOperator.scalar(1.0)
     for r in (0.5, math.nan):                # interpolation index below 1
         with pytest.raises(ValueError):
             InterpNormInner(op, 0.5, r)
+    with pytest.raises(ValueError):
+        InterpNormInner(op, math.inf, 2.0)   # interpolation order not finite
+
+
+@pytest.mark.parametrize("norm", ["B", "F", "H", "W", "Lp", "F-interp", "difference",
+                                  "weighted-lp"])
+def test_zero_function_has_zero_norms(grid, system, mesh, norm):
+    """No active mode: every filter bank is empty and every norm is 0."""
+    zero = GridFunction.from_coeff_map(grid, {})
+    if norm == "difference":
+        got = difference_seminorm(zero, 0.5, 2.0, 2.0, 0.3, 1, mesh=mesh)
+    elif norm == "weighted-lp":
+        got = weighted_lp_norm(zero, 2.0, 0.3, mesh=mesh)
+    elif norm == "F-interp":
+        zero = GridFunction(grid, np.zeros((grid.n_samples, 3)))
+        inner = InterpNormInner(MultiplierOperator.diagonal((0.5, 2.0, 8.0)), 0.5, 2.0)
+        got = space_norm(zero, SpaceSpec("F", 0.5, 2.0, 2.0, 0.3, inner=inner), system, mesh=mesh)
+    else:
+        got = space_norm(zero, SpaceSpec(norm, 1.0, 2.0, 2.0, 0.3), system, mesh=mesh)
+    assert got == 0.0
 
 
 @pytest.mark.parametrize("s,p,gamma", [(0.5, 2.0, 0.0), (1.0, 3.0, 0.5),
@@ -121,7 +149,7 @@ def test_besov_norm_homogeneity(scale, seed):
     f = random_band_limited(grid, (-16.0, 16.0), seed=seed)
     spec = SpaceSpec("B", 0.5, 2.0, 1.0, 0.3)
     base = space_norm(f, spec, system, mesh=mesh)
-    got = space_norm(f.scaled(scale), spec, system, mesh=mesh)
+    got = space_norm(GridFunction(f.grid, scale * f.coeffs), spec, system, mesh=mesh)
     assert got == pytest.approx(scale * base, rel=1e-10)
 
 
