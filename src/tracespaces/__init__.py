@@ -15,7 +15,6 @@ suites runnable from Python or the ``tracespaces-verify`` command.
 from .dyadic import DyadicSystem, apply_block, build_system, partition_check, smooth_step
 from .embeddings import (
     EMBEDDING_EXAMPLE_PAIRS,
-    InnerTriple,
     MixedDerivativeParams,
     bf_sandwich_check,
     counterexample_norms,
@@ -96,7 +95,6 @@ __all__ = [
     "ExtensionOperator",
     "GridFunction",
     "GridSpec",
-    "InnerTriple",
     "InterpNormInner",
     "MixedDerivativeParams",
     "MultiplierOperator",

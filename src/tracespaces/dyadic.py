@@ -12,11 +12,15 @@ apart have disjoint supports, and the sum over k = 0..K telescopes to
 phi_hat(xi / 2^K), identically 1 for |xi| <= 2^K.  Applying a block to a
 band-limited function multiplies each Fourier coefficient by the block
 symbol value, which is exact on coefficients.
+
+`DyadicSystem.symbols(xi)` builds the table of every block at given
+frequencies in one pass; block projection, the partition check, the
+dyadic suite and the B/F norms all read its rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +54,6 @@ class DyadicSystem:
     usable block index K (the partition sums to 1 on |xi| <= 2^K)."""
 
     max_block: int = 8
-    _symbol_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.max_block < 1:
@@ -71,25 +74,13 @@ class DyadicSystem:
         snapped = np.round(np.asarray(g) * _SNAP) / _SNAP
         return snapped if snapped.ndim else float(snapped)
 
-    def block_symbol(self, k: int, xi):
-        """Multiplier of block k at frequencies xi."""
-        if not 0 <= k <= self.max_block:
-            raise ValueError(f"block index {k} outside 0..{self.max_block}")
-        if k == 0:
-            return self.generator(xi)
+    def symbols(self, xi) -> np.ndarray:
+        """(max_block+1, len(xi)) table of the block multipliers at the
+        frequencies xi: row k is phi_hat(xi / 2^k) - phi_hat(xi / 2^{k-1}),
+        row 0 is phi_hat(xi)."""
         xi = np.asarray(xi, dtype=float)
-        return self.generator(xi / 2.0 ** k) - self.generator(xi / 2.0 ** (k - 1))
-
-    def block_symbols_for(self, f: GridFunction) -> np.ndarray:
-        """(max_block+1, N) table of block symbols on f's frequency bins."""
-        key = (f.grid.half_width, f.grid.n_samples)
-        got = self._symbol_cache.get(key)
-        if got is None:
-            xi = f.grid.frequencies()
-            got = np.stack([self.block_symbol(k, xi) for k in range(self.max_block + 1)])
-            got.flags.writeable = False
-            self._symbol_cache[key] = got
-        return got
+        scaled = xi / 2.0 ** np.arange(self.max_block + 1)[:, None]
+        return np.diff(self.generator(scaled), axis=0, prepend=0.0)
 
     def covers(self, xi_max: float) -> bool:
         return xi_max <= 2.0 ** self.max_block
@@ -101,7 +92,9 @@ def build_system(max_block: int = 8) -> DyadicSystem:
 
 def apply_block(sys: DyadicSystem, k: int, f: GridFunction) -> GridFunction:
     """Frequency projection S_k f, exact on coefficients."""
-    return f.multiplied(sys.block_symbols_for(f)[k])
+    if not 0 <= k <= sys.max_block:
+        raise ValueError(f"block index {k} outside 0..{sys.max_block}")
+    return f.multiplied(sys.symbols(f.grid.frequencies())[k])
 
 
 def partition_check(sys: DyadicSystem, xi_samples) -> float:
@@ -112,7 +105,4 @@ def partition_check(sys: DyadicSystem, xi_samples) -> float:
     xi = np.asarray(xi_samples, dtype=float)
     if xi.size == 0:
         return 0.0
-    total = np.zeros_like(xi)
-    for k in range(sys.max_block + 1):
-        total += sys.block_symbol(k, xi)
-    return float(np.max(np.abs(total - 1.0)))
+    return float(np.max(np.abs(np.sum(sys.symbols(xi), axis=0) - 1.0)))

@@ -5,10 +5,12 @@ The extension of f from (0, L] to negative t is
     (E f)(t) = sum_j c_j f(-j t),   t < 0,  j = 1 .. order + 1,
 
 with c_j = (-j)^twist lambda_j, where the lambda_j solve the exact
-Vandermonde system sum_j (-j)^l lambda_j = 1 for l = 0 .. order.  The
-untwisted operator (twist = 0) matches one-sided derivatives up to
-`order` at 0; differentiating k times turns coefficients lambda_j into
-(-j)^k lambda_j, so
+Vandermonde system sum_j (-j)^l lambda_j = 1 for l = 0 .. order.  They
+are the Lagrange basis on the nodes -1, ..., -(order+1) evaluated at 1,
+lambda_j = prod_{k != j} (1 + k)/(k - j).  The untwisted operator
+(twist = 0) matches one-sided derivatives up to `order` at 0;
+differentiating k times turns coefficients lambda_j into (-j)^k lambda_j,
+so
 
     d^k/dt^k (E[m, j] f) = E[m, j + k] (f^(k))
 
@@ -18,6 +20,7 @@ exact at every order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -33,21 +36,6 @@ __all__ = [
 ]
 
 
-def _solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    n = len(rhs)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
-
-
 @lru_cache(maxsize=None)
 def reflection_coefficients(order: int, twist: int = 0) -> tuple[Fraction, ...]:
     """Exact coefficients c_j, j = 1 .. order + 1."""
@@ -56,10 +44,8 @@ def reflection_coefficients(order: int, twist: int = 0) -> tuple[Fraction, ...]:
     if twist < 0:
         raise ValueError("twist must be >= 0")
     js = range(1, order + 2)
-    matrix = [[Fraction((-j) ** l) for j in js] for l in range(order + 1)]
-    ones = [Fraction(1)] * (order + 1)
-    lam = _solve_exact(matrix, ones)
-    return tuple(Fraction((-j) ** twist) * lam[j - 1] for j in js)
+    return tuple(math.prod((Fraction(1 + k, k - j) for k in js if k != j),
+                           start=Fraction((-j) ** twist)) for j in js)
 
 
 @dataclass(frozen=True)
@@ -198,4 +184,4 @@ def reflected_norm_ratio(op: ExtensionOperator, f, p: float, gamma: float,
     den = float(mesh.lp_norm(np.abs(vals), p, gamma, interval=(0.0, L)))
     bound = op.reflected_lp_bound(p, gamma)
     ratio = num / den if den > 0 else float("inf")
-    return {"ratio": ratio, "bound": bound, "passed": ratio <= bound * (1 + 1e-12)}
+    return {"ratio": ratio, "bound": bound}

@@ -7,12 +7,13 @@ S_k, a power weight w(t) = |t|^gamma and smoothness s:
     Triebel-Lizorkin F^s_{p,q}:  || ell^q over k of 2^{s k} ||S_k f(.)||_X ||_{L^p(w)}
     Bessel potential H^{s,p}:    multiply coefficients by (1 + xi^2)^{s/2}, take L^p(w; X)
     Sobolev          W^{m,p}:    sum_{j<=m} ||f^(j)||_{L^p(w; X)} (spectral derivatives)
-    Lebesgue         Lp:         plain weighted norm
 
+and the plain norm ||f||_{L^p(w; X)}, whose one path is weighted_lp_norm.
 Every norm is one filter bank, whose magnitudes are synthesized once per
-mesh and cached on f, and one of two reductions: B, H, W and Lp take the
-ell^q over the copies of their weighted L^p norms (q = 1 but for B), and F
-the L^p norm of the pointwise ell^q.
+mesh and cached on f, and one reduction: B, H and W take the ell^q over
+the copies of their weighted L^p norms (q = 1 but for B), F the L^p norm
+of the pointwise ell^q, and weighted_lp_norm the L^p norm of its one
+factor-1 copy.
 
 B^s_{p,p} and F^s_{p,p} are evaluated as the same weighted double sum over
 (block, node) in two association orders, so they agree to float rounding.
@@ -175,12 +176,12 @@ class SequenceBesovInner:
 # space specification and norms
 # ---------------------------------------------------------------------
 
-_KINDS = ("B", "F", "H", "W", "Lp")
+_KINDS = ("B", "F", "H", "W")
 
 
 @dataclass(frozen=True)
 class SpaceSpec:
-    """A weighted space on the line: kind in {B, F, H, W, Lp}, smoothness s,
+    """A weighted space on the line: kind in {B, F, H, W}, smoothness s,
     integrability p, microscopic q (B/F only), weight power gamma, and the
     inner space (None = scalar/Euclidean by value dimension)."""
 
@@ -230,23 +231,25 @@ def _multiplier_values(f: GridFunction, factors: np.ndarray,
 def _magnitudes(f: GridFunction, mesh: QuadratureMesh, inner, kind: str, s: float = 0.0,
                 sys: DyadicSystem | None = None) -> np.ndarray:
     """(n_filters, n_nodes) array of ||copy_j f(node)||_X over the filter
-    bank of a norm kind: Lp the factor 1, H (1 + xi^2)^{s/2}, W
-    (2 pi i xi)^j for j <= s, B and F the dyadic symbols.  Cached on f:
-    node values per (bank, mesh), magnitudes per (bank, mesh, inner).  A
-    column that vanishes on f's active set gives a zero row and skips
-    synthesis."""
-    xi = f.active_frequencies()
-    if kind == "Lp":
-        key, factors = ("Lp",), np.ones((xi.size, 1))
-    elif kind == "H":
-        key, factors = ("H", s), ((1.0 + xi ** 2) ** (s / 2.0))[:, None]
-    elif kind == "W":
-        key, factors = ("W", s), np.stack([(2j * np.pi * xi) ** j for j in range(int(s) + 1)], 1)
-    else:
-        key, factors = sys, sys.block_symbols_for(f)[:, f.active_indices].T
-    live = np.flatnonzero(np.any(factors != 0.0, axis=0))
+    bank of a norm kind: H (1 + xi^2)^{s/2}, W (2 pi i xi)^j for j <= s,
+    B and F the dyadic symbols, and "Lp", the factor 1 of
+    weighted_lp_norm.  Cached on f: node values per (bank, mesh),
+    magnitudes per (bank, mesh, inner); the factors are built on f's
+    active frequencies only on a miss.  A column that vanishes there gives
+    a zero row and skips synthesis."""
+    key = sys if kind in ("B", "F") else (kind, s)
 
     def magnitudes():
+        xi = f.active_frequencies()
+        if kind == "Lp":
+            factors = np.ones((xi.size, 1))
+        elif kind == "H":
+            factors = ((1.0 + xi ** 2) ** (s / 2.0))[:, None]
+        elif kind == "W":
+            factors = np.stack([(2j * np.pi * xi) ** j for j in range(int(s) + 1)], 1)
+        else:
+            factors = sys.symbols(xi).T
+        live = np.flatnonzero(np.any(factors != 0.0, axis=0))
         vals = f.cached(("bank", key, mesh.key),
                         lambda: _multiplier_values(f, factors[:, live], mesh))
         mags = np.zeros((factors.shape[1], mesh.nodes.size))
@@ -292,8 +295,8 @@ def weighted_lp_norm(f: GridFunction, p: float, gamma: float,
                      interval: tuple[float, float] | None = None) -> float:
     """|| f ||_{L^p(|t|^gamma dt; X)} on [-L, L] (or on a subinterval).
 
-    The pointwise magnitude ||f(t)||_X of the Lp bank is sampled on the
-    mesh nodes and its p-th power integrated exactly against |t|^gamma as
+    The pointwise magnitude ||f(t)||_X of the factor-1 bank is sampled on
+    the mesh nodes and its p-th power integrated exactly against |t|^gamma as
     a piecewise cubic.  p = inf returns the node supremum (weight-independent).
     """
     if not gamma > -1:

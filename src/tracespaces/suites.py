@@ -34,13 +34,13 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import gammainc
 
-from .dyadic import DyadicSystem, apply_block, build_system, partition_check
+from .dyadic import DyadicSystem, build_system, partition_check
 from .embeddings import (
     EMBEDDING_EXAMPLE_PAIRS,
-    InnerTriple,
     MixedDerivativeParams,
     bf_sandwich_check,
     counterexample_norms,
+    diagonal_holder_constant,
     mixed_derivative_check,
     q_monotonicity_check,
     sandwich_ratios,
@@ -184,7 +184,7 @@ def run_dyadic(config: SuiteConfig) -> VerificationReport:
     mid = sys.generator(1.25)  # half-transition point of the generator
     cases.append(CaseRecord("generator_midpoint_half", abs(float(mid) - 0.5), 0.0))
 
-    symbols = np.stack([sys.block_symbol(k, xi) for k in range(sys.max_block + 1)])
+    symbols = sys.symbols(xi)
     worst = 0.0
     for k in range(sys.max_block + 1):
         for l in range(k + 2, sys.max_block + 1):
@@ -195,11 +195,12 @@ def run_dyadic(config: SuiteConfig) -> VerificationReport:
     # the snapped symbols of the two blocks meeting at any frequency are
     # complementary 26-bit values, so both products and their sum are exact
     err = 0.0
+    blocks = sys.symbols(grid.frequencies())
     for f in config.family(grid, 250.0, config.family_size, stream=100):
         f = GridFunction(grid, f.coeffs.astype(np.complex64).astype(complex))
         total = np.zeros_like(f.coeffs)
-        for k in range(sys.max_block + 1):
-            total = total + apply_block(sys, k, f).coeffs
+        for block in blocks:
+            total = total + f.multiplied(block).coeffs
         err = max(err, float(np.max(np.abs(total - f.coeffs))))
     cases.append(CaseRecord("reconstruction_max_error", err, 0.0))
 
@@ -219,17 +220,16 @@ _DIFFNORM_PARAMS = (
 )
 
 
-def diffnorm_window(config: SuiteConfig, params: tuple, count: int | None = None,
-                    grid: GridSpec | None = None) -> tuple[float, float]:
+def diffnorm_window(config: SuiteConfig, params: tuple) -> tuple[float, float]:
     """(min, max) of the difference-characterization ratio over the seeded
-    family for one (s, p, q, gamma, m) parameter set."""
+    family of the config's grid for one (s, p, q, gamma, m) parameter set."""
     s, p, q, gamma, m = params
-    grid = grid or config.grid()
+    grid = config.grid()
     sys = config.system()
     mesh = QuadratureMesh.for_band(grid, 8.0, min_cells=256)
     spec = SpaceSpec("F", s, p, q, gamma)
     ratios = [norm_equivalence_ratio(f, spec, m, sys, mesh=mesh)
-              for f in config.family(grid, 8.0, count or config.family_size, stream=2)]
+              for f in config.family(grid, 8.0, config.family_size, stream=2)]
     return min(ratios), max(ratios)
 
 
@@ -277,7 +277,7 @@ def run_norms(config: SuiteConfig) -> VerificationReport:
     cases.append(CaseRecord("w_sandwich_out", w_out, compare="baseline"))
 
     for s, p, q, gamma, m in _DIFFNORM_PARAMS:
-        lo, hi = diffnorm_window(config, (s, p, q, gamma, m), grid=grid)
+        lo, hi = diffnorm_window(config, (s, p, q, gamma, m))
         tag = f"s{s:g}_q{q:g}_g{gamma:g}_m{m}"
         cases.append(CaseRecord(f"diffnorm_hi_{tag}", hi, compare="baseline"))
         cases.append(CaseRecord(f"diffnorm_lo_{tag}", 1.0 / lo, compare="baseline"))
@@ -515,11 +515,6 @@ def run_sobolev(config: SuiteConfig) -> VerificationReport:
 # ---------------------------------------------------------------------
 
 
-def _scalar_triple(theta: float) -> InnerTriple:
-    one = WeightedEuclideanInner([1.0])
-    return InnerTriple(one, one, one, theta)
-
-
 def run_mixed(config: SuiteConfig) -> VerificationReport:
     grid = config.grid()
     sys = config.system()
@@ -531,7 +526,8 @@ def run_mixed(config: SuiteConfig) -> VerificationReport:
                                      gamma1=Fraction(3, 10), **shared)
     params_b = MixedDerivativeParams("B", gamma0=Fraction(3, 10),
                                      gamma1=Fraction(3, 10), **shared)
-    triple1 = _scalar_triple(float(theta))
+    one = WeightedEuclideanInner([1.0])
+    scalar = (one, one, one)
     cases = []
 
     # single plateau modes: one active block, so the chain collapses to an
@@ -539,41 +535,41 @@ def run_mixed(config: SuiteConfig) -> VerificationReport:
     dev = 0.0
     for xi in (1.0, 2.0, 4.0):
         f = GridFunction.from_coeff_map(grid, {xi: [1.2 + 0.7j]})
-        got = mixed_derivative_check(f, params_f, triple1, sys, mesh=mesh)
+        got = mixed_derivative_check(f, params_f, scalar, sys, mesh=mesh)
         dev = max(dev, abs(got["lhs"] / got["rhs"] - 1.0))
     cases.append(CaseRecord("single_mode_equality", dev, 1e-12))
 
-    def family_worst(fns, params, triple):
+    def family_worst(fns, params, inners):
         out = 0.0
         for f in fns:
-            got = mixed_derivative_check(f, params, triple, sys, mesh=mesh)
+            got = mixed_derivative_check(f, params, inners, sys, mesh=mesh)
             out = max(out, got["lhs"] / got["rhs"])
         return out
 
     family = config.family(grid, 16.0, 12, stream=60)
     for kind, params in (("F", params_f), ("B", params_b)):
         cases.append(CaseRecord(f"scalar_family_{kind}_unit_constant",
-                                family_worst(family, params, triple1), 1.0 + 1e-9))
+                                family_worst(family, params, scalar), 1.0 + 1e-9))
 
     inner0 = WeightedEuclideanInner([1.0, 0.6, 0.25])
     inner1 = WeightedEuclideanInner([0.4, 1.0, 0.7])
     fam3 = config.family(grid, 16.0, 12, stream=61, dim=3)
 
-    triple_c = InnerTriple(inner0, inner1,
-                           WeightedEuclideanInner([0.8, 0.75, 0.5]), float(theta))
+    computed = (inner0, inner1, WeightedEuclideanInner([0.8, 0.75, 0.5]))
     cases.append(CaseRecord("diagonal_family_computed_constant",
-                            family_worst(fam3, params_f, triple_c), 1.0 + 1e-9))
+                            family_worst(fam3, params_f, computed), 1.0 + 1e-9))
     cases.append(CaseRecord("diagonal_holder_constant",
-                            triple_c.holder_constant, compare="info"))
+                            diagonal_holder_constant(*computed, float(theta)),
+                            compare="info"))
 
-    triple_g = InnerTriple.geometric(inner0, inner1, float(theta))
+    geometric = (inner0, inner1, inner0.geometric_mix(inner1, float(theta)))
     cases.append(CaseRecord("diagonal_family_geometric_mean",
-                            family_worst(fam3, params_f, triple_g), 1.0 + 1e-9))
+                            family_worst(fam3, params_f, geometric), 1.0 + 1e-9))
 
     params_x = MixedDerivativeParams("F", gamma0=Fraction(0),
                                      gamma1=Fraction(3, 4), **shared)
     cases.append(CaseRecord("crossweight_family",
-                            family_worst(family, params_x, triple1), 1.0 + 1e-6))
+                            family_worst(family, params_x, scalar), 1.0 + 1e-6))
 
     return _report(config, "mixed", cases)
 

@@ -13,7 +13,6 @@ from pathlib import Path
 
 import pytest
 
-from tracespaces.grid import GridSpec
 from tracespaces.report import BaselineStore, render_reports
 from tracespaces.suites import SUITE_ORDER, SuiteConfig, diffnorm_window, run_all
 
@@ -83,12 +82,12 @@ def test_criterion_04_difference_norm_window(reports):
     picked = [c for cid, c in sorted(cases.items()) if cid.startswith("diffnorm_")]
     pinned_ok = len(picked) == 6 and all(c.passed for c in picked)
 
-    config = SuiteConfig()
-    fine = GridSpec(config.half_width, 2 * config.n_samples)
+    coarse = SuiteConfig(family_size=8)
+    fine = SuiteConfig(n_samples=2 * coarse.n_samples, family_size=8)
     drift = 0.0
     for params in _WINDOW_PARAMS:
-        lo_a, hi_a = diffnorm_window(config, params, count=8)
-        lo_b, hi_b = diffnorm_window(config, params, count=8, grid=fine)
+        lo_a, hi_a = diffnorm_window(coarse, params)
+        lo_b, hi_b = diffnorm_window(fine, params)
         drift = max(drift, abs(lo_b / lo_a - 1.0), abs(hi_b / hi_a - 1.0))
     ok = pinned_ok and drift <= 0.01
     _conclude(4, ok, f"equivalence windows within 1% of pinned endpoints; "

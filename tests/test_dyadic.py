@@ -49,7 +49,7 @@ def test_partition_pointwise(system, xi):
 
 def test_block_supports_disjoint_beyond_neighbors(system):
     xi = np.linspace(-300.0, 300.0, 6001)
-    symbols = [system.block_symbol(k, xi) for k in range(system.max_block + 1)]
+    symbols = system.symbols(xi)
     for k in range(len(symbols)):
         for l in range(k + 2, len(symbols)):
             assert np.max(np.abs(symbols[k] * symbols[l])) == 0.0
@@ -57,7 +57,29 @@ def test_block_supports_disjoint_beyond_neighbors(system):
 
 def test_block_zero_covers_low_frequencies(system):
     xi = np.linspace(-1.0, 1.0, 101)
-    np.testing.assert_array_equal(system.block_symbol(0, xi), np.ones_like(xi))
+    np.testing.assert_array_equal(system.symbols(xi)[0], np.ones_like(xi))
+
+
+@pytest.mark.parametrize("max_block", [4, 8, 9])
+def test_symbols_are_generator_differences(grid, max_block):
+    """Row k of the table is phi_hat(xi/2^k) - phi_hat(xi/2^{k-1}), bit for
+    bit, at grid frequencies and at random ones."""
+    sys = build_system(max_block)
+    top = 2.0 ** (max_block + 1)
+    for xi in (grid.frequencies(), np.random.default_rng(7).uniform(-top, top, 3000)):
+        table = sys.symbols(xi)
+        assert table.shape == (max_block + 1, xi.size)
+        want = [sys.generator(xi)] + [
+            sys.generator(xi / 2.0 ** k) - sys.generator(xi / 2.0 ** (k - 1))
+            for k in range(1, max_block + 1)]
+        np.testing.assert_array_equal(table.view(np.uint64), np.stack(want).view(np.uint64))
+
+
+def test_apply_block_rejects_index_outside_system(grid, system):
+    f = random_band_limited(grid, (-8.0, 8.0), seed=1)
+    for k in (-1, system.max_block + 1):
+        with pytest.raises(ValueError):
+            apply_block(system, k, f)
 
 
 def test_reconstruction_exact_on_single_precision_coefficients(grid, system):

@@ -8,7 +8,6 @@ import pytest
 from tracespaces import (
     EMBEDDING_EXAMPLE_PAIRS,
     GridFunction,
-    InnerTriple,
     MixedDerivativeParams,
     QuadratureMesh,
     SpaceSpec,
@@ -56,14 +55,12 @@ def test_q_monotonicity_check_passes(grid, system, mesh):
     f = random_band_limited(grid, (-24.0, 24.0), seed=4)
     got = q_monotonicity_check(f, "B", 0.5, 2.0, 0.3, (1.0, 2.0, math.inf),
                                system, mesh)
-    assert got["passed"]
     assert got["norms"][0] >= got["norms"][1] >= got["norms"][2]
 
 
 def test_bf_sandwich(grid, system, mesh):
     f = random_band_limited(grid, (-24.0, 24.0), seed=5)
     got = bf_sandwich_check(f, 0.5, 2.0, 1.5, 0.3, system, mesh=mesh)
-    assert got["passed"]
     assert got["b_small_q"] * (1 + 1e-12) >= got["f_norm"] >= \
         got["b_large_q"] / (1 + 1e-12)
 
@@ -106,37 +103,42 @@ def test_mixed_interpolated_exponents():
     params = _mixed_params()
     assert params.p == Fraction(12, 5)     # 1/p = (1-th)/p0 + th/p1
     assert params.target_smoothness == Fraction(3, 4)
-    assert params.shared_weights
+
+
+@pytest.mark.parametrize("field", ["q0", "q1"])
+def test_mixed_params_reject_infinite_q(field):
+    kwargs = dict(s=Fraction(1, 2), alpha=Fraction(1, 2), theta=Fraction(1, 2),
+                  p0=Fraction(2), q0=Fraction(2), gamma0=Fraction(0), p1=Fraction(3),
+                  q1=Fraction(2), gamma1=Fraction(0))
+    kwargs[field] = math.inf
+    with pytest.raises(ValueError):
+        MixedDerivativeParams("F", **kwargs)
 
 
 def test_single_mode_equality(grid, system):
     mesh = QuadratureMesh.for_band(grid, 16.0)
     one = WeightedEuclideanInner([1.0])
-    triple = InnerTriple(one, one, one, 0.5)
     f = GridFunction.from_coeff_map(grid, {2.0: [1.0 + 0.5j]})
-    got = mixed_derivative_check(f, _mixed_params(), triple, system, mesh=mesh)
+    got = mixed_derivative_check(f, _mixed_params(), (one, one, one), system, mesh=mesh)
+    assert got["constant"] == 1.0
     assert got["lhs"] == pytest.approx(got["rhs"], rel=1e-12)
-    assert got["passed"]
 
 
 def test_mixed_family_bounded(grid, system):
     mesh = QuadratureMesh.for_band(grid, 16.0)
     one = WeightedEuclideanInner([1.0])
-    triple = InnerTriple(one, one, one, 0.5)
     for seed in range(4):
         f = random_band_limited(grid, (-16.0, 16.0), seed=seed)
-        got = mixed_derivative_check(f, _mixed_params(), triple, system,
+        got = mixed_derivative_check(f, _mixed_params(), (one, one, one), system,
                                      mesh=mesh)
         assert got["lhs"] <= got["rhs"] * (1.0 + 1e-9)
 
 
 def test_holder_constant_geometric_mix_is_one():
     w0 = WeightedEuclideanInner([1.0, 0.5, 0.25])
-    triple = InnerTriple.geometric(w0, WeightedEuclideanInner([0.3, 1.0, 0.7]),
-                                   0.5)
-    assert triple.holder_constant == pytest.approx(1.0, abs=1e-9)
-    with pytest.raises(TypeError):  # computed, never supplied
-        InnerTriple(w0, w0, w0, 0.5, holder_constant=2.0)
+    w1 = WeightedEuclideanInner([0.3, 1.0, 0.7])
+    got = diagonal_holder_constant(w0, w1, w0.geometric_mix(w1, 0.5), 0.5)
+    assert got == pytest.approx(1.0, abs=1e-9)
 
 
 def test_holder_constant_matches_brute_force():
@@ -165,10 +167,10 @@ def test_holder_constant_matches_brute_force():
 
 def test_mixed_diagonal_inner_with_constant(grid, system):
     mesh = QuadratureMesh.for_band(grid, 16.0)
-    triple = InnerTriple(WeightedEuclideanInner([1.0, 0.6, 0.25]),
-                         WeightedEuclideanInner([0.4, 1.0, 0.7]),
-                         WeightedEuclideanInner([0.8, 0.75, 0.5]), 0.5)
-    assert triple.holder_constant > 1.0
+    inners = (WeightedEuclideanInner([1.0, 0.6, 0.25]),
+              WeightedEuclideanInner([0.4, 1.0, 0.7]),
+              WeightedEuclideanInner([0.8, 0.75, 0.5]))
     f = random_band_limited(grid, (-16.0, 16.0), seed=9, dim=3)
-    got = mixed_derivative_check(f, _mixed_params(), triple, system, mesh=mesh)
-    assert got["passed"]
+    got = mixed_derivative_check(f, _mixed_params(), inners, system, mesh=mesh)
+    assert got["constant"] == diagonal_holder_constant(*inners, 0.5) > 1.0
+    assert got["lhs"] <= got["rhs"] * (1.0 + 1e-12)

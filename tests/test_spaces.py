@@ -31,8 +31,9 @@ def f24(grid):
 
 
 def test_space_spec_validation():
-    with pytest.raises(ValueError):
-        SpaceSpec("X", 0.5, 2.0, 2.0, 0.0)
+    for kind in ("X", "Lp"):  # the plain L^p norm is weighted_lp_norm
+        with pytest.raises(ValueError):
+            SpaceSpec(kind, 0.5, 2.0, 2.0, 0.0)
     with pytest.raises(ValueError):
         SpaceSpec("B", 0.5, 1.0, 2.0, 0.0)   # p must exceed 1
     with pytest.raises(ValueError):
@@ -57,7 +58,7 @@ def test_space_spec_validation():
         InterpNormInner(op, math.inf, 2.0)   # interpolation order not finite
 
 
-@pytest.mark.parametrize("norm", ["B", "F", "H", "W", "Lp", "F-interp", "difference",
+@pytest.mark.parametrize("norm", ["B", "F", "H", "W", "F-interp", "difference",
                                   "weighted-lp"])
 def test_zero_function_has_zero_norms(grid, system, mesh, norm):
     """No active mode: every filter bank is empty and every norm is 0."""
@@ -91,24 +92,18 @@ def test_q_monotonicity(grid, system, mesh, f24, kind, q0, q1):
     assert n1 <= n0 * (1.0 + 1e-12)
 
 
-def test_lp_norm_matches_weighted(grid, mesh, f24):
-    spec = SpaceSpec("Lp", p=2.0, gamma=0.3)
-    assert space_norm(f24, spec, mesh=mesh) == pytest.approx(
-        weighted_lp_norm(f24, 2.0, 0.3, mesh=mesh), rel=1e-14)
-
-
 def test_bessel_potential_single_mode(grid, mesh):
     xi = 4.0
     f = GridFunction.from_coeff_map(grid, {xi: [1.0]})
     h = space_norm(f, SpaceSpec("H", 1.0, 2.0, 2.0, 0.0), mesh=mesh)
-    plain = space_norm(f, SpaceSpec("Lp", p=2.0), mesh=mesh)
+    plain = weighted_lp_norm(f, 2.0, 0.0, mesh=mesh)
     assert h == pytest.approx((1.0 + xi ** 2) ** 0.5 * plain, rel=1e-10)
 
 
 def test_sobolev_norm_counts_derivatives(grid, mesh):
     f = GridFunction.from_coeff_map(grid, {2.0: [1.0]})
     w1 = space_norm(f, SpaceSpec("W", 1, 2.0, 2.0, 0.0), mesh=mesh)
-    l2 = space_norm(f, SpaceSpec("Lp", p=2.0), mesh=mesh)
+    l2 = weighted_lp_norm(f, 2.0, 0.0, mesh=mesh)
     want = l2 + 2.0 * math.pi * 2.0 * l2  # |f| + |f'| for a pure mode
     assert w1 == pytest.approx(want, rel=1e-10)
 
