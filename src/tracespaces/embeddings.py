@@ -39,7 +39,6 @@ from fractions import Fraction
 import numpy as np
 
 from .dyadic import DyadicSystem
-from .grid import QuadratureMesh
 from .spaces import SpaceSpec, WeightedEuclideanInner, _lq_combine, space_norm
 
 __all__ = [
@@ -94,12 +93,11 @@ def validate_embedding_pair(src: SpaceSpec, dst: SpaceSpec, tol: float = 1e-12) 
         raise ValueError("on the B-scale the microscopic parameter cannot drop")
 
 
-def sobolev_embed_ratio(f, src: SpaceSpec, dst: SpaceSpec, sys: DyadicSystem,
-                        mesh: QuadratureMesh | None = None) -> dict:
+def sobolev_embed_ratio(f, src: SpaceSpec, dst: SpaceSpec, sys: DyadicSystem) -> dict:
     """||f||_dst / ||f||_src for a validated embedding pair."""
     validate_embedding_pair(src, dst)
-    src_norm = space_norm(f, src, sys, mesh=mesh)
-    dst_norm = space_norm(f, dst, sys, mesh=mesh)
+    src_norm = space_norm(f, src, sys)
+    dst_norm = space_norm(f, dst, sys)
     if src_norm == 0.0:
         raise ValueError("zero function has no embedding ratio")
     return {"src_norm": src_norm, "dst_norm": dst_norm,
@@ -222,8 +220,7 @@ def diagonal_holder_constant(inner0: WeightedEuclideanInner,
     return math.sqrt(best)
 
 
-def mixed_derivative_check(f, params: MixedDerivativeParams, inners,
-                           sys: DyadicSystem, mesh: QuadratureMesh | None = None) -> dict:
+def mixed_derivative_check(f, params: MixedDerivativeParams, inners, sys: DyadicSystem) -> dict:
     """Evaluate both sides of the mixed-derivative estimate on f, for inner
     spaces inners = (X_0, X_1, X_theta) at the parameters' theta.
 
@@ -234,9 +231,9 @@ def mixed_derivative_check(f, params: MixedDerivativeParams, inners,
     inner0, inner1, inner_theta = inners
     theta = float(params.theta)
     constant = diagonal_holder_constant(inner0, inner1, inner_theta, theta)
-    lhs = space_norm(f, params.target_spec(inner_theta), sys, mesh=mesh)
-    n0 = space_norm(f, params.source0_spec(inner0), sys, mesh=mesh)
-    n1 = space_norm(f, params.source1_spec(inner1), sys, mesh=mesh)
+    lhs = space_norm(f, params.target_spec(inner_theta), sys)
+    n0 = space_norm(f, params.source0_spec(inner0), sys)
+    n1 = space_norm(f, params.source1_spec(inner1), sys)
     rhs = constant * n0 ** (1.0 - theta) * n1 ** theta
     return {"lhs": lhs, "factor0": n0, "factor1": n1, "constant": constant, "rhs": rhs}
 
@@ -275,37 +272,33 @@ def counterexample_norms(coefficients, u: float, q: float) -> dict:
 
 
 def q_monotonicity_check(f, kind: str, s: float, p: float, gamma: float,
-                         q_values, sys: DyadicSystem,
-                         mesh: QuadratureMesh | None = None) -> dict:
+                         q_values, sys: DyadicSystem) -> dict:
     """Norms at increasing q, which never increase: with shared nodes and
     weights this holds term by term, so up to rounding."""
     qs = sorted(float(q) for q in q_values)
-    norms = [space_norm(f, SpaceSpec(kind, s, p, q, gamma), sys, mesh=mesh)
-             for q in qs]
+    norms = [space_norm(f, SpaceSpec(kind, s, p, q, gamma), sys) for q in qs]
     return {"q_values": qs, "norms": norms}
 
 
-def bf_sandwich_check(f, s: float, p: float, q: float, gamma: float,
-                      sys: DyadicSystem, mesh: QuadratureMesh | None = None) -> dict:
+def bf_sandwich_check(f, s: float, p: float, q: float, gamma: float, sys: DyadicSystem) -> dict:
     """The three norms of B^s_{p, min(p,q)} >= F^s_{p,q} >= B^s_{p, max(p,q)},
     which hold with constant 1: on shared nodes both steps are literal
     Minkowski/monotonicity, so up to rounding."""
-    fn = space_norm(f, SpaceSpec("F", s, p, q, gamma), sys, mesh=mesh)
-    b_small = space_norm(f, SpaceSpec("B", s, p, min(p, q), gamma), sys, mesh=mesh)
-    b_large = space_norm(f, SpaceSpec("B", s, p, max(p, q), gamma), sys, mesh=mesh)
+    fn = space_norm(f, SpaceSpec("F", s, p, q, gamma), sys)
+    b_small = space_norm(f, SpaceSpec("B", s, p, min(p, q), gamma), sys)
+    b_large = space_norm(f, SpaceSpec("B", s, p, max(p, q), gamma), sys)
     return {"f_norm": fn, "b_small_q": b_small, "b_large_q": b_large}
 
 
-def sandwich_ratios(f, spec: SpaceSpec, sys: DyadicSystem,
-                    mesh: QuadratureMesh | None = None) -> dict:
+def sandwich_ratios(f, spec: SpaceSpec, sys: DyadicSystem) -> dict:
     """Ratios placing the H or W space of spec between F^s_{p,1} and
     F^s_{p,inf}: ratio_in = norm/F_1 and ratio_out = F_inf/norm are the two
     embedding constants, tracked against pinned baselines."""
     if spec.kind not in ("H", "W"):
         raise ValueError(f"sandwich ratios place H or W spaces, got {spec.kind!r}")
-    norm = space_norm(f, spec, mesh=mesh)
-    f1 = space_norm(f, SpaceSpec("F", spec.s, spec.p, 1.0, spec.gamma), sys, mesh=mesh)
-    finf = space_norm(f, SpaceSpec("F", spec.s, spec.p, math.inf, spec.gamma), sys, mesh=mesh)
+    norm = space_norm(f, spec)
+    f1 = space_norm(f, SpaceSpec("F", spec.s, spec.p, 1.0, spec.gamma), sys)
+    finf = space_norm(f, SpaceSpec("F", spec.s, spec.p, math.inf, spec.gamma), sys)
     if norm == 0.0:
         raise ValueError("zero function has no sandwich ratios")
     return {"norm": norm, "f_q1": f1, "f_qinf": finf,

@@ -15,7 +15,9 @@ of a Banach space.  All norm computations reduce to integrals
 
 evaluated by integrating the weight exactly against a piecewise-polynomial
 interpolant of the smooth factor g (never by blind quadrature of the
-product, which loses the |t|^gamma singularity for gamma < 0).
+product, which loses the |t|^gamma singularity for gamma < 0); p = inf takes
+that interpolant's maximum.  f's mesh, QuadratureMesh.for_function(f), has 24
+cells per wavelength of f's top frequency and at least 256 per side.
 
 Every evaluation at quadrature nodes goes through one kernel,
 QuadratureMesh.synthesize, which has two paths; the size of the active
@@ -326,8 +328,9 @@ class QuadratureMesh:
     order = 3  # piecewise-cubic interpolant
 
     def __init__(self, half_width: float, n_cells: int = 2048):
-        if n_cells < 4:
-            raise GridError("need at least 4 cells per side")
+        if not (0 < half_width < np.inf and isinstance(n_cells, int | np.integer) and n_cells >= 4):
+            raise GridError("need a finite positive half-width and an integer count of at "
+                            f"least 4 cells per side, got {half_width} and {n_cells}")
         self.half_width = float(half_width)
         self.n_cells = int(n_cells)
         order = self.order
@@ -336,7 +339,6 @@ class QuadratureMesh:
         u = np.linspace(0.0, 1.0, order + 1)
         a, b = edges[:-1], edges[1:]
         pos_nodes = a[:, None] + (b - a)[:, None] * u[None, :]
-        self.pos_nodes = pos_nodes  # (n_cells, order+1)
         neg_nodes = -pos_nodes[:, ::-1]
         # ascending global node order: negative cells (far to near), then positive
         self.nodes = np.concatenate([neg_nodes[::-1].ravel(), pos_nodes.ravel()])
@@ -354,7 +356,7 @@ class QuadratureMesh:
         return f"QuadratureMesh(L={self.half_width}, cells={self.n_cells})"
 
     @classmethod
-    def for_band(cls, grid: GridSpec, band_max: float, min_cells: int = 512) -> "QuadratureMesh":
+    def for_band(cls, grid: GridSpec, band_max: float, min_cells: int = 256) -> "QuadratureMesh":
         """Mesh resolving oscillation up to |xi| = band_max on one side: one
         shared instance per key, so its tables and weights are built once."""
         need = int(math.ceil(_CELLS_PER_WAVE * max(band_max, 1.0) * grid.half_width))
@@ -518,15 +520,28 @@ class QuadratureMesh:
     def lp_norm(self, mags: np.ndarray, p: float, gamma: float,
                 interval: tuple[float, float] | None = None) -> np.ndarray:
         """(int |t|^gamma mags^p dt)^{1/p} along the last (node) axis, over
-        [-L, L] or a subinterval; p = inf gives the maximum over the nodes
-        in it."""
-        if math.isinf(p):
-            if interval is not None:
-                self._check_interval(*interval)
-                mags = mags[..., (self.nodes >= interval[0]) & (self.nodes <= interval[1])]
-            return np.max(mags, axis=-1, initial=0.0)
-        w = self.weights(gamma) if interval is None else self.weights_on_interval(gamma, *interval)
-        return np.maximum(mags ** p @ w, 0.0) ** (1.0 / p)
+        [-L, L] or [lo, hi]; p = inf gives the maximum there of the cubic
+        interpolant of mags, at cell ends and the cubics' critical points."""
+        lo, hi = (-self.half_width, self.half_width) if interval is None else interval
+        if not math.isinf(p):
+            w = self.weights(gamma) if interval is None else self.weights_on_interval(gamma, lo, hi)
+            return np.maximum(mags ** p @ w, 0.0) ** (1.0 / p)
+        self._check_interval(lo, hi)
+        cells = self.nodes.reshape(-1, self.order + 1)
+        meets = (cells[:, -1] >= lo) & (cells[:, 0] <= hi)
+        a, b = cells[meets, 0], cells[meets, -1]
+        u_lo, u_hi = (np.clip((x - a) / (b - a), 0.0, 1.0) for x in (lo, hi))
+        # each cell's cubic in u, and the roots of its derivative (finite stand-ins)
+        c = mags.reshape(mags.shape[:-1] + cells.shape)[..., meets, :] @ self._lagrange
+        qa, qb, qc = 3.0 * c[..., 3], 2.0 * c[..., 2], c[..., 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            qq = -0.5 * (qb + np.copysign(np.sqrt(qb * qb - 4.0 * qa * qc), qb))
+            crit = [np.clip(np.nan_to_num(r), u_lo, u_hi) for r in (qq / qa, qc / qq)]
+        u = np.stack(np.broadcast_arrays(u_lo, u_hi, *crit), axis=-1)
+        vals = c[..., 3, None]
+        for j in (2, 1, 0):
+            vals = vals * u + c[..., j, None]
+        return np.max(vals, axis=(-2, -1))
 
 
 # Safe to share, because a mesh's nodes follow from its key and all else

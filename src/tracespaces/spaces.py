@@ -236,7 +236,9 @@ def _magnitudes(f: GridFunction, mesh: QuadratureMesh, inner, kind: str, s: floa
     weighted_lp_norm.  Cached on f: node values per (bank, mesh),
     magnitudes per (bank, mesh, inner); the factors are built on f's
     active frequencies only on a miss.  A column that vanishes there gives
-    a zero row and skips synthesis."""
+    a zero row and skips synthesis.  The mesh must span f's grid."""
+    if mesh.half_width != f.grid.half_width:
+        raise GridError(f"mesh half-width {mesh.half_width} != grid's {f.grid.half_width}")
     key = sys if kind in ("B", "F") else (kind, s)
 
     def magnitudes():
@@ -276,8 +278,7 @@ def space_norm(f: GridFunction, spec: SpaceSpec, sys: DyadicSystem | None = None
             raise GridError(
                 f"dyadic system with max block {sys.max_block} does not cover the "
                 f"band |xi| <= {f.max_frequency}")
-    if mesh is None:
-        mesh = QuadratureMesh.for_function(f)
+    mesh = mesh or QuadratureMesh.for_function(f)
     p, gamma = spec.p, spec.gamma
     mags = _magnitudes(f, mesh, inner, spec.kind, spec.s, sys)
     scales = 2.0 ** (spec.s * np.arange(mags.shape[0]))  # dyadic weights of B and F
@@ -297,14 +298,14 @@ def weighted_lp_norm(f: GridFunction, p: float, gamma: float,
 
     The pointwise magnitude ||f(t)||_X of the factor-1 bank is sampled on
     the mesh nodes and its p-th power integrated exactly against |t|^gamma as
-    a piecewise cubic.  p = inf returns the node supremum (weight-independent).
+    a piecewise cubic.  p = inf returns the maximum of that cubic
+    interpolant of the magnitude (weight-independent).
     """
     if not gamma > -1:
         raise GridError(f"power weight needs gamma > -1, got {gamma}")
     if not (p >= 1):
         raise GridError(f"integrability exponent must satisfy p >= 1, got {p}")
-    if mesh is None:
-        mesh = QuadratureMesh.for_function(f)
+    mesh = mesh or QuadratureMesh.for_function(f)
     mags = _magnitudes(f, mesh, inner or default_inner(f.dim), "Lp")
     return float(mesh.lp_norm(mags[0], p, gamma, interval))
 
@@ -337,8 +338,7 @@ def _h_rule(t: np.ndarray, rate: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def difference_seminorm(f: GridFunction, s: float, p: float, q: float, gamma: float,
-                        m: int, mesh: QuadratureMesh | None = None,
-                        inner=None) -> float:
+                        m: int, inner=None) -> float:
     """Seminorm [f] built from m-th differences: the scale functional
 
         G(x) = ( int t^{-s q} ( t^{-1} int_{|h|<=t} ||Delta^m_h f(x)|| dh )^q
@@ -356,8 +356,7 @@ def difference_seminorm(f: GridFunction, s: float, p: float, q: float, gamma: fl
         raise ValueError(f"need p >= 1, got {p}")
     if not (q >= 1):
         raise ValueError(f"need q >= 1, got {q}")
-    if mesh is None:
-        mesh = QuadratureMesh.for_function(f)
+    mesh = QuadratureMesh.for_function(f)
     inner = inner or default_inner(f.dim)
     L = f.grid.half_width
     t_min = L / f.grid.n_samples
@@ -390,17 +389,15 @@ def difference_seminorm(f: GridFunction, s: float, p: float, q: float, gamma: fl
     return float(mesh.lp_norm(G, p, gamma))
 
 
-def norm_equivalence_ratio(f: GridFunction, spec: SpaceSpec, m: int,
-                           sys: DyadicSystem, mesh: QuadratureMesh | None = None) -> float:
+def norm_equivalence_ratio(f: GridFunction, spec: SpaceSpec, m: int, sys: DyadicSystem) -> float:
     """(weighted L^p norm + difference seminorm) / space norm: the computable
     stand-in for the equivalence of the difference characterization with the
     dyadic norm.  Tracked as a ratio window, not an absolute constant."""
     if spec.kind != "F":
         raise ValueError("the difference characterization is tracked on the F-scale")
-    lp = weighted_lp_norm(f, spec.p, spec.gamma, mesh=mesh, inner=spec.inner)
-    semi = difference_seminorm(f, spec.s, spec.p, spec.q, spec.gamma, m,
-                               mesh=mesh, inner=spec.inner)
-    dyadic_norm = space_norm(f, spec, sys, mesh=mesh)
+    lp = weighted_lp_norm(f, spec.p, spec.gamma, inner=spec.inner)
+    semi = difference_seminorm(f, spec.s, spec.p, spec.q, spec.gamma, m, inner=spec.inner)
+    dyadic_norm = space_norm(f, spec, sys)
     if dyadic_norm == 0.0:
         raise ValueError("zero function has no equivalence ratio")
     return (lp + semi) / dyadic_norm

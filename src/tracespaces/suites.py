@@ -80,6 +80,7 @@ from .stefan import (
     dt_boundedness_check,
 )
 from .trace import (
+    ORBIT_BAND,
     TraceProblem,
     hardy_young_check,
     frac_power_reparam_ratio,
@@ -226,9 +227,8 @@ def diffnorm_window(config: SuiteConfig, params: tuple) -> tuple[float, float]:
     s, p, q, gamma, m = params
     grid = config.grid()
     sys = config.system()
-    mesh = QuadratureMesh.for_band(grid, 8.0, min_cells=256)
     spec = SpaceSpec("F", s, p, q, gamma)
-    ratios = [norm_equivalence_ratio(f, spec, m, sys, mesh=mesh)
+    ratios = [norm_equivalence_ratio(f, spec, m, sys)
               for f in config.family(grid, 8.0, config.family_size, stream=2)]
     return min(ratios), max(ratios)
 
@@ -236,22 +236,20 @@ def diffnorm_window(config: SuiteConfig, params: tuple) -> tuple[float, float]:
 def run_norms(config: SuiteConfig) -> VerificationReport:
     grid = config.grid()
     sys = config.system()
-    mesh = QuadratureMesh.for_band(grid, 24.0)
     family = config.family(grid, 24.0, config.family_size, stream=1)
     cases = []
 
     for s, p, g in _BF_DIAGONAL_PARAMS:
         rel = 0.0
         for f in family:
-            b = space_norm(f, SpaceSpec("B", s, p, p, g), sys, mesh=mesh)
-            fn = space_norm(f, SpaceSpec("F", s, p, p, g), sys, mesh=mesh)
+            b = space_norm(f, SpaceSpec("B", s, p, p, g), sys)
+            fn = space_norm(f, SpaceSpec("F", s, p, p, g), sys)
             rel = max(rel, abs(b - fn) / max(b, fn))
         cases.append(CaseRecord(f"bf_diagonal_s{s:g}_p{p:g}_g{g:g}", rel, 1e-8))
 
     qs = (1.0, 2.0, math.inf)
     for kind in ("B", "F"):
-        norms = [dict(zip(qs, q_monotonicity_check(f, kind, 0.5, 2.0, 0.3, qs, sys,
-                                                   mesh=mesh)["norms"]))
+        norms = [dict(zip(qs, q_monotonicity_check(f, kind, 0.5, 2.0, 0.3, qs, sys)["norms"]))
                  for f in family]
         for q0, q1 in _QMONO_PAIRS:
             ratio = max(n[q1] / n[q0] for n in norms)
@@ -260,15 +258,15 @@ def run_norms(config: SuiteConfig) -> VerificationReport:
 
     worst = 0.0
     for f in family:
-        got = bf_sandwich_check(f, 0.5, 2.0, 1.5, 0.3, sys, mesh=mesh)
+        got = bf_sandwich_check(f, 0.5, 2.0, 1.5, 0.3, sys)
         worst = max(worst, got["f_norm"] / got["b_small_q"],
                     got["b_large_q"] / got["f_norm"])
     cases.append(CaseRecord("bf_sandwich_max_ratio", worst, 1.0 + 1e-12))
 
     h_in = h_out = w_in = w_out = 0.0
     for f in family[:8]:
-        hs = sandwich_ratios(f, SpaceSpec("H", 0.5, 2.0, gamma=0.3), sys, mesh=mesh)
-        ws = sandwich_ratios(f, SpaceSpec("W", 1.0, 2.0, gamma=0.3), sys, mesh=mesh)
+        hs = sandwich_ratios(f, SpaceSpec("H", 0.5, 2.0, gamma=0.3), sys)
+        ws = sandwich_ratios(f, SpaceSpec("W", 1.0, 2.0, gamma=0.3), sys)
         h_in, h_out = max(h_in, hs["ratio_in"]), max(h_out, hs["ratio_out"])
         w_in, w_out = max(w_in, ws["ratio_in"]), max(w_out, ws["ratio_out"])
     cases.append(CaseRecord("h_sandwich_in", h_in, compare="baseline"))
@@ -366,7 +364,7 @@ def run_extension(config: SuiteConfig) -> VerificationReport:
                 worst = max(worst, got["rel_defect"])
     cases.append(CaseRecord("intertwine_max_rel_defect", worst, 1e-6))
 
-    mesh = QuadratureMesh(L, 768)
+    mesh = QuadratureMesh.for_band(config.grid(), 32.0)
     test_fns = (lambda t: np.exp(np.sin(2.0 * np.pi * t)),
                 lambda t: 1.0 / (1.0 + (2.0 * t) ** 2))
     refl_worst = 0.0
@@ -400,14 +398,9 @@ _TRACE_EIGENVALUES = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
 _MICRO = (1.0, 2.0, math.inf)
 
 
-def _trace_mesh(grid: GridSpec) -> QuadratureMesh:
-    return QuadratureMesh.for_band(grid, 16.0)
-
-
 def _trace_ratio_cases(config: SuiteConfig, kind: str) -> list[CaseRecord]:
     grid = config.grid()
     sys = config.system()
-    mesh = _trace_mesh(grid)
     op = MultiplierOperator.diagonal(_TRACE_EIGENVALUES)
     cases = []
     spread_worst = 0.0
@@ -420,8 +413,7 @@ def _trace_ratio_cases(config: SuiteConfig, kind: str) -> list[CaseRecord]:
             for u in family:
                 nums = []
                 for r in _MICRO:
-                    got = trace_continuity_ratio(problem, u, sys, kind=kind,
-                                                 r=r, mesh=mesh)
+                    got = trace_continuity_ratio(problem, u, sys, kind=kind, r=r)
                     worst = max(worst, got["ratio"])
                     nums.append(got["numerator"])
                 spread_worst = max(spread_worst,
@@ -442,7 +434,6 @@ def _trace_ratio_cases(config: SuiteConfig, kind: str) -> list[CaseRecord]:
 def run_trace_f(config: SuiteConfig) -> VerificationReport:
     grid = config.grid()
     sys = config.system()
-    mesh = _trace_mesh(grid)
     cases = _trace_ratio_cases(config, "F")
 
     scalar = MultiplierOperator.scalar(1.0)
@@ -464,7 +455,7 @@ def run_trace_f(config: SuiteConfig) -> VerificationReport:
         exact = True
         for _ in range(2):
             x = rng.standard_normal(diag.dim) + 1j * rng.standard_normal(diag.dim)
-            got = right_inverse_check(problem, x, grid, sys, mesh=mesh)
+            got = right_inverse_check(problem, x, grid, sys)
             worst = max(worst, got["ratio"])
             exact = exact and got["trace_exact"]
         cases.append(CaseRecord(f"right_inverse_ratio_set{i}", worst,
@@ -491,12 +482,11 @@ def run_trace_b(config: SuiteConfig) -> VerificationReport:
 def run_sobolev(config: SuiteConfig) -> VerificationReport:
     grid = config.grid()
     sys = config.system()
-    mesh = QuadratureMesh.for_band(grid, 24.0)
     family = config.family(grid, 24.0, 12, stream=50)
     cases = []
     for i, (src, dst) in enumerate(EMBEDDING_EXAMPLE_PAIRS):
         validate_embedding_pair(src, dst)
-        worst = max(sobolev_embed_ratio(f, src, dst, sys, mesh=mesh)["ratio"]
+        worst = max(sobolev_embed_ratio(f, src, dst, sys)["ratio"]
                     for f in family)
         cases.append(CaseRecord(f"embed_ratio_pair{i}", worst, compare="baseline"))
 
@@ -518,7 +508,6 @@ def run_sobolev(config: SuiteConfig) -> VerificationReport:
 def run_mixed(config: SuiteConfig) -> VerificationReport:
     grid = config.grid()
     sys = config.system()
-    mesh = QuadratureMesh.for_band(grid, 16.0)
     theta = Fraction(1, 2)
     shared = dict(s=Fraction(1, 2), alpha=Fraction(1, 2), theta=theta,
                   p0=Fraction(2), q0=Fraction(2), p1=Fraction(3), q1=Fraction(2))
@@ -535,14 +524,14 @@ def run_mixed(config: SuiteConfig) -> VerificationReport:
     dev = 0.0
     for xi in (1.0, 2.0, 4.0):
         f = GridFunction.from_coeff_map(grid, {xi: [1.2 + 0.7j]})
-        got = mixed_derivative_check(f, params_f, scalar, sys, mesh=mesh)
+        got = mixed_derivative_check(f, params_f, scalar, sys)
         dev = max(dev, abs(got["lhs"] / got["rhs"] - 1.0))
     cases.append(CaseRecord("single_mode_equality", dev, 1e-12))
 
     def family_worst(fns, params, inners):
         out = 0.0
         for f in fns:
-            got = mixed_derivative_check(f, params, inners, sys, mesh=mesh)
+            got = mixed_derivative_check(f, params, inners, sys)
             out = max(out, got["lhs"] / got["rhs"])
         return out
 
@@ -614,7 +603,6 @@ def run_counterexample(config: SuiteConfig) -> VerificationReport:
 def run_semigroup(config: SuiteConfig) -> VerificationReport:
     grid = config.grid()
     sys = config.system()
-    mesh = _trace_mesh(grid)
     cases = []
 
     unit = MultiplierOperator.scalar(1.0)
@@ -653,17 +641,17 @@ def run_semigroup(config: SuiteConfig) -> VerificationReport:
         worst = 0.0
         for _ in range(2):
             x = rng.standard_normal(diag.dim) + 1j * rng.standard_normal(diag.dim)
-            got = semigroup_orbit_ratio(problem, x, grid, sys, mesh=mesh)
+            got = semigroup_orbit_ratio(problem, x, grid, sys)
             worst = max(worst, got["ratio"])
         cases.append(CaseRecord(f"orbit_ratio_set{i}", worst, compare="baseline"))
 
     # windowed scalar orbit against the incomplete-gamma closed form on the
     # window plateau, where the orbit is exactly e^{-t}
     u = semigroup_orbit(grid, unit, [1.0], ExtensionOperator(3, 0))
-    fine = QuadratureMesh(config.half_width, 1024)
+    mesh = QuadratureMesh.for_band(grid, ORBIT_BAND)
     t0, t1 = 0.05 * config.half_width, 0.5 * config.half_width
     for tag, p, gamma in (("flat", 2.0, 0.0), ("weighted", 2.0, 0.5)):
-        computed = weighted_lp_norm(u, p, gamma, mesh=fine, interval=(t0, t1))
+        computed = weighted_lp_norm(u, p, gamma, mesh=mesh, interval=(t0, t1))
         a = gamma + 1.0
         mass = math.gamma(a) / p ** a * (gammainc(a, p * t1) - gammainc(a, p * t0))
         cases.append(CaseRecord(f"orbit_plateau_norm_{tag}",

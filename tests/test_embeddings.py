@@ -9,7 +9,6 @@ from tracespaces import (
     EMBEDDING_EXAMPLE_PAIRS,
     GridFunction,
     MixedDerivativeParams,
-    QuadratureMesh,
     SpaceSpec,
     WeightedEuclideanInner,
     bf_sandwich_check,
@@ -42,25 +41,25 @@ def test_mixed_scale_pair_rejected():
         validate_embedding_pair(src, dst)
 
 
-def test_embedding_ratio_structure(grid, system, mesh):
+def test_embedding_ratio_structure(grid, system):
     src, dst = EMBEDDING_EXAMPLE_PAIRS[0]
     f = random_band_limited(grid, (-24.0, 24.0), seed=3)
-    got = sobolev_embed_ratio(f, src, dst, system, mesh=mesh)
+    got = sobolev_embed_ratio(f, src, dst, system)
     assert got["ratio"] == pytest.approx(got["dst_norm"] / got["src_norm"],
                                          rel=1e-14)
     assert got["ratio"] > 0.0
 
 
-def test_q_monotonicity_check_passes(grid, system, mesh):
+def test_q_monotonicity_check_passes(grid, system):
     f = random_band_limited(grid, (-24.0, 24.0), seed=4)
     got = q_monotonicity_check(f, "B", 0.5, 2.0, 0.3, (1.0, 2.0, math.inf),
-                               system, mesh)
+                               system)
     assert got["norms"][0] >= got["norms"][1] >= got["norms"][2]
 
 
-def test_bf_sandwich(grid, system, mesh):
+def test_bf_sandwich(grid, system):
     f = random_band_limited(grid, (-24.0, 24.0), seed=5)
-    got = bf_sandwich_check(f, 0.5, 2.0, 1.5, 0.3, system, mesh=mesh)
+    got = bf_sandwich_check(f, 0.5, 2.0, 1.5, 0.3, system)
     assert got["b_small_q"] * (1 + 1e-12) >= got["f_norm"] >= \
         got["b_large_q"] / (1 + 1e-12)
 
@@ -116,21 +115,18 @@ def test_mixed_params_reject_infinite_q(field):
 
 
 def test_single_mode_equality(grid, system):
-    mesh = QuadratureMesh.for_band(grid, 16.0)
     one = WeightedEuclideanInner([1.0])
     f = GridFunction.from_coeff_map(grid, {2.0: [1.0 + 0.5j]})
-    got = mixed_derivative_check(f, _mixed_params(), (one, one, one), system, mesh=mesh)
+    got = mixed_derivative_check(f, _mixed_params(), (one, one, one), system)
     assert got["constant"] == 1.0
     assert got["lhs"] == pytest.approx(got["rhs"], rel=1e-12)
 
 
 def test_mixed_family_bounded(grid, system):
-    mesh = QuadratureMesh.for_band(grid, 16.0)
     one = WeightedEuclideanInner([1.0])
     for seed in range(4):
         f = random_band_limited(grid, (-16.0, 16.0), seed=seed)
-        got = mixed_derivative_check(f, _mixed_params(), (one, one, one), system,
-                                     mesh=mesh)
+        got = mixed_derivative_check(f, _mixed_params(), (one, one, one), system)
         assert got["lhs"] <= got["rhs"] * (1.0 + 1e-9)
 
 
@@ -166,11 +162,10 @@ def test_holder_constant_matches_brute_force():
 
 
 def test_mixed_diagonal_inner_with_constant(grid, system):
-    mesh = QuadratureMesh.for_band(grid, 16.0)
     inners = (WeightedEuclideanInner([1.0, 0.6, 0.25]),
               WeightedEuclideanInner([0.4, 1.0, 0.7]),
               WeightedEuclideanInner([0.8, 0.75, 0.5]))
     f = random_band_limited(grid, (-16.0, 16.0), seed=9, dim=3)
-    got = mixed_derivative_check(f, _mixed_params(), inners, system, mesh=mesh)
+    got = mixed_derivative_check(f, _mixed_params(), inners, system)
     assert got["constant"] == diagonal_holder_constant(*inners, 0.5) > 1.0
     assert got["lhs"] <= got["rhs"] * (1.0 + 1e-12)

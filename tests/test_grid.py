@@ -12,6 +12,7 @@ from tracespaces import (
     random_band_limited,
     weighted_lp_norm,
 )
+from tracespaces.grid import GridError
 
 
 def test_grid_spec_basics(grid):
@@ -104,8 +105,31 @@ def test_sup_norm_on_interval_keeps_to_it(grid):
     supremum over [0.5, 1] is |1 + 0.8 i| = 1.28, not the 1.8 of [-1, 1]."""
     f = GridFunction.from_coeff_map(grid, {0.0: [1.0], 0.5: [0.8]})
     got = weighted_lp_norm(f, math.inf, 0.0, interval=(0.5, 1.0))
-    assert got == pytest.approx(math.hypot(1.0, 0.8), rel=2e-3)  # node spacing
+    assert got == pytest.approx(math.hypot(1.0, 0.8), rel=2e-3)
     assert weighted_lp_norm(f, math.inf, 0.0) == pytest.approx(1.8, rel=1e-6)
+    # the maximum of the interpolant, not of the nodes: t = 0.5 is no node
+    # of these meshes, and the node maximum is 2.7e-3 low at 256 cells
+    for cells in (64, 128, 256, 512):
+        got = weighted_lp_norm(f, math.inf, 0.0, mesh=QuadratureMesh(1.0, cells),
+                               interval=(0.5, 1.0))
+        assert got == pytest.approx(math.hypot(1.0, 0.8), rel=1e-9)
+
+
+def test_norm_rejects_mesh_of_another_half_width(grid):
+    """A mesh on [-2, 2] or [-0.5, 0.5] would integrate e^{2 pi i t} of the
+    grid on [-1, 1] over the wrong interval (2.0 and 1.0, not sqrt 2)."""
+    f = GridFunction.from_coeff_map(grid, {1.0: [1.0]})
+    assert weighted_lp_norm(f, 2.0, 0.0) == pytest.approx(math.sqrt(2.0), rel=1e-12)
+    for half_width in (2.0, 0.5):
+        with pytest.raises(GridError):
+            weighted_lp_norm(f, 2.0, 0.0, mesh=QuadratureMesh(half_width, 64))
+
+
+@pytest.mark.parametrize("half_width, cells", [(math.inf, 8), (math.nan, 8), (-1.0, 8),
+                                               (0.0, 8), (1.0, 4.7), (1.0, 8.0), (1.0, 3)])
+def test_mesh_rejects_bad_half_width_and_cell_count(half_width, cells):
+    with pytest.raises(GridError):
+        QuadratureMesh(half_width, cells)
 
 
 def test_weight_and_interval_validation(grid, mesh):
