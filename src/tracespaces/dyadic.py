@@ -15,7 +15,8 @@ symbol value, which is exact on coefficients.
 
 `DyadicSystem.symbols(xi)` builds the table of every block at given
 frequencies in one pass; block projection, the partition check, the
-dyadic suite and the B/F norms all read its rows.
+dyadic suite and the B/F norms all read its rows.  `DyadicSystem.for_grid`
+is the one owner of the depth K: the grid's band fixes it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction
+from .grid import GridFunction, GridSpec
 
 __all__ = ["DyadicSystem", "build_system", "apply_block", "partition_check", "smooth_step"]
 
@@ -58,6 +59,16 @@ class DyadicSystem:
     def __post_init__(self):
         if self.max_block < 1:
             raise ValueError("max_block must be >= 1")
+
+    @classmethod
+    def for_grid(cls, grid: GridSpec) -> "DyadicSystem":
+        """The shallowest system (K >= 1) whose blocks cover every
+        representable frequency of the grid, |xi| <= 2^K."""
+        top = grid.nyquist - grid.fundamental
+        depth = 1
+        while 2 ** depth < top:
+            depth += 1
+        return cls(depth)
 
     def generator(self, xi):
         """phi_hat(xi): 1 for |xi| <= 1, 0 for |xi| >= 3/2, smooth between.

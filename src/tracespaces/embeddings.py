@@ -28,6 +28,9 @@ Three families of executable statements:
 * The divergence witness against mixed-scale embeddings: lacunary
   sequences whose target ell^u and source ell^q norms separate by the
   factor N^{1/u - 1/q}, blocking any embedding that would need u >= q.
+
+No check takes a dyadic system or a mesh: each norm of f uses the
+blocks of f's grid (DyadicSystem.for_grid) and f's own mesh.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dyadic import DyadicSystem
 from .spaces import SpaceSpec, WeightedEuclideanInner, _lq_combine, space_norm
 
 __all__ = [
@@ -93,11 +95,11 @@ def validate_embedding_pair(src: SpaceSpec, dst: SpaceSpec, tol: float = 1e-12) 
         raise ValueError("on the B-scale the microscopic parameter cannot drop")
 
 
-def sobolev_embed_ratio(f, src: SpaceSpec, dst: SpaceSpec, sys: DyadicSystem) -> dict:
+def sobolev_embed_ratio(f, src: SpaceSpec, dst: SpaceSpec) -> dict:
     """||f||_dst / ||f||_src for a validated embedding pair."""
     validate_embedding_pair(src, dst)
-    src_norm = space_norm(f, src, sys)
-    dst_norm = space_norm(f, dst, sys)
+    src_norm = space_norm(f, src)
+    dst_norm = space_norm(f, dst)
     if src_norm == 0.0:
         raise ValueError("zero function has no embedding ratio")
     return {"src_norm": src_norm, "dst_norm": dst_norm,
@@ -220,7 +222,7 @@ def diagonal_holder_constant(inner0: WeightedEuclideanInner,
     return math.sqrt(best)
 
 
-def mixed_derivative_check(f, params: MixedDerivativeParams, inners, sys: DyadicSystem) -> dict:
+def mixed_derivative_check(f, params: MixedDerivativeParams, inners) -> dict:
     """Evaluate both sides of the mixed-derivative estimate on f, for inner
     spaces inners = (X_0, X_1, X_theta) at the parameters' theta.
 
@@ -231,9 +233,9 @@ def mixed_derivative_check(f, params: MixedDerivativeParams, inners, sys: Dyadic
     inner0, inner1, inner_theta = inners
     theta = float(params.theta)
     constant = diagonal_holder_constant(inner0, inner1, inner_theta, theta)
-    lhs = space_norm(f, params.target_spec(inner_theta), sys)
-    n0 = space_norm(f, params.source0_spec(inner0), sys)
-    n1 = space_norm(f, params.source1_spec(inner1), sys)
+    lhs = space_norm(f, params.target_spec(inner_theta))
+    n0 = space_norm(f, params.source0_spec(inner0))
+    n1 = space_norm(f, params.source1_spec(inner1))
     rhs = constant * n0 ** (1.0 - theta) * n1 ** theta
     return {"lhs": lhs, "factor0": n0, "factor1": n1, "constant": constant, "rhs": rhs}
 
@@ -272,33 +274,33 @@ def counterexample_norms(coefficients, u: float, q: float) -> dict:
 
 
 def q_monotonicity_check(f, kind: str, s: float, p: float, gamma: float,
-                         q_values, sys: DyadicSystem) -> dict:
+                         q_values) -> dict:
     """Norms at increasing q, which never increase: with shared nodes and
     weights this holds term by term, so up to rounding."""
     qs = sorted(float(q) for q in q_values)
-    norms = [space_norm(f, SpaceSpec(kind, s, p, q, gamma), sys) for q in qs]
+    norms = [space_norm(f, SpaceSpec(kind, s, p, q, gamma)) for q in qs]
     return {"q_values": qs, "norms": norms}
 
 
-def bf_sandwich_check(f, s: float, p: float, q: float, gamma: float, sys: DyadicSystem) -> dict:
+def bf_sandwich_check(f, s: float, p: float, q: float, gamma: float) -> dict:
     """The three norms of B^s_{p, min(p,q)} >= F^s_{p,q} >= B^s_{p, max(p,q)},
     which hold with constant 1: on shared nodes both steps are literal
     Minkowski/monotonicity, so up to rounding."""
-    fn = space_norm(f, SpaceSpec("F", s, p, q, gamma), sys)
-    b_small = space_norm(f, SpaceSpec("B", s, p, min(p, q), gamma), sys)
-    b_large = space_norm(f, SpaceSpec("B", s, p, max(p, q), gamma), sys)
+    fn = space_norm(f, SpaceSpec("F", s, p, q, gamma))
+    b_small = space_norm(f, SpaceSpec("B", s, p, min(p, q), gamma))
+    b_large = space_norm(f, SpaceSpec("B", s, p, max(p, q), gamma))
     return {"f_norm": fn, "b_small_q": b_small, "b_large_q": b_large}
 
 
-def sandwich_ratios(f, spec: SpaceSpec, sys: DyadicSystem) -> dict:
+def sandwich_ratios(f, spec: SpaceSpec) -> dict:
     """Ratios placing the H or W space of spec between F^s_{p,1} and
     F^s_{p,inf}: ratio_in = norm/F_1 and ratio_out = F_inf/norm are the two
     embedding constants, tracked against pinned baselines."""
     if spec.kind not in ("H", "W"):
         raise ValueError(f"sandwich ratios place H or W spaces, got {spec.kind!r}")
     norm = space_norm(f, spec)
-    f1 = space_norm(f, SpaceSpec("F", spec.s, spec.p, 1.0, spec.gamma), sys)
-    finf = space_norm(f, SpaceSpec("F", spec.s, spec.p, math.inf, spec.gamma), sys)
+    f1 = space_norm(f, SpaceSpec("F", spec.s, spec.p, 1.0, spec.gamma))
+    finf = space_norm(f, SpaceSpec("F", spec.s, spec.p, math.inf, spec.gamma))
     if norm == 0.0:
         raise ValueError("zero function has no sandwich ratios")
     return {"norm": norm, "f_q1": f1, "f_qinf": finf,

@@ -571,14 +571,13 @@ def random_band_limited(grid: GridSpec, band: tuple[float, float], seed,
     khi = int(math.floor(hi / grid.fundamental + 1e-9))
     if khi < klo:
         raise GridError("band contains no representable frequency")
+    # an edge within the 1e-9 slack of Nyquist rounds onto the Nyquist bin
+    if klo <= -(grid.n_samples // 2) or khi >= grid.n_samples // 2:
+        raise GridError("band must stay below the Nyquist frequency")
     rng = np.random.default_rng(seed)
     ks = np.arange(klo, khi + 1)
     vals = (rng.standard_normal((ks.size, dim)) + 1j * rng.standard_normal((ks.size, dim)))
     vals /= math.sqrt(2.0)
     c = np.zeros((grid.n_samples, dim), dtype=complex)
-    nyq = grid.n_samples // 2
-    for k, v in zip(ks, vals):
-        if abs(k) >= nyq:
-            raise GridError("band must stay below the Nyquist frequency")
-        c[k % grid.n_samples] = v
+    c[ks % grid.n_samples] = vals
     return GridFunction(grid, c)

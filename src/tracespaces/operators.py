@@ -195,25 +195,26 @@ def batch_interp_norm_resolvent(op: MultiplierOperator, alpha: float, r: float,
     """Resolvent-form D_A(alpha, r) norms of a batch of vectors, shape
     (..., dim) -> (...), by the rules in the module docstring.  The window
     depends on the operator alone, so each row's norm equals its norm
-    computed alone, bitwise; the nonzero rows go in chunks of _BATCH_ROWS."""
+    computed alone, bitwise.  The rows go in chunks of _BATCH_ROWS, each
+    squared on its own; a row whose squares all vanish has norm 0."""
     m = _order(alpha, m)
     if not r >= 1:
         raise ValueError(f"need r >= 1, got r={r}")
     vals = np.asarray(values, dtype=complex)
     if vals.shape[-1] != op.dim:
         raise ValueError("value dimension mismatch")
-    sq = np.abs(vals.reshape(-1, op.dim)) ** 2
-    live = np.flatnonzero(np.any(sq > 0, axis=1))
-    out = np.zeros(sq.shape[0])
+    flat = vals.reshape(-1, op.dim)
+    out = np.zeros(flat.shape[0])
     lam = op.eigenvalues
 
     def kernel(sigma):  # sigma^{2 alpha} ||(A (sigma + A)^{-1})^m e_k||^2
         return (lam / np.add.outer(sigma, lam)) ** (2 * m) * (sigma ** (2.0 * alpha))[..., None]
 
     c = max(m * r, 1.0)
-    for start in range(0, live.size, _BATCH_ROWS):
-        rows = live[start:start + _BATCH_ROWS]
-        chunk = sq[rows]
+    for start in range(0, flat.shape[0], _BATCH_ROWS):
+        sq = np.abs(flat[start:start + _BATCH_ROWS]) ** 2
+        live = np.flatnonzero(np.any(sq > 0, axis=1))
+        rows, chunk = start + live, sq[live]
         if math.isinf(r):
             out[rows] = _supremum(chunk, kernel, alpha * lam / (m - alpha))
             continue
@@ -262,11 +263,10 @@ def interp_norm_semigroup(op: MultiplierOperator, alpha: float, p: float, x) -> 
     return float(core[0] + lo ** (e * p) / (e * p) * domnorm) ** (1.0 / p)
 
 
-def closed_form_resolvent_norm(op: MultiplierOperator, alpha: float, p: float, x,
-                               m: int | None = None) -> float:
+def closed_form_resolvent_norm(op: MultiplierOperator, alpha: float, p: float, x) -> float:
     """Beta-function closed form of the resolvent norm: exact for scalar
     operators at any p, and for diagonal ones at p = 2."""
-    m = _order(alpha, m)
+    m = _order(alpha, None)
     v = op._vec(x)
     if op.dim == 1:
         lam = float(op.eigenvalues[0])
@@ -278,11 +278,10 @@ def closed_form_resolvent_norm(op: MultiplierOperator, alpha: float, p: float, x
     return float(math.sqrt(np.sum(np.abs(v) ** 2 * op.eigenvalues ** (2.0 * alpha) * b)))
 
 
-def closed_form_semigroup_norm(op: MultiplierOperator, alpha: float, p: float, x,
-                               m: int | None = None) -> float:
+def closed_form_semigroup_norm(op: MultiplierOperator, alpha: float, p: float, x) -> float:
     """Gamma-function closed form of the semigroup norm (scalar any p,
     diagonal at p = 2): lambda^alpha (Gamma((m-alpha)p) / p^{(m-alpha)p})^{1/p}."""
-    m = _order(alpha, m)
+    m = _order(alpha, None)
     v = op._vec(x)
     e = (m - alpha) * p
     if op.dim == 1:

@@ -265,15 +265,16 @@ def space_norm(f: GridFunction, spec: SpaceSpec, sys: DyadicSystem | None = None
                mesh: QuadratureMesh | None = None) -> float:
     """Norm of f in the space described by spec.
 
-    B/F kinds need a dyadic system whose blocks cover f's band; the H
-    multiplier and W derivatives act exactly on coefficients.
+    B/F kinds take their blocks from DyadicSystem.for_grid(f.grid) unless
+    a system is passed, which must cover f's band; the H multiplier and W
+    derivatives act exactly on coefficients.
     """
     inner = spec.inner or default_inner(f.dim)
     if getattr(inner, "dim", f.dim) != f.dim:
         raise GridError(f"inner space dimension {inner.dim} != value dimension {f.dim}")
     if spec.kind in ("B", "F"):
         if sys is None:
-            raise ValueError("B/F norms need a dyadic system")
+            sys = DyadicSystem.for_grid(f.grid)
         if not sys.covers(f.max_frequency):
             raise GridError(
                 f"dyadic system with max block {sys.max_block} does not cover the "
@@ -389,15 +390,16 @@ def difference_seminorm(f: GridFunction, s: float, p: float, q: float, gamma: fl
     return float(mesh.lp_norm(G, p, gamma))
 
 
-def norm_equivalence_ratio(f: GridFunction, spec: SpaceSpec, m: int, sys: DyadicSystem) -> float:
+def norm_equivalence_ratio(f: GridFunction, spec: SpaceSpec, m: int) -> float:
     """(weighted L^p norm + difference seminorm) / space norm: the computable
     stand-in for the equivalence of the difference characterization with the
-    dyadic norm.  Tracked as a ratio window, not an absolute constant."""
+    dyadic norm on the blocks of f's grid.  Tracked as a ratio window, not
+    an absolute constant."""
     if spec.kind != "F":
         raise ValueError("the difference characterization is tracked on the F-scale")
     lp = weighted_lp_norm(f, spec.p, spec.gamma, inner=spec.inner)
     semi = difference_seminorm(f, spec.s, spec.p, spec.q, spec.gamma, m, inner=spec.inner)
-    dyadic_norm = space_norm(f, spec, sys)
+    dyadic_norm = space_norm(f, spec)
     if dyadic_norm == 0.0:
         raise ValueError("zero function has no equivalence ratio")
     return (lp + semi) / dyadic_norm

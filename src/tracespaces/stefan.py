@@ -42,12 +42,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dyadic import DyadicSystem
 from .extension import ExtensionOperator
 from .grid import GridSpec, QuadratureMesh
 from .operators import MultiplierOperator
 from .spaces import SequenceBesovInner, SpaceSpec, space_norm, weighted_lp_norm
-from .trace import windowed_orbit
+from .trace import ORBIT_BAND, windowed_orbit
 
 __all__ = [
     "DegenerateCaseError",
@@ -185,8 +184,7 @@ def compatibility_conditions(params: StefanParams) -> tuple[str, ...]:
     return tuple(sorted(conds))
 
 
-def dt_boundedness_check(params: StefanParams, grid: GridSpec, sys: DyadicSystem,
-                         seed: int = 7) -> dict:
+def dt_boundedness_check(params: StefanParams, grid: GridSpec, seed: int = 7) -> dict:
     """Boundedness of the time derivative of the reconstructed height
     orbit, in the finite sequence model.
 
@@ -198,7 +196,9 @@ def dt_boundedness_check(params: StefanParams, grid: GridSpec, sys: DyadicSystem
     4^n is normalized so its largest rung is 4 (a choice of time unit):
     the orbit then stays analytic far below the grid Nyquist frequency
     and its reflection joint at t = 0 is mild enough for the spectral
-    time derivative to recover the trace datum accurately.
+    time derivative to recover the trace datum accurately.  Like every
+    orbit norm, the derivative's is taken on the ORBIT_BAND mesh, with
+    the blocks of the grid.
     """
     conds = compatibility_conditions(params)
     if "dynamic" not in conds:
@@ -229,12 +229,11 @@ def dt_boundedness_check(params: StefanParams, grid: GridSpec, sys: DyadicSystem
     dt_trace = du.value_at_zero
     dt_err = float(np.linalg.norm(dt_trace - x1) / np.linalg.norm(x1))
 
-    mesh = QuadratureMesh.for_band(grid, 64.0)
+    mesh = QuadratureMesh.for_band(grid, ORBIT_BAND)
     inner_flat = SequenceBesovInner(0.0, q, dim=dim)
     inner_b = SequenceBesovInner(1.0 - 1.0 / q, q, dim=dim)
     s2 = 0.5 - 1.0 / (2.0 * q)
-    num = (space_norm(du, SpaceSpec("F", s2, p, q, 0.0, inner=inner_flat),
-                      sys, mesh=mesh)
+    num = (space_norm(du, SpaceSpec("F", s2, p, q, 0.0, inner=inner_flat), mesh=mesh)
            + weighted_lp_norm(du, p, 0.0, mesh=mesh, inner=inner_b))
 
     sig_h = float(spaces["Xh"][0].smoothness)

@@ -34,7 +34,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import gammainc
 
-from .dyadic import DyadicSystem, build_system, partition_check
+from .dyadic import DyadicSystem, partition_check
 from .embeddings import (
     EMBEDDING_EXAMPLE_PAIRS,
     MixedDerivativeParams,
@@ -125,7 +125,7 @@ class SuiteConfig:
         return {
             "half_width": self.half_width,
             "n_samples": self.n_samples,
-            "max_block": self.system().max_block,
+            "max_block": DyadicSystem.for_grid(self.grid()).max_block,
             "seed": self.seed,
             "family_size": self.family_size,
         }
@@ -133,21 +133,12 @@ class SuiteConfig:
     def grid(self) -> GridSpec:
         return GridSpec(self.half_width, self.n_samples)
 
-    def system(self) -> DyadicSystem:
-        """The shallowest dyadic system (K >= 1) whose blocks cover every
-        representable frequency of the grid, |xi| <= 2^K."""
-        grid = self.grid()
-        top = grid.nyquist - grid.fundamental
-        depth = 1
-        while 2 ** depth < top:
-            depth += 1
-        return build_system(depth)
-
-    def family(self, grid: GridSpec, band: float, count: int, stream: int,
+    def family(self, band: float, count: int, stream: int,
                dim: int = 1) -> list[GridFunction]:
-        """Seeded band-limited test functions on |xi| <= band, capped at the
-        largest representable frequency; the stream index separates the
-        draws of different suites."""
+        """Seeded band-limited test functions on the config's grid on
+        |xi| <= band, capped at the largest representable frequency; the
+        stream index separates the draws of different suites."""
+        grid = self.grid()
         band = min(band, grid.nyquist - grid.fundamental)
         return [random_band_limited(grid, (-band, band), (self.seed, stream, i), dim)
                 for i in range(count)]
@@ -172,8 +163,8 @@ def _flag(exact_ok: bool) -> float:
 
 
 def run_dyadic(config: SuiteConfig) -> VerificationReport:
-    sys = config.system()
     grid = config.grid()
+    sys = DyadicSystem.for_grid(grid)
     top = 2.0 ** sys.max_block
     xi = np.concatenate([
         np.linspace(-top, top, 8193),
@@ -197,7 +188,7 @@ def run_dyadic(config: SuiteConfig) -> VerificationReport:
     # complementary 26-bit values, so both products and their sum are exact
     err = 0.0
     blocks = sys.symbols(grid.frequencies())
-    for f in config.family(grid, 250.0, config.family_size, stream=100):
+    for f in config.family(250.0, config.family_size, stream=100):
         f = GridFunction(grid, f.coeffs.astype(np.complex64).astype(complex))
         total = np.zeros_like(f.coeffs)
         for block in blocks:
@@ -225,31 +216,27 @@ def diffnorm_window(config: SuiteConfig, params: tuple) -> tuple[float, float]:
     """(min, max) of the difference-characterization ratio over the seeded
     family of the config's grid for one (s, p, q, gamma, m) parameter set."""
     s, p, q, gamma, m = params
-    grid = config.grid()
-    sys = config.system()
     spec = SpaceSpec("F", s, p, q, gamma)
-    ratios = [norm_equivalence_ratio(f, spec, m, sys)
-              for f in config.family(grid, 8.0, config.family_size, stream=2)]
+    ratios = [norm_equivalence_ratio(f, spec, m)
+              for f in config.family(8.0, config.family_size, stream=2)]
     return min(ratios), max(ratios)
 
 
 def run_norms(config: SuiteConfig) -> VerificationReport:
-    grid = config.grid()
-    sys = config.system()
-    family = config.family(grid, 24.0, config.family_size, stream=1)
+    family = config.family(24.0, config.family_size, stream=1)
     cases = []
 
     for s, p, g in _BF_DIAGONAL_PARAMS:
         rel = 0.0
         for f in family:
-            b = space_norm(f, SpaceSpec("B", s, p, p, g), sys)
-            fn = space_norm(f, SpaceSpec("F", s, p, p, g), sys)
+            b = space_norm(f, SpaceSpec("B", s, p, p, g))
+            fn = space_norm(f, SpaceSpec("F", s, p, p, g))
             rel = max(rel, abs(b - fn) / max(b, fn))
         cases.append(CaseRecord(f"bf_diagonal_s{s:g}_p{p:g}_g{g:g}", rel, 1e-8))
 
     qs = (1.0, 2.0, math.inf)
     for kind in ("B", "F"):
-        norms = [dict(zip(qs, q_monotonicity_check(f, kind, 0.5, 2.0, 0.3, qs, sys)["norms"]))
+        norms = [dict(zip(qs, q_monotonicity_check(f, kind, 0.5, 2.0, 0.3, qs)["norms"]))
                  for f in family]
         for q0, q1 in _QMONO_PAIRS:
             ratio = max(n[q1] / n[q0] for n in norms)
@@ -258,15 +245,15 @@ def run_norms(config: SuiteConfig) -> VerificationReport:
 
     worst = 0.0
     for f in family:
-        got = bf_sandwich_check(f, 0.5, 2.0, 1.5, 0.3, sys)
+        got = bf_sandwich_check(f, 0.5, 2.0, 1.5, 0.3)
         worst = max(worst, got["f_norm"] / got["b_small_q"],
                     got["b_large_q"] / got["f_norm"])
     cases.append(CaseRecord("bf_sandwich_max_ratio", worst, 1.0 + 1e-12))
 
     h_in = h_out = w_in = w_out = 0.0
     for f in family[:8]:
-        hs = sandwich_ratios(f, SpaceSpec("H", 0.5, 2.0, gamma=0.3), sys)
-        ws = sandwich_ratios(f, SpaceSpec("W", 1.0, 2.0, gamma=0.3), sys)
+        hs = sandwich_ratios(f, SpaceSpec("H", 0.5, 2.0, gamma=0.3))
+        ws = sandwich_ratios(f, SpaceSpec("W", 1.0, 2.0, gamma=0.3))
         h_in, h_out = max(h_in, hs["ratio_in"]), max(h_out, hs["ratio_out"])
         w_in, w_out = max(w_in, ws["ratio_in"]), max(w_out, ws["ratio_out"])
     cases.append(CaseRecord("h_sandwich_in", h_in, compare="baseline"))
@@ -399,13 +386,11 @@ _MICRO = (1.0, 2.0, math.inf)
 
 
 def _trace_ratio_cases(config: SuiteConfig, kind: str) -> list[CaseRecord]:
-    grid = config.grid()
-    sys = config.system()
     op = MultiplierOperator.diagonal(_TRACE_EIGENVALUES)
     cases = []
     spread_worst = 0.0
     for i, (s, alpha, p, gamma) in enumerate(_TRACE_PROBLEM_PARAMS):
-        family = config.family(grid, 16.0, 3, stream=30 + i, dim=op.dim)
+        family = config.family(16.0, 3, stream=30 + i, dim=op.dim)
         per_q: dict[float, float] = {}
         for q in _MICRO:
             problem = TraceProblem(op, s, p, q, gamma, alpha)
@@ -413,7 +398,7 @@ def _trace_ratio_cases(config: SuiteConfig, kind: str) -> list[CaseRecord]:
             for u in family:
                 nums = []
                 for r in _MICRO:
-                    got = trace_continuity_ratio(problem, u, sys, kind=kind, r=r)
+                    got = trace_continuity_ratio(problem, u, kind=kind, r=r)
                     worst = max(worst, got["ratio"])
                     nums.append(got["numerator"])
                 spread_worst = max(spread_worst,
@@ -433,7 +418,6 @@ def _trace_ratio_cases(config: SuiteConfig, kind: str) -> list[CaseRecord]:
 
 def run_trace_f(config: SuiteConfig) -> VerificationReport:
     grid = config.grid()
-    sys = config.system()
     cases = _trace_ratio_cases(config, "F")
 
     scalar = MultiplierOperator.scalar(1.0)
@@ -455,7 +439,7 @@ def run_trace_f(config: SuiteConfig) -> VerificationReport:
         exact = True
         for _ in range(2):
             x = rng.standard_normal(diag.dim) + 1j * rng.standard_normal(diag.dim)
-            got = right_inverse_check(problem, x, grid, sys)
+            got = right_inverse_check(problem, x, grid)
             worst = max(worst, got["ratio"])
             exact = exact and got["trace_exact"]
         cases.append(CaseRecord(f"right_inverse_ratio_set{i}", worst,
@@ -480,13 +464,11 @@ def run_trace_b(config: SuiteConfig) -> VerificationReport:
 
 
 def run_sobolev(config: SuiteConfig) -> VerificationReport:
-    grid = config.grid()
-    sys = config.system()
-    family = config.family(grid, 24.0, 12, stream=50)
+    family = config.family(24.0, 12, stream=50)
     cases = []
     for i, (src, dst) in enumerate(EMBEDDING_EXAMPLE_PAIRS):
         validate_embedding_pair(src, dst)
-        worst = max(sobolev_embed_ratio(f, src, dst, sys)["ratio"]
+        worst = max(sobolev_embed_ratio(f, src, dst)["ratio"]
                     for f in family)
         cases.append(CaseRecord(f"embed_ratio_pair{i}", worst, compare="baseline"))
 
@@ -507,7 +489,6 @@ def run_sobolev(config: SuiteConfig) -> VerificationReport:
 
 def run_mixed(config: SuiteConfig) -> VerificationReport:
     grid = config.grid()
-    sys = config.system()
     theta = Fraction(1, 2)
     shared = dict(s=Fraction(1, 2), alpha=Fraction(1, 2), theta=theta,
                   p0=Fraction(2), q0=Fraction(2), p1=Fraction(3), q1=Fraction(2))
@@ -524,25 +505,25 @@ def run_mixed(config: SuiteConfig) -> VerificationReport:
     dev = 0.0
     for xi in (1.0, 2.0, 4.0):
         f = GridFunction.from_coeff_map(grid, {xi: [1.2 + 0.7j]})
-        got = mixed_derivative_check(f, params_f, scalar, sys)
+        got = mixed_derivative_check(f, params_f, scalar)
         dev = max(dev, abs(got["lhs"] / got["rhs"] - 1.0))
     cases.append(CaseRecord("single_mode_equality", dev, 1e-12))
 
     def family_worst(fns, params, inners):
         out = 0.0
         for f in fns:
-            got = mixed_derivative_check(f, params, inners, sys)
+            got = mixed_derivative_check(f, params, inners)
             out = max(out, got["lhs"] / got["rhs"])
         return out
 
-    family = config.family(grid, 16.0, 12, stream=60)
+    family = config.family(16.0, 12, stream=60)
     for kind, params in (("F", params_f), ("B", params_b)):
         cases.append(CaseRecord(f"scalar_family_{kind}_unit_constant",
                                 family_worst(family, params, scalar), 1.0 + 1e-9))
 
     inner0 = WeightedEuclideanInner([1.0, 0.6, 0.25])
     inner1 = WeightedEuclideanInner([0.4, 1.0, 0.7])
-    fam3 = config.family(grid, 16.0, 12, stream=61, dim=3)
+    fam3 = config.family(16.0, 12, stream=61, dim=3)
 
     computed = (inner0, inner1, WeightedEuclideanInner([0.8, 0.75, 0.5]))
     cases.append(CaseRecord("diagonal_family_computed_constant",
@@ -602,7 +583,6 @@ def run_counterexample(config: SuiteConfig) -> VerificationReport:
 
 def run_semigroup(config: SuiteConfig) -> VerificationReport:
     grid = config.grid()
-    sys = config.system()
     cases = []
 
     unit = MultiplierOperator.scalar(1.0)
@@ -641,7 +621,7 @@ def run_semigroup(config: SuiteConfig) -> VerificationReport:
         worst = 0.0
         for _ in range(2):
             x = rng.standard_normal(diag.dim) + 1j * rng.standard_normal(diag.dim)
-            got = semigroup_orbit_ratio(problem, x, grid, sys)
+            got = semigroup_orbit_ratio(problem, x, grid)
             worst = max(worst, got["ratio"])
         cases.append(CaseRecord(f"orbit_ratio_set{i}", worst, compare="baseline"))
 
@@ -697,13 +677,12 @@ def run_stefan(config: SuiteConfig) -> VerificationReport:
         rejected = True
     cases.append(CaseRecord("degenerate_line_rejected", _flag(rejected), 0.0))
 
-    got = dt_boundedness_check(StefanParams(8, 2), config.grid(), config.system(),
-                               seed=config.seed + 7)
+    got = dt_boundedness_check(StefanParams(8, 2), config.grid(), seed=config.seed + 7)
     cases.append(CaseRecord("dt_trace_error", got["dt_trace_error"], 1e-3))
     cases.append(CaseRecord("dt_ratio", got["ratio"], compare="baseline"))
 
     try:
-        dt_boundedness_check(StefanParams(2, 2), config.grid(), config.system())
+        dt_boundedness_check(StefanParams(2, 2), config.grid())
         nondyn = False
     except ValueError:
         nondyn = True

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import DyadicSystem, smooth_step
+from .dyadic import smooth_step
 from .extension import ExtensionOperator
 from .grid import GridFunction, GridSpec, QuadratureMesh
 from .operators import MultiplierOperator, interp_norm_resolvent
@@ -285,47 +285,40 @@ def hardy_young_check(breakpoints, values, beta: float, p: float) -> dict:
 # ---------------------------------------------------------------------
 
 
-def _pair_norms(problem: TraceProblem, u: GridFunction, sys: DyadicSystem,
-                kind: str, r: float, mesh: QuadratureMesh | None = None) -> tuple[float, float]:
-    hi = SpaceSpec(kind, problem.s + problem.alpha, problem.p, problem.q, problem.gamma)
-    lo = SpaceSpec(kind, problem.s, problem.p, problem.q, problem.gamma,
-                   inner=InterpNormInner(problem.op, problem.alpha, r))
-    return (space_norm(u, hi, sys, mesh=mesh), space_norm(u, lo, sys, mesh=mesh))
-
-
 def trace_continuity_ratio(problem: TraceProblem, u: GridFunction,
-                           sys: DyadicSystem, kind: str = "F", r: float = 1.0) -> dict:
+                           kind: str = "F", r: float = 1.0) -> dict:
     """|| tr u ||_{D_A(theta, p or q)} over
-    ||u||_{kind^{s+alpha}(X)} + ||u||_{kind^{s}(D_A(alpha, r))}."""
+    ||u||_{kind^{s+alpha}(X)} + ||u||_{kind^{s}(D_A(alpha, r))}, with the
+    blocks of u's grid.  An orbit is normed on the ORBIT_BAND mesh, any
+    other function on its own."""
     x0 = trace_at_zero(u)
     num = interp_norm_resolvent(problem.op, problem.theta,
                                 problem.target_second_index(kind), x0)
-    n_hi, n_lo = _pair_norms(problem, u, sys, kind, r)
-    den = n_hi + n_lo
+    mesh = (QuadratureMesh.for_band(u.grid, ORBIT_BAND)
+            if isinstance(u, OrbitFunction) else None)
+    hi = SpaceSpec(kind, problem.s + problem.alpha, problem.p, problem.q, problem.gamma)
+    lo = SpaceSpec(kind, problem.s, problem.p, problem.q, problem.gamma,
+                   inner=InterpNormInner(problem.op, problem.alpha, r))
+    den = space_norm(u, hi, mesh=mesh) + space_norm(u, lo, mesh=mesh)
     if den == 0.0:
         raise ValueError("zero orbit has no trace ratio")
     return {"numerator": num, "denominator": den, "ratio": num / den,
             "theta": problem.theta}
 
 
-def right_inverse_check(problem: TraceProblem, x, grid: GridSpec, sys: DyadicSystem) -> dict:
+def right_inverse_check(problem: TraceProblem, x, grid: GridSpec) -> dict:
     """Build the branch-selected orbit for the datum x, confirm the trace
     returns x exactly, and measure the co-retraction ratio on the F-scale
-    with inner index r = 1 (orbit norms over || x ||_{D_A(theta, p)})."""
+    with inner index r = 1 (orbit norms over || x ||_{D_A(theta, p)}): the
+    inverse of the orbit's trace continuity ratio."""
     branch = select_extension_branch(problem)
     ext = ExtensionOperator(branch["order"], branch["twist"])
     u = resolvent_orbit(grid, problem.op, x, branch["j"], ext)
-    xr = trace_at_zero(u)
-    exact = bool(np.array_equal(xr, np.atleast_1d(problem.op._vec(x))))
-    num_hi, num_lo = _pair_norms(problem, u, sys, "F", 1.0,
-                                 QuadratureMesh.for_band(grid, ORBIT_BAND))
-    den = interp_norm_resolvent(problem.op, problem.theta,
-                                problem.target_second_index("F"), xr)
-    if den == 0.0:
-        raise ValueError("zero datum has no right-inverse ratio")
-    return {"branch": branch, "trace_exact": exact,
-            "numerator": num_hi + num_lo, "denominator": den,
-            "ratio": (num_hi + num_lo) / den, "orbit": u}
+    exact = bool(np.array_equal(trace_at_zero(u), np.atleast_1d(problem.op._vec(x))))
+    got = trace_continuity_ratio(problem, u, "F", 1.0)
+    num, den = got["denominator"], got["numerator"]
+    return {"branch": branch, "trace_exact": exact, "numerator": num,
+            "denominator": den, "ratio": num / den, "orbit": u}
 
 
 def frac_power_reparam_ratio(op: MultiplierOperator, theta: float, p: float,
@@ -342,7 +335,7 @@ def frac_power_reparam_ratio(op: MultiplierOperator, theta: float, p: float,
     return {"base": base, "reparametrized": moved, "ratio": moved / base}
 
 
-def semigroup_orbit_ratio(problem: TraceProblem, x, grid: GridSpec, sys: DyadicSystem) -> dict:
+def semigroup_orbit_ratio(problem: TraceProblem, x, grid: GridSpec) -> dict:
     """Smoothing of the semigroup orbit u(t) = e^{-tA} x of a datum
     x in D_A(theta, p): the ratio
 
@@ -360,7 +353,7 @@ def semigroup_orbit_ratio(problem: TraceProblem, x, grid: GridSpec, sys: DyadicS
     mixed = SpaceSpec("F", problem.s + half, problem.p, 1.0, problem.gamma,
                       inner=InterpNormInner(problem.op, half, 1.0))
     mesh = QuadratureMesh.for_band(grid, ORBIT_BAND)
-    num = space_norm(u, outer, sys, mesh=mesh) + space_norm(u, mixed, sys, mesh=mesh)
+    num = space_norm(u, outer, mesh=mesh) + space_norm(u, mixed, mesh=mesh)
     den = interp_norm_resolvent(problem.op, problem.theta, problem.p,
                                 trace_at_zero(u))
     if den == 0.0:

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tracespaces import (
+    DyadicSystem,
     GridFunction,
+    GridSpec,
     apply_block,
     build_system,
     partition_check,
@@ -103,6 +105,18 @@ def test_covers(system):
     assert system.covers(200.0)
     assert system.covers(256.0)
     assert not system.covers(300.0)
+
+
+@pytest.mark.parametrize("n_samples, half_width, depth",
+                         [(1024, 1.0, 8), (64, 1.0, 4), (2048, 1.0, 9), (1024, 2.0, 7)])
+def test_depth_follows_the_grid(n_samples, half_width, depth):
+    grid = GridSpec(half_width, n_samples)
+    system = DyadicSystem.for_grid(grid)
+    assert system.max_block == depth
+    assert type(system.max_block) is int
+    # the shallowest system covering every representable frequency
+    top = grid.nyquist - grid.fundamental
+    assert system.covers(top) and not build_system(depth - 1).covers(top)
 
 
 def test_build_system_validation():

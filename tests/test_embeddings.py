@@ -41,25 +41,24 @@ def test_mixed_scale_pair_rejected():
         validate_embedding_pair(src, dst)
 
 
-def test_embedding_ratio_structure(grid, system):
+def test_embedding_ratio_structure(grid):
     src, dst = EMBEDDING_EXAMPLE_PAIRS[0]
     f = random_band_limited(grid, (-24.0, 24.0), seed=3)
-    got = sobolev_embed_ratio(f, src, dst, system)
+    got = sobolev_embed_ratio(f, src, dst)
     assert got["ratio"] == pytest.approx(got["dst_norm"] / got["src_norm"],
                                          rel=1e-14)
     assert got["ratio"] > 0.0
 
 
-def test_q_monotonicity_check_passes(grid, system):
+def test_q_monotonicity_check_passes(grid):
     f = random_band_limited(grid, (-24.0, 24.0), seed=4)
-    got = q_monotonicity_check(f, "B", 0.5, 2.0, 0.3, (1.0, 2.0, math.inf),
-                               system)
+    got = q_monotonicity_check(f, "B", 0.5, 2.0, 0.3, (1.0, 2.0, math.inf))
     assert got["norms"][0] >= got["norms"][1] >= got["norms"][2]
 
 
-def test_bf_sandwich(grid, system):
+def test_bf_sandwich(grid):
     f = random_band_limited(grid, (-24.0, 24.0), seed=5)
-    got = bf_sandwich_check(f, 0.5, 2.0, 1.5, 0.3, system)
+    got = bf_sandwich_check(f, 0.5, 2.0, 1.5, 0.3)
     assert got["b_small_q"] * (1 + 1e-12) >= got["f_norm"] >= \
         got["b_large_q"] / (1 + 1e-12)
 
@@ -114,19 +113,19 @@ def test_mixed_params_reject_infinite_q(field):
         MixedDerivativeParams("F", **kwargs)
 
 
-def test_single_mode_equality(grid, system):
+def test_single_mode_equality(grid):
     one = WeightedEuclideanInner([1.0])
     f = GridFunction.from_coeff_map(grid, {2.0: [1.0 + 0.5j]})
-    got = mixed_derivative_check(f, _mixed_params(), (one, one, one), system)
+    got = mixed_derivative_check(f, _mixed_params(), (one, one, one))
     assert got["constant"] == 1.0
     assert got["lhs"] == pytest.approx(got["rhs"], rel=1e-12)
 
 
-def test_mixed_family_bounded(grid, system):
+def test_mixed_family_bounded(grid):
     one = WeightedEuclideanInner([1.0])
     for seed in range(4):
         f = random_band_limited(grid, (-16.0, 16.0), seed=seed)
-        got = mixed_derivative_check(f, _mixed_params(), (one, one, one), system)
+        got = mixed_derivative_check(f, _mixed_params(), (one, one, one))
         assert got["lhs"] <= got["rhs"] * (1.0 + 1e-9)
 
 
@@ -161,11 +160,11 @@ def test_holder_constant_matches_brute_force():
     assert got <= best * 1.05  # the dense search is a lower bound
 
 
-def test_mixed_diagonal_inner_with_constant(grid, system):
+def test_mixed_diagonal_inner_with_constant(grid):
     inners = (WeightedEuclideanInner([1.0, 0.6, 0.25]),
               WeightedEuclideanInner([0.4, 1.0, 0.7]),
               WeightedEuclideanInner([0.8, 0.75, 0.5]))
     f = random_band_limited(grid, (-16.0, 16.0), seed=9, dim=3)
-    got = mixed_derivative_check(f, _mixed_params(), inners, system)
+    got = mixed_derivative_check(f, _mixed_params(), inners)
     assert got["constant"] == diagonal_holder_constant(*inners, 0.5) > 1.0
     assert got["lhs"] <= got["rhs"] * (1.0 + 1e-12)

@@ -62,6 +62,12 @@ def test_band_outside_nyquist_rejected(grid):
         random_band_limited(grid, (-300.0, 300.0), seed=0)
 
 
+def test_band_edge_within_slack_of_nyquist_rejected():
+    # 256 - 1e-12 lies inside (-Nyquist, Nyquist) but rounds onto the Nyquist bin
+    with pytest.raises(GridError, match="below the Nyquist frequency"):
+        random_band_limited(GridSpec(1.0, 1024), (-1.0, 256 - 1e-12), 1)
+
+
 @pytest.mark.parametrize("gamma", [0.0, 0.3, 0.5, 1.0])
 def test_quadrature_weights_nonnegative(grid, gamma):
     mesh = QuadratureMesh.for_band(grid, 24.0)

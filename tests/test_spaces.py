@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from tracespaces import (
+    DyadicSystem,
     EuclideanInner,
     GridFunction,
     GridSpec,
@@ -126,6 +127,15 @@ def test_potential_and_sobolev_match_dense_reference(grid, mesh, kind, s):
                for g in copies)
     got = space_norm(f, SpaceSpec(kind, s, p, gamma=gamma), mesh=mesh)
     assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["B", "F"])
+@pytest.mark.parametrize("q", [1.0, 2.0, math.inf])
+def test_norm_takes_the_grid_system(grid, f24, kind, q):
+    # once the band is covered, two more blocks change nothing but rounding
+    spec = SpaceSpec(kind, 0.5, 2.0, q, 0.3)
+    deeper = build_system(DyadicSystem.for_grid(grid).max_block + 2)
+    assert space_norm(f24, spec) == pytest.approx(space_norm(f24, spec, deeper), rel=1e-14)
 
 
 def test_norm_rejects_uncovered_band(grid, mesh):
@@ -250,9 +260,9 @@ def test_difference_seminorm_h_rule_on_its_scale_grid(grid, xi, q):
 @pytest.mark.parametrize("s,p,q,gamma,m", [(0.5, 2.0, 1.0, 0.0, 1),
                                            (0.5, 2.0, 2.0, 0.5, 1),
                                            (1.5, 2.0, 1.0, 0.0, 2)])
-def test_difference_norm_equivalence_window(grid, system, s, p, q, gamma, m):
+def test_difference_norm_equivalence_window(grid, s, p, q, gamma, m):
     f = random_band_limited(grid, (-8.0, 8.0), seed=31)
-    r = norm_equivalence_ratio(f, SpaceSpec("F", s, p, q, gamma), m, system)
+    r = norm_equivalence_ratio(f, SpaceSpec("F", s, p, q, gamma), m)
     assert 0.01 < r < 100.0
 
 

@@ -81,13 +81,13 @@ def test_classification_returns_all_slots():
         assert key in spaces
 
 
-def test_dt_check_requires_dynamic_condition(grid, system):
+def test_dt_check_requires_dynamic_condition(grid):
     with pytest.raises(ValueError):
-        dt_boundedness_check(StefanParams(2, 2), grid, system)
+        dt_boundedness_check(StefanParams(2, 2), grid)
 
 
-def test_dt_check_runs_on_dynamic_case(grid, system):
-    got = dt_boundedness_check(StefanParams(8, 2), grid, system, seed=2031)
+def test_dt_check_runs_on_dynamic_case(grid):
+    got = dt_boundedness_check(StefanParams(8, 2), grid, seed=2031)
     assert got["admissible"]
     assert "dynamic" in got["conditions"]
     assert got["dt_trace_error"] < 1e-3

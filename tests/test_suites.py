@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from tracespaces import SUITE_ORDER, GridSpec, SuiteConfig, run_suite
+from tracespaces import SUITE_ORDER, DyadicSystem, GridSpec, SuiteConfig, run_suite
 from tracespaces.report import config_hash, render_reports
 
 
@@ -35,12 +35,12 @@ def test_config_dict_round_trips_hashable_fields():
                       "family_size"}
 
 
+# the default grid and the sweep grids of test_every_suite_runs_across_grids
 @pytest.mark.parametrize("n_samples, half_width, depth",
                          [(1024, 1.0, 8), (64, 1.0, 4), (2048, 1.0, 9), (1024, 2.0, 7)])
 def test_dyadic_depth_follows_the_grid(n_samples, half_width, depth):
     cfg = SuiteConfig(half_width=half_width, n_samples=n_samples)
-    assert cfg.system().max_block == depth
-    assert cfg.config_dict()["max_block"] == depth
+    assert cfg.config_dict()["max_block"] == DyadicSystem.for_grid(cfg.grid()).max_block == depth
     assert type(cfg.config_dict()["max_block"]) is int
 
 
@@ -51,7 +51,7 @@ def test_default_config_keeps_the_pinned_hash():
 def test_families_stay_below_nyquist():
     cfg = SuiteConfig(n_samples=64)
     grid = cfg.grid()
-    (f,) = cfg.family(grid, 24.0, 1, stream=1)
+    (f,) = cfg.family(24.0, 1, stream=1)
     assert f.max_frequency == grid.nyquist - grid.fundamental
 
 
@@ -62,9 +62,8 @@ def test_registry_covers_all_runners():
 
 def test_seeded_families_are_reproducible():
     cfg = SuiteConfig()
-    grid = cfg.grid()
-    a = cfg.family(grid, 8.0, 3, stream=2)
-    b = cfg.family(grid, 8.0, 3, stream=2)
+    a = cfg.family(8.0, 3, stream=2)
+    b = cfg.family(8.0, 3, stream=2)
     for f, g in zip(a, b):
         assert (f.coeffs == g.coeffs).all()
 

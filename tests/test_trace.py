@@ -7,18 +7,24 @@ from hypothesis import strategies as st
 
 from tracespaces import (
     ExtensionOperator,
+    InterpNormInner,
     MultiplierOperator,
+    QuadratureMesh,
+    SpaceSpec,
     TraceProblem,
     frac_power_reparam_ratio,
     hardy_young_check,
     random_band_limited,
     resolvent_orbit,
+    right_inverse_check,
     select_extension_branch,
     semigroup_orbit,
     trace_at_zero,
+    space_norm,
     trace_continuity_ratio,
     windowed_orbit,
 )
+from tracespaces.trace import ORBIT_BAND
 
 
 @pytest.fixture(scope="module")
@@ -109,13 +115,28 @@ def test_windowed_orbit_records_exact_trace(grid):
     np.testing.assert_array_equal(trace_at_zero(u), tv)
 
 
-def test_trace_continuity_numerator_independent_of_r(grid, system, diag):
+def test_trace_continuity_numerator_independent_of_r(grid, diag):
     problem = TraceProblem(diag, 0.0, 2.0, 2.0, 0.0, 1.0)
     u = random_band_limited(grid, (-16.0, 16.0), seed=12, dim=diag.dim)
-    nums = {r: trace_continuity_ratio(problem, u, system, kind="F", r=r)["numerator"]
+    nums = {r: trace_continuity_ratio(problem, u, kind="F", r=r)["numerator"]
             for r in (1.0, 2.0, math.inf)}
     vals = list(nums.values())
     assert vals[0] == vals[1] == vals[2]
+
+
+def test_right_inverse_ratio_inverts_the_orbit_continuity_ratio(grid, diag):
+    problem = TraceProblem(diag, -0.2, 2.0, 2.0, 0.5, 1.0)
+    rng = np.random.default_rng(23)
+    x = rng.standard_normal(diag.dim) + 1j * rng.standard_normal(diag.dim)
+    got = right_inverse_check(problem, x, grid)
+    cont = trace_continuity_ratio(problem, got["orbit"], "F", 1.0)
+    assert got["ratio"] == cont["denominator"] / cont["numerator"]
+    # an orbit is normed on the orbit mesh
+    mesh = QuadratureMesh.for_band(grid, ORBIT_BAND)
+    hi = SpaceSpec("F", 1.0 - 0.2, 2.0, 2.0, 0.5)
+    lo = SpaceSpec("F", -0.2, 2.0, 2.0, 0.5, inner=InterpNormInner(diag, 1.0, 1.0))
+    assert cont["denominator"] == (space_norm(got["orbit"], hi, mesh=mesh)
+                                   + space_norm(got["orbit"], lo, mesh=mesh))
 
 
 def test_frac_power_reparametrization_bounded(diag):
