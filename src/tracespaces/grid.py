@@ -40,8 +40,17 @@ never depend on what is stacked with it or computed before it.
   node, 2.4 MB for 12288 nodes.  Its error is about 4e-15 of the largest
   value, below that of dense synthesis, whose phases t * xi round.
 
-Nothing is cached per active set.  Node values and quantities derived from
-them are cached on the GridFunction under explicit keys
+A narrow active set's mode matrix is kept only once it is asked for twice
+in a row, as the functions of a seeded family, which share one active
+set, ask for it: the mesh remembers the (grid, active bins) of its last
+phase-table call, a second call on the same set builds the matrix into a
+kept array, and later calls multiply from it; a call on any other set
+drops it.  The product is the same chunked matmul either way, so every
+value is bitwise the same, and a stream of distinct sets keeps nothing.
+At most one matrix lives per mesh, nodes x modes with fewer than 256
+modes: 7 MB at 4608 nodes x 97 modes, and at most 255 / (B + N/B) times
+the phase tables (4 times at N = 1024).  Node values and quantities derived
+from them are cached on the GridFunction under explicit keys
 (GridFunction.cached).  GridFunction.evaluate stays dense synthesis at
 arbitrary points, the reference for both paths.
 """
@@ -346,6 +355,9 @@ class QuadratureMesh:
         self._weight_cache: dict[float, np.ndarray] = {}
         self._phase_tables: dict[GridSpec, tuple[np.ndarray, np.ndarray]] = {}
         self._nufft_plans: dict[GridSpec, tuple] = {}
+        # (grid, active bins) of the last phase-table call, and the mode
+        # matrix of that set once it has been asked for twice in a row
+        self._kept_modes: tuple[tuple | None, np.ndarray | None] = (None, None)
 
     @property
     def key(self) -> tuple:
@@ -422,6 +434,35 @@ class QuadratureMesh:
         on_grid = np.fft.ifft(padded, axis=0, norm="forward")
         return (spread @ on_grid.view(float)).view(complex)
 
+    def _mode_chunks(self, grid: GridSpec, active: np.ndarray):
+        """(rows, modes) per _SYNTH_ROWS node rows, modes[i, j] = exp(2 pi i
+        nodes[rows][i] xi_{active[j]}): gathered from the phase tables, or
+        read from the kept matrix of a set asked for twice in a row."""
+        key = (grid, active.tobytes())
+        kept_key, kept = self._kept_modes
+        if key == kept_key and kept is not None:
+            for start in range(0, self.nodes.size, _SYNTH_ROWS):
+                rows = slice(start, start + _SYNTH_ROWS)
+                yield rows, kept[rows]
+            return
+        # a second call in a row keeps the matrix it builds, once it is whole;
+        # any other call drops the kept matrix and remembers its set only
+        keep = key == kept_key
+        self._kept_modes = (key, None)
+        kept = np.empty((self.nodes.size, active.size), dtype=complex) if keep else None
+        fine, coarse = self._phase_table(grid)
+        n = grid.n_samples
+        a, b = np.divmod((active + n // 2) % n, fine.shape[1])  # k + N/2 = a B + b
+        for start in range(0, self.nodes.size, _SYNTH_ROWS):
+            rows = slice(start, start + _SYNTH_ROWS)
+            modes = np.take(fine[rows], b, axis=1)
+            modes *= np.take(coarse[rows], a, axis=1)
+            if keep:
+                kept[rows] = modes
+            yield rows, modes
+        if keep:
+            self._kept_modes = (key, kept)
+
     def synthesize(self, grid: GridSpec, active: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
         """Values at the nodes of sum_j coeffs[j] exp(2 pi i xi_{active[j]} t),
         shape (n_nodes, ncols).
@@ -430,7 +471,7 @@ class QuadratureMesh:
         per active bin; its columns are independent functions, so stacking
         several functions on one active set costs one product.  The size
         of the active set alone picks the path, so a function's values
-        never depend on what is stacked with it.
+        never depend on what is stacked with it or computed before it.
         """
         coeffs = np.asarray(coeffs, dtype=complex)
         if active.size == 0:
@@ -438,13 +479,7 @@ class QuadratureMesh:
         if active.size >= _NUFFT_MIN_MODES:
             return self._synthesize_nufft(grid, active, coeffs)
         out = np.empty((self.nodes.size, coeffs.shape[1]), dtype=complex)
-        fine, coarse = self._phase_table(grid)
-        n = grid.n_samples
-        a, b = np.divmod((active + n // 2) % n, fine.shape[1])  # k + N/2 = a B + b
-        for start in range(0, self.nodes.size, _SYNTH_ROWS):
-            rows = slice(start, start + _SYNTH_ROWS)
-            modes = np.take(fine[rows], b, axis=1)
-            modes *= np.take(coarse[rows], a, axis=1)
+        for rows, modes in self._mode_chunks(grid, active):
             np.matmul(modes, coeffs, out=out[rows])
         return out
 

@@ -30,7 +30,9 @@ with the analytic t -> 0 tail appended from Delta^m_h f ~ h^m f^(m), so the
 computed value is stable under halving t_min.  Every q takes one h-rule:
 Gauss-Legendre cells [0, t_0], [t_0, t_1], ... between the scales, sized
 by the band, whose running sums give int_{|h|<=t} ||Delta^m_h f|| dh at
-every scale at once.
+every scale at once.  Those averages and ||f^(m)|| at the nodes, free of
+s, p, q and gamma, are cached on f per (m, mesh, inner space), so every
+other parameter set on the same function reduces the cached array.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import numpy as np
 
 from .dyadic import DyadicSystem
 from .grid import GridError, GridFunction, QuadratureMesh
-from .operators import MultiplierOperator, batch_interp_norm_resolvent
+from .operators import _BATCH_ROWS, MultiplierOperator, batch_interp_norm_resolvent
 
 __all__ = [
     "ScalarInner",
@@ -67,6 +69,18 @@ __all__ = [
 # ---------------------------------------------------------------------
 
 
+def _by_rows(norm, values) -> np.ndarray:
+    """norm(rows) over the rows of values, shape (..., dim) -> (...), one
+    chunk of _BATCH_ROWS rows at a time, so float temporaries stay chunk
+    sized; rows are independent, so chunking moves no value."""
+    values = np.asarray(values)
+    flat = values.reshape(-1, values.shape[-1])
+    out = np.empty(flat.shape[0])
+    for start in range(0, flat.shape[0], _BATCH_ROWS):
+        out[start:start + _BATCH_ROWS] = norm(flat[start:start + _BATCH_ROWS])
+    return out.reshape(values.shape[:-1])
+
+
 class ScalarInner:
     """C with the absolute value."""
 
@@ -88,7 +102,7 @@ class EuclideanInner:
         self.key = ("euclidean", self.dim)
 
     def batch_norm(self, values: np.ndarray) -> np.ndarray:
-        return np.sqrt(np.sum(np.abs(values) ** 2, axis=-1))
+        return _by_rows(lambda rows: np.sqrt(np.sum(np.abs(rows) ** 2, axis=-1)), values)
 
     def __repr__(self):
         return f"EuclideanInner({self.dim})"
@@ -122,7 +136,8 @@ class WeightedEuclideanInner:
                                       * other.weights ** theta)
 
     def batch_norm(self, values: np.ndarray) -> np.ndarray:
-        return np.sqrt(np.sum(np.abs(values * self.weights) ** 2, axis=-1))
+        return _by_rows(lambda rows: np.sqrt(np.sum(np.abs(rows * self.weights) ** 2, axis=-1)),
+                        values)
 
     def __repr__(self):
         return f"WeightedEuclideanInner({np.array2string(self.weights, precision=6)})"
@@ -165,7 +180,8 @@ class SequenceBesovInner:
         self.key = ("sequence-besov", self.smoothness, self.summability, self.dim)
 
     def batch_norm(self, values: np.ndarray) -> np.ndarray:
-        return _lq_combine(np.abs(values) * self._weights, self.summability, axis=-1)
+        return _by_rows(lambda rows: _lq_combine(np.abs(rows) * self._weights,
+                                                 self.summability, axis=-1), values)
 
     def __repr__(self):
         return (f"SequenceBesovInner(t={self.smoothness}, z={self.summability}, "
@@ -357,23 +373,31 @@ def difference_seminorm(f: GridFunction, s: float, p: float, q: float, gamma: fl
         raise ValueError(f"need p >= 1, got {p}")
     if not (q >= 1):
         raise ValueError(f"need q >= 1, got {q}")
+    if not gamma > -1:
+        raise ValueError(f"need weight power gamma > -1, got gamma={gamma}")
     mesh = QuadratureMesh.for_function(f)
     inner = inner or default_inner(f.dim)
     L = f.grid.half_width
     t_min = L / f.grid.n_samples
     t = np.geomspace(t_min, 2.0 * L, _N_SCALES)
 
-    # ||Delta^m_h f(x)|| oscillates in h at most at 2 m band.  One synthesis
-    # serves f^(m), with coefficients (2 pi i xi_k)^m c_k, and every
-    # Delta^m_h f, with coefficients (exp(2 pi i xi_k h) - 1)^m c_k
-    h, cum = _h_rule(t, m * f.max_frequency)
-    xi = f.active_frequencies()
-    shifts = np.exp(2j * np.pi * np.multiply.outer(xi, np.concatenate([h, -h])))
-    factors = np.column_stack([(2j * np.pi * xi) ** m, (shifts - 1.0) ** m])
-    mags = inner.batch_norm(_multiplier_values(f, factors, mesh))
-    dmag, plus, minus = mags[:, 0], mags[:, 1:h.size + 1], mags[:, h.size + 1:]
+    def averages():
+        # ||Delta^m_h f(x)|| oscillates in h at most at 2 m band.  One
+        # synthesis serves f^(m), with coefficients (2 pi i xi_k)^m c_k, and
+        # every Delta^m_h f, with coefficients (exp(2 pi i xi_k h) - 1)^m c_k
+        h, cum = _h_rule(t, m * f.max_frequency)
+        xi = f.active_frequencies()
+        shifts = np.exp(2j * np.pi * np.multiply.outer(xi, np.concatenate([h, -h])))
+        factors = np.column_stack([(2j * np.pi * xi) ** m, (shifts - 1.0) ** m])
+        mags = inner.batch_norm(_multiplier_values(f, factors, mesh))
+        plus, minus = mags[:, 1:h.size + 1], mags[:, h.size + 1:]
+        return np.column_stack([mags[:, 0], (plus + minus) @ cum])
+
+    # column 0 is ||f^(m)||, column j + 1 int_{|h|<=t_j} ||Delta^m_h f|| dh
+    avg = f.cached(("diff", m, mesh.key, inner.key), averages)
+    dmag = avg[:, 0]
     # the averaged core t^{-s} (t^{-1} int_{|h|<=t} ||Delta^m_h f|| dh)
-    core = t ** (-s - 1.0) * ((plus + minus) @ cum)
+    core = t ** (-s - 1.0) * avg[:, 1:]
     # analytic tail below t_min from Delta^m_h f ~ h^m f^(m):
     # inner average ~ (2/(m+1)) t^m |f^(m)(x)|
     tail_coeff = 2.0 / (m + 1.0)

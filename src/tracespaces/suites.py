@@ -28,6 +28,7 @@ Suite map:
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -134,14 +135,16 @@ class SuiteConfig:
         return GridSpec(self.half_width, self.n_samples)
 
     def family(self, band: float, count: int, stream: int,
-               dim: int = 1) -> list[GridFunction]:
+               dim: int = 1) -> Iterator[GridFunction]:
         """Seeded band-limited test functions on the config's grid on
-        |xi| <= band, capped at the largest representable frequency; the
-        stream index separates the draws of different suites."""
+        |xi| <= band, capped at the largest representable frequency, drawn
+        one at a time, so a function a caller does not keep is dropped with
+        its caches; the stream index separates the draws of different
+        suites."""
         grid = self.grid()
         band = min(band, grid.nyquist - grid.fundamental)
-        return [random_band_limited(grid, (-band, band), (self.seed, stream, i), dim)
-                for i in range(count)]
+        for i in range(count):
+            yield random_band_limited(grid, (-band, band), (self.seed, stream, i), dim)
 
     def rng(self, stream: int) -> np.random.Generator:
         return np.random.default_rng((self.seed, stream))
@@ -212,18 +215,20 @@ _DIFFNORM_PARAMS = (
 )
 
 
-def diffnorm_window(config: SuiteConfig, params: tuple) -> tuple[float, float]:
+def diffnorm_windows(config: SuiteConfig) -> list[tuple[float, float]]:
     """(min, max) of the difference-characterization ratio over the seeded
-    family of the config's grid for one (s, p, q, gamma, m) parameter set."""
-    s, p, q, gamma, m = params
-    spec = SpaceSpec("F", s, p, q, gamma)
-    ratios = [norm_equivalence_ratio(f, spec, m)
+    family of the config's grid, one window per _DIFFNORM_PARAMS set.  The
+    family is drawn once and normed function by function through every set,
+    so the sets share each function's cached magnitudes and seminorm
+    averages, which go with the function once its ratios are taken."""
+    specs = [(SpaceSpec("F", s, p, q, gamma), m) for s, p, q, gamma, m in _DIFFNORM_PARAMS]
+    ratios = [[norm_equivalence_ratio(f, spec, m) for spec, m in specs]
               for f in config.family(8.0, config.family_size, stream=2)]
-    return min(ratios), max(ratios)
+    return [(min(col), max(col)) for col in zip(*ratios)]
 
 
 def run_norms(config: SuiteConfig) -> VerificationReport:
-    family = config.family(24.0, config.family_size, stream=1)
+    family = list(config.family(24.0, config.family_size, stream=1))
     cases = []
 
     for s, p, g in _BF_DIAGONAL_PARAMS:
@@ -261,8 +266,7 @@ def run_norms(config: SuiteConfig) -> VerificationReport:
     cases.append(CaseRecord("w_sandwich_in", w_in, compare="baseline"))
     cases.append(CaseRecord("w_sandwich_out", w_out, compare="baseline"))
 
-    for s, p, q, gamma, m in _DIFFNORM_PARAMS:
-        lo, hi = diffnorm_window(config, (s, p, q, gamma, m))
+    for (s, p, q, gamma, m), (lo, hi) in zip(_DIFFNORM_PARAMS, diffnorm_windows(config)):
         tag = f"s{s:g}_q{q:g}_g{gamma:g}_m{m}"
         cases.append(CaseRecord(f"diffnorm_hi_{tag}", hi, compare="baseline"))
         cases.append(CaseRecord(f"diffnorm_lo_{tag}", 1.0 / lo, compare="baseline"))
@@ -390,7 +394,7 @@ def _trace_ratio_cases(config: SuiteConfig, kind: str) -> list[CaseRecord]:
     cases = []
     spread_worst = 0.0
     for i, (s, alpha, p, gamma) in enumerate(_TRACE_PROBLEM_PARAMS):
-        family = config.family(16.0, 3, stream=30 + i, dim=op.dim)
+        family = list(config.family(16.0, 3, stream=30 + i, dim=op.dim))
         per_q: dict[float, float] = {}
         for q in _MICRO:
             problem = TraceProblem(op, s, p, q, gamma, alpha)
@@ -464,7 +468,7 @@ def run_trace_b(config: SuiteConfig) -> VerificationReport:
 
 
 def run_sobolev(config: SuiteConfig) -> VerificationReport:
-    family = config.family(24.0, 12, stream=50)
+    family = list(config.family(24.0, 12, stream=50))
     cases = []
     for i, (src, dst) in enumerate(EMBEDDING_EXAMPLE_PAIRS):
         validate_embedding_pair(src, dst)
@@ -516,14 +520,14 @@ def run_mixed(config: SuiteConfig) -> VerificationReport:
             out = max(out, got["lhs"] / got["rhs"])
         return out
 
-    family = config.family(16.0, 12, stream=60)
+    family = list(config.family(16.0, 12, stream=60))
     for kind, params in (("F", params_f), ("B", params_b)):
         cases.append(CaseRecord(f"scalar_family_{kind}_unit_constant",
                                 family_worst(family, params, scalar), 1.0 + 1e-9))
 
     inner0 = WeightedEuclideanInner([1.0, 0.6, 0.25])
     inner1 = WeightedEuclideanInner([0.4, 1.0, 0.7])
-    fam3 = config.family(16.0, 12, stream=61, dim=3)
+    fam3 = list(config.family(16.0, 12, stream=61, dim=3))
 
     computed = (inner0, inner1, WeightedEuclideanInner([0.8, 0.75, 0.5]))
     cases.append(CaseRecord("diagonal_family_computed_constant",

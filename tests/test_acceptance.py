@@ -14,18 +14,10 @@ from pathlib import Path
 import pytest
 
 from tracespaces.report import BaselineStore, render_reports
-from tracespaces.suites import SUITE_ORDER, SuiteConfig, diffnorm_window, run_all
+from tracespaces.suites import SUITE_ORDER, SuiteConfig, diffnorm_windows, run_all
 
 _BASELINE_ROOT = Path(__file__).resolve().parent.parent / "baselines"
 _BASELINE_TOLERANCE = 0.01
-
-# (smoothness, p, q, weight power, difference order) sets whose
-# equivalence windows are pinned and must be resolution-stable.
-_WINDOW_PARAMS = (
-    (0.5, 2.0, 1.0, 0.0, 1),
-    (0.5, 2.0, 2.0, 0.5, 1),
-    (1.5, 2.0, 1.0, 0.0, 2),
-)
 
 
 @pytest.fixture(scope="module")
@@ -85,9 +77,7 @@ def test_criterion_04_difference_norm_window(reports):
     coarse = SuiteConfig(family_size=8)
     fine = SuiteConfig(n_samples=2 * coarse.n_samples, family_size=8)
     drift = 0.0
-    for params in _WINDOW_PARAMS:
-        lo_a, hi_a = diffnorm_window(coarse, params)
-        lo_b, hi_b = diffnorm_window(fine, params)
+    for (lo_a, hi_a), (lo_b, hi_b) in zip(diffnorm_windows(coarse), diffnorm_windows(fine)):
         drift = max(drift, abs(lo_b / lo_a - 1.0), abs(hi_b / hi_a - 1.0))
     ok = pinned_ok and drift <= 0.01
     _conclude(4, ok, f"equivalence windows within 1% of pinned endpoints; "

@@ -281,3 +281,36 @@ def test_mesh_synthesis_sparse_and_empty_active_sets(grid, mesh):
     assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
     empty = mesh.synthesize(grid, np.array([], dtype=int), np.zeros((0, 4)))
     assert empty.shape == (mesh.nodes.size, 4) and not np.any(empty)
+
+
+def test_kept_mode_matrix_leaves_synthesis_bitwise_unchanged(grid):
+    """The second call on one active set keeps its mode matrix and later
+    calls multiply from it; every call, and a call after another set in
+    between, equals the first call on a fresh mesh, bit for bit."""
+    f = random_band_limited(grid, (-10.0, 10.0), seed=3, dim=4)
+    g = random_band_limited(grid, (-20.0, 20.0), seed=4, dim=2)
+    active, coeffs = f.active_indices, f.coeffs[f.active_indices]
+    want = QuadratureMesh(1.0, 512).synthesize(grid, active, coeffs)
+    want_g = QuadratureMesh(1.0, 512).synthesize(grid, g.active_indices,
+                                                 g.coeffs[g.active_indices])
+    mesh = QuadratureMesh(1.0, 512)
+    for call in range(3):
+        np.testing.assert_array_equal(mesh.synthesize(grid, active, coeffs), want)
+        assert (mesh._kept_modes[1] is not None) == (call > 0)
+    np.testing.assert_array_equal(
+        mesh.synthesize(grid, g.active_indices, g.coeffs[g.active_indices]), want_g)
+    assert mesh._kept_modes[1] is None
+    for _ in range(3):
+        np.testing.assert_array_equal(mesh.synthesize(grid, active, coeffs), want)
+    # the kept matrix serves any coefficients on its set
+    other = coeffs[:, 1:3] * 1j
+    np.testing.assert_array_equal(mesh.synthesize(grid, active, other),
+                                  QuadratureMesh(1.0, 512).synthesize(grid, active, other))
+
+
+def test_distinct_active_sets_keep_no_mode_matrix(grid):
+    mesh = QuadratureMesh(1.0, 512)
+    for lo in range(-40, 0, 4):
+        f = random_band_limited(grid, (float(lo), lo + 20.0), seed=-lo, dim=2)
+        mesh.synthesize(grid, f.active_indices, f.coeffs[f.active_indices])
+        assert mesh._kept_modes[1] is None

@@ -305,3 +305,47 @@ def test_norm_is_independent_of_cache_state(grid, system, first, second):
     f = fresh()
     norm(f, first)
     assert norm(f, second) == want
+
+
+@pytest.mark.parametrize("gamma", [-1.0, -2.0, math.nan])
+def test_difference_seminorm_rejects_weight_power_up_front(grid, gamma):
+    """A weight power gamma <= -1 or NaN is rejected before the synthesis,
+    so nothing is cached on the function."""
+    f = random_band_limited(grid, (-8.0, 8.0), seed=31)
+    with pytest.raises(ValueError, match="gamma"):
+        difference_seminorm(f, 0.5, 2.0, 2.0, gamma, m=1)
+    assert not f._cache
+
+
+def test_difference_seminorm_is_independent_of_cache_state(grid):
+    """The seminorm's cached averages serve every (s, p, q, gamma): each
+    value on a function that has seen other parameters, another m or
+    another inner space equals its value on a fresh function, bit for bit."""
+    def fresh():
+        return random_band_limited(grid, (-8.0, 8.0), seed=41, dim=3)
+
+    calls = [((0.5, 3.0, 1.0, 0.0, 1), None), ((1.5, 2.0, 1.0, 0.0, 2), None),
+             ((0.7, 2.0, math.inf, 1.5, 1), None),
+             ((0.5, 2.0, 2.0, 0.5, 1), WeightedEuclideanInner([1.0, 0.5, 2.0])),
+             ((0.5, 2.0, 2.0, 0.5, 1), None)]
+    f = fresh()
+    for args, inner in calls:
+        assert difference_seminorm(f, *args, inner=inner) == difference_seminorm(
+            fresh(), *args, inner=inner)
+
+
+@pytest.mark.parametrize("inner, norm", [
+    (EuclideanInner(5), lambda v: np.sqrt(np.sum(np.abs(v) ** 2, axis=-1))),
+    (WeightedEuclideanInner([1.0, 0.5, 2.0, 3.0, 0.25]),
+     lambda v: np.sqrt(np.sum(np.abs(v * [1.0, 0.5, 2.0, 3.0, 0.25]) ** 2, axis=-1))),
+    (SequenceBesovInner(0.5, 3.0, dim=5),
+     lambda v: np.sum((np.abs(v) * 2.0 ** (0.5 * np.arange(1, 6))) ** 3.0, axis=-1) ** (1 / 3)),
+], ids=["euclidean", "weighted", "sequence-besov"])
+def test_inner_batch_norms_do_not_depend_on_chunking(inner, norm):
+    """batch_norm takes its rows in chunks; over more rows than one chunk it
+    equals the same formula over the whole bank, bit for bit."""
+    rng = np.random.default_rng(3)
+    vals = rng.standard_normal((2100, 3, 5)) + 1j * rng.standard_normal((2100, 3, 5))
+    got = inner.batch_norm(vals)
+    assert got.shape == (2100, 3)
+    np.testing.assert_array_equal(got, norm(vals))

@@ -2,8 +2,17 @@ import math
 
 import pytest
 
-from tracespaces import SUITE_ORDER, DyadicSystem, GridSpec, SuiteConfig, run_suite
+from tracespaces import (
+    SUITE_ORDER,
+    DyadicSystem,
+    GridSpec,
+    SpaceSpec,
+    SuiteConfig,
+    norm_equivalence_ratio,
+    run_suite,
+)
 from tracespaces.report import config_hash, render_reports
+from tracespaces.suites import _DIFFNORM_PARAMS, diffnorm_windows
 
 
 def test_unknown_suite_rejected():
@@ -99,3 +108,15 @@ def test_every_suite_runs_across_grids(n_samples, half_width, suite):
                                           family_size=2))
     failed = [c.case_id for c in report.cases if c.compare == "bound" and not c.passed]
     assert failed == []
+
+
+def test_shared_draw_diffnorm_windows_equal_per_parameter_recomputation():
+    """diffnorm_windows norms one draw of the family through every parameter
+    set; each window equals its own recomputation on a fresh draw."""
+    cfg = SuiteConfig(family_size=4)
+    got = diffnorm_windows(cfg)
+    assert len(got) == len(_DIFFNORM_PARAMS)
+    for (s, p, q, gamma, m), window in zip(_DIFFNORM_PARAMS, got):
+        spec = SpaceSpec("F", s, p, q, gamma)
+        ratios = [norm_equivalence_ratio(f, spec, m) for f in cfg.family(8.0, 4, stream=2)]
+        assert window == (min(ratios), max(ratios))
