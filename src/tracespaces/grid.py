@@ -16,8 +16,9 @@ of a Banach space.  All norm computations reduce to integrals
 evaluated by integrating the weight exactly against a piecewise-polynomial
 interpolant of the smooth factor g (never by blind quadrature of the
 product, which loses the |t|^gamma singularity for gamma < 0); p = inf takes
-that interpolant's maximum.  f's mesh, QuadratureMesh.for_function(f), has 24
-cells per wavelength of f's top frequency and at least 256 per side.
+that interpolant's maximum.  f's mesh, QuadratureMesh.for_function(f), has 12
+cells per wavelength of f's top frequency on each side, and no floor: one
+error budget sizes every mesh (see _CELLS_PER_WAVE).
 
 Every evaluation at quadrature nodes goes through one kernel,
 QuadratureMesh.synthesize, which has two paths; the size of the active
@@ -48,11 +49,11 @@ kept array, and later calls multiply from it; a call on any other set
 drops it.  The product is the same chunked matmul either way, so every
 value is bitwise the same, and a stream of distinct sets keeps nothing.
 At most one matrix lives per mesh, nodes x modes with fewer than 256
-modes: 7 MB at 4608 nodes x 97 modes, and at most 255 / (B + N/B) times
-the phase tables (4 times at N = 1024).  Node values and quantities derived
-from them are cached on the GridFunction under explicit keys
-(GridFunction.cached).  GridFunction.evaluate stays dense synthesis at
-arbitrary points, the reference for both paths.
+modes and at most _MAX_KEPT_BYTES (24 MiB): 3.4 MiB at 2304 nodes x 97
+modes.  Node values and quantities derived from them are cached on the
+GridFunction under explicit keys (GridFunction.cached).
+GridFunction.evaluate stays dense synthesis at arbitrary points, the
+reference for both paths.
 """
 
 from __future__ import annotations
@@ -275,6 +276,12 @@ _GL_NODES = 0.5 * (_GL_NODES + 1.0)  # shifted to [0, 1]
 _GL_WEIGHTS = 0.5 * _GL_WEIGHTS
 
 
+# The largest mode matrix a mesh keeps, in bytes.  The suites keep at most
+# 3.4 MiB at the pinned config and 13.6 MiB at L = 2 (4608 nodes x 193 modes);
+# a band near Nyquist on its own 24528-node mesh would keep 41.9 MiB, and the
+# shared-mesh cache holds eight meshes.
+_MAX_KEPT_BYTES = 24 * 2**20
+
 # Node rows per mode-matrix chunk of the phase-table product: a chunk of
 # 255 modes, the most that path takes, stays near 1 MB, inside the cache.
 _SYNTH_ROWS = 256
@@ -305,8 +312,17 @@ def _nufft_kernel(z: np.ndarray) -> np.ndarray:
 
 
 # QuadratureMesh.for_band: cells per wavelength of the top frequency on
-# each side, and the cell count it never exceeds.
-_CELLS_PER_WAVE = 24
+# each side, and the cell count it never exceeds.  The one error budget:
+# doubling every mesh moves no baseline-compared value by more than 1e-3, a
+# tenth of the 0.01 baseline tolerance.  Measured over every suite at the
+# pinned config, the largest relative move from halving the cells per
+# wavelength 48 -> 24 -> 12 -> 6 was 4.3e-5, 1.7e-4 and 8.2e-4 at seed 2024
+# (3.5e-5, 3.1e-4 and 8.0e-4 at seed 9001): about 4 times per halving, so
+# second order in the cell count, not the (h xi)^4 of a cubic interpolant
+# alone.  12 keeps the budget with a margin of 3; 6 does not.  There is no
+# floor: raising the band-8 and band-16 meshes to 256 cells moves no value
+# by more than 1.1e-4.
+_CELLS_PER_WAVE = 12
 _MAX_CELLS = 20000
 
 
@@ -336,7 +352,7 @@ class QuadratureMesh:
     grading = 2.0
     order = 3  # piecewise-cubic interpolant
 
-    def __init__(self, half_width: float, n_cells: int = 2048):
+    def __init__(self, half_width: float, n_cells: int):
         if not (0 < half_width < np.inf and isinstance(n_cells, int | np.integer) and n_cells >= 4):
             raise GridError("need a finite positive half-width and an integer count of at "
                             f"least 4 cells per side, got {half_width} and {n_cells}")
@@ -368,9 +384,14 @@ class QuadratureMesh:
         return f"QuadratureMesh(L={self.half_width}, cells={self.n_cells})"
 
     @classmethod
-    def for_band(cls, grid: GridSpec, band_max: float, min_cells: int = 256) -> "QuadratureMesh":
-        """Mesh resolving oscillation up to |xi| = band_max on one side: one
-        shared instance per key, so its tables and weights are built once."""
+    def for_band(cls, grid: GridSpec, band_max: float, min_cells: int = 4) -> "QuadratureMesh":
+        """Mesh resolving oscillation up to |xi| = band_max: ceil(12
+        max(band_max, 1) L) cells per side (_CELLS_PER_WAVE per wavelength),
+        graded toward 0, at least min_cells and at most _MAX_CELLS.  One
+        shared instance per key, so its tables and weights are built once.
+        A band that is not finite and >= 0 is a GridError."""
+        if not 0.0 <= band_max < math.inf:
+            raise GridError(f"band must be finite and >= 0, got {band_max}")
         need = int(math.ceil(_CELLS_PER_WAVE * max(band_max, 1.0) * grid.half_width))
         return _shared_mesh(grid.half_width, min(max(need, min_cells), _MAX_CELLS))
 
@@ -445,9 +466,10 @@ class QuadratureMesh:
                 rows = slice(start, start + _SYNTH_ROWS)
                 yield rows, kept[rows]
             return
-        # a second call in a row keeps the matrix it builds, once it is whole;
+        # a second call in a row keeps the matrix it builds, once it is whole
+        # and if its complex values (16 bytes each) fit under _MAX_KEPT_BYTES;
         # any other call drops the kept matrix and remembers its set only
-        keep = key == kept_key
+        keep = key == kept_key and 16 * self.nodes.size * active.size <= _MAX_KEPT_BYTES
         self._kept_modes = (key, None)
         kept = np.empty((self.nodes.size, active.size), dtype=complex) if keep else None
         fine, coarse = self._phase_table(grid)

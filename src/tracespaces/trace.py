@@ -129,7 +129,7 @@ def trace_at_zero(f: GridFunction) -> np.ndarray:
 
 # The band of every orbit norm's mesh.  Orbits fill the grid band, but at
 # N = 1024, L = 1 this mesh moves no orbit ratio of the trace problems by
-# more than 2.5e-5 from its value on the full band's mesh (6144 cells).
+# more than 2.5e-5 from its value on the full band's mesh (3066 cells).
 ORBIT_BAND = 16.0
 
 

@@ -164,6 +164,22 @@ def test_for_band_shares_one_mesh_per_key(grid):
     assert QuadratureMesh.for_function(f) is QuadratureMesh.for_band(grid, f.max_frequency)
 
 
+def test_for_band_sizes_meshes_by_cells_per_wavelength():
+    """12 cells per wavelength of the band on each side, with no floor."""
+    for band, half_width, cells in ((8.0, 1.0, 96), (16.0, 1.0, 192), (24.0, 1.0, 288),
+                                    (32.0, 1.0, 384), (24.0, 2.0, 576), (0.0, 1.0, 12),
+                                    (0.1, 0.25, 4)):
+        assert QuadratureMesh.for_band(GridSpec(half_width, 1024), band).n_cells == cells
+    assert QuadratureMesh.for_band(GridSpec(1.0, 1024), 4.0, min_cells=16).n_cells == 48
+    assert QuadratureMesh.for_band(GridSpec(1.0, 1024), 4.0, min_cells=256).n_cells == 256
+
+
+@pytest.mark.parametrize("band", [math.nan, math.inf, -1.0])
+def test_for_band_rejects_a_band_not_finite_and_nonnegative(grid, band):
+    with pytest.raises(GridError, match="band must be finite"):
+        QuadratureMesh.for_band(grid, band)
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(scale=st.floats(0.01, 100.0), seed=st.integers(0, 50))
 def test_norm_homogeneity(scale, seed):
@@ -314,3 +330,24 @@ def test_distinct_active_sets_keep_no_mode_matrix(grid):
         f = random_band_limited(grid, (float(lo), lo + 20.0), seed=-lo, dim=2)
         mesh.synthesize(grid, f.active_indices, f.coeffs[f.active_indices])
         assert mesh._kept_modes[1] is None
+
+
+def test_mode_matrix_above_the_byte_cap_is_not_kept(grid):
+    """A narrow set near Nyquist on its own fine mesh (112 modes, 24528
+    nodes: 41.9 MiB) keeps no mode matrix, and its values are bitwise those
+    of a fresh mesh; a band-24 family mesh (2304 nodes x 97 modes) still
+    keeps its matrix."""
+    f = random_band_limited(grid, (200.0, 255.5), 1)
+    cells = QuadratureMesh.for_function(f).n_cells
+    active, coeffs = f.active_indices, f.coeffs[f.active_indices]
+    want = QuadratureMesh(1.0, cells).synthesize(grid, active, coeffs)
+    mesh = QuadratureMesh(1.0, cells)
+    assert 16 * mesh.nodes.size * active.size > 40 * 2**20
+    for _ in range(2):
+        np.testing.assert_array_equal(mesh.synthesize(grid, active, coeffs), want)
+        assert mesh._kept_modes[1] is None
+    g = random_band_limited(grid, (-24.0, 24.0), 2)
+    family_mesh = QuadratureMesh(1.0, QuadratureMesh.for_function(g).n_cells)
+    for _ in range(2):
+        family_mesh.synthesize(grid, g.active_indices, g.coeffs[g.active_indices])
+    assert family_mesh._kept_modes[1] is not None

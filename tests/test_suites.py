@@ -6,11 +6,14 @@ from tracespaces import (
     SUITE_ORDER,
     DyadicSystem,
     GridSpec,
+    QuadratureMesh,
     SpaceSpec,
     SuiteConfig,
     norm_equivalence_ratio,
+    run_all,
     run_suite,
 )
+from tracespaces import grid as grid_module
 from tracespaces.report import config_hash, render_reports
 from tracespaces.suites import _DIFFNORM_PARAMS, diffnorm_windows
 
@@ -87,8 +90,8 @@ def test_suite_rerun_is_bitwise_identical():
 # At N = 64 the spectral time derivative of the stefan orbit is off by
 # 0.77 (0.28 at 128, 3.2e-3 at 512) against its bound 1e-3, and at N = 1024,
 # L = 2 by 1.27e-3: it needs N / (2 L) >= 512 samples per unit length, a
-# resolution floor of the model, not a raise.  At L = 2 every mesh above the
-# 256-cell floor has twice the cells it has at L = 1.
+# resolution floor of the model, not a raise.  At L = 2 every mesh has twice
+# the cells it has at L = 1.
 def _sweep_case(n, half_width, name):
     id_ = f"{n}-{name}" if half_width == 1.0 else f"{n}-L{half_width:g}-{name}"
     marks = ()
@@ -120,3 +123,28 @@ def test_shared_draw_diffnorm_windows_equal_per_parameter_recomputation():
         spec = SpaceSpec("F", s, p, q, gamma)
         ratios = [norm_equivalence_ratio(f, spec, m) for f in cfg.family(8.0, 4, stream=2)]
         assert window == (min(ratios), max(ratios))
+
+
+def test_doubling_every_mesh_keeps_the_error_budget(monkeypatch):
+    """The budget that sizes every mesh: at twice the cells per wavelength
+    every bound case of every suite still passes, and no baseline-compared
+    value moves by more than 1e-3 of itself, a tenth of the baseline
+    tolerance."""
+    config = SuiteConfig(family_size=2)
+
+    def baseline_values():
+        reports = run_all(config)
+        failed = [(r.suite, c.case_id) for r in reports for c in r.cases
+                  if c.compare == "bound" and not c.passed]
+        assert failed == []
+        return {(r.suite, c.case_id): c.value for r in reports for c in r.cases
+                if c.compare == "baseline"}
+
+    coarse = baseline_values()
+    cells = QuadratureMesh.for_band(config.grid(), 8.0).n_cells
+    monkeypatch.setattr(grid_module, "_CELLS_PER_WAVE", 2 * grid_module._CELLS_PER_WAVE)
+    assert QuadratureMesh.for_band(config.grid(), 8.0).n_cells == 2 * cells
+    fine = baseline_values()
+    assert fine.keys() == coarse.keys()
+    moves = {key: abs(fine[key] / coarse[key] - 1.0) for key in coarse}
+    assert max(moves.values()) <= 1e-3, max(moves.items(), key=lambda kv: kv[1])
