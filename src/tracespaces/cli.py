@@ -59,8 +59,8 @@ def main(argv=None) -> int:
     if not (math.isfinite(args.baseline_tolerance) and args.baseline_tolerance >= 0):
         parser.error(f"baseline tolerance must be finite and >= 0, got {args.baseline_tolerance}")
     names = args.suite or ["all"]
-    if "all" in names:
-        names = list(SUITE_ORDER)
+    # a suite named twice runs once, at its first place
+    names = list(SUITE_ORDER) if "all" in names else list(dict.fromkeys(names))
 
     reports, errored = [], set()
     for name in names:

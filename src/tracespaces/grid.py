@@ -35,11 +35,13 @@ never depend on what is stacked with it or computed before it.
 - Wide sets: a type-2 NUFFT (Dutt & Rokhlin 1993; Barnett, Magland & af
   Klinteberg 2019).  The coefficients are divided by the Fourier
   transform of an exponential-of-semicircle kernel, placed on a 2N grid
-  and inverse transformed, one FFT per column, and a real sparse matrix
-  with 16 kernel values per node interpolates them onto the nodes.  The
-  mesh keeps that matrix and the N divisors per GridSpec: 192 bytes per
-  node, 2.4 MB for 12288 nodes.  Its error is about 4e-15 of the largest
-  value, below that of dense synthesis, whose phases t * xi round.
+  and inverse transformed, one FFT per column; each node then gathers the
+  16 grid values its kernel reaches and sums them against its 16 kernel
+  values, 64 nodes per numpy contraction.  The mesh keeps the 16 grid
+  columns (int32) and kernel values (float64) per node and the N divisors
+  per GridSpec: 192 bytes per node, 2.4 MB for 12288 nodes.  Its error is
+  about 4e-15 of the largest value, below that of dense synthesis, whose
+  phases t * xi round.
 
 A narrow active set's mode matrix is kept only once it is asked for twice
 in a row, as the functions of a seeded family, which share one active
@@ -63,6 +65,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# numpy loads these on first use; loading them here keeps that in start-up
+import numpy.fft  # noqa: F401
+import numpy.random  # noqa: F401
 
 __all__ = [
     "GridError",
@@ -287,10 +292,16 @@ _MAX_KEPT_BYTES = 24 * 2**20
 _SYNTH_ROWS = 256
 
 # QuadratureMesh.synthesize takes the NUFFT from this many active modes up
-# and the phase-table product below it.  Measured at 4096-12288 nodes and
-# N = 1024-4096: at 256 modes the NUFFT takes 0.04-0.84 of the product's
-# time for 1 to 300 columns (N <= 2048); at 64 modes and 54 or more
-# columns the product is faster.
+# and the phase-table product below it.  Measured with the numpy spread at
+# 1536, 2304 and 3072 nodes (the ORBIT_BAND mesh, bands 24 and 32) and
+# N = 1024 and 4096, against a product that builds its mode matrix: at 256
+# modes the NUFFT takes 0.24-0.60 of the product's time for 1 to 6
+# columns, 0.83-3.0 for 54 and 2.1-6.6 for 300; at 128 modes 0.76-1.17 for
+# 1 to 6 columns and 1.6-11 from 54 on; at 512 modes 0.18-0.31 for 1 to 6
+# and 0.33-3.3 from 54 on.  A kept mode matrix favours the product more.
+# No cut-off wins everywhere and moving it moves values at rounding level,
+# so it stays; a full band (1023 modes, 54 columns, 1536 nodes, N = 1024)
+# takes 6.8 ms by the NUFFT against 53 ms by the product.
 _NUFFT_MIN_MODES = 256
 
 # The NUFFT's kernel exp(beta (sqrt(1 - z^2) - 1)), z in [-1, 1], spans
@@ -305,6 +316,11 @@ _NUFFT_BETA = 2.30 * _NUFFT_WIDTH
 # by 2e-15 to 8e-15, which would bias every NUFFT value by as much.
 _NUFFT_FT_STEP = 2.0 / (4 * _NUFFT_WIDTH)
 _NUFFT_FT_NODES = -1.0 + _NUFFT_FT_STEP * (np.arange(4 * _NUFFT_WIDTH) + 0.5)
+
+
+# Nodes per gather-and-contract step of the NUFFT's spread: the gathered
+# (64, 16, 2 columns) block stays under 1 MB up to 54 columns.
+_SPREAD_ROWS = 64
 
 
 def _nufft_kernel(z: np.ndarray) -> np.ndarray:
@@ -417,43 +433,43 @@ class QuadratureMesh:
         return got
 
     def _nufft_plan(self, grid: GridSpec) -> tuple:
-        """(spread, deconv): the sparse (n_nodes, 2N) interpolation from the
-        oversampled grid to the nodes, and 1 / (the kernel's Fourier
+        """(cols, vals, deconv): per node, the _NUFFT_WIDTH columns of the
+        oversampled 2N grid that the kernel reaches and the kernel's value
+        at each, both (n_nodes, _NUFFT_WIDTH); and 1 / (the kernel's Fourier
         transform) at each bin of grid, in FFT order."""
         got = self._nufft_plans.get(grid)
         if got is None:
-            # imported here: only wide active sets need it, and importing it
-            # would lengthen the start-up of every run
-            from scipy import sparse
-
             n = grid.n_samples
             fine = 2 * n
             half = 0.5 * _NUFFT_WIDTH
             s = self.nodes * (fine * grid.fundamental)  # node positions in fine cells
             cols = np.ceil(s - half).astype(np.int64)[:, None] + np.arange(_NUFFT_WIDTH)
             vals = _nufft_kernel((cols - s[:, None]) / half)
-            spread = sparse.csr_matrix(
-                (vals.ravel(), (cols % fine).ravel(), np.arange(0, vals.size + 1, _NUFFT_WIDTH)),
-                shape=(self.nodes.size, fine))
             # int_{-half}^{half} kernel(x / half) exp(-2 pi i k x / fine) dx
             omega = np.fft.fftfreq(n, 1.0 / n) * (2.0 * np.pi * half / fine)
             ft = (half * _NUFFT_FT_STEP) * (np.cos(np.multiply.outer(omega, _NUFFT_FT_NODES))
                                             @ _nufft_kernel(_NUFFT_FT_NODES))
-            got = (spread, 1.0 / ft)
+            got = ((cols % fine).astype(np.int32), vals, 1.0 / ft)
             self._nufft_plans[grid] = got
         return got
 
     def _synthesize_nufft(self, grid: GridSpec, active: np.ndarray,
                           coeffs: np.ndarray) -> np.ndarray:
         """Type-2 NUFFT: deconvolve the coefficients, place them on the 2N
-        grid, one inverse FFT per column, and interpolate onto the nodes
-        (real and imaginary parts in one sparse product)."""
-        spread, deconv = self._nufft_plan(grid)
+        grid, one inverse FFT per column, and interpolate onto the nodes:
+        per _SPREAD_ROWS nodes, gather the _NUFFT_WIDTH grid rows each node
+        reaches and contract them with its kernel values (real and
+        imaginary parts at once, on the float view)."""
+        cols, vals, deconv = self._nufft_plan(grid)
         n = grid.n_samples
         padded = np.zeros((2 * n, coeffs.shape[1]), dtype=complex)
         padded[np.where(active < n // 2, active, active + n)] = coeffs * deconv[active, None]
-        on_grid = np.fft.ifft(padded, axis=0, norm="forward")
-        return (spread @ on_grid.view(float)).view(complex)
+        on_grid = np.fft.ifft(padded, axis=0, norm="forward").view(float)
+        out = np.empty((self.nodes.size, on_grid.shape[1]))
+        for start in range(0, self.nodes.size, _SPREAD_ROWS):
+            rows = slice(start, start + _SPREAD_ROWS)
+            np.einsum("nw,nwc->nc", vals[rows], on_grid[cols[rows]], out=out[rows])
+        return out.view(complex)
 
     def _mode_chunks(self, grid: GridSpec, active: np.ndarray):
         """(rows, modes) per _SYNTH_ROWS node rows, modes[i, j] = exp(2 pi i

@@ -45,7 +45,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "MultiplierOperator",
@@ -59,7 +58,7 @@ __all__ = [
 
 
 def _beta(a: float, b: float) -> float:
-    return math.exp(gammaln(a) + gammaln(b) - gammaln(a + b))
+    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
 
 class MultiplierOperator:
@@ -286,11 +285,11 @@ def closed_form_semigroup_norm(op: MultiplierOperator, alpha: float, p: float, x
     e = (m - alpha) * p
     if op.dim == 1:
         lam = float(op.eigenvalues[0])
-        return (lam ** alpha * math.exp((gammaln(e) - e * math.log(p)) / p)
+        return (lam ** alpha * math.exp((math.lgamma(e) - e * math.log(p)) / p)
                 * float(np.linalg.norm(v)))
     if p != 2:
         raise ValueError("diagonal closed form only collapses at p = 2")
-    g = math.exp(gammaln(e)) / p ** e
+    g = math.exp(math.lgamma(e)) / p ** e
     return float(math.sqrt(np.sum(np.abs(v) ** 2 * op.eigenvalues ** (2.0 * alpha) * g)))
 
 

@@ -92,3 +92,17 @@ def test_dyadic_band_follows_the_grid(tmp_path):
     assert main(["--grid-n", "128", "--suite", "dyadic",
                  "--baseline-dir", str(tmp_path / "b"),
                  "--out", str(tmp_path / "r.json")]) == 0
+
+
+def test_repeated_suite_runs_once_in_first_order(tmp_path, monkeypatch):
+    calls = []
+    for name in ("counterexample", "stefan"):
+        runner = suites._RUNNERS[name]
+        monkeypatch.setitem(suites._RUNNERS, name,
+                            lambda config, name=name, runner=runner: calls.append(name)
+                            or runner(config))
+    out = tmp_path / "r.json"
+    main(["--suite", "stefan", "--suite", "counterexample", "--suite", "stefan",
+          "--suite", "counterexample", "--baseline-dir", str(tmp_path / "b"), "--out", str(out)])
+    assert calls == ["stefan", "counterexample"]
+    assert [d["suite"] for d in json.loads(out.read_text())] == ["stefan", "counterexample"]

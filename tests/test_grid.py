@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from tracespaces import (
     GridFunction,
@@ -351,3 +352,31 @@ def test_mode_matrix_above_the_byte_cap_is_not_kept(grid):
     for _ in range(2):
         family_mesh.synthesize(grid, g.active_indices, g.coeffs[g.active_indices])
     assert family_mesh._kept_modes[1] is not None
+
+
+def _csr_nufft_reference(mesh, grid, active, coeffs):
+    """The NUFFT with its spread as a scipy CSR product over the plan's
+    (cols, vals): the same deconvolution, placement and inverse FFT."""
+    cols, vals, deconv = mesh._nufft_plan(grid)
+    n = grid.n_samples
+    spread = sparse.csr_matrix(
+        (vals.ravel(), cols.ravel(), np.arange(0, vals.size + 1, vals.shape[1])),
+        shape=(mesh.nodes.size, 2 * n))
+    padded = np.zeros((2 * n, coeffs.shape[1]), dtype=complex)
+    padded[np.where(active < n // 2, active, active + n)] = coeffs * deconv[active, None]
+    return (spread @ np.fft.ifft(padded, axis=0, norm="forward").view(float)).view(complex)
+
+
+@pytest.mark.parametrize("n", [1024, 4096])
+@pytest.mark.parametrize("ncols", [1, 6, 54, 300])
+def test_nufft_spread_equals_the_sparse_product_bitwise(n, ncols):
+    """The numpy gather-and-contract spread sums each node's 16 kernel terms
+    in the order a CSR product does, so the two agree bit for bit."""
+    grid = GridSpec(1.0, n)
+    mesh = QuadratureMesh.for_band(grid, 16.0)
+    edge = grid.nyquist - grid.fundamental
+    f = random_band_limited(grid, (-edge, edge), seed=(n, ncols, 3), dim=ncols)
+    active, coeffs = f.active_indices, f.coeffs[f.active_indices]
+    assert active.size >= 256
+    np.testing.assert_array_equal(mesh.synthesize(grid, active, coeffs),
+                                  _csr_nufft_reference(mesh, grid, active, coeffs))

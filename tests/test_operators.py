@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gammaln
 
 from tracespaces import (
     MultiplierOperator,
@@ -216,3 +217,28 @@ def test_norm_order_equivalence_near_integer():
     a = interp_norm_resolvent(op, 0.5, 2.0, [1.0], m=1)
     b = interp_norm_resolvent(op, 0.5, 2.0, [1.0], m=2)
     assert 0.1 < a / b < 10.0
+
+
+def _gammaln_beta(a, b):
+    return math.exp(gammaln(a) + gammaln(b) - gammaln(a + b))
+
+
+@pytest.mark.parametrize("alpha,p", [(0.3, 1.0), (0.5, 2.0), (0.6, 2.0), (0.9, 3.0), (1.7, 2.0)])
+def test_closed_forms_match_a_gammaln_reference(diag, x6, alpha, p):
+    """math.lgamma in the closed forms agrees with scipy's gammaln to 1e-14:
+    lambda^alpha B(alpha p, (m - alpha) p)^(1/p) |x| and lambda^alpha
+    (Gamma((m - alpha) p) / p^((m - alpha) p))^(1/p) |x|."""
+    m = math.floor(alpha) + 1
+    e = (m - alpha) * p
+    op = MultiplierOperator.scalar(2.5)
+    want_res = 2.5 ** alpha * _gammaln_beta(alpha * p, e) ** (1.0 / p) * 1.5
+    want_semi = 2.5 ** alpha * math.exp((gammaln(e) - e * math.log(p)) / p) * 1.5
+    assert closed_form_resolvent_norm(op, alpha, p, [1.5]) == pytest.approx(want_res, rel=1e-14)
+    assert closed_form_semigroup_norm(op, alpha, p, [1.5]) == pytest.approx(want_semi, rel=1e-14)
+    if p == 2.0:
+        e = 2.0 * (m - alpha)
+        scale = np.abs(x6) ** 2 * diag.eigenvalues ** (2.0 * alpha)
+        want_res = math.sqrt(np.sum(scale * _gammaln_beta(2.0 * alpha, e)))
+        want_semi = math.sqrt(np.sum(scale * math.exp(gammaln(e)) / 2.0 ** e))
+        assert closed_form_resolvent_norm(diag, alpha, p, x6) == pytest.approx(want_res, rel=1e-14)
+        assert closed_form_semigroup_norm(diag, alpha, p, x6) == pytest.approx(want_semi, rel=1e-14)

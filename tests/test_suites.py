@@ -1,6 +1,8 @@
 import math
 
+import numpy as np
 import pytest
+from scipy.special import gammainc
 
 from tracespaces import (
     SUITE_ORDER,
@@ -15,7 +17,7 @@ from tracespaces import (
 )
 from tracespaces import grid as grid_module
 from tracespaces.report import config_hash, render_reports
-from tracespaces.suites import _DIFFNORM_PARAMS, diffnorm_windows
+from tracespaces.suites import _DIFFNORM_PARAMS, _lower_gamma_ratio, diffnorm_windows
 
 
 def test_unknown_suite_rejected():
@@ -148,3 +150,14 @@ def test_doubling_every_mesh_keeps_the_error_budget(monkeypatch):
     assert fine.keys() == coarse.keys()
     moves = {key: abs(fine[key] / coarse[key] - 1.0) for key in coarse}
     assert max(moves.values()) <= 1e-3, max(moves.items(), key=lambda kv: kv[1])
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 1.5, 2.5])
+def test_lower_gamma_ratio_matches_scipy(a):
+    """The semigroup plateau's incomplete gamma agrees with scipy's gammainc
+    to 1e-12 across both of its branches; x = 1e3 (x = L at --grid-l 1000)
+    is where a plain power series overflows."""
+    xs = np.geomspace(1e-3, 1e3, 241)
+    got = np.array([_lower_gamma_ratio(a, float(x)) for x in xs])
+    np.testing.assert_allclose(got, gammainc(a, xs), rtol=1e-12, atol=0.0)
+    assert _lower_gamma_ratio(a, 0.0) == 0.0
