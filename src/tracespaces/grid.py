@@ -216,9 +216,13 @@ class GridFunction:
         return self._active
 
     def active_frequencies(self) -> np.ndarray:
-        return self.grid.frequencies()[self._active]
+        """The active modes' frequencies k / (2L), signed, read-only and
+        computed once."""
+        n = self.grid.n_samples
+        return self.cached(("active-frequencies",), lambda: np.where(
+            self._active < n // 2, self._active, self._active - n) * self.grid.fundamental)
 
-    @property
+    @functools.cached_property
     def max_frequency(self) -> float:
         if self._active.size == 0:
             return 0.0

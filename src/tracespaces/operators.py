@@ -35,6 +35,12 @@ rule converges exponentially.
     vertex of the parabola through log g at the grid maximum and its two
     neighbours.
 
+The grid and kernel are built once per call.  At p = 2 the trapezoid
+core, both end corrections and both closed-form tails are linear in the
+squares |y_k|^2, so the rule contracts to one weight W_k per component
+and a norm is sqrt(sum_k |y_k|^2 W_k): dim products per row.  Other p
+raise each row's squared integrand on the grid to the power p / 2.
+
 The resolvent form has one integrator, `batch_interp_norm_resolvent`;
 `interp_norm_resolvent` is a batch of one.  Rows are summed in a fixed
 order, so a row's norm never depends on the rest of its batch.
@@ -43,6 +49,7 @@ order, so a row's norm never depends on the rest of its batch.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -116,7 +123,9 @@ class MultiplierOperator:
 
 _PER_DECADE = 10  # log-axis nodes per decade of every window
 _TAIL_TOL = 1e-10  # first-order relative error allowed in a closed-form tail
-_BATCH_ROWS = 4096  # rows per pass of the resolvent form: 7.5 MB at 241 sigma nodes
+# rows per pass of the resolvent form: a working array of 7.5 MB at 241 sigma
+# nodes for r != 2; at r = 2 a pass holds only the rows' squares
+_BATCH_ROWS = 4096
 
 
 def _order(alpha: float, m: int | None) -> int:
@@ -157,36 +166,64 @@ def _end_correction(slope: float, du: float) -> float:
     return (x / math.tanh(x) - 1.0) / slope if slope > 0 else 0.0
 
 
-def _power_integral(sq, kernel, p: float, lo: float, hi: float,
-                    slopes: tuple[float, float]) -> tuple[np.ndarray, float, float]:
-    """Row integrals int g(s)^p ds/s of g(s)^2 = sum_k sq[:, k] kernel(s)[..., k]
-    over the whole decades covering [lo, hi], and the window they cover:
-    the trapezoid rule in log s, corrected at ends that go like
-    s^{slopes[0]} and s^{-slopes[1]}."""
+def _power_integral(kernel, p: float, lo: float, hi: float, slopes: tuple[float, float],
+                    ends: tuple) -> Callable[[np.ndarray], np.ndarray]:
+    """The rule for the row integrals int_0^inf g(s)^p ds/s of
+    g(s)^2 = sum_k sq[:, k] kernel(s)[..., k], as a function of the
+    squares sq.  The trapezoid rule in log s covers the whole decades over
+    [lo, hi] and is corrected at its ends.  Past them g^p is s^{slopes[0]}
+    and s^{-slopes[1]} times (sum_k sq[:, k] ends[i][k])^{p/2}, integrated
+    in closed form (ends[1] None: no high tail).  The grid and kernel are
+    built once per rule.  At p = 2 every term is linear in the squares, so
+    the rule contracts to one weight per component and a row costs dim
+    products."""
     s, du = _log_grid(lo, hi)
-    grand = _grid_squares(sq, kernel(s))
-    grand **= 0.5 * p
-    core = du * (np.sum(grand, axis=1) - 0.5 * (grand[:, 0] + grand[:, -1]))
-    core += _end_correction(slopes[0], du) * grand[:, 0]
-    core += _end_correction(slopes[1], du) * grand[:, -1]
-    return core, float(s[0]), float(s[-1])
+    grid = kernel(s)
+    lo, hi = float(s[0]), float(s[-1])
+    (a, b), (low, high) = slopes, ends
+    head, foot = _end_correction(a, du), _end_correction(b, du)
+    if p == 2:
+        w = du * (np.sum(grid, axis=0) - 0.5 * (grid[0] + grid[-1]))
+        w += head * grid[0] + foot * grid[-1] + lo ** a / a * low
+        if high is not None:
+            w += high * hi ** -b / b
+        return lambda sq: np.sum(sq * w, axis=1)
+
+    def integrate(sq):
+        grand = _grid_squares(sq, grid)
+        grand **= 0.5 * p
+        core = du * (np.sum(grand, axis=1) - 0.5 * (grand[:, 0] + grand[:, -1]))
+        core += head * grand[:, 0]
+        core += foot * grand[:, -1]
+        tails = lo ** a / a * np.sum(sq * low, axis=1) ** (0.5 * p)
+        if high is not None:
+            tails += np.sum(sq * high, axis=1) ** (0.5 * p) * hi ** -b / b
+        return core + tails
+
+    return integrate
 
 
-def _supremum(sq, kernel, peaks: np.ndarray) -> np.ndarray:
-    """Row suprema of the g of `_power_integral`, where every row peaks
-    inside [min peaks, max peaks].  The window adds a decade of margin at
-    each end, so each row's grid maximum is interior; the value is g at
-    the vertex of the parabola through log g at that maximum and its two
-    neighbours, and never below the grid maximum."""
+def _supremum(kernel, peaks: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The row suprema of the g of `_power_integral`, as a function of the
+    squares, where every row peaks inside [min peaks, max peaks].  The
+    window adds a decade of margin at each end, so each row's grid maximum
+    is interior; the value is g at the vertex of the parabola through log g
+    at that maximum and its two neighbours, and never below the grid
+    maximum."""
     s, du = _log_grid(0.1 * np.min(peaks), 10.0 * np.max(peaks))
-    grand = _grid_squares(sq, kernel(s))  # g^2, which peaks where g does
-    rows = np.arange(grand.shape[0])
-    k = np.argmax(grand, axis=1)
-    left, mid, right = (np.log(grand[rows, k + d]) for d in (-1, 0, 1))
-    # mid is the maximum, so the curvature is <= 0; a flat top gives shift 0
-    shift = 0.5 * (left - right) / np.minimum(left - 2.0 * mid + right, -1e-300)
-    vertex = np.sum(sq * kernel(s[k] * np.exp(shift * du)), axis=1)
-    return np.sqrt(np.maximum(grand[rows, k], vertex))
+    grid = kernel(s)
+
+    def supremum(sq):
+        grand = _grid_squares(sq, grid)  # g^2, which peaks where g does
+        rows = np.arange(grand.shape[0])
+        k = np.argmax(grand, axis=1)
+        left, mid, right = (np.log(grand[rows, k + d]) for d in (-1, 0, 1))
+        # mid is the maximum, so the curvature is <= 0; a flat top gives shift 0
+        shift = 0.5 * (left - right) / np.minimum(left - 2.0 * mid + right, -1e-300)
+        vertex = np.sum(sq * kernel(s[k] * np.exp(shift * du)), axis=1)
+        return np.sqrt(np.maximum(grand[rows, k], vertex))
+
+    return supremum
 
 
 def batch_interp_norm_resolvent(op: MultiplierOperator, alpha: float, r: float,
@@ -194,8 +231,9 @@ def batch_interp_norm_resolvent(op: MultiplierOperator, alpha: float, r: float,
     """Resolvent-form D_A(alpha, r) norms of a batch of vectors, shape
     (..., dim) -> (...), by the rules in the module docstring.  The window
     depends on the operator alone, so each row's norm equals its norm
-    computed alone, bitwise.  The rows go in chunks of _BATCH_ROWS, each
-    squared on its own; a row whose squares all vanish has norm 0."""
+    computed alone, bitwise.  The rule is built once; the rows go through
+    it in chunks of _BATCH_ROWS, each squared on its own; a row whose
+    squares all vanish has norm 0."""
     m = _order(alpha, m)
     if not r >= 1:
         raise ValueError(f"need r >= 1, got r={r}")
@@ -209,24 +247,23 @@ def batch_interp_norm_resolvent(op: MultiplierOperator, alpha: float, r: float,
     def kernel(sigma):  # sigma^{2 alpha} ||(A (sigma + A)^{-1})^m e_k||^2
         return (lam / np.add.outer(sigma, lam)) ** (2 * m) * (sigma ** (2.0 * alpha))[..., None]
 
-    c = max(m * r, 1.0)
+    if math.isinf(r):
+        norm = _supremum(kernel, alpha * lam / (m - alpha))
+    else:
+        # closed-form tails: below the spectrum the resolvent factors are 1 up
+        # to O(sigma/lambda_min), above it (lambda/sigma)^m up to O(lambda_max/sigma)
+        c = max(m * r, 1.0)
+        integral = _power_integral(kernel, r, _TAIL_TOL * op.min_eigenvalue / c,
+                                   op.max_eigenvalue * c / _TAIL_TOL,
+                                   (alpha * r, (m - alpha) * r), (1.0, lam ** (2.0 * m)))
+
+        def norm(sq):
+            return integral(sq) ** (1.0 / r)
+
     for start in range(0, flat.shape[0], _BATCH_ROWS):
         sq = np.abs(flat[start:start + _BATCH_ROWS]) ** 2
         live = np.flatnonzero(np.any(sq > 0, axis=1))
-        rows, chunk = start + live, sq[live]
-        if math.isinf(r):
-            out[rows] = _supremum(chunk, kernel, alpha * lam / (m - alpha))
-            continue
-        core, lo, hi = _power_integral(chunk, kernel, r, _TAIL_TOL * op.min_eigenvalue / c,
-                                       op.max_eigenvalue * c / _TAIL_TOL,
-                                       (alpha * r, (m - alpha) * r))
-        # closed-form tails: below the spectrum the resolvent factors are 1 up
-        # to O(sigma/lambda_min), above it (lambda/sigma)^m up to O(lambda_max/sigma)
-        xnorm = np.sum(chunk, axis=1) ** (0.5 * r)
-        domnorm = np.sum(chunk * lam ** (2.0 * m), axis=1) ** (0.5 * r)
-        tails = (lo ** (alpha * r) / (alpha * r) * xnorm
-                 + domnorm * hi ** ((alpha - m) * r) / ((m - alpha) * r))
-        out[rows] = (core + tails) ** (1.0 / r)
+        out[start + live] = norm(sq[live])
     return out.reshape(vals.shape[:-1])
 
 
@@ -253,13 +290,12 @@ def interp_norm_semigroup(op: MultiplierOperator, alpha: float, p: float, x) -> 
         return lam ** (2.0 * alpha) * (tl ** e * np.exp(-tl)) ** 2
 
     if math.isinf(p):
-        return float(_supremum(sq, kernel, e / lam)[0])
+        return float(_supremum(kernel, e / lam)(sq)[0])
     # below t_min the factors exp(-t lambda) are 1 up to O(t lambda_max);
     # past 46 / lambda_min every term has decayed below exp(-46) ~ 1e-20
-    core, lo, _ = _power_integral(sq, kernel, p, _TAIL_TOL / (p * op.max_eigenvalue),
-                                  46.0 / op.min_eigenvalue, (e * p, 0.0))
-    domnorm = float(np.sum(sq * lam ** (2.0 * m))) ** (0.5 * p)
-    return float(core[0] + lo ** (e * p) / (e * p) * domnorm) ** (1.0 / p)
+    integral = _power_integral(kernel, p, _TAIL_TOL / (p * op.max_eigenvalue),
+                               46.0 / op.min_eigenvalue, (e * p, 0.0), (lam ** (2.0 * m), None))
+    return float(integral(sq)[0]) ** (1.0 / p)
 
 
 def closed_form_resolvent_norm(op: MultiplierOperator, alpha: float, p: float, x) -> float:

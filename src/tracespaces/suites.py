@@ -504,9 +504,12 @@ def run_mixed(config: SuiteConfig) -> VerificationReport:
     cases = []
 
     # single plateau modes: one active block, so the chain collapses to an
-    # identity and both sides agree to rounding
+    # identity and both sides agree to rounding.  Each mode is floored onto
+    # the lattice of multiples of 1/(2L), which keeps it on its block's
+    # plateau (|xi| <= 1 for block 0, 1.5 * 2^(k-1) <= |xi| <= 2^k for block k)
     dev = 0.0
     for xi in (1.0, 2.0, 4.0):
+        xi = math.floor(xi / grid.fundamental + 1e-9) * grid.fundamental
         f = GridFunction.from_coeff_map(grid, {xi: [1.2 + 0.7j]})
         got = mixed_derivative_check(f, params_f, scalar)
         dev = max(dev, abs(got["lhs"] / got["rhs"] - 1.0))

@@ -41,6 +41,20 @@ def test_derivative_of_single_mode(grid):
     np.testing.assert_allclose(df.coeffs, 2j * np.pi * xi * f.coeffs, atol=1e-12)
 
 
+@pytest.mark.parametrize("n, half_width", [(64, 1.0), (1024, 0.75), (4096, 10.0)])
+def test_active_frequencies_are_read_only_and_match_the_grid(n, half_width):
+    """The active frequencies and the band edge are computed once, bitwise
+    as the grid's signed frequencies of the active bins."""
+    grid = GridSpec(half_width, n)
+    f = random_band_limited(grid, (-0.2 * grid.nyquist, 0.3 * grid.nyquist), seed=4, dim=2)
+    want = grid.frequencies()[f.active_indices]
+    got = f.active_frequencies()
+    np.testing.assert_array_equal(got, want)
+    assert got is f.active_frequencies() and not got.flags.writeable
+    assert f.max_frequency == float(np.max(np.abs(want)))
+    assert GridFunction(grid, np.zeros(n)).max_frequency == 0.0
+
+
 def test_from_samples_round_trip(grid):
     f = random_band_limited(grid, (-20.0, 20.0), seed=1)
     g = GridFunction.from_samples(grid, f.samples)

@@ -69,9 +69,15 @@ def test_resolvent_matches_closed_form_scalar(alpha, p):
     assert got == pytest.approx(want, rel=1e-12)
 
 
-def test_resolvent_matches_closed_form_diagonal(diag, x6):
-    got = interp_norm_resolvent(diag, 0.6, 2.0, x6)
-    want = closed_form_resolvent_norm(diag, 0.6, 2.0, x6)
+@pytest.mark.parametrize("spectrum", ["diag", "wide"])
+@pytest.mark.parametrize("alpha", [0.05, 0.6, 1.7, 2.5])
+def test_resolvent_matches_closed_form_diagonal(diag, x6, alpha, spectrum):
+    """At p = 2 the rule contracts to one weight per component; the norm
+    meets the Beta closed form across orders m = 1, 2, 3 and on a spectrum
+    four decades wide."""
+    op, x = (diag, x6) if spectrum == "diag" else (MultiplierOperator.diagonal((1.0, 1e4)), x6[:2])
+    got = interp_norm_resolvent(op, alpha, 2.0, x)
+    want = closed_form_resolvent_norm(op, alpha, 2.0, x)
     assert got == pytest.approx(want, rel=1e-12)
 
 

@@ -115,6 +115,16 @@ def test_every_suite_runs_across_grids(n_samples, half_width, suite):
     assert failed == []
 
 
+@pytest.mark.parametrize("half_width", [0.25, 0.75, 1.3, 10.0])
+def test_mixed_runs_where_two_l_is_not_an_integer(half_width):
+    """The single-mode check floors its modes onto the multiples of
+    1/(2L), so a frequency of 1 need not lie on the lattice; every bound
+    case passes with its bound unchanged."""
+    report = run_suite("mixed", SuiteConfig(half_width=half_width, family_size=2))
+    assert len(report.cases) == 7
+    assert [c.case_id for c in report.cases if c.compare == "bound" and not c.passed] == []
+
+
 def test_shared_draw_diffnorm_windows_equal_per_parameter_recomputation():
     """diffnorm_windows norms one draw of the family through every parameter
     set; each window equals its own recomputation on a fresh draw."""
