@@ -7,12 +7,15 @@ current values instead of checking them; pinned files are keyed by a
 hash of the configuration, so values from one configuration are never
 compared against another.  A suite that raises is reported with one
 failed ``error`` case and is never pinned; the other suites still run.
+The suites of one call share one store, so trace-f and trace-b norm
+their common draws once.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from .report import BaselineStore, CaseRecord, VerificationReport, render_reports
@@ -58,14 +61,19 @@ def main(argv=None) -> int:
         parser.error(str(exc))
     if not (math.isfinite(args.baseline_tolerance) and args.baseline_tolerance >= 0):
         parser.error(f"baseline tolerance must be finite and >= 0, got {args.baseline_tolerance}")
+    # checked before any suite runs, so a long run cannot end in a traceback
+    if args.out and os.path.isdir(args.out):
+        parser.error(f"cannot write the report to {args.out}: it is a directory")
+    if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+        parser.error(f"cannot write the report to {args.out}: no such directory")
     names = args.suite or ["all"]
     # a suite named twice runs once, at its first place
     names = list(SUITE_ORDER) if "all" in names else list(dict.fromkeys(names))
 
-    reports, errored = [], set()
+    reports, errored, store = [], set(), {}
     for name in names:
         try:
-            reports.append(run_suite(name, config))
+            reports.append(run_suite(name, config, store))
         except Exception as exc:  # one failing suite must not abort the run
             print(f"{name}: error: {type(exc).__name__}: {exc}", file=sys.stderr)
             errored.add(name)

@@ -35,11 +35,15 @@ rule converges exponentially.
     vertex of the parabola through log g at the grid maximum and its two
     neighbours.
 
-The grid and kernel are built once per call.  At p = 2 the trapezoid
-core, both end corrections and both closed-form tails are linear in the
-squares |y_k|^2, so the rule contracts to one weight W_k per component
-and a norm is sqrt(sum_k |y_k|^2 W_k): dim products per row.  Other p
-raise each row's squared integrand on the grid to the power p / 2.
+The resolvent form builds its rule (grid, kernel, and the end
+corrections with tails, the contracted p = 2 weights or the p = inf
+window) once per operator and (alpha, r, m) and keeps it on the
+operator, which is immutable; the semigroup form builds its rule per
+call.  At p = 2 the trapezoid core, both end corrections and both
+closed-form tails are linear in the squares |y_k|^2, so the rule
+contracts to one weight W_k per component and a norm is
+sqrt(sum_k |y_k|^2 W_k): dim products per row.  Other p raise each
+row's squared integrand on the grid to the power p / 2.
 
 The resolvent form has one integrator, `batch_interp_norm_resolvent`;
 `interp_norm_resolvent` is a batch of one.  Rows are summed in a fixed
@@ -79,6 +83,8 @@ class MultiplierOperator:
             raise ValueError("all eigenvalues must be finite and strictly positive")
         self.eigenvalues = lam
         self.eigenvalues.flags.writeable = False
+        # resolvent-form rules by (alpha, r, m), oldest first; see _resolvent_rule
+        self._rules: dict[tuple[float, float, int], Callable] = {}
 
     # -- constructors --------------------------------------------------
 
@@ -126,6 +132,9 @@ _TAIL_TOL = 1e-10  # first-order relative error allowed in a closed-form tail
 # rows per pass of the resolvent form: a working array of 7.5 MB at 241 sigma
 # nodes for r != 2; at r = 2 a pass holds only the rows' squares
 _BATCH_ROWS = 4096
+# resolvent-form rules kept per operator, about 12 kB each at dim 6; past
+# this the oldest is dropped, so a sweep over alpha on one operator stays small
+_MAX_RULES = 32
 
 
 def _order(alpha: float, m: int | None) -> int:
@@ -226,29 +235,22 @@ def _supremum(kernel, peaks: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     return supremum
 
 
-def batch_interp_norm_resolvent(op: MultiplierOperator, alpha: float, r: float,
-                                values: np.ndarray, m: int | None = None) -> np.ndarray:
-    """Resolvent-form D_A(alpha, r) norms of a batch of vectors, shape
-    (..., dim) -> (...), by the rules in the module docstring.  The window
-    depends on the operator alone, so each row's norm equals its norm
-    computed alone, bitwise.  The rule is built once; the rows go through
-    it in chunks of _BATCH_ROWS, each squared on its own; a row whose
-    squares all vanish has norm 0."""
-    m = _order(alpha, m)
-    if not r >= 1:
-        raise ValueError(f"need r >= 1, got r={r}")
-    vals = np.asarray(values, dtype=complex)
-    if vals.shape[-1] != op.dim:
-        raise ValueError("value dimension mismatch")
-    flat = vals.reshape(-1, op.dim)
-    out = np.zeros(flat.shape[0])
+def _resolvent_rule(op: MultiplierOperator, alpha: float, r: float,
+                    m: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The resolvent-form norms of rows as a function of their squares, for
+    one operator and (alpha, r, m).  It depends on the eigenvalues alone,
+    so it is built once and kept on the operator."""
+    key = (alpha, r, m)
+    rule = op._rules.get(key)
+    if rule is not None:
+        return rule
     lam = op.eigenvalues
 
     def kernel(sigma):  # sigma^{2 alpha} ||(A (sigma + A)^{-1})^m e_k||^2
         return (lam / np.add.outer(sigma, lam)) ** (2 * m) * (sigma ** (2.0 * alpha))[..., None]
 
     if math.isinf(r):
-        norm = _supremum(kernel, alpha * lam / (m - alpha))
+        rule = _supremum(kernel, alpha * lam / (m - alpha))
     else:
         # closed-form tails: below the spectrum the resolvent factors are 1 up
         # to O(sigma/lambda_min), above it (lambda/sigma)^m up to O(lambda_max/sigma)
@@ -257,12 +259,36 @@ def batch_interp_norm_resolvent(op: MultiplierOperator, alpha: float, r: float,
                                    op.max_eigenvalue * c / _TAIL_TOL,
                                    (alpha * r, (m - alpha) * r), (1.0, lam ** (2.0 * m)))
 
-        def norm(sq):
+        def rule(sq):
             return integral(sq) ** (1.0 / r)
 
+    if len(op._rules) >= _MAX_RULES:
+        del op._rules[next(iter(op._rules))]
+    op._rules[key] = rule
+    return rule
+
+
+def batch_interp_norm_resolvent(op: MultiplierOperator, alpha: float, r: float,
+                                values: np.ndarray, m: int | None = None) -> np.ndarray:
+    """Resolvent-form D_A(alpha, r) norms of a batch of vectors, shape
+    (..., dim) -> (...), by the rules in the module docstring.  The window
+    depends on the operator alone, so each row's norm equals its norm
+    computed alone, bitwise.  The rows go through the operator's rule in
+    chunks of _BATCH_ROWS, each squared on its own; a row whose squares
+    are all 0 has norm 0, and a row with a NaN has norm NaN."""
+    m = _order(alpha, m)
+    if not r >= 1:
+        raise ValueError(f"need r >= 1, got r={r}")
+    vals = np.asarray(values, dtype=complex)
+    if vals.shape[-1] != op.dim:
+        raise ValueError("value dimension mismatch")
+    flat = vals.reshape(-1, op.dim)
+    out = np.zeros(flat.shape[0])
+    norm = _resolvent_rule(op, float(alpha), float(r), m)
     for start in range(0, flat.shape[0], _BATCH_ROWS):
         sq = np.abs(flat[start:start + _BATCH_ROWS]) ** 2
-        live = np.flatnonzero(np.any(sq > 0, axis=1))
+        # == 0, not > 0: a NaN row is live; an underflowed row is a zero row
+        live = np.flatnonzero(~np.all(sq == 0, axis=1))
         out[start + live] = norm(sq[live])
     return out.reshape(vals.shape[:-1])
 
@@ -280,7 +306,7 @@ def interp_norm_semigroup(op: MultiplierOperator, alpha: float, p: float, x) -> 
     if not p >= 1:
         raise ValueError(f"need p >= 1, got {p}")
     sq = np.abs(op._vec(x))[None, :] ** 2
-    if not np.any(sq > 0):
+    if np.all(sq == 0):  # a NaN component gives NaN, as in the resolvent form
         return 0.0
     lam = op.eigenvalues
     e = m - alpha

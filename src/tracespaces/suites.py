@@ -388,40 +388,53 @@ _TRACE_EIGENVALUES = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
 _MICRO = (1.0, 2.0, math.inf)
 
 
-def _trace_ratio_cases(config: SuiteConfig, kind: str) -> list[CaseRecord]:
+def _trace_ratio_pass(config: SuiteConfig) -> dict[str, list[CaseRecord]]:
+    """The trace-continuity cases of both scales, by kind ("F", "B"), from
+    one pass over the seeded draws.  Each draw's magnitudes are cached on it
+    under keys without the kind, so its F and B ratios share them while
+    the draw is alive; only the case records outlive the pass."""
     op = MultiplierOperator.diagonal(_TRACE_EIGENVALUES)
-    cases = []
-    spread_worst = 0.0
+    cases: dict[str, list[CaseRecord]] = {"F": [], "B": []}
+    spread = dict.fromkeys(cases, 0.0)
     for i, (s, alpha, p, gamma) in enumerate(_TRACE_PROBLEM_PARAMS):
         family = list(config.family(16.0, 3, stream=30 + i, dim=op.dim))
-        per_q: dict[float, float] = {}
+        worst = {}  # (kind, q) -> worst ratio over the draws and r
         for q in _MICRO:
             problem = TraceProblem(op, s, p, q, gamma, alpha)
-            worst = 0.0
             for u in family:
-                nums = []
-                for r in _MICRO:
-                    got = trace_continuity_ratio(problem, u, kind=kind, r=r)
-                    worst = max(worst, got["ratio"])
-                    nums.append(got["numerator"])
-                spread_worst = max(spread_worst,
-                                   (max(nums) - min(nums)) / max(max(nums), 1e-300))
-            per_q[q] = worst
-        if kind == "B":
-            for q, worst in per_q.items():
-                cases.append(CaseRecord(f"continuity_ratio_set{i}_q{q:g}", worst,
-                                        compare="baseline"))
-        else:
-            cases.append(CaseRecord(f"continuity_ratio_set{i}",
-                                    max(per_q.values()), compare="baseline"))
-    # for fixed target index the numerator must not feel r at all
-    cases.append(CaseRecord("target_norm_r_spread", spread_worst, 1e-12))
+                for kind in cases:
+                    got = [trace_continuity_ratio(problem, u, kind=kind, r=r) for r in _MICRO]
+                    worst[kind, q] = max([worst.get((kind, q), 0.0)] + [g["ratio"] for g in got])
+                    nums = [g["numerator"] for g in got]
+                    spread[kind] = max(spread[kind],
+                                       (max(nums) - min(nums)) / max(max(nums), 1e-300))
+        for q in _MICRO:
+            cases["B"].append(CaseRecord(f"continuity_ratio_set{i}_q{q:g}", worst["B", q],
+                                         compare="baseline"))
+        cases["F"].append(CaseRecord(f"continuity_ratio_set{i}",
+                                     max(worst["F", q] for q in _MICRO), compare="baseline"))
+    for kind, kind_cases in cases.items():
+        # for fixed target index the numerator must not feel r at all
+        kind_cases.append(CaseRecord("target_norm_r_spread", spread[kind], 1e-12))
     return cases
 
 
-def run_trace_f(config: SuiteConfig) -> VerificationReport:
+def _trace_ratio_cases(config: SuiteConfig, kind: str, store: dict) -> list[CaseRecord]:
+    """The trace-continuity cases of one scale.  trace-f (target
+    D_A(theta, p)) and trace-b (target D_A(theta, q)) norm the same draws,
+    so the first of them to run in a store computes both kinds in one pass
+    and leaves the other kind's records there, which the second takes.
+    The store lives one run (`run_all`, `cli.main`), so a later run with
+    changed settings computes the pass again."""
+    pending = store.setdefault(("trace-ratio-cases", config), {})
+    if kind not in pending:
+        pending.update(_trace_ratio_pass(config))
+    return pending.pop(kind)
+
+
+def run_trace_f(config: SuiteConfig, store: dict) -> VerificationReport:
     grid = config.grid()
-    cases = _trace_ratio_cases(config, "F")
+    cases = _trace_ratio_cases(config, "F", store)
 
     scalar = MultiplierOperator.scalar(1.0)
     diag = MultiplierOperator.diagonal(_TRACE_EIGENVALUES)
@@ -457,8 +470,8 @@ def run_trace_f(config: SuiteConfig) -> VerificationReport:
     return _report(config, "trace-f", cases)
 
 
-def run_trace_b(config: SuiteConfig) -> VerificationReport:
-    return _report(config, "trace-b", _trace_ratio_cases(config, "B"))
+def run_trace_b(config: SuiteConfig, store: dict) -> VerificationReport:
+    return _report(config, "trace-b", _trace_ratio_cases(config, "B", store))
 
 
 # ---------------------------------------------------------------------
@@ -752,14 +765,24 @@ _RUNNERS = {
 }
 
 SUITE_ORDER = tuple(_RUNNERS)
+# the suites that share work through a run's store
+_SHARING = frozenset({"trace-f", "trace-b"})
 
 
-def run_suite(name: str, config: SuiteConfig | None = None) -> VerificationReport:
+def run_suite(name: str, config: SuiteConfig | None = None,
+              store: dict | None = None) -> VerificationReport:
+    """One suite's report.  `store` is a dict that one run (`run_all`,
+    `cli.main`) passes to each of its suites, so trace-f and trace-b share
+    one pass over their draws; without it the suite computes alone."""
     if name not in _RUNNERS:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_ORDER}")
-    return _RUNNERS[name](config or SuiteConfig())
+    config = config or SuiteConfig()
+    if name in _SHARING:
+        return _RUNNERS[name](config, {} if store is None else store)
+    return _RUNNERS[name](config)
 
 
 def run_all(config: SuiteConfig | None = None) -> list[VerificationReport]:
     config = config or SuiteConfig()
-    return [run_suite(name, config) for name in SUITE_ORDER]
+    store: dict = {}
+    return [run_suite(name, config, store) for name in SUITE_ORDER]

@@ -106,3 +106,18 @@ def test_repeated_suite_runs_once_in_first_order(tmp_path, monkeypatch):
           "--suite", "counterexample", "--baseline-dir", str(tmp_path / "b"), "--out", str(out)])
     assert calls == ["stefan", "counterexample"]
     assert [d["suite"] for d in json.loads(out.read_text())] == ["stefan", "counterexample"]
+
+
+@pytest.mark.parametrize("out, message", [("missing/r.json", "no such directory"),
+                                          (".", "it is a directory")])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch, out, message):
+    """Checked before any suite runs, so a long run cannot end in a traceback."""
+    calls = []
+    monkeypatch.setitem(suites._RUNNERS, "counterexample", lambda config: calls.append(config))
+    with pytest.raises(SystemExit) as exc:
+        main(["--suite", "counterexample", "--baseline-dir", str(tmp_path / "b"),
+              "--out", str(tmp_path / out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and message in err
+    assert calls == []

@@ -248,3 +248,53 @@ def test_closed_forms_match_a_gammaln_reference(diag, x6, alpha, p):
         want_semi = math.sqrt(np.sum(scale * math.exp(gammaln(e)) / 2.0 ** e))
         assert closed_form_resolvent_norm(diag, alpha, p, x6) == pytest.approx(want_res, rel=1e-14)
         assert closed_form_semigroup_norm(diag, alpha, p, x6) == pytest.approx(want_semi, rel=1e-14)
+
+
+@pytest.mark.parametrize("r", [1.0, 1.5, 2.0, 3.0, math.inf])
+def test_nan_vector_has_nan_norm(diag, x6, r):
+    """A row with a NaN is live, not a zero row: its norm is NaN in both
+    forms, while the other rows of its batch keep their values."""
+    nan = np.full(6, math.nan)
+    with np.errstate(all="ignore"):
+        got = batch_interp_norm_resolvent(diag, 0.6, r, np.vstack([x6, nan, np.zeros(6)]))
+        assert math.isnan(got[1])
+        assert math.isnan(interp_norm_resolvent(diag, 0.6, r, nan))
+        assert math.isnan(interp_norm_semigroup(diag, 0.6, r, nan))
+    assert got[0] == interp_norm_resolvent(diag, 0.6, r, x6)
+    assert got[2] == 0.0
+    assert interp_norm_semigroup(diag, 0.6, r, np.zeros(6)) == 0.0
+
+
+@pytest.mark.parametrize("r", [1.0, 1.5, 2.0, 3.0, math.inf])
+def test_kept_rule_matches_a_fresh_operator(x6, r):
+    """The rule kept on an operator gives norms bitwise equal to a fresh
+    operator with the same eigenvalues, for a batch and for single rows."""
+    eigs = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
+    rng = np.random.default_rng(11)
+    batch = rng.standard_normal((40, 6)) + 1j * rng.standard_normal((40, 6))
+    op = MultiplierOperator.diagonal(eigs)
+    first = batch_interp_norm_resolvent(op, 0.6, r, batch)
+    np.testing.assert_array_equal(batch_interp_norm_resolvent(op, 0.6, r, batch), first)
+    np.testing.assert_array_equal(
+        batch_interp_norm_resolvent(MultiplierOperator.diagonal(eigs), 0.6, r, batch), first)
+    for row in (x6, batch[0], batch[-1]):
+        kept = interp_norm_resolvent(op, 0.6, r, row)
+        assert kept == interp_norm_resolvent(MultiplierOperator.diagonal(eigs), 0.6, r, row)
+    assert list(op._rules) == [(0.6, r, 1)]
+
+
+def test_each_alpha_and_power_gets_its_own_rule(x6):
+    eigs = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
+    op = MultiplierOperator.diagonal(eigs)
+    for alpha, m in ((0.6, None), (0.7, None), (0.6, 2)):
+        got = interp_norm_resolvent(op, alpha, 2.0, x6, m)
+        assert got == interp_norm_resolvent(MultiplierOperator.diagonal(eigs), alpha, 2.0, x6, m)
+    assert list(op._rules) == [(0.6, 2.0, 1), (0.7, 2.0, 1), (0.6, 2.0, 2)]
+    # a sweep keeps the newest _MAX_RULES rules, the oldest dropped first
+    op = MultiplierOperator.diagonal(eigs)
+    alphas = np.linspace(0.1, 0.9, operators._MAX_RULES + 5)
+    for alpha in alphas:
+        interp_norm_resolvent(op, alpha, 2.0, x6)
+    assert list(op._rules) == [(a, 2.0, 1) for a in alphas[5:]]
+    assert interp_norm_resolvent(op, 0.6, 2.0, x6) == interp_norm_resolvent(
+        MultiplierOperator.diagonal(eigs), 0.6, 2.0, x6)

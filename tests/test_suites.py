@@ -16,7 +16,8 @@ from tracespaces import (
     run_suite,
 )
 from tracespaces import grid as grid_module
-from tracespaces.report import config_hash, render_reports
+from tracespaces import suites as suites_module
+from tracespaces.report import VerificationReport, config_hash, render_reports
 from tracespaces.suites import _DIFFNORM_PARAMS, _lower_gamma_ratio, diffnorm_windows
 
 
@@ -160,6 +161,50 @@ def test_doubling_every_mesh_keeps_the_error_budget(monkeypatch):
     assert fine.keys() == coarse.keys()
     moves = {key: abs(fine[key] / coarse[key] - 1.0) for key in coarse}
     assert max(moves.values()) <= 1e-3, max(moves.items(), key=lambda kv: kv[1])
+
+
+def _count_trace_ratios(monkeypatch):
+    """Stub every suite but trace-f and trace-b, and count the suites'
+    trace_continuity_ratio calls by kind."""
+    calls = []
+    ratio = suites_module.trace_continuity_ratio
+
+    def counted(problem, u, kind="F", r=1.0):
+        calls.append(kind)
+        return ratio(problem, u, kind=kind, r=r)
+
+    monkeypatch.setattr(suites_module, "trace_continuity_ratio", counted)
+    for name in SUITE_ORDER:
+        if name not in ("trace-f", "trace-b"):
+            monkeypatch.setitem(suites_module._RUNNERS, name,
+                                lambda config, name=name: VerificationReport(name, {}))
+    return calls
+
+
+def test_one_run_computes_the_trace_pass_once(monkeypatch):
+    """3 sets x 3 q x 3 draws x 3 r ratios per kind in one run_all; a
+    second run_all on the same config instance computes the pass again,
+    so a setting changed between runs reaches both trace suites."""
+    calls = _count_trace_ratios(monkeypatch)
+    config = SuiteConfig(family_size=2)
+    first = render_reports(run_all(config))
+    assert sorted(calls) == ["B"] * 81 + ["F"] * 81
+    assert render_reports(run_all(config)) == first
+    assert len(calls) == 2 * 162
+
+
+def test_trace_suites_alone_or_reordered_render_the_same():
+    """trace-b alone, and trace-b before trace-f in one store, render the
+    trace-b and trace-f reports of the default order byte for byte."""
+    config = SuiteConfig()
+    store = {}
+    default = {name: render_reports([run_suite(name, config, store)])
+               for name in ("trace-f", "trace-b")}
+    assert store == {("trace-ratio-cases", config): {}}
+    assert render_reports([run_suite("trace-b", config)]) == default["trace-b"]
+    store = {}
+    for name in ("trace-b", "trace-f"):
+        assert render_reports([run_suite(name, config, store)]) == default[name]
 
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 1.5, 2.5])
