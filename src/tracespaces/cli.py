@@ -66,21 +66,27 @@ def main(argv=None) -> int:
         parser.error(f"cannot write the report to {args.out}: it is a directory")
     if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
         parser.error(f"cannot write the report to {args.out}: no such directory")
+    # pinning makes the baseline directory, so its nearest existing ancestor must be one
+    existing = os.path.abspath(args.baseline_dir)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if args.pin_baselines and not os.path.isdir(existing):
+        parser.error(f"cannot pin baselines in {args.baseline_dir}: {existing} is not a directory")
     names = args.suite or ["all"]
     # a suite named twice runs once, at its first place
     names = list(SUITE_ORDER) if "all" in names else list(dict.fromkeys(names))
 
-    reports, errored, store = [], set(), {}
+    reports, errored, shared = [], set(), {}
     for name in names:
         try:
-            reports.append(run_suite(name, config, store))
+            reports.append(run_suite(name, config, shared))
         except Exception as exc:  # one failing suite must not abort the run
             print(f"{name}: error: {type(exc).__name__}: {exc}", file=sys.stderr)
             errored.add(name)
             reports.append(VerificationReport(
                 suite=name, config=config.config_dict(),
                 cases=[CaseRecord("error", 1.0, 0.0)]))
-    store = BaselineStore(args.baseline_dir)
+    baselines = BaselineStore(args.baseline_dir)
     ok = True
 
     if args.pin_baselines:
@@ -88,11 +94,11 @@ def main(argv=None) -> int:
             ok = ok and report.verdict()
             if report.suite in errored:
                 continue  # never overwrite a pinned file with an empty one
-            store.pin(report)
-            print(f"pinned {report.suite} -> {store.path(report.suite, report.config_hash)}")
+            baselines.pin(report)
+            print(f"pinned {report.suite} -> {baselines.path(report.suite, report.config_hash)}")
     else:
         for report in reports:
-            store.check(report, tolerance=args.baseline_tolerance)
+            baselines.check(report, tolerance=args.baseline_tolerance)
             ok = ok and report.verdict()
         rendered = render_reports(reports, fmt=args.format)
         if args.out:

@@ -35,19 +35,18 @@ rule converges exponentially.
     vertex of the parabola through log g at the grid maximum and its two
     neighbours.
 
-The resolvent form builds its rule (grid, kernel, and the end
-corrections with tails, the contracted p = 2 weights or the p = inf
-window) once per operator and (alpha, r, m) and keeps it on the
-operator, which is immutable; the semigroup form builds its rule per
-call.  At p = 2 the trapezoid core, both end corrections and both
+`_rule` builds a form's rule (grid, kernel, and the end corrections with
+tails, the contracted p = 2 weights or the p = inf window) once per
+operator and (form, alpha, r, m) and keeps it on the operator, which is
+immutable.  At p = 2 the trapezoid core, both end corrections and both
 closed-form tails are linear in the squares |y_k|^2, so the rule
 contracts to one weight W_k per component and a norm is
 sqrt(sum_k |y_k|^2 W_k): dim products per row.  Other p raise each
 row's squared integrand on the grid to the power p / 2.
 
-The resolvent form has one integrator, `batch_interp_norm_resolvent`;
-`interp_norm_resolvent` is a batch of one.  Rows are summed in a fixed
-order, so a row's norm never depends on the rest of its batch.
+Both forms have one integrator, `_batch_norm`; `interp_norm_resolvent`
+and `interp_norm_semigroup` are batches of one.  Rows are summed in a
+fixed order, so a row's norm never depends on the rest of its batch.
 """
 
 from __future__ import annotations
@@ -83,8 +82,8 @@ class MultiplierOperator:
             raise ValueError("all eigenvalues must be finite and strictly positive")
         self.eigenvalues = lam
         self.eigenvalues.flags.writeable = False
-        # resolvent-form rules by (alpha, r, m), oldest first; see _resolvent_rule
-        self._rules: dict[tuple[float, float, int], Callable] = {}
+        # rules by (form, alpha, r, m), oldest first; see _rule
+        self._rules: dict[tuple[str, float, float, int], Callable] = {}
 
     # -- constructors --------------------------------------------------
 
@@ -115,8 +114,8 @@ class MultiplierOperator:
 
     def _vec(self, x) -> np.ndarray:
         v = np.atleast_1d(np.asarray(x, dtype=complex))
-        if v.shape[-1] != self.dim:
-            raise ValueError(f"value dimension {v.shape[-1]} != operator dimension {self.dim}")
+        if v.shape != (self.dim,):
+            raise ValueError(f"need one vector of length {self.dim}, got shape {v.shape}")
         return v
 
     def __repr__(self):
@@ -129,10 +128,10 @@ class MultiplierOperator:
 
 _PER_DECADE = 10  # log-axis nodes per decade of every window
 _TAIL_TOL = 1e-10  # first-order relative error allowed in a closed-form tail
-# rows per pass of the resolvent form: a working array of 7.5 MB at 241 sigma
+# rows per pass of either form: a working array of 7.5 MB at 241 sigma
 # nodes for r != 2; at r = 2 a pass holds only the rows' squares
 _BATCH_ROWS = 4096
-# resolvent-form rules kept per operator, about 12 kB each at dim 6; past
+# rules kept per operator, both forms together, about 12 kB each at dim 6; past
 # this the oldest is dropped, so a sweep over alpha on one operator stays small
 _MAX_RULES = 32
 
@@ -235,29 +234,40 @@ def _supremum(kernel, peaks: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     return supremum
 
 
-def _resolvent_rule(op: MultiplierOperator, alpha: float, r: float,
-                    m: int) -> Callable[[np.ndarray], np.ndarray]:
-    """The resolvent-form norms of rows as a function of their squares, for
-    one operator and (alpha, r, m).  It depends on the eigenvalues alone,
-    so it is built once and kept on the operator."""
-    key = (alpha, r, m)
+def _rule(op: MultiplierOperator, form: str, alpha: float, r: float,
+          m: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The norms of rows in the resolvent or semigroup form as a function of
+    their squares, for one operator and (alpha, r, m).  It depends on the
+    eigenvalues alone, so it is built once and kept on the operator."""
+    key = (form, alpha, r, m)
     rule = op._rules.get(key)
     if rule is not None:
         return rule
     lam = op.eigenvalues
+    if form == "resolvent":
+        def kernel(sigma):  # sigma^{2 alpha} ||(A (sigma + A)^{-1})^m e_k||^2
+            return (lam / np.add.outer(sigma, lam)) ** (2 * m) * (sigma ** (2.0 * alpha))[..., None]
 
-    def kernel(sigma):  # sigma^{2 alpha} ||(A (sigma + A)^{-1})^m e_k||^2
-        return (lam / np.add.outer(sigma, lam)) ** (2 * m) * (sigma ** (2.0 * alpha))[..., None]
-
-    if math.isinf(r):
-        rule = _supremum(kernel, alpha * lam / (m - alpha))
-    else:
+        peaks = alpha * lam / (m - alpha)
         # closed-form tails: below the spectrum the resolvent factors are 1 up
         # to O(sigma/lambda_min), above it (lambda/sigma)^m up to O(lambda_max/sigma)
         c = max(m * r, 1.0)
-        integral = _power_integral(kernel, r, _TAIL_TOL * op.min_eigenvalue / c,
-                                   op.max_eigenvalue * c / _TAIL_TOL,
-                                   (alpha * r, (m - alpha) * r), (1.0, lam ** (2.0 * m)))
+        window = (_TAIL_TOL * op.min_eigenvalue / c, op.max_eigenvalue * c / _TAIL_TOL)
+        slopes, ends = (alpha * r, (m - alpha) * r), (1.0, lam ** (2.0 * m))
+    else:
+        def kernel(t):  # t^{2 (m - alpha)} ||A^m exp(-tA) e_k||^2
+            tl = np.multiply.outer(t, lam)
+            return lam ** (2.0 * alpha) * (tl ** (m - alpha) * np.exp(-tl)) ** 2
+
+        peaks = (m - alpha) / lam
+        # below t_min the factors exp(-t lambda) are 1 up to O(t lambda_max);
+        # past 46 / lambda_min every term has decayed below exp(-46) ~ 1e-20
+        window = (_TAIL_TOL / (r * op.max_eigenvalue), 46.0 / op.min_eigenvalue)
+        slopes, ends = ((m - alpha) * r, 0.0), (lam ** (2.0 * m), None)
+    if math.isinf(r):
+        rule = _supremum(kernel, peaks)
+    else:
+        integral = _power_integral(kernel, r, *window, slopes, ends)
 
         def rule(sq):
             return integral(sq) ** (1.0 / r)
@@ -268,14 +278,13 @@ def _resolvent_rule(op: MultiplierOperator, alpha: float, r: float,
     return rule
 
 
-def batch_interp_norm_resolvent(op: MultiplierOperator, alpha: float, r: float,
-                                values: np.ndarray, m: int | None = None) -> np.ndarray:
-    """Resolvent-form D_A(alpha, r) norms of a batch of vectors, shape
-    (..., dim) -> (...), by the rules in the module docstring.  The window
-    depends on the operator alone, so each row's norm equals its norm
-    computed alone, bitwise.  The rows go through the operator's rule in
-    chunks of _BATCH_ROWS, each squared on its own; a row whose squares
-    are all 0 has norm 0, and a row with a NaN has norm NaN."""
+def _batch_norm(op: MultiplierOperator, form: str, alpha: float, r: float,
+                values: np.ndarray, m: int | None) -> np.ndarray:
+    """D_A(alpha, r) norms in either form of a batch of vectors, shape
+    (..., dim) -> (...).  The rule depends on the operator alone, so a
+    row's norm equals its norm computed alone, bitwise.  The rows go
+    through it in chunks of _BATCH_ROWS; a row whose squares are all 0
+    has norm 0, and a row with a NaN has norm NaN."""
     m = _order(alpha, m)
     if not r >= 1:
         raise ValueError(f"need r >= 1, got r={r}")
@@ -284,13 +293,20 @@ def batch_interp_norm_resolvent(op: MultiplierOperator, alpha: float, r: float,
         raise ValueError("value dimension mismatch")
     flat = vals.reshape(-1, op.dim)
     out = np.zeros(flat.shape[0])
-    norm = _resolvent_rule(op, float(alpha), float(r), m)
+    norm = _rule(op, form, float(alpha), float(r), m)
     for start in range(0, flat.shape[0], _BATCH_ROWS):
         sq = np.abs(flat[start:start + _BATCH_ROWS]) ** 2
         # == 0, not > 0: a NaN row is live; an underflowed row is a zero row
         live = np.flatnonzero(~np.all(sq == 0, axis=1))
         out[start + live] = norm(sq[live])
     return out.reshape(vals.shape[:-1])
+
+
+def batch_interp_norm_resolvent(op: MultiplierOperator, alpha: float, r: float,
+                                values: np.ndarray, m: int | None = None) -> np.ndarray:
+    """Resolvent-form D_A(alpha, r) norms of a batch of vectors, shape
+    (..., dim) -> (...); see `_batch_norm`."""
+    return _batch_norm(op, "resolvent", alpha, r, values, m)
 
 
 def interp_norm_resolvent(op: MultiplierOperator, alpha: float, p: float, x,
@@ -300,28 +316,8 @@ def interp_norm_resolvent(op: MultiplierOperator, alpha: float, p: float, x,
 
 
 def interp_norm_semigroup(op: MultiplierOperator, alpha: float, p: float, x) -> float:
-    """D_A(alpha, p) norm of x in the semigroup form, by the rules in the
-    module docstring."""
-    m = _order(alpha, None)
-    if not p >= 1:
-        raise ValueError(f"need p >= 1, got {p}")
-    sq = np.abs(op._vec(x))[None, :] ** 2
-    if np.all(sq == 0):  # a NaN component gives NaN, as in the resolvent form
-        return 0.0
-    lam = op.eigenvalues
-    e = m - alpha
-
-    def kernel(t):  # t^{2 e} ||A^m exp(-tA) e_k||^2
-        tl = np.multiply.outer(t, lam)
-        return lam ** (2.0 * alpha) * (tl ** e * np.exp(-tl)) ** 2
-
-    if math.isinf(p):
-        return float(_supremum(kernel, e / lam)(sq)[0])
-    # below t_min the factors exp(-t lambda) are 1 up to O(t lambda_max);
-    # past 46 / lambda_min every term has decayed below exp(-46) ~ 1e-20
-    integral = _power_integral(kernel, p, _TAIL_TOL / (p * op.max_eigenvalue),
-                               46.0 / op.min_eigenvalue, (e * p, 0.0), (lam ** (2.0 * m), None))
-    return float(integral(sq)[0]) ** (1.0 / p)
+    """D_A(alpha, p) norm of one vector x in the semigroup form: a batch of one."""
+    return float(_batch_norm(op, "semigroup", alpha, p, op._vec(x)[None, :], None)[0])
 
 
 def closed_form_resolvent_norm(op: MultiplierOperator, alpha: float, p: float, x) -> float:

@@ -104,17 +104,6 @@ class SpaceDescriptor:
     microscopic: Fraction | None      # None for L/H
     inner: "SpaceDescriptor | None" = None
 
-    def render(self) -> str:
-        if self.family == "L":
-            head = f"L^{self.integrability}"
-        elif self.family == "H":
-            head = f"H^{{{self.smoothness},{self.integrability}}}"
-        else:
-            head = f"{self.family}^{{{self.smoothness}}}_{{{self.integrability},{self.microscopic}}}"
-        if self.inner is not None:
-            return f"{head}({self.inner.render()})"
-        return head
-
 
 def _lebesgue(p: Fraction, inner=None) -> SpaceDescriptor:
     return SpaceDescriptor("L", None, p, None, inner)

@@ -247,8 +247,8 @@ def hardy_young_check(breakpoints, values, beta: float, p: float) -> dict:
     """
     if not 0.0 < beta < 1.0:
         raise ValueError(f"need 0 < beta < 1, got {beta}")
-    if not p >= 1.0:
-        raise ValueError(f"need p >= 1, got {p}")
+    if not 1.0 <= p < math.inf:
+        raise ValueError(f"need 1 <= p < inf, got {p}")
     b = np.concatenate([[0.0], np.asarray(breakpoints, dtype=float)])
     v = np.asarray(values, dtype=float)
     if b.size != v.size + 1:

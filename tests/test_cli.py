@@ -121,3 +121,20 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch, out, mes
     err = capsys.readouterr().err
     assert "usage:" in err and message in err
     assert calls == []
+
+
+@pytest.mark.parametrize("under", ["", "sub"])
+def test_pin_into_a_plain_file_is_a_usage_error(tmp_path, capsys, monkeypatch, under):
+    """A baseline directory that cannot be made, because it or an ancestor
+    is a plain file, is rejected before any suite runs."""
+    calls = []
+    monkeypatch.setitem(suites._RUNNERS, "counterexample", lambda config: calls.append(config))
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    with pytest.raises(SystemExit) as exc:
+        main(["--suite", "counterexample", "--pin-baselines",
+              "--baseline-dir", str(plain / under)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "is not a directory" in err
+    assert calls == []

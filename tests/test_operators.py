@@ -42,6 +42,10 @@ def test_operator_validation(diag, x6):
         batch_interp_norm_resolvent(diag, -0.5, 2.0, x6[None, :])  # alpha not positive
     with pytest.raises(ValueError):
         batch_interp_norm_resolvent(diag, math.inf, 2.0, x6[None, :])  # alpha not finite
+    for norm in (interp_norm_resolvent, interp_norm_semigroup):
+        for shape in ((1, 6), (2, 6)):  # a single-vector norm takes one vector, not a stack
+            with pytest.raises(ValueError, match="one vector of length 6"):
+                norm(diag, 0.5, 2.0, np.ones(shape))
 
 
 def test_resolvent_norm_unit_scalar():
@@ -267,34 +271,46 @@ def test_nan_vector_has_nan_norm(diag, x6, r):
 
 @pytest.mark.parametrize("r", [1.0, 1.5, 2.0, 3.0, math.inf])
 def test_kept_rule_matches_a_fresh_operator(x6, r):
-    """The rule kept on an operator gives norms bitwise equal to a fresh
-    operator with the same eigenvalues, for a batch and for single rows."""
+    """In both forms the rule kept on an operator gives norms bitwise equal
+    to a fresh operator with the same eigenvalues, for a batch and for
+    single rows, and a second call builds no rule.  The forms keep one rule
+    each at the same (alpha, r, m)."""
     eigs = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
     rng = np.random.default_rng(11)
     batch = rng.standard_normal((40, 6)) + 1j * rng.standard_normal((40, 6))
     op = MultiplierOperator.diagonal(eigs)
-    first = batch_interp_norm_resolvent(op, 0.6, r, batch)
-    np.testing.assert_array_equal(batch_interp_norm_resolvent(op, 0.6, r, batch), first)
-    np.testing.assert_array_equal(
-        batch_interp_norm_resolvent(MultiplierOperator.diagonal(eigs), 0.6, r, batch), first)
-    for row in (x6, batch[0], batch[-1]):
-        kept = interp_norm_resolvent(op, 0.6, r, row)
-        assert kept == interp_norm_resolvent(MultiplierOperator.diagonal(eigs), 0.6, r, row)
-    assert list(op._rules) == [(0.6, r, 1)]
+    for form, one in (("resolvent", interp_norm_resolvent), ("semigroup", interp_norm_semigroup)):
+        first = operators._batch_norm(op, form, 0.6, r, batch, None)
+        rule = op._rules[(form, 0.6, r, 1)]
+        np.testing.assert_array_equal(operators._batch_norm(op, form, 0.6, r, batch, None), first)
+        assert op._rules[(form, 0.6, r, 1)] is rule
+        np.testing.assert_array_equal(
+            operators._batch_norm(MultiplierOperator.diagonal(eigs), form, 0.6, r, batch, None),
+            first)
+        for row, want in ((batch[0], first[0]), (batch[-1], first[-1]), (x6, None)):
+            kept = one(op, 0.6, r, row)
+            assert kept == one(MultiplierOperator.diagonal(eigs), 0.6, r, row)
+            assert want is None or kept == want
+    np.testing.assert_array_equal(batch_interp_norm_resolvent(op, 0.6, r, batch),
+                                  operators._batch_norm(op, "resolvent", 0.6, r, batch, None))
+    assert list(op._rules) == [("resolvent", 0.6, r, 1), ("semigroup", 0.6, r, 1)]
 
 
 def test_each_alpha_and_power_gets_its_own_rule(x6):
     eigs = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
     op = MultiplierOperator.diagonal(eigs)
-    for alpha, m in ((0.6, None), (0.7, None), (0.6, 2)):
-        got = interp_norm_resolvent(op, alpha, 2.0, x6, m)
-        assert got == interp_norm_resolvent(MultiplierOperator.diagonal(eigs), alpha, 2.0, x6, m)
-    assert list(op._rules) == [(0.6, 2.0, 1), (0.7, 2.0, 1), (0.6, 2.0, 2)]
+    forms, orders = ("resolvent", "semigroup"), ((0.6, 1), (0.7, 1), (0.6, 2))
+    for form in forms:
+        for alpha, m in orders:
+            got = operators._batch_norm(op, form, alpha, 2.0, x6[None, :], m)
+            assert got == operators._batch_norm(MultiplierOperator.diagonal(eigs), form, alpha,
+                                                2.0, x6[None, :], m)
+    assert list(op._rules) == [(form, alpha, 2.0, m) for form in forms for alpha, m in orders]
     # a sweep keeps the newest _MAX_RULES rules, the oldest dropped first
     op = MultiplierOperator.diagonal(eigs)
     alphas = np.linspace(0.1, 0.9, operators._MAX_RULES + 5)
     for alpha in alphas:
         interp_norm_resolvent(op, alpha, 2.0, x6)
-    assert list(op._rules) == [(a, 2.0, 1) for a in alphas[5:]]
+    assert list(op._rules) == [("resolvent", a, 2.0, 1) for a in alphas[5:]]
     assert interp_norm_resolvent(op, 0.6, 2.0, x6) == interp_norm_resolvent(
         MultiplierOperator.diagonal(eigs), 0.6, 2.0, x6)

@@ -70,11 +70,6 @@ def test_degenerate_line_raises():
         classify_spaces(StefanParams(Fraction(4, 3), 2))
 
 
-def test_render():
-    d = SpaceDescriptor("B", Fraction(5, 2), Fraction(2), Fraction(2))
-    assert d.render() == "B^{5/2}_{2,2}"
-
-
 def test_classification_returns_all_slots():
     spaces = classify_spaces(StefanParams(8, 2))
     for key in ("E0", "Eu", "F1", "F2", "Eh", "Xu", "Xh", "Xdth"):

@@ -61,6 +61,12 @@ def test_hardy_closed_form_single_cell():
     assert got["passed"]
 
 
+@pytest.mark.parametrize("p", [0.5, math.inf, math.nan])
+def test_hardy_needs_finite_p_at_least_one(p):
+    with pytest.raises(ValueError, match="1 <= p < inf"):
+        hardy_young_check([1.0], [1.0], 0.5, p)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.data())
 def test_hardy_inequality_on_step_functions(data):
