@@ -3,10 +3,11 @@
 Runs the verification suites at a chosen configuration, renders the
 reports as JSON or CSV, and checks baseline-compared cases against
 values pinned in a baseline directory.  ``--pin-baselines`` records the
-current values instead of checking them; pinned files are keyed by a
-hash of the configuration, so values from one configuration are never
-compared against another.  A suite that raises is reported with one
-failed ``error`` case and is never pinned; the other suites still run.
+current values instead of checking them and renders no report, so
+``--out`` with it is a usage error; pinned files are keyed by a hash of
+the configuration, so values from one configuration are never compared
+against another.  ``run_suite`` reports a suite that raises with one
+failed ``error`` case, which is never pinned; the other suites still run.
 The suites of one call share one store, so trace-f and trace-b norm
 their common draws once.
 """
@@ -18,7 +19,7 @@ import math
 import os
 import sys
 
-from .report import BaselineStore, CaseRecord, VerificationReport, render_reports
+from .report import BaselineStore, render_reports
 from .suites import SUITE_ORDER, SuiteConfig, run_suite
 
 __all__ = ["main", "build_parser"]
@@ -62,6 +63,8 @@ def main(argv=None) -> int:
     if not (math.isfinite(args.baseline_tolerance) and args.baseline_tolerance >= 0):
         parser.error(f"baseline tolerance must be finite and >= 0, got {args.baseline_tolerance}")
     # checked before any suite runs, so a long run cannot end in a traceback
+    if args.out and args.pin_baselines:
+        parser.error("--out names the report file, but --pin-baselines writes no report")
     if args.out and os.path.isdir(args.out):
         parser.error(f"cannot write the report to {args.out}: it is a directory")
     if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
@@ -76,24 +79,16 @@ def main(argv=None) -> int:
     # a suite named twice runs once, at its first place
     names = list(SUITE_ORDER) if "all" in names else list(dict.fromkeys(names))
 
-    reports, errored, shared = [], set(), {}
-    for name in names:
-        try:
-            reports.append(run_suite(name, config, shared))
-        except Exception as exc:  # one failing suite must not abort the run
-            print(f"{name}: error: {type(exc).__name__}: {exc}", file=sys.stderr)
-            errored.add(name)
-            reports.append(VerificationReport(
-                suite=name, config=config.config_dict(),
-                cases=[CaseRecord("error", 1.0, 0.0)]))
+    shared = {}
+    reports = [run_suite(name, config, shared) for name in names]
     baselines = BaselineStore(args.baseline_dir)
     ok = True
 
     if args.pin_baselines:
         for report in reports:
             ok = ok and report.verdict()
-            if report.suite in errored:
-                continue  # never overwrite a pinned file with an empty one
+            if [c.case_id for c in report.cases] == ["error"]:
+                continue  # the suite raised: never overwrite a pinned file with an empty one
             baselines.pin(report)
             print(f"pinned {report.suite} -> {baselines.path(report.suite, report.config_hash)}")
     else:

@@ -73,19 +73,22 @@ EMBEDDING_EXAMPLE_PAIRS = (
 )
 
 
-def validate_embedding_pair(src: SpaceSpec, dst: SpaceSpec, tol: float = 1e-12) -> None:
+_LINE_TOL = 1e-12  # slack of the float comparisons in validate_embedding_pair
+
+
+def validate_embedding_pair(src: SpaceSpec, dst: SpaceSpec) -> None:
     """Raise unless (src, dst) sit on the sharp embedding line."""
     if src.kind != dst.kind or src.kind not in ("B", "F"):
         raise ValueError("embedding pairs must share a B or F kind")
     if not src.p <= dst.p:
         raise ValueError(f"integrability cannot drop: p0={src.p} > p1={dst.p}")
-    if src.gamma / src.p < dst.gamma / dst.p - tol:
+    if src.gamma / src.p < dst.gamma / dst.p - _LINE_TOL:
         raise ValueError(
             f"need gamma0/p0 >= gamma1/p1, got {src.gamma / src.p:g} < "
             f"{dst.gamma / dst.p:g}")
     lhs = src.s - (1.0 + src.gamma) / src.p
     rhs = dst.s - (1.0 + dst.gamma) / dst.p
-    if abs(lhs - rhs) > tol:
+    if abs(lhs - rhs) > _LINE_TOL:
         raise ValueError(
             f"off the invariance line: s0-(1+gamma0)/p0 = {lhs:g} but "
             f"s1-(1+gamma1)/p1 = {rhs:g}")

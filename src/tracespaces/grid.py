@@ -52,8 +52,9 @@ drops it.  The product is the same chunked matmul either way, so every
 value is bitwise the same, and a stream of distinct sets keeps nothing.
 At most one matrix lives per mesh, nodes x modes with fewer than 256
 modes and at most _MAX_KEPT_BYTES (24 MiB): 3.4 MiB at 2304 nodes x 97
-modes.  Node values and quantities derived from them are cached on the
-GridFunction under explicit keys (GridFunction.cached).
+modes.  All else derived is kept under explicit keys by one memo, _memo:
+node values and what follows from them on the GridFunction
+(GridFunction.cached), weights, phase tables and NUFFT plans on the mesh.
 GridFunction.evaluate stays dense synthesis at arbitrary points, the
 reference for both paths.
 """
@@ -135,6 +136,20 @@ class GridSpec:
                 f"frequency {xi} is not strictly below the Nyquist frequency {self.nyquist}"
             )
         return ki % self.n_samples
+
+
+def _memo(cache: dict, key: tuple, compute):
+    """cache[key], computed once by compute() and stored read-only (an
+    array, or each array of a tuple, frozen).  The key holds by value every
+    input of compute() but the cache owner's data, so that no result
+    depends on what was computed before it."""
+    got = cache.get(key)
+    if got is None:
+        got = compute()
+        for array in got if isinstance(got, tuple) else (got,):
+            array.flags.writeable = False
+        cache[key] = got
+    return got
 
 
 def _alternating_signs(n: int) -> np.ndarray:
@@ -262,18 +277,8 @@ class GridFunction:
 
     def cached(self, key: tuple, compute) -> np.ndarray:
         """The array derived from this function under `key`, computed once
-        by compute() and stored read-only.
-
-        The key must hold, by value, every input of compute() other than
-        this function's coefficients, so that a result never depends on
-        what was computed before it.
-        """
-        got = self._cache.get(key)
-        if got is None:
-            got = compute()
-            got.flags.writeable = False
-            self._cache[key] = got
-        return got
+        by compute(); see _memo."""
+        return _memo(self._cache, key, compute)
 
 
 # ---------------------------------------------------------------------
@@ -388,9 +393,8 @@ class QuadratureMesh:
         # ascending global node order: negative cells (far to near), then positive
         self.nodes = np.concatenate([neg_nodes[::-1].ravel(), pos_nodes.ravel()])
         self._lagrange = _lagrange_monomial_matrix(order)
-        self._weight_cache: dict[float, np.ndarray] = {}
-        self._phase_tables: dict[GridSpec, tuple[np.ndarray, np.ndarray]] = {}
-        self._nufft_plans: dict[GridSpec, tuple] = {}
+        # weights per gamma, phase tables and NUFFT plans per GridSpec; see _memo
+        self._cache: dict[tuple, np.ndarray | tuple] = {}
         # (grid, active bins) of the last phase-table call, and the mode
         # matrix of that set once it has been asked for twice in a row
         self._kept_modes: tuple[tuple | None, np.ndarray | None] = (None, None)
@@ -425,24 +429,22 @@ class QuadratureMesh:
         """(fine, coarse) phases at the nodes for k + N/2 = a B + b:
         fine[:, b] = exp(2 pi i t b / (2L)), coarse[:, a] = exp(2 pi i t
         (a B - N/2) / (2L)), with B = isqrt(N)."""
-        got = self._phase_tables.get(grid)
-        if got is None:
+        def build():
             n = grid.n_samples
             width = math.isqrt(n)
             fine_k = np.arange(width)
             coarse_k = width * np.arange(-(-n // width)) - n // 2
-            got = tuple(np.exp((2j * np.pi) * np.multiply.outer(self.nodes, k * grid.fundamental))
-                        for k in (fine_k, coarse_k))
-            self._phase_tables[grid] = got
-        return got
+            return tuple(np.exp((2j * np.pi) * np.multiply.outer(self.nodes, k * grid.fundamental))
+                         for k in (fine_k, coarse_k))
+
+        return _memo(self._cache, ("phase", grid), build)
 
     def _nufft_plan(self, grid: GridSpec) -> tuple:
         """(cols, vals, deconv): per node, the _NUFFT_WIDTH columns of the
         oversampled 2N grid that the kernel reaches and the kernel's value
         at each, both (n_nodes, _NUFFT_WIDTH); and 1 / (the kernel's Fourier
         transform) at each bin of grid, in FFT order."""
-        got = self._nufft_plans.get(grid)
-        if got is None:
+        def build():
             n = grid.n_samples
             fine = 2 * n
             half = 0.5 * _NUFFT_WIDTH
@@ -453,9 +455,9 @@ class QuadratureMesh:
             omega = np.fft.fftfreq(n, 1.0 / n) * (2.0 * np.pi * half / fine)
             ft = (half * _NUFFT_FT_STEP) * (np.cos(np.multiply.outer(omega, _NUFFT_FT_NODES))
                                             @ _nufft_kernel(_NUFFT_FT_NODES))
-            got = ((cols % fine).astype(np.int32), vals, 1.0 / ft)
-            self._nufft_plans[grid] = got
-        return got
+            return (cols % fine).astype(np.int32), vals, 1.0 / ft
+
+        return _memo(self._cache, ("nufft", grid), build)
 
     def _synthesize_nufft(self, grid: GridSpec, active: np.ndarray,
                           coeffs: np.ndarray) -> np.ndarray:
@@ -566,12 +568,8 @@ class QuadratureMesh:
 
     def weights(self, gamma: float) -> np.ndarray:
         """Node weights so that sum(w * g(nodes)) = int |t|^gamma * interp(g) dt."""
-        got = self._weight_cache.get(gamma)
-        if got is None:
-            got = self.weights_on_interval(gamma, -self.half_width, self.half_width)
-            got.flags.writeable = False
-            self._weight_cache[gamma] = got
-        return got
+        return _memo(self._cache, ("weights", gamma),
+                     lambda: self.weights_on_interval(gamma, -self.half_width, self.half_width))
 
     def weights_on_interval(self, gamma: float, lo: float, hi: float) -> np.ndarray:
         """Weights for int_{[lo,hi]} |t|^gamma * interp(g) dt (subset of [-L, L])."""

@@ -45,8 +45,9 @@ sqrt(sum_k |y_k|^2 W_k): dim products per row.  Other p raise each
 row's squared integrand on the grid to the power p / 2.
 
 Both forms have one integrator, `_batch_norm`; `interp_norm_resolvent`
-and `interp_norm_semigroup` are batches of one.  Rows are summed in a
-fixed order, so a row's norm never depends on the rest of its batch.
+and `interp_norm_semigroup` are batches of one.  It and the inner spaces
+of `spaces` take rows in chunks through one chunker, `by_rows`.  Rows are
+summed in a fixed order, so a row's norm never depends on its batch.
 """
 
 from __future__ import annotations
@@ -128,8 +129,8 @@ class MultiplierOperator:
 
 _PER_DECADE = 10  # log-axis nodes per decade of every window
 _TAIL_TOL = 1e-10  # first-order relative error allowed in a closed-form tail
-# rows per pass of either form: a working array of 7.5 MB at 241 sigma
-# nodes for r != 2; at r = 2 a pass holds only the rows' squares
+# rows per chunk of by_rows, every batch norm's one chunker: a working array
+# of 7.5 MB at 241 sigma nodes for r != 2; at r = 2 only the rows' squares
 _BATCH_ROWS = 4096
 # rules kept per operator, both forms together, about 12 kB each at dim 6; past
 # this the oldest is dropped, so a sweep over alpha on one operator stays small
@@ -278,28 +279,42 @@ def _rule(op: MultiplierOperator, form: str, alpha: float, r: float,
     return rule
 
 
+def by_rows(norm, values) -> np.ndarray:
+    """norm(rows) over the rows of values, shape (..., dim) -> (...), one
+    chunk of _BATCH_ROWS rows at a time, so temporaries stay chunk sized;
+    rows are independent, so chunking moves no value."""
+    values = np.asarray(values)
+    flat = values.reshape(-1, values.shape[-1])
+    out = np.empty(flat.shape[0])
+    for start in range(0, flat.shape[0], _BATCH_ROWS):
+        out[start:start + _BATCH_ROWS] = norm(flat[start:start + _BATCH_ROWS])
+    return out.reshape(values.shape[:-1])
+
+
 def _batch_norm(op: MultiplierOperator, form: str, alpha: float, r: float,
                 values: np.ndarray, m: int | None) -> np.ndarray:
     """D_A(alpha, r) norms in either form of a batch of vectors, shape
     (..., dim) -> (...).  The rule depends on the operator alone, so a
     row's norm equals its norm computed alone, bitwise.  The rows go
-    through it in chunks of _BATCH_ROWS; a row whose squares are all 0
-    has norm 0, and a row with a NaN has norm NaN."""
+    through it by_rows; a row whose squares are all 0 has norm 0, and a
+    row with a NaN has norm NaN."""
     m = _order(alpha, m)
     if not r >= 1:
         raise ValueError(f"need r >= 1, got r={r}")
     vals = np.asarray(values, dtype=complex)
     if vals.shape[-1] != op.dim:
         raise ValueError("value dimension mismatch")
-    flat = vals.reshape(-1, op.dim)
-    out = np.zeros(flat.shape[0])
     norm = _rule(op, form, float(alpha), float(r), m)
-    for start in range(0, flat.shape[0], _BATCH_ROWS):
-        sq = np.abs(flat[start:start + _BATCH_ROWS]) ** 2
+
+    def live_norms(rows):
+        sq = np.abs(rows) ** 2
         # == 0, not > 0: a NaN row is live; an underflowed row is a zero row
         live = np.flatnonzero(~np.all(sq == 0, axis=1))
-        out[start + live] = norm(sq[live])
-    return out.reshape(vals.shape[:-1])
+        out = np.zeros(rows.shape[0])
+        out[live] = norm(sq[live])
+        return out
+
+    return by_rows(live_norms, vals)
 
 
 def batch_interp_norm_resolvent(op: MultiplierOperator, alpha: float, r: float,

@@ -45,7 +45,7 @@ import numpy as np
 
 from .dyadic import DyadicSystem
 from .grid import GridError, GridFunction, QuadratureMesh
-from .operators import _BATCH_ROWS, MultiplierOperator, batch_interp_norm_resolvent
+from .operators import MultiplierOperator, batch_interp_norm_resolvent, by_rows
 
 __all__ = [
     "ScalarInner",
@@ -69,18 +69,6 @@ __all__ = [
 # ---------------------------------------------------------------------
 
 
-def _by_rows(norm, values) -> np.ndarray:
-    """norm(rows) over the rows of values, shape (..., dim) -> (...), one
-    chunk of _BATCH_ROWS rows at a time, so float temporaries stay chunk
-    sized; rows are independent, so chunking moves no value."""
-    values = np.asarray(values)
-    flat = values.reshape(-1, values.shape[-1])
-    out = np.empty(flat.shape[0])
-    for start in range(0, flat.shape[0], _BATCH_ROWS):
-        out[start:start + _BATCH_ROWS] = norm(flat[start:start + _BATCH_ROWS])
-    return out.reshape(values.shape[:-1])
-
-
 class ScalarInner:
     """C with the absolute value."""
 
@@ -102,7 +90,7 @@ class EuclideanInner:
         self.key = ("euclidean", self.dim)
 
     def batch_norm(self, values: np.ndarray) -> np.ndarray:
-        return _by_rows(lambda rows: np.sqrt(np.sum(np.abs(rows) ** 2, axis=-1)), values)
+        return by_rows(lambda rows: np.sqrt(np.sum(np.abs(rows) ** 2, axis=-1)), values)
 
     def __repr__(self):
         return f"EuclideanInner({self.dim})"
@@ -136,7 +124,7 @@ class WeightedEuclideanInner:
                                       * other.weights ** theta)
 
     def batch_norm(self, values: np.ndarray) -> np.ndarray:
-        return _by_rows(lambda rows: np.sqrt(np.sum(np.abs(rows * self.weights) ** 2, axis=-1)),
+        return by_rows(lambda rows: np.sqrt(np.sum(np.abs(rows * self.weights) ** 2, axis=-1)),
                         values)
 
     def __repr__(self):
@@ -180,7 +168,7 @@ class SequenceBesovInner:
         self.key = ("sequence-besov", self.smoothness, self.summability, self.dim)
 
     def batch_norm(self, values: np.ndarray) -> np.ndarray:
-        return _by_rows(lambda rows: _lq_combine(np.abs(rows) * self._weights,
+        return by_rows(lambda rows: _lq_combine(np.abs(rows) * self._weights,
                                                  self.summability, axis=-1), values)
 
     def __repr__(self):

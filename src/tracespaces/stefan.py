@@ -66,10 +66,9 @@ class DegenerateCaseError(ValueError):
 
 def _frac(x, name: str) -> Fraction:
     try:
-        v = Fraction(x)
-    except (TypeError, ValueError) as exc:
+        return Fraction(x)
+    except (TypeError, ValueError, OverflowError) as exc:  # None, NaN, inf
         raise ValueError(f"{name} must be rational, got {x!r}") from exc
-    return v
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ Suite map:
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -773,13 +774,20 @@ def run_suite(name: str, config: SuiteConfig | None = None,
               store: dict | None = None) -> VerificationReport:
     """One suite's report.  `store` is a dict that one run (`run_all`,
     `cli.main`) passes to each of its suites, so trace-f and trace-b share
-    one pass over their draws; without it the suite computes alone."""
+    one pass over their draws; without it the suite computes alone.
+
+    A suite that raises gives a report of one failed `error` case, and its
+    `name: error: Type: message` line goes to stderr, so one failing suite
+    never aborts a run."""
     if name not in _RUNNERS:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_ORDER}")
     config = config or SuiteConfig()
-    if name in _SHARING:
-        return _RUNNERS[name](config, {} if store is None else store)
-    return _RUNNERS[name](config)
+    args = (config, {} if store is None else store) if name in _SHARING else (config,)
+    try:
+        return _RUNNERS[name](*args)
+    except Exception as exc:
+        print(f"{name}: error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return _report(config, name, [CaseRecord("error", 1.0, 0.0)])
 
 
 def run_all(config: SuiteConfig | None = None) -> list[VerificationReport]:

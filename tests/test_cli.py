@@ -61,6 +61,7 @@ def test_custom_config_separates_baselines(tmp_path):
     ["--grid-n", "96"], ["--grid-l", "0"], ["--family-size", "1"], ["--seed", "-1"],
     ["--baseline-tolerance", "nan"], ["--baseline-tolerance", "inf"],
     ["--baseline-tolerance", "-0.01"], ["--grid-l", "inf"],
+    ["--pin-baselines", "--out", "r.json"],  # pinning renders no report to write
 ])
 def test_bad_config_is_a_usage_error(flags, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -19,6 +19,16 @@ def test_params_require_exponents_above_one():
         StefanParams(2, Fraction(1, 2))
 
 
+@pytest.mark.parametrize("p", [float("inf"), float("-inf"), float("nan"), None, "two"])
+def test_params_reject_non_rational_exponents(p):
+    """Every value that is not a rational number is a ValueError, whatever
+    Fraction raises for it (OverflowError for an infinity)."""
+    with pytest.raises(ValueError, match="must be rational"):
+        StefanParams(p, 2)
+    with pytest.raises(ValueError, match="must be rational"):
+        StefanParams(2, p)
+
+
 @pytest.mark.parametrize("p,q,admissible", [
     (2, 2, True),
     (8, 2, True),

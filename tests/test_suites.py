@@ -16,6 +16,7 @@ from tracespaces import (
     run_suite,
 )
 from tracespaces import grid as grid_module
+from tracespaces.grid import GridError
 from tracespaces import suites as suites_module
 from tracespaces.report import VerificationReport, config_hash, render_reports
 from tracespaces.suites import _DIFFNORM_PARAMS, _lower_gamma_ratio, diffnorm_windows
@@ -205,6 +206,26 @@ def test_trace_suites_alone_or_reordered_render_the_same():
     store = {}
     for name in ("trace-b", "trace-f"):
         assert render_reports([run_suite(name, config, store)]) == default[name]
+
+
+def test_run_all_reports_a_raising_suite_and_runs_the_rest(monkeypatch, capsys):
+    """run_suite turns a runner's exception into a report of one failed
+    `error` case, so run_all returns every suite's report."""
+    def raising(config):
+        raise GridError("band must lie strictly inside (-Nyquist, Nyquist)")
+
+    for name in SUITE_ORDER:
+        monkeypatch.setitem(suites_module._RUNNERS, name,
+                            lambda config, *store, name=name: VerificationReport(name, {}))
+    monkeypatch.setitem(suites_module._RUNNERS, "extension", raising)
+    reports = run_all(SuiteConfig(family_size=2))
+    assert [r.suite for r in reports] == list(SUITE_ORDER)
+    failed = reports[SUITE_ORDER.index("extension")]
+    assert [(c.case_id, c.value, c.bound, c.passed) for c in failed.cases] == [
+        ("error", 1.0, 0.0, False)]
+    assert failed.config == SuiteConfig(family_size=2).config_dict()
+    assert all(r.cases == [] for r in reports if r is not failed)
+    assert "extension: error: GridError: band must lie" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 1.5, 2.5])
