@@ -31,7 +31,7 @@ never depend on what is stacked with it or computed before it.
   for every a, so the mode matrix of any active set is a gathered product
   of two table columns, built in fixed row chunks and multiplied at once
   by a stacked coefficient matrix; no exp runs per call.  The tables hold
-  (B + N/B) complex values per node: 4 MB for 4096 nodes at N = 1024.
+  (B + N/B) complex values per node: 3 MB for 3073 nodes at N = 1024.
 - Wide sets: a type-2 NUFFT (Dutt & Rokhlin 1993; Barnett, Magland & af
   Klinteberg 2019).  The coefficients are divided by the Fourier
   transform of an exponential-of-semicircle kernel, placed on a 2N grid
@@ -39,7 +39,7 @@ never depend on what is stacked with it or computed before it.
   16 grid values its kernel reaches and sums them against its 16 kernel
   values, 64 nodes per numpy contraction.  The mesh keeps the 16 grid
   columns (int32) and kernel values (float64) per node and the N divisors
-  per GridSpec: 192 bytes per node, 2.4 MB for 12288 nodes.  Its error is
+  per GridSpec: 192 bytes per node, 1.8 MB for 9217 nodes.  Its error is
   about 4e-15 of the largest value, below that of dense synthesis, whose
   phases t * xi round.
 
@@ -51,7 +51,7 @@ kept array, and later calls multiply from it; a call on any other set
 drops it.  The product is the same chunked matmul either way, so every
 value is bitwise the same, and a stream of distinct sets keeps nothing.
 At most one matrix lives per mesh, nodes x modes with fewer than 256
-modes and at most _MAX_KEPT_BYTES (24 MiB): 3.4 MiB at 2304 nodes x 97
+modes and at most _MAX_KEPT_BYTES (24 MiB): 2.6 MiB at 1729 nodes x 97
 modes.  All else derived is kept under explicit keys by one memo, _memo:
 node values and what follows from them on the GridFunction
 (GridFunction.cached), weights, phase tables and NUFFT plans on the mesh.
@@ -291,8 +291,8 @@ _GL_WEIGHTS = 0.5 * _GL_WEIGHTS
 
 
 # The largest mode matrix a mesh keeps, in bytes.  The suites keep at most
-# 3.4 MiB at the pinned config and 13.6 MiB at L = 2 (4608 nodes x 193 modes);
-# a band near Nyquist on its own 24528-node mesh would keep 41.9 MiB, and the
+# 2.6 MiB at the pinned config and 10.2 MiB at L = 2 (3457 nodes x 193 modes);
+# a band near Nyquist on its own 18397-node mesh would keep 31.4 MiB, and the
 # shared-mesh cache holds eight meshes.
 _MAX_KEPT_BYTES = 24 * 2**20
 
@@ -302,15 +302,18 @@ _SYNTH_ROWS = 256
 
 # QuadratureMesh.synthesize takes the NUFFT from this many active modes up
 # and the phase-table product below it.  Measured with the numpy spread at
-# 1536, 2304 and 3072 nodes (the ORBIT_BAND mesh, bands 24 and 32) and
-# N = 1024 and 4096, against a product that builds its mode matrix: at 256
-# modes the NUFFT takes 0.24-0.60 of the product's time for 1 to 6
-# columns, 0.83-3.0 for 54 and 2.1-6.6 for 300; at 128 modes 0.76-1.17 for
-# 1 to 6 columns and 1.6-11 from 54 on; at 512 modes 0.18-0.31 for 1 to 6
-# and 0.33-3.3 from 54 on.  A kept mode matrix favours the product more.
+# 1536, 2304 and 3072 nodes (the ORBIT_BAND mesh, bands 24 and 32, with four
+# stored nodes per cell) and N = 1024 and 4096, against a product that
+# builds its mode matrix: at 256 modes the NUFFT takes 0.24-0.60 of the
+# product's time for 1 to 6 columns, 0.83-3.0 for 54 and 2.1-6.6 for 300;
+# at 128 modes 0.76-1.17 for 1 to 6 columns and 1.6-11 from 54 on; at 512
+# modes 0.18-0.31 for 1 to 6 and 0.33-3.3 from 54 on.  A kept mode matrix
+# favours the product more.
 # No cut-off wins everywhere and moving it moves values at rounding level,
 # so it stays; a full band (1023 modes, 54 columns, 1536 nodes, N = 1024)
-# takes 6.8 ms by the NUFFT against 53 ms by the product.
+# takes 6.8 ms by the NUFFT against 53 ms by the product.  Those meshes now
+# store 1153, 1729 and 2305 nodes; both paths cost the same per node, so the
+# ratios, and the cut-off, stand.
 _NUFFT_MIN_MODES = 256
 
 # The NUFFT's kernel exp(beta (sqrt(1 - z^2) - 1)), z in [-1, 1], spans
@@ -370,8 +373,11 @@ class QuadratureMesh:
 
     Positive-side cell edges are L*(i/M)^grading; the negative side
     mirrors them.  Each cell carries order+1 equispaced interpolation
-    nodes.  Node positions are weight-independent, so a function's node
-    values can be reused across every gamma.
+    nodes, its two edges among them, and adjacent cells share the node
+    at their common edge: nodes holds each distinct node once, ascending,
+    order * 2M + 1 of them, and _cells[c] indexes cell c's nodes into it.
+    Node positions are weight-independent, so a function's node values
+    can be reused across every gamma.
     """
 
     grading = 2.0
@@ -386,12 +392,12 @@ class QuadratureMesh:
         order = self.order
         edges = half_width * (np.arange(n_cells + 1) / n_cells) ** self.grading
         self.pos_edges = edges
-        u = np.linspace(0.0, 1.0, order + 1)
+        u = np.linspace(0.0, 1.0, order + 1)[:-1]  # a cell's nodes but its right edge
         a, b = edges[:-1], edges[1:]
-        pos_nodes = a[:, None] + (b - a)[:, None] * u[None, :]
-        neg_nodes = -pos_nodes[:, ::-1]
-        # ascending global node order: negative cells (far to near), then positive
-        self.nodes = np.concatenate([neg_nodes[::-1].ravel(), pos_nodes.ravel()])
+        pos = np.append((a[:, None] + (b - a)[:, None] * u[None, :]).ravel(), edges[-1])
+        # ascending: the mirrored positive nodes, then t = 0 and the positive ones
+        self.nodes = np.concatenate([-pos[:0:-1], pos])
+        self._cells = order * np.arange(2 * n_cells)[:, None] + np.arange(order + 1)
         self._lagrange = _lagrange_monomial_matrix(order)
         # weights per gamma, phase tables and NUFFT plans per GridSpec; see _memo
         self._cache: dict[tuple, np.ndarray | tuple] = {}
@@ -580,7 +586,9 @@ class QuadratureMesh:
         wp = self._cell_basis_weights(gamma, *pos)
         # negative side: [lo, hi] reflected onto [|hi|, |lo|]; a symmetric interval mirrors wp
         wn = wp if neg == pos else self._cell_basis_weights(gamma, *neg)
-        return np.concatenate([wn[::-1, ::-1].ravel(), wp.ravel()])
+        # per-cell weights, summed where adjacent cells share a node
+        w = np.concatenate([wn[::-1, ::-1], wp])
+        return np.bincount(self._cells.ravel(), weights=w.ravel(), minlength=self.nodes.size)
 
     def _check_interval(self, lo: float, hi: float) -> None:
         if not -self.half_width <= lo <= hi <= self.half_width:
@@ -602,12 +610,12 @@ class QuadratureMesh:
             w = self.weights(gamma) if interval is None else self.weights_on_interval(gamma, lo, hi)
             return np.maximum(mags ** p @ w, 0.0) ** (1.0 / p)
         self._check_interval(lo, hi)
-        cells = self.nodes.reshape(-1, self.order + 1)
+        cells = self.nodes[self._cells]
         meets = (cells[:, -1] >= lo) & (cells[:, 0] <= hi)
         a, b = cells[meets, 0], cells[meets, -1]
         u_lo, u_hi = (np.clip((x - a) / (b - a), 0.0, 1.0) for x in (lo, hi))
         # each cell's cubic in u, and the roots of its derivative (finite stand-ins)
-        c = mags.reshape(mags.shape[:-1] + cells.shape)[..., meets, :] @ self._lagrange
+        c = mags[..., self._cells[meets]] @ self._lagrange
         qa, qb, qc = 3.0 * c[..., 3], 2.0 * c[..., 2], c[..., 1]
         with np.errstate(divide="ignore", invalid="ignore"):
             qq = -0.5 * (qb + np.copysign(np.sqrt(qb * qb - 4.0 * qa * qc), qb))
@@ -621,8 +629,9 @@ class QuadratureMesh:
 
 # Safe to share, because a mesh's nodes follow from its key and all else
 # it holds is a cache keyed exactly; the bound keeps the phase tables and
-# NUFFT plans of meshes no longer in use (4-20 MB each at N = 1024) from
-# piling up.
+# NUFFT plans of meshes no longer in use (1216 bytes per node at N = 1024:
+# 1.4 MB on the 1153-node orbit mesh, 22 MB on the 18397 nodes of a band
+# near Nyquist) from piling up.
 @functools.lru_cache(maxsize=8)
 def _shared_mesh(half_width: float, n_cells: int) -> QuadratureMesh:
     return QuadratureMesh(half_width, n_cells)

@@ -13,7 +13,7 @@ from tracespaces import (
     random_band_limited,
     weighted_lp_norm,
 )
-from tracespaces.grid import GridError
+from tracespaces.grid import _MAX_KEPT_BYTES, GridError
 
 
 def test_grid_spec_basics(grid):
@@ -90,6 +90,58 @@ def test_quadrature_weights_nonnegative(grid, gamma):
     assert np.all(w >= 0.0)
     total = 2.0 / (gamma + 1.0)  # int_{-1}^{1} |t|^gamma dt
     assert np.sum(w) == pytest.approx(total, rel=1e-10)
+
+
+def _per_cell_nodes(mesh):
+    """(2 M, 4): each cell's equispaced nodes a + (b - a) u, the negative
+    cells mirroring the positive ones, ascending."""
+    a, b = mesh.pos_edges[:-1], mesh.pos_edges[1:]
+    pos = a[:, None] + (b - a)[:, None] * np.linspace(0.0, 1.0, 4)
+    return np.concatenate([-pos[::-1, ::-1], pos])
+
+
+@pytest.mark.parametrize("half_width, cells", [(0.75, 36), (1.0, 96), (1.0, 192), (2.0, 384),
+                                               (10.0, 960)])
+def test_adjacent_cells_share_their_edge_node(half_width, cells):
+    """Each distinct node is stored once: 6 M + 1 strictly increasing nodes,
+    and nodes[_cells] equals every cell's own a + (b - a) u exactly."""
+    mesh = QuadratureMesh(half_width, cells)
+    assert mesh.nodes.size == 6 * cells + 1
+    assert np.all(np.diff(mesh.nodes) > 0)
+    assert mesh._cells.shape == (2 * cells, 4)
+    np.testing.assert_array_equal(mesh.nodes[mesh._cells], _per_cell_nodes(mesh))
+
+
+@pytest.mark.parametrize("gamma", [-0.5, 0.0, 1.5])
+@pytest.mark.parametrize("interval", [None, (-0.37, 0.61), (0.2, 0.9)])
+def test_weights_sum_the_per_cell_weights_at_shared_nodes(gamma, interval):
+    """The weight of a node shared by two cells is the sum of its weights in
+    each; the intervals cut cells."""
+    mesh = QuadratureMesh(1.0, 96)
+    lo, hi = (-1.0, 1.0) if interval is None else interval
+    neg = mesh._cell_basis_weights(gamma, max(-hi, 0.0), max(-lo, 0.0))
+    pos = mesh._cell_basis_weights(gamma, max(lo, 0.0), max(hi, 0.0))
+    want = np.zeros(mesh.nodes.size)
+    for c, w in enumerate(np.concatenate([neg[::-1, ::-1], pos])):
+        want[3 * c: 3 * c + 4] += w
+    got = mesh.weights(gamma) if interval is None else mesh.weights_on_interval(gamma, lo, hi)
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+
+def test_sup_norm_keeps_its_values_on_shared_nodes(grid):
+    """p = inf reads each cell's cubic through _cells; the maxima are those
+    of the layout with four stored nodes per cell."""
+    mesh = QuadratureMesh.for_band(grid, 8.0)
+    f = random_band_limited(grid, (-8.0, 8.0), seed=11, dim=3)
+    mags = np.abs(f.evaluate(mesh.nodes)).T
+    assert mags.shape == (3, 6 * mesh.n_cells + 1)
+    want = {None: (9.374295214578638, 9.712391390610934, 11.1307047526394),
+            (-0.37, 0.61): (9.374295214578638, 8.865263571494156, 11.1307047526394),
+            (0.2, 0.9): (9.278418993041736, 9.712391390610934, 9.041951107400877),
+            (-1.0, -0.999): (6.825181087450773, 5.989110848310544, 2.13622121396034)}
+    for interval, values in want.items():
+        np.testing.assert_allclose(mesh.lp_norm(mags, math.inf, 0.0, interval), values,
+                                   rtol=1e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("gamma", [0.0, 0.5])
@@ -348,16 +400,16 @@ def test_distinct_active_sets_keep_no_mode_matrix(grid):
 
 
 def test_mode_matrix_above_the_byte_cap_is_not_kept(grid):
-    """A narrow set near Nyquist on its own fine mesh (112 modes, 24528
-    nodes: 41.9 MiB) keeps no mode matrix, and its values are bitwise those
-    of a fresh mesh; a band-24 family mesh (2304 nodes x 97 modes) still
+    """A narrow set near Nyquist on its own fine mesh (112 modes, 18397
+    nodes: 31.4 MiB) keeps no mode matrix, and its values are bitwise those
+    of a fresh mesh; a band-24 family mesh (1729 nodes x 97 modes) still
     keeps its matrix."""
     f = random_band_limited(grid, (200.0, 255.5), 1)
     cells = QuadratureMesh.for_function(f).n_cells
     active, coeffs = f.active_indices, f.coeffs[f.active_indices]
     want = QuadratureMesh(1.0, cells).synthesize(grid, active, coeffs)
     mesh = QuadratureMesh(1.0, cells)
-    assert 16 * mesh.nodes.size * active.size > 40 * 2**20
+    assert 16 * mesh.nodes.size * active.size > _MAX_KEPT_BYTES
     for _ in range(2):
         np.testing.assert_array_equal(mesh.synthesize(grid, active, coeffs), want)
         assert mesh._kept_modes[1] is None

@@ -107,6 +107,7 @@ def _sweep_case(n, half_width, name):
 
 _SWEEP = [_sweep_case(n, half_width, name)
           for n, half_width in ((64, 1.0), (2048, 1.0), (1024, 2.0)) for name in SUITE_ORDER]
+_SWEEP.append(_sweep_case(1024, 10.0, "extension"))
 
 
 @pytest.mark.parametrize("n_samples, half_width, suite", _SWEEP)
