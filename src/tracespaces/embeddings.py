@@ -263,8 +263,8 @@ def counterexample_norms(coefficients, u: float, q: float) -> dict:
     if not u < q:
         raise ValueError(f"divergence needs u < q, got u={u}, q={q}")
     a = np.abs(np.asarray(coefficients, dtype=complex))
-    if a.ndim != 1 or a.size == 0 or not np.any(a > 0):
-        raise ValueError("need a nonzero 1-d coefficient sequence")
+    if a.ndim != 1 or a.size == 0 or not np.any(a > 0) or not np.all(np.isfinite(a)):
+        raise ValueError("need a nonzero finite 1-d coefficient sequence")
     seq = 2.0 ** np.arange(1, a.size + 1) * a
     target = float(_lq_combine(seq, u))
     source = float(_lq_combine(seq, q))

@@ -13,12 +13,14 @@ of a Banach space.  All norm computations reduce to integrals
 
     int_{-L}^{L} |t|^gamma g(t) dt,
 
-evaluated by integrating the weight exactly against a piecewise-polynomial
-interpolant of the smooth factor g (never by blind quadrature of the
-product, which loses the |t|^gamma singularity for gamma < 0); p = inf takes
-that interpolant's maximum.  f's mesh, QuadratureMesh.for_function(f), has 12
-cells per wavelength of f's top frequency on each side, and no floor: one
-error budget sizes every mesh (see _CELLS_PER_WAVE).
+evaluated by integrating the weight against a piecewise-cubic interpolant
+of the smooth factor g (never by blind quadrature of the product, which
+loses the |t|^gamma singularity for gamma < 0): in closed form on the cell
+at t = 0, and by Gauss-Legendre on every other cell, where t^gamma is
+analytic; p = inf takes that interpolant's maximum.  f's mesh,
+QuadratureMesh.for_function(f), has 12 cells per wavelength of f's top
+frequency on each side, and no floor: one error budget sizes every mesh
+(see _CELLS_PER_WAVE).
 
 Every evaluation at quadrature nodes goes through one kernel,
 QuadratureMesh.synthesize, which has two paths; the size of the active
@@ -285,7 +287,11 @@ class GridFunction:
 # quadrature against |t|^gamma
 # ---------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+# The Gauss rule of every mesh cell off t = 0.  Cell 1 spans [a, 4 a], so
+# the branch point of t^gamma at 0 lies on its Bernstein ellipse rho = 3
+# and the error falls like 3^(-2 n): the worst relative error over cells
+# >= 1 is 4.5e-11 at 12 points, 1.2e-14 at 16 and 1.1e-14 at 24.
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _GL_NODES = 0.5 * (_GL_NODES + 1.0)  # shifted to [0, 1]
 _GL_WEIGHTS = 0.5 * _GL_WEIGHTS
 
@@ -537,40 +543,21 @@ class QuadratureMesh:
 
     def _cell_basis_weights(self, gamma: float, lo: float, hi: float) -> np.ndarray:
         """w[cell, node] = int_{lo}^{hi} t^gamma * lagrange_node(t; cell [a,b]) dt
-        for the positive cells 0 <= a < b and 0 <= lo <= hi."""
+        for the positive cells 0 <= a < b and 0 <= lo <= hi, from the moments
+        m_j = int t^gamma ((t - a)/h)^j dt over each cell's part [p, q] of
+        [lo, hi]: in closed form on the cell at t = 0, and by one Gauss rule
+        in the local coordinate on every other cell, where t^gamma is analytic."""
         a, b = self.pos_edges[:-1], self.pos_edges[1:]
         h = b - a
-        order = self.order
-        w = np.zeros((a.size, order + 1))
-        # moments m_j = int t^gamma ((t - a)/h)^j dt, j = 0..order
-        full = (hi >= b - 1e-300) & (lo <= a + 1e-300)
-        thin = (h < 0.3 * a) & full  # cancellation regime: Gauss in the local coordinate
-        if np.any(thin):
-            at, ht = a[thin], h[thin]
-            tg = (at[:, None] + ht[:, None] * _GL_NODES[None, :]) ** gamma
-            lag_at_gl = self._lagrange @ np.vander(_GL_NODES, order + 1, increasing=True).T
-            w[thin] = (tg * _GL_WEIGHTS[None, :]) @ lag_at_gl.T * ht[:, None]
-        rest = ~thin
-        if np.any(rest):
-            ar, hr = a[rest], h[rest]
-            lor, hir = np.maximum(lo, ar), np.minimum(hi, b[rest])
-            live = hir > lor
-            m = np.zeros((ar.size, order + 1))
-            # I_i = int_lo^hi t^{gamma+i} dt, exact; gamma + i + 1 > 0 for gamma > -1
-            powers = np.arange(order + 1)
-            ii = np.zeros((ar.size, order + 1))
-            with np.errstate(invalid="ignore"):
-                for i in powers:
-                    e = gamma + i + 1.0
-                    ii[live, i] = (hir[live] ** e - lor[live] ** e) / e
-            for j in powers:
-                acc = np.zeros(ar.size)
-                for i in range(j + 1):
-                    acc += math.comb(j, i) * (-ar) ** (j - i) * ii[:, i]
-                m[:, j] = acc
-            scale = np.where(hr > 0, hr, 1.0)[:, None] ** powers[None, :]
-            w[rest] = (m / scale) @ self._lagrange.T
-        return w
+        powers = np.arange(self.order + 1)
+        p, q = np.clip(lo, a, b), np.clip(hi, a, b)  # p = q where a cell misses [lo, hi]
+        m = np.empty((a.size, powers.size))
+        e = gamma + powers + 1.0  # > 0 for gamma > -1
+        m[0] = (q[0] ** e - p[0] ** e) / (e * h[0] ** powers)
+        u = ((p - a) / h)[1:, None] + ((q - p) / h)[1:, None] * _GL_NODES
+        wt = (q - p)[1:, None] * _GL_WEIGHTS * (a[1:, None] + h[1:, None] * u) ** gamma
+        m[1:] = np.einsum("ck,ckj->cj", wt, np.polynomial.polynomial.polyvander(u, self.order))
+        return m @ self._lagrange.T
 
     def weights(self, gamma: float) -> np.ndarray:
         """Node weights so that sum(w * g(nodes)) = int |t|^gamma * interp(g) dt."""

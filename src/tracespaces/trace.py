@@ -253,6 +253,8 @@ def hardy_young_check(breakpoints, values, beta: float, p: float) -> dict:
     v = np.asarray(values, dtype=float)
     if b.size != v.size + 1:
         raise ValueError("need exactly one more breakpoint than values")
+    if not (np.all(np.isfinite(b)) and np.all(np.isfinite(v))):
+        raise ValueError("breakpoints and step values must be finite")
     if np.any(np.diff(b) <= 0) or b[1] <= 0:
         raise ValueError("breakpoints must be positive and strictly increasing")
     if np.any(v < 0):

@@ -87,6 +87,14 @@ def test_counterexample_needs_strictly_smaller_u():
         counterexample_norms(np.ones(4), 3.0, 2.0)
 
 
+@pytest.mark.parametrize("coefficients", [[1.0, math.nan], [math.inf, 1.0],
+                                          [1.0, complex(math.nan, 0.0)]])
+def test_counterexample_rejects_non_finite_coefficients(coefficients):
+    """A NaN coefficient once gave ratio NaN without an error."""
+    with pytest.raises(ValueError, match="finite"):
+        counterexample_norms(coefficients, 1.0, 2.0)
+
+
 # -- mixed derivative estimate -----------------------------------------
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import sparse
+from scipy import integrate, sparse
 
 from tracespaces import (
     GridFunction,
@@ -126,6 +126,29 @@ def test_weights_sum_the_per_cell_weights_at_shared_nodes(gamma, interval):
         want[3 * c: 3 * c + 4] += w
     got = mesh.weights(gamma) if interval is None else mesh.weights_on_interval(gamma, lo, hi)
     np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("gamma", [-0.5, 0.0, 1.5])
+@pytest.mark.parametrize("half_width, cells, lo, hi", [(1.0, 384, 0.0, 1.0), (1.0, 384, 0.05, 0.3),
+                                                       (10.0, 1920, 0.5, 3.0001)])
+def test_cell_weights_match_adaptive_quadrature(half_width, cells, lo, hi, gamma):
+    """Cells 1 and 5-7, where t^gamma is analytic but the cell is wide
+    against its distance from 0, and every cell that lo or hi cuts: each
+    cell's weights equal its monomial moments, integrated adaptively in the
+    local coordinate over the cell's part of [lo, hi], times the Lagrange
+    matrix, to 1e-13 of the cell's largest weight."""
+    mesh = QuadratureMesh(half_width, cells)
+    a, b = mesh.pos_edges[:-1], mesh.pos_edges[1:]
+    cut = np.flatnonzero(((a < lo) & (lo < b)) | ((a < hi) & (hi < b)))
+    w = mesh._cell_basis_weights(gamma, lo, hi)
+    for c in sorted({1, 5, 6, 7, *cut}):
+        h = b[c] - a[c]
+        u0, u1 = (np.clip([lo, hi], a[c], b[c]) - a[c]) / h
+        moments = [h * integrate.quad(lambda u: (a[c] + h * u) ** gamma * u ** j, u0, u1,
+                                      epsabs=0.0, epsrel=2e-14)[0] for j in range(4)]
+        want = np.array(moments) @ mesh._lagrange.T
+        np.testing.assert_allclose(w[c], want, rtol=0.0, atol=1e-13 * np.max(np.abs(want)))
 
 
 def test_sup_norm_keeps_its_values_on_shared_nodes(grid):

@@ -67,6 +67,16 @@ def test_hardy_needs_finite_p_at_least_one(p):
         hardy_young_check([1.0], [1.0], 0.5, p)
 
 
+@pytest.mark.parametrize("breakpoints, values", [([1.0], [math.inf]), ([1.0], [math.nan]),
+                                                  ([math.inf], [1.0]), ([math.nan], [1.0]),
+                                                  ([1.0, math.nan], [1.0, 2.0])])
+def test_hardy_rejects_non_finite_input(breakpoints, values):
+    """An infinite value once passed with lhs = bound = inf, and a NaN gave
+    NaN sides without an error."""
+    with pytest.raises(ValueError, match="finite"):
+        hardy_young_check(breakpoints, values, 0.5, 2.0)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.data())
 def test_hardy_inequality_on_step_functions(data):
