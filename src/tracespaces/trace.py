@@ -21,7 +21,8 @@ scalar inequality behind those bounds,
     int_0^inf s^{-beta p - 1} (int_0^s f)^p ds
         <= beta^{-p} int_0^inf s^{(1-beta)p - 1} f^p ds,
 
-is verified exactly on nonnegative step functions.
+is verified exactly on a stack of nonnegative step functions in one array
+pass.
 """
 
 from __future__ import annotations
@@ -233,53 +234,77 @@ def select_extension_branch(problem: TraceProblem) -> dict:
 _GL24_NODES, _GL24_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
 
-def hardy_young_check(breakpoints, values, beta: float, p: float) -> dict:
+def _padded(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Ragged float rows as one zero-padded (rows x longest) array, and the
+    mask of its entries that are not padding."""
+    lengths = np.fromiter(map(len, rows), dtype=int, count=len(rows))
+    if np.any(lengths < 1):
+        raise ValueError("every step function needs at least one step")
+    flat = np.concatenate(rows, dtype=float)
+    real = np.arange(lengths.max()) < lengths[:, None]
+    out = np.zeros(real.shape)
+    out[real] = flat
+    return out, real
+
+
+def hardy_young_check(breakpoints, values, beta, p) -> dict:
     """Both sides of
 
         int_0^inf s^{-beta p - 1} F(s)^p ds
             <= beta^{-p} int_0^inf s^{(1-beta)p - 1} f(s)^p ds
 
-    for the step function f = sum values_i 1_[b_i, b_{i+1}) with
-    breakpoints 0 < b_1 < ... < b_K and F(s) = int_0^s f.  The right side
+    for a stack of step functions, one per row: f = sum values_i
+    1_[b_i, b_{i+1}) with breakpoints 0 < b_1 < ... < b_K and F(s) =
+    int_0^s f.  Rows may differ in length; beta and p are per row or one
+    scalar.  Each row is padded to the longest with zero-value, zero-width
+    cells at its last breakpoint: exact zeros, F unchanged.  The right side
     and the first and tail pieces of the left side are closed forms; the
-    interior pieces (F affine there) use 24-point Gauss cells; "passed"
-    allows a relative slack of 1e-9 for their rounding.
+    interior pieces (F affine there) use 24-point Gauss cells.  Returns
+    arrays "lhs", "bound" and "passed", one entry per row; "passed" allows
+    a relative slack of 1e-9 for their rounding.
     """
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"need 0 < beta < 1, got {beta}")
-    if not 1.0 <= p < math.inf:
-        raise ValueError(f"need 1 <= p < inf, got {p}")
-    b = np.concatenate([[0.0], np.asarray(breakpoints, dtype=float)])
-    v = np.asarray(values, dtype=float)
-    if b.size != v.size + 1:
-        raise ValueError("need exactly one more breakpoint than values")
+    n_rows = len(breakpoints)
+    beta = np.broadcast_to(np.asarray(beta, dtype=float), (n_rows,))[:, None]
+    p = np.broadcast_to(np.asarray(p, dtype=float), (n_rows,))[:, None]
+    bad = ~((0.0 < beta) & (beta < 1.0))
+    if bad.any():
+        raise ValueError(f"need 0 < beta < 1, got {beta[bad][0]}")
+    bad = ~((1.0 <= p) & (p < math.inf))
+    if bad.any():
+        raise ValueError(f"need 1 <= p < inf, got {p[bad][0]}")
+    b, real = _padded(breakpoints)
+    v, real_v = _padded(values)
+    if not np.array_equal(real, real_v):
+        raise ValueError("need exactly one breakpoint per value in every row")
     if not (np.all(np.isfinite(b)) and np.all(np.isfinite(v))):
         raise ValueError("breakpoints and step values must be finite")
-    if np.any(np.diff(b) <= 0) or b[1] <= 0:
+    b = np.concatenate([np.zeros((n_rows, 1)), b], axis=1)
+    if np.any((np.diff(b) <= 0) & real):
         raise ValueError("breakpoints must be positive and strictly increasing")
     if np.any(v < 0):
         raise ValueError("step values must be nonnegative")
+    b = np.maximum.accumulate(b, axis=1)  # padding cells at the last breakpoint
 
     e = (1.0 - beta) * p  # > 0
-    rhs = float(np.sum(v ** p * (b[1:] ** e - b[:-1] ** e))) / e
+    rhs = np.sum(v ** p * (b[:, 1:] ** e - b[:, :-1] ** e), axis=1) / e[:, 0]
 
     # F at breakpoints
-    F = np.concatenate([[0.0], np.cumsum(v * np.diff(b))])
+    F = np.concatenate([np.zeros((n_rows, 1)), np.cumsum(v * np.diff(b), axis=1)], axis=1)
     # first cell: F = v_0 s exactly
-    lhs = v[0] ** p * b[1] ** e / e
+    first = v[:, :1] ** p * b[:, 1:2] ** e / e
     # interior cells: F affine, integrand smooth and bounded
-    for i in range(1, v.size):
-        lo, hi = b[i], b[i + 1]
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        s = mid + half * _GL24_NODES
-        Fs = F[i] + v[i] * (s - lo)
-        lhs += half * float(np.sum(_GL24_WEIGHTS * s ** (-beta * p - 1.0) * Fs ** p))
+    lo, hi = b[:, 1:-1, None], b[:, 2:, None]
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    s = mid + half * _GL24_NODES
+    Fs = F[:, 1:-1, None] + v[:, 1:, None] * (s - lo)
+    cells = half[..., 0] * np.sum(_GL24_WEIGHTS * s ** (-beta * p - 1.0)[..., None]
+                                  * Fs ** p[..., None], axis=-1)
     # tail: F constant = F(b_K)
-    lhs += F[-1] ** p * b[-1] ** (-beta * p) / (beta * p)
+    tail = F[:, -1:] ** p * b[:, -1:] ** (-beta * p) / (beta * p)
+    lhs = np.sum(np.concatenate([first, cells, tail], axis=1), axis=1)
 
-    bound = beta ** (-p) * rhs
-    return {"lhs": float(lhs), "bound": float(bound),
-            "passed": lhs <= bound * (1.0 + 1e-9)}
+    bound = (beta ** (-p))[:, 0] * rhs
+    return {"lhs": lhs, "bound": bound, "passed": lhs <= bound * (1.0 + 1e-9)}
 
 
 # ---------------------------------------------------------------------

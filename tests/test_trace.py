@@ -11,6 +11,7 @@ from tracespaces import (
     MultiplierOperator,
     QuadratureMesh,
     SpaceSpec,
+    SuiteConfig,
     TraceProblem,
     frac_power_reparam_ratio,
     hardy_young_check,
@@ -55,16 +56,19 @@ def test_target_second_index_by_scale():
 
 
 def test_hardy_closed_form_single_cell():
-    got = hardy_young_check([1.0], [1.0], beta=0.5, p=2.0)
-    assert got["lhs"] == pytest.approx(2.0, abs=1e-12)
-    assert got["bound"] == pytest.approx(4.0, abs=1e-12)
-    assert got["passed"]
+    got = hardy_young_check([[1.0]], [[1.0]], beta=0.5, p=2.0)
+    assert got["lhs"][0] == pytest.approx(2.0, abs=1e-12)
+    assert got["bound"][0] == pytest.approx(4.0, abs=1e-12)
+    assert got["passed"].tolist() == [True]
 
 
 @pytest.mark.parametrize("p", [0.5, math.inf, math.nan])
 def test_hardy_needs_finite_p_at_least_one(p):
     with pytest.raises(ValueError, match="1 <= p < inf"):
-        hardy_young_check([1.0], [1.0], 0.5, p)
+        hardy_young_check([[1.0]], [[1.0]], 0.5, p)
+
+
+_GOOD_ROWS = ([0.5, 1.0], [2.0, 1.0])
 
 
 @pytest.mark.parametrize("breakpoints, values", [([1.0], [math.inf]), ([1.0], [math.nan]),
@@ -72,9 +76,24 @@ def test_hardy_needs_finite_p_at_least_one(p):
                                                   ([1.0, math.nan], [1.0, 2.0])])
 def test_hardy_rejects_non_finite_input(breakpoints, values):
     """An infinite value once passed with lhs = bound = inf, and a NaN gave
-    NaN sides without an error."""
-    with pytest.raises(ValueError, match="finite"):
-        hardy_young_check(breakpoints, values, 0.5, 2.0)
+    NaN sides without an error; a bad row is found between good rows too."""
+    good_b, good_v = _GOOD_ROWS
+    for b, v in (([breakpoints], [values]),
+                 ([good_b, breakpoints, good_b], [good_v, values, good_v])):
+        with pytest.raises(ValueError, match="finite"):
+            hardy_young_check(b, v, 0.5, 2.0)
+
+
+@pytest.mark.parametrize("breakpoints, values, message", [
+    ([1.0, 1.0, 2.0], [1.0, 1.0, 1.0], "positive and strictly increasing"),
+    ([0.5, 1.0, 2.0], [1.0, -1.0, 1.0], "nonnegative"),
+    ([], [], "at least one step"),
+    ([0.5, 1.0], [1.0], "one breakpoint per value"),
+])
+def test_hardy_rejects_a_bad_row_in_a_stack(breakpoints, values, message):
+    good_b, good_v = _GOOD_ROWS
+    with pytest.raises(ValueError, match=message):
+        hardy_young_check([good_b, breakpoints, good_b], [good_v, values, good_v], 0.5, 2.0)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -85,8 +104,28 @@ def test_hardy_inequality_on_step_functions(data):
     values = data.draw(st.lists(st.floats(0.0, 3.0), min_size=n, max_size=n))
     beta = data.draw(st.floats(0.05, 0.95))
     p = data.draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]))
-    got = hardy_young_check(np.cumsum(widths), values, beta, p)
-    assert got["passed"]
+    got = hardy_young_check([np.cumsum(widths)], [values], beta, p)
+    assert got["passed"].tolist() == [True]
+
+
+def test_hardy_stack_equals_its_rows_one_by_one():
+    """The hardy suite's 1000 draws at seed 2024, checked as one stack of
+    rows of 1 to 6 cells, equal each row checked as a batch of one."""
+    rng = SuiteConfig(seed=2024).rng(11)
+    rows = []
+    for _ in range(1000):
+        n = int(rng.integers(1, 7))
+        b = np.cumsum(rng.uniform(0.05, 1.0, n))
+        v = rng.uniform(0.0, 3.0, n)
+        rows.append((b, v, float(rng.uniform(0.05, 0.95)),
+                     float(rng.choice([1.0, 1.25, 2.0, 3.0]))))
+    breakpoints, values, betas, ps = (list(column) for column in zip(*rows))
+    stack = hardy_young_check(breakpoints, values, betas, ps)
+    for key in ("lhs", "bound"):
+        one = np.concatenate([hardy_young_check([b], [v], beta, p)[key]
+                              for b, v, beta, p in rows])
+        np.testing.assert_allclose(stack[key], one, rtol=1e-15, atol=0.0)
+    assert stack["passed"].all()
 
 
 def test_branch_selection_nonnegative_smoothness():
