@@ -18,17 +18,23 @@ with the essential supremum for p = inf.  For a scalar operator (and for
 diagonal ones at p = 2, by linearity of the p-th power) the integrals
 collapse to Beta and Gamma functions, used as cross-checks.
 
-Both forms use one rule on the log axis: whole decades at 10 nodes per
-decade, over a window computed from the eigenvalues alone, never from
-the values.  The integrands are analytic in log sigma, so the trapezoid
-rule converges exponentially.
+Both forms use one rule on the log axis: whole decades of nodes over a
+window computed from the eigenvalues alone, never from the values.  The
+integrands are analytic in log sigma, so the trapezoid rule converges
+exponentially (Trefethen & Weideman, SIAM Review 56, 2014).  For finite
+p the resolvent form takes 5 nodes per decade, one more for each power m
+past 2, and the semigroup form 8, since its factor exp(-2 t lambda) needs
+the finer step; p = inf takes 10.
 
-  - Finite p: the window clears the spectrum far enough that the tails
-    beyond it are known in closed form to 1e-10 of their size.  The
-    resolvent form adds both tails, the semigroup form its low tail (its
-    high end lies past the slowest decay, exp(-t min lambda) < 1e-20),
-    and both correct the trapezoid rule at each power-law end by the
-    Euler-Maclaurin series summed in closed form.
+  - Finite p: each window end lies 1e-5 of the nearest eigenvalue scale
+    beyond the spectrum.  Past it the squared integrand is a power law
+    times S0 + S1 s up to O(s^2), s = sigma / lambda below the spectrum
+    and lambda / sigma above it, so g^p is two power laws to first
+    order, each integrated in closed form.  The resolvent form adds
+    both tails, the semigroup form its low tail (its high end lies past
+    the slowest decay, exp(-t min lambda) < 1e-20), and both correct the
+    trapezoid rule for each power law at each end by the Euler-Maclaurin
+    series summed in closed form.
   - p = inf: the window is the span of the per-eigenvalue peaks (alpha
     lambda / (m - alpha) in sigma, (m - alpha) / lambda in t) with a
     decade of margin at each end.  The supremum is the integrand at the
@@ -42,7 +48,11 @@ immutable.  At p = 2 the trapezoid core, both end corrections and both
 closed-form tails are linear in the squares |y_k|^2, so the rule
 contracts to one weight W_k per component and a norm is
 sqrt(sum_k |y_k|^2 W_k): dim products per row.  Other p raise each
-row's squared integrand on the grid to the power p / 2.
+row's squared integrand on the grid to the power p / 2; the end moments
+S0 and S1 come out of the same product as the grid.  Each row is scaled
+by a power of two, its largest component into [1/2, 1), before it is
+squared, and its norm scaled back, so the norms stay homogeneous from
+the smallest floats to the largest.
 
 Both forms have one integrator, `_batch_norm`; `interp_norm_resolvent`
 and `interp_norm_semigroup` are batches of one.  It and the inner spaces
@@ -53,6 +63,7 @@ summed in a fixed order, so a row's norm never depends on its batch.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Callable
 
 import numpy as np
@@ -127,12 +138,21 @@ class MultiplierOperator:
 # interpolation norms
 # ---------------------------------------------------------------------
 
-_PER_DECADE = 10  # log-axis nodes per decade of every window
-_TAIL_TOL = 1e-10  # first-order relative error allowed in a closed-form tail
+# log-axis nodes per decade of a finite-r window, per form, the resolvent's
+# at m <= 2.  Against the closed forms of a scalar operator the trapezoid
+# error is about 1e-12 here and over 1e-10 at 4 and 6.  On wide spectra the
+# resolvent form stays near 1e-12, while the semigroup form at r != 2
+# converges slowly at any density (the r-th power of a sum of exponentials
+# branches near the real axis): up to 1e-7 at 10 and 7e-7 at 8 at r = 1.
+_PER_DECADE = {"resolvent": 5, "semigroup": 8}
+_SUP_PER_DECADE = 10  # of a p = inf window, whose vertex fit needs the finer step
+# distance of each finite-r window end past the spectrum, relative to the
+# eigenvalue scale there: the second-order tails neglect O(_TAIL_TOL^2)
+_TAIL_TOL = 1e-5
 # rows per chunk of by_rows, every batch norm's one chunker: a working array
-# of 7.5 MB at 241 sigma nodes for r != 2; at r = 2 only the rows' squares
+# of 2.3 MB at 70 sigma nodes for r != 2; at r = 2 only the rows' squares
 _BATCH_ROWS = 4096
-# rules kept per operator, both forms together, about 12 kB each at dim 6; past
+# rules kept per operator, both forms together, about 3.5 kB each at dim 6; past
 # this the oldest is dropped, so a sweep over alpha on one operator stays small
 _MAX_RULES = 32
 
@@ -144,16 +164,18 @@ def _order(alpha: float, m: int | None) -> int:
         raise ValueError(f"interpolation order must be finite and positive, got alpha={alpha}")
     if m is None:
         m = int(math.floor(alpha)) + 1
+    if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
+        raise ValueError(f"integer power m must be an integer >= 1, got m={m!r}")
     if not m > alpha:
         raise ValueError(f"integer power m={m} must exceed alpha={alpha}")
-    return m
+    return int(m)
 
 
-def _log_grid(lo: float, hi: float) -> tuple[np.ndarray, float]:
-    """Nodes of the whole decades covering [lo, hi], _PER_DECADE to a decade,
+def _log_grid(lo: float, hi: float, per_decade: int) -> tuple[np.ndarray, float]:
+    """Nodes of the whole decades covering [lo, hi], per_decade to a decade,
     and their log-step."""
     a, b = math.floor(math.log10(lo)), math.ceil(math.log10(hi))
-    u = np.linspace(a, b, (b - a) * _PER_DECADE + 1) * math.log(10.0)
+    u = np.linspace(a, b, (b - a) * per_decade + 1) * math.log(10.0)
     return np.exp(u), u[1] - u[0]
 
 
@@ -175,39 +197,46 @@ def _end_correction(slope: float, du: float) -> float:
     return (x / math.tanh(x) - 1.0) / slope if slope > 0 else 0.0
 
 
-def _power_integral(kernel, p: float, lo: float, hi: float, slopes: tuple[float, float],
-                    ends: tuple) -> Callable[[np.ndarray], np.ndarray]:
+def _power_integral(kernel, p: float, lo: float, hi: float, per_decade: int,
+                    slopes: tuple[float, float], ends: tuple) -> Callable[[np.ndarray], np.ndarray]:
     """The rule for the row integrals int_0^inf g(s)^p ds/s of
     g(s)^2 = sum_k sq[:, k] kernel(s)[..., k], as a function of the
     squares sq.  The trapezoid rule in log s covers the whole decades over
-    [lo, hi] and is corrected at its ends.  Past them g^p is s^{slopes[0]}
-    and s^{-slopes[1]} times (sum_k sq[:, k] ends[i][k])^{p/2}, integrated
-    in closed form (ends[1] None: no high tail).  The grid and kernel are
-    built once per rule.  At p = 2 every term is linear in the squares, so
-    the rule contracts to one weight per component and a row costs dim
+    [lo, hi].  Past them g^2 is x^{2 slopes[i] / p} (S0 + x S1), x = s at
+    the low end and 1 / s at the high end, with the moments S0 and S1 the
+    sums of sq against the two columns of ends[i] (ends[1] None: no high
+    tail).  So g^p = A x^e + B x^{e+1} up to O(x^2), e = slopes[i],
+    A = S0^{p/2} and B = (p/2) S0^{p/2-1} S1, and each power law gets its
+    closed-form tail and its Euler-Maclaurin end correction.  The grid,
+    the kernel and the moment columns are built once per rule and taken
+    in one product per row.  At p = 2 every term is linear in the squares,
+    so the rule contracts to one weight per component and a row costs dim
     products."""
-    s, du = _log_grid(lo, hi)
+    s, du = _log_grid(lo, hi, per_decade)
     grid = kernel(s)
-    lo, hi = float(s[0]), float(s[-1])
-    (a, b), (low, high) = slopes, ends
-    head, foot = _end_correction(a, du), _end_correction(b, du)
+    n = s.size
+    moments, coefs = [], []  # per end: (S0, S1) columns, (A, B) coefficients
+    for e, x, cols in zip(slopes, (float(s[0]), 1.0 / float(s[-1])), ends):
+        if cols is not None:
+            moments.extend(cols)
+            coefs.append(tuple(x ** f * (1.0 / f + _end_correction(f, du)) for f in (e, e + 1.0)))
     if p == 2:
         w = du * (np.sum(grid, axis=0) - 0.5 * (grid[0] + grid[-1]))
-        w += head * grid[0] + foot * grid[-1] + lo ** a / a * low
-        if high is not None:
-            w += high * hi ** -b / b
+        for (ca, cb), s0, s1 in zip(coefs, moments[::2], moments[1::2]):
+            w += ca * s0 + cb * s1
         return lambda sq: np.sum(sq * w, axis=1)
+    stacked = np.vstack([grid, *moments])
+    half = 0.5 * p
 
     def integrate(sq):
-        grand = _grid_squares(sq, grid)
-        grand **= 0.5 * p
-        core = du * (np.sum(grand, axis=1) - 0.5 * (grand[:, 0] + grand[:, -1]))
-        core += head * grand[:, 0]
-        core += foot * grand[:, -1]
-        tails = lo ** a / a * np.sum(sq * low, axis=1) ** (0.5 * p)
-        if high is not None:
-            tails += np.sum(sq * high, axis=1) ** (0.5 * p) * hi ** -b / b
-        return core + tails
+        grand = _grid_squares(sq, stacked)
+        g = grand[:, :n]
+        g **= half
+        total = du * (np.sum(g, axis=1) - 0.5 * (g[:, 0] + g[:, -1]))
+        for i, (ca, cb) in enumerate(coefs):
+            s0, s1 = grand[:, n + 2 * i], grand[:, n + 2 * i + 1]
+            total += s0 ** half * (ca + half * cb * s1 / s0)
+        return total
 
     return integrate
 
@@ -219,7 +248,7 @@ def _supremum(kernel, peaks: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     is interior; the value is g at the vertex of the parabola through log g
     at that maximum and its two neighbours, and never below the grid
     maximum."""
-    s, du = _log_grid(0.1 * np.min(peaks), 10.0 * np.max(peaks))
+    s, du = _log_grid(0.1 * np.min(peaks), 10.0 * np.max(peaks), _SUP_PER_DECADE)
     grid = kernel(s)
 
     def supremum(sq):
@@ -250,25 +279,34 @@ def _rule(op: MultiplierOperator, form: str, alpha: float, r: float,
             return (lam / np.add.outer(sigma, lam)) ** (2 * m) * (sigma ** (2.0 * alpha))[..., None]
 
         peaks = alpha * lam / (m - alpha)
-        # closed-form tails: below the spectrum the resolvent factors are 1 up
-        # to O(sigma/lambda_min), above it (lambda/sigma)^m up to O(lambda_max/sigma)
+        # the squared resolvent factors are 1 - 2 m sigma / lambda below the
+        # spectrum and (lambda / sigma)^{2m} (1 - 2 m lambda / sigma) above it,
+        # up to O(1e-10) at the window ends
         c = max(m * r, 1.0)
         window = (_TAIL_TOL * op.min_eigenvalue / c, op.max_eigenvalue * c / _TAIL_TOL)
-        slopes, ends = (alpha * r, (m - alpha) * r), (1.0, lam ** (2.0 * m))
+        # a sum of (lambda / (sigma + lambda))^{2m} over distinct eigenvalues
+        # has zeros nearer the real log-sigma axis as m grows, and g^r branches
+        # there: a node more per decade for each power past 2 holds 1e-13
+        per_decade = max(_PER_DECADE[form], m + 3)
+        slopes = (alpha * r, (m - alpha) * r)
+        ends = ((np.ones_like(lam), -2.0 * m / lam),
+                (lam ** (2.0 * m), -2.0 * m * lam ** (2.0 * m + 1)))
     else:
         def kernel(t):  # t^{2 (m - alpha)} ||A^m exp(-tA) e_k||^2
             tl = np.multiply.outer(t, lam)
             return lam ** (2.0 * alpha) * (tl ** (m - alpha) * np.exp(-tl)) ** 2
 
         peaks = (m - alpha) / lam
-        # below t_min the factors exp(-t lambda) are 1 up to O(t lambda_max);
-        # past 46 / lambda_min every term has decayed below exp(-46) ~ 1e-20
+        # below t_min the factors exp(-2 t lambda) are 1 - 2 t lambda up to
+        # O(1e-10); past 46 / lambda_min every term is below exp(-46) ~ 1e-20
         window = (_TAIL_TOL / (r * op.max_eigenvalue), 46.0 / op.min_eigenvalue)
-        slopes, ends = ((m - alpha) * r, 0.0), (lam ** (2.0 * m), None)
+        per_decade = _PER_DECADE[form]
+        slopes = ((m - alpha) * r, 0.0)
+        ends = ((lam ** (2.0 * m), -2.0 * lam ** (2.0 * m + 1)), None)
     if math.isinf(r):
         rule = _supremum(kernel, peaks)
     else:
-        integral = _power_integral(kernel, r, *window, slopes, ends)
+        integral = _power_integral(kernel, r, *window, per_decade, slopes, ends)
 
         def rule(sq):
             return integral(sq) ** (1.0 / r)
@@ -291,13 +329,29 @@ def by_rows(norm, values) -> np.ndarray:
     return out.reshape(values.shape[:-1])
 
 
+def scaled_squares(parts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The squares of real rows, shape (batch, k), each row first scaled by
+    the power of two 2^-e that brings its largest |entry| into [1/2, 1);
+    the factors 2^e; and which rows are live, not all 0.  The scaling is
+    exact, so a row's norm is the norm of its scaled squares times 2^e,
+    and no square underflows or overflows whatever the row's size.  A row
+    with a NaN is live and has NaN squares."""
+    # a maximum over short rows runs faster down the columns of the transpose
+    peak = np.max(np.abs(parts.T, order="C"), axis=0)
+    e = np.frexp(peak)[1]
+    scaled = np.ldexp(parts, -e[:, None])
+    scaled *= scaled
+    return scaled, np.ldexp(1.0, e), peak != 0
+
+
 def _batch_norm(op: MultiplierOperator, form: str, alpha: float, r: float,
                 values: np.ndarray, m: int | None) -> np.ndarray:
     """D_A(alpha, r) norms in either form of a batch of vectors, shape
     (..., dim) -> (...).  The rule depends on the operator alone, so a
     row's norm equals its norm computed alone, bitwise.  The rows go
-    through it by_rows; a row whose squares are all 0 has norm 0, and a
-    row with a NaN has norm NaN."""
+    through it by_rows, each scaled by a power of two before it is squared
+    (scaled_squares); a row of zeros has norm 0, and a row with a NaN has
+    norm NaN."""
     m = _order(alpha, m)
     if not r >= 1:
         raise ValueError(f"need r >= 1, got r={r}")
@@ -307,11 +361,13 @@ def _batch_norm(op: MultiplierOperator, form: str, alpha: float, r: float,
     norm = _rule(op, form, float(alpha), float(r), m)
 
     def live_norms(rows):
-        sq = np.abs(rows) ** 2
-        # == 0, not > 0: a NaN row is live; an underflowed row is a zero row
-        live = np.flatnonzero(~np.all(sq == 0, axis=1))
+        # |y_k|^2 as re^2 + im^2 of the scaled real and imaginary parts
+        parts, scale, live = scaled_squares(np.ascontiguousarray(rows).view(np.float64))
+        sq = parts[:, 0::2] + parts[:, 1::2]
+        if live.all():
+            return norm(sq) * scale
         out = np.zeros(rows.shape[0])
-        out[live] = norm(sq[live])
+        out[live] = norm(sq[live]) * scale[live]
         return out
 
     return by_rows(live_norms, vals)

@@ -45,7 +45,7 @@ import numpy as np
 
 from .dyadic import DyadicSystem
 from .grid import GridError, GridFunction, QuadratureMesh
-from .operators import MultiplierOperator, batch_interp_norm_resolvent, by_rows
+from .operators import MultiplierOperator, batch_interp_norm_resolvent, by_rows, scaled_squares
 
 __all__ = [
     "ScalarInner",
@@ -82,6 +82,14 @@ class ScalarInner:
         return "ScalarInner()"
 
 
+def _euclidean_norms(mags: np.ndarray) -> np.ndarray:
+    """Euclidean norms of rows of magnitudes, shape (batch, dim),
+    homogeneous from the smallest floats to the largest: see
+    operators.scaled_squares."""
+    sq, scale, _ = scaled_squares(mags)
+    return np.sqrt(np.sum(sq, axis=1)) * scale
+
+
 class EuclideanInner:
     """C^dim with the Euclidean norm (the base space of diagonal operators)."""
 
@@ -90,7 +98,7 @@ class EuclideanInner:
         self.key = ("euclidean", self.dim)
 
     def batch_norm(self, values: np.ndarray) -> np.ndarray:
-        return by_rows(lambda rows: np.sqrt(np.sum(np.abs(rows) ** 2, axis=-1)), values)
+        return by_rows(lambda rows: _euclidean_norms(np.abs(rows)), values)
 
     def __repr__(self):
         return f"EuclideanInner({self.dim})"
@@ -124,8 +132,7 @@ class WeightedEuclideanInner:
                                       * other.weights ** theta)
 
     def batch_norm(self, values: np.ndarray) -> np.ndarray:
-        return by_rows(lambda rows: np.sqrt(np.sum(np.abs(rows * self.weights) ** 2, axis=-1)),
-                        values)
+        return by_rows(lambda rows: _euclidean_norms(np.abs(rows * self.weights)), values)
 
     def __repr__(self):
         return f"WeightedEuclideanInner({np.array2string(self.weights, precision=6)})"

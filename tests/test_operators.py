@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -91,11 +92,11 @@ def test_semigroup_matches_closed_form_diagonal(diag, x6):
     assert got == pytest.approx(want, rel=1e-9)
 
 
-def _dense_resolvent_norm(op, alpha, p, x):
+def _dense_resolvent_norm(op, alpha, p, x, m=None):
     """The resolvent-form integral by adaptive quadrature in sigma, with
     the sigma^{alpha p - 1} singularity at 0 taken as a quadrature weight."""
     lam, sq = op.eigenvalues, np.abs(np.asarray(x)) ** 2
-    m = math.floor(alpha) + 1
+    m = m or math.floor(alpha) + 1
 
     def h(s):
         return np.sum(sq * (lam / (s + lam)) ** (2 * m)) ** (0.5 * p)
@@ -114,6 +115,26 @@ def test_small_exponent_window_stays_finite(diag, x6):
     got = interp_norm_resolvent(diag, 0.05, 1.0, x6)
     assert math.isfinite(got)
     assert got == pytest.approx(_dense_resolvent_norm(diag, 0.05, 1.0, x6), rel=1e-10)
+
+
+@pytest.mark.parametrize("r", [1.0, 1.5, 3.0])
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 0.6, 0.9, 1.7, 2.5])
+def test_resolvent_matches_dense_quadrature(diag, x6, alpha, r):
+    """Off the p = 2 closed forms, the sigma rule with its second-order
+    tails meets adaptive quadrature at orders m = 1, 2, 3."""
+    got = interp_norm_resolvent(diag, alpha, r, x6)
+    assert got == pytest.approx(_dense_resolvent_norm(diag, alpha, r, x6), rel=1e-11)
+
+
+@pytest.mark.parametrize("r", [1.0, 3.0])
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_resolvent_matches_dense_quadrature_at_high_powers(diag, x6, m, r):
+    """The powers (lambda / (sigma + lambda))^{2m} of distinct eigenvalues
+    sum to zero nearer the real log-sigma axis as m grows, so the sigma
+    rule takes more nodes per decade there; at 5 per decade m = 4 misses
+    by 1e-9."""
+    got = interp_norm_resolvent(diag, 0.6, r, x6, m)
+    assert got == pytest.approx(_dense_resolvent_norm(diag, 0.6, r, x6, m), rel=1e-11)
 
 
 @pytest.mark.parametrize("a", [0.25, 2.5, 16.0])
@@ -193,6 +214,30 @@ def test_batch_matches_single_vector(diag, x6, r, case):
         checked = (0, 2, edge - 1, edge, edge + 2, edge + 4, len(batch) - 1)
     for i in checked:
         assert got[i] == interp_norm_resolvent(op, 0.6, r, batch[i])
+
+
+def test_resolvent_power_must_be_an_integer(diag, x6):
+    """The power m is an int >= 1: a float, even a whole one, a bool or a
+    power below 1 is rejected, and a numpy integer is taken as its int."""
+    for bad in (1.5, 2.0, True, 0, -1):
+        with pytest.raises(ValueError, match="integer power m"):
+            interp_norm_resolvent(diag, 0.5, 2.0, x6, m=bad)
+        with pytest.raises(ValueError, match="integer power m"):
+            batch_interp_norm_resolvent(diag, 0.5, 1.0, x6[None, :], bad)
+    assert interp_norm_resolvent(diag, 0.5, 2.0, x6, m=np.int64(2)) == interp_norm_resolvent(
+        diag, 0.5, 2.0, x6, m=2)
+
+
+@pytest.mark.parametrize("c", [1e-300, 1e-150, 1e150, 1e300])
+@pytest.mark.parametrize("r", [1.0, 2.0, 3.0, math.inf])
+def test_norms_stay_homogeneous_near_the_float_limits(diag, x6, r, c):
+    """Each row is scaled by a power of two before it is squared, so no
+    square underflows to a zero row or overflows, in either form."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for norm in (interp_norm_resolvent, interp_norm_semigroup):
+            got = norm(diag, 0.6, r, c * x6)
+            assert got / (c * norm(diag, 0.6, r, x6)) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_batch_zero_rows(diag):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -332,6 +333,21 @@ def test_difference_seminorm_is_independent_of_cache_state(grid):
     for args, inner in calls:
         assert difference_seminorm(f, *args, inner=inner) == difference_seminorm(
             fresh(), *args, inner=inner)
+
+
+@pytest.mark.parametrize("c", [1e-300, 1e-160, 1e-150, 1e150, 1e160, 1e300])
+@pytest.mark.parametrize("inner", [
+    EuclideanInner(5), WeightedEuclideanInner([1.0, 0.5, 2.0, 3.0, 0.25]),
+], ids=["euclidean", "weighted"])
+def test_euclidean_norms_stay_homogeneous_near_the_float_limits(inner, c):
+    """The squares of each row are taken after a power-of-two scaling, so
+    they neither underflow nor overflow."""
+    rng = np.random.default_rng(9)
+    vals = rng.standard_normal((7, 5)) + 1j * rng.standard_normal((7, 5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = inner.batch_norm(c * vals)
+    np.testing.assert_allclose(got / (c * inner.batch_norm(vals)), 1.0, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("inner, norm", [
