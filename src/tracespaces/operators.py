@@ -329,19 +329,25 @@ def by_rows(norm, values) -> np.ndarray:
     return out.reshape(values.shape[:-1])
 
 
-def scaled_squares(parts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The squares of real rows, shape (batch, k), each row first scaled by
-    the power of two 2^-e that brings its largest |entry| into [1/2, 1);
-    the factors 2^e; and which rows are live, not all 0.  The scaling is
-    exact, so a row's norm is the norm of its scaled squares times 2^e,
-    and no square underflows or overflows whatever the row's size.  A row
-    with a NaN is live and has NaN squares."""
+def scaled_rows(parts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Real rows, shape (batch, k), each scaled by the power of two 2^-e
+    that brings its largest |entry| into [1/2, 1); the factors 2^e; and
+    which rows are live, not all 0.  The scaling is exact, so a row's norm
+    is the norm of its scaled row times 2^e.  Whatever the row's size, no
+    square or power of a scaled entry overflows, and only entries
+    negligible beside the largest underflow.  A row with a NaN is live and keeps its NaN.  A row
+    with an infinite entry and no NaN is its infinite entries, as 1, times
+    the factor inf."""
     # a maximum over short rows runs faster down the columns of the transpose
     peak = np.max(np.abs(parts.T, order="C"), axis=0)
     e = np.frexp(peak)[1]
     scaled = np.ldexp(parts, -e[:, None])
-    scaled *= scaled
-    return scaled, np.ldexp(1.0, e), peak != 0
+    scale = np.ldexp(1.0, e)
+    infinite = np.isinf(peak)
+    if infinite.any():
+        scaled[infinite] = np.isinf(scaled[infinite])
+        scale[infinite] = np.inf
+    return scaled, scale, peak != 0
 
 
 def _batch_norm(op: MultiplierOperator, form: str, alpha: float, r: float,
@@ -350,8 +356,8 @@ def _batch_norm(op: MultiplierOperator, form: str, alpha: float, r: float,
     (..., dim) -> (...).  The rule depends on the operator alone, so a
     row's norm equals its norm computed alone, bitwise.  The rows go
     through it by_rows, each scaled by a power of two before it is squared
-    (scaled_squares); a row of zeros has norm 0, and a row with a NaN has
-    norm NaN."""
+    (scaled_rows); a row of zeros has norm 0, a row with a NaN has norm
+    NaN, and any other row with an infinite component has norm inf."""
     m = _order(alpha, m)
     if not r >= 1:
         raise ValueError(f"need r >= 1, got r={r}")
@@ -362,7 +368,8 @@ def _batch_norm(op: MultiplierOperator, form: str, alpha: float, r: float,
 
     def live_norms(rows):
         # |y_k|^2 as re^2 + im^2 of the scaled real and imaginary parts
-        parts, scale, live = scaled_squares(np.ascontiguousarray(rows).view(np.float64))
+        parts, scale, live = scaled_rows(np.ascontiguousarray(rows).view(np.float64))
+        parts *= parts
         sq = parts[:, 0::2] + parts[:, 1::2]
         if live.all():
             return norm(sq) * scale

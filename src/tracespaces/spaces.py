@@ -45,10 +45,11 @@ import numpy as np
 
 from .dyadic import DyadicSystem
 from .grid import GridError, GridFunction, QuadratureMesh
-from .operators import MultiplierOperator, batch_interp_norm_resolvent, by_rows, scaled_squares
+from .operators import MultiplierOperator, batch_interp_norm_resolvent, by_rows, scaled_rows
 
 __all__ = [
     "ScalarInner",
+    "WeightedSequenceInner",
     "EuclideanInner",
     "WeightedEuclideanInner",
     "InterpNormInner",
@@ -66,6 +67,10 @@ __all__ = [
 # immutable and carries `dim`, `batch_norm` and a hashable `key` of its
 # exact defining values; cached norm magnitudes are keyed by it.
 # batch_norm maps values of shape (..., dim) to norms of shape (...).
+# One class, WeightedSequenceInner, computes every weighted ell^z norm:
+# the Euclidean, weighted Euclidean and sequence-Besov spaces are its
+# constructors.  ScalarInner is its dim-1 fast path, and InterpNormInner
+# takes its norms from `operators`.
 # ---------------------------------------------------------------------
 
 
@@ -82,60 +87,74 @@ class ScalarInner:
         return "ScalarInner()"
 
 
-def _euclidean_norms(mags: np.ndarray) -> np.ndarray:
-    """Euclidean norms of rows of magnitudes, shape (batch, dim),
-    homogeneous from the smallest floats to the largest: see
-    operators.scaled_squares."""
-    sq, scale, _ = scaled_squares(mags)
-    return np.sqrt(np.sum(sq, axis=1)) * scale
+class WeightedSequenceInner:
+    """C^dim with || (w_n a_n)_n ||_{ell^z} for finite positive component
+    weights w and z >= 1.  Each row of magnitudes |w_n a_n| is scaled by
+    the power of two of operators.scaled_rows, its ell^z taken, and the
+    scale multiplied back, so the norm is homogeneous from the smallest
+    floats to the largest.  At one z, the geometric mean of two weight
+    vectors gives the exact complex interpolation of the two norms."""
+
+    def __init__(self, weights, z: float = 2.0):
+        u = np.atleast_1d(np.asarray(weights, dtype=float))
+        if u.ndim != 1 or not np.all((u > 0) & np.isfinite(u)):
+            raise ValueError(f"component weights must be finite and positive, got {u}")
+        if not z >= 1:
+            raise ValueError(f"need z >= 1, got z={z}")
+        self.weights = u
+        self.weights.flags.writeable = False
+        self.z = float(z)
+        self.dim = u.size
+        self.key = ("weighted-sequence", tuple(u.tolist()), self.z)
+        self._unit = bool(np.all(u == 1.0))  # rows * 1 is rows: skip the product
+
+    def geometric_mix(self, other: "WeightedSequenceInner",
+                      theta: float) -> "WeightedSequenceInner":
+        if other.dim != self.dim or other.z != self.z:
+            raise ValueError("dimension or summability mismatch")
+        return WeightedSequenceInner(self.weights ** (1.0 - theta)
+                                     * other.weights ** theta, self.z)
+
+    def _norms(self, rows: np.ndarray) -> np.ndarray:
+        scaled, scale, _ = scaled_rows(np.abs(rows if self._unit else rows * self.weights))
+        return _lq_combine(scaled, self.z, axis=1) * scale
+
+    def batch_norm(self, values: np.ndarray) -> np.ndarray:
+        return by_rows(self._norms, values)
+
+    def __repr__(self):
+        return (f"WeightedSequenceInner({np.array2string(self.weights, precision=6)}, "
+                f"z={self.z})")
 
 
-class EuclideanInner:
+class EuclideanInner(WeightedSequenceInner):
     """C^dim with the Euclidean norm (the base space of diagonal operators)."""
 
     def __init__(self, dim: int):
-        self.dim = int(dim)
-        self.key = ("euclidean", self.dim)
+        super().__init__(np.ones(int(dim)))
 
-    def batch_norm(self, values: np.ndarray) -> np.ndarray:
-        return by_rows(lambda rows: _euclidean_norms(np.abs(rows)), values)
 
-    def __repr__(self):
-        return f"EuclideanInner({self.dim})"
+class WeightedEuclideanInner(WeightedSequenceInner):
+    """C^dim with ||diag(u) x||_2 for positive component weights u."""
+
+    def __init__(self, weights):
+        super().__init__(weights)
+
+
+class SequenceBesovInner(WeightedSequenceInner):
+    """Closed-form sequence model of an inner Besov space B^t_{r,z}: the
+    norm of (a_n)_{n=1..dim} is || (2^{t n} a_n)_n ||_{ell^z}.  The shared
+    profile factor that the integrability r would contribute is normalized
+    to 1, so the model does not depend on r."""
+
+    def __init__(self, smoothness: float, summability: float, dim: int = 8):
+        super().__init__(2.0 ** (smoothness * np.arange(1, int(dim) + 1)), summability)
 
 
 def default_inner(dim: int):
     """The inner space of a norm that names none: C for scalar values,
     Euclidean C^dim otherwise."""
     return ScalarInner() if dim == 1 else EuclideanInner(dim)
-
-
-class WeightedEuclideanInner:
-    """C^dim with ||diag(u) x||_2 for positive component weights u.  The
-    geometric mean of two weight vectors gives the exact complex
-    interpolation of the two norms."""
-
-    def __init__(self, weights):
-        u = np.atleast_1d(np.asarray(weights, dtype=float))
-        if u.ndim != 1 or not np.all((u > 0) & np.isfinite(u)):
-            raise ValueError("component weights must be finite and positive")
-        self.weights = u
-        self.weights.flags.writeable = False
-        self.dim = u.size
-        self.key = ("weighted-euclidean", tuple(u.tolist()))
-
-    def geometric_mix(self, other: "WeightedEuclideanInner",
-                      theta: float) -> "WeightedEuclideanInner":
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        return WeightedEuclideanInner(self.weights ** (1.0 - theta)
-                                      * other.weights ** theta)
-
-    def batch_norm(self, values: np.ndarray) -> np.ndarray:
-        return by_rows(lambda rows: _euclidean_norms(np.abs(rows * self.weights)), values)
-
-    def __repr__(self):
-        return f"WeightedEuclideanInner({np.array2string(self.weights, precision=6)})"
 
 
 class InterpNormInner:
@@ -157,30 +176,6 @@ class InterpNormInner:
 
     def __repr__(self):
         return f"InterpNormInner({self.op!r}, alpha={self.alpha}, r={self.r})"
-
-
-class SequenceBesovInner:
-    """Closed-form sequence model of an inner Besov space B^t_{r,z}: the
-    norm of (a_n)_{n=1..dim} is || (2^{t n} a_n)_n ||_{ell^z}.  The shared
-    profile factor that the integrability r would contribute is normalized
-    to 1, so the model does not depend on r."""
-
-    def __init__(self, smoothness: float, summability: float, dim: int = 8):
-        if not (math.isfinite(smoothness) and summability >= 1):
-            raise ValueError(f"need finite t and z >= 1, got t={smoothness}, z={summability}")
-        self.smoothness = float(smoothness)
-        self.summability = float(summability)
-        self.dim = int(dim)
-        self._weights = 2.0 ** (smoothness * np.arange(1, dim + 1))
-        self.key = ("sequence-besov", self.smoothness, self.summability, self.dim)
-
-    def batch_norm(self, values: np.ndarray) -> np.ndarray:
-        return by_rows(lambda rows: _lq_combine(np.abs(rows) * self._weights,
-                                                 self.summability, axis=-1), values)
-
-    def __repr__(self):
-        return (f"SequenceBesovInner(t={self.smoothness}, z={self.summability}, "
-                f"dim={self.dim})")
 
 
 # ---------------------------------------------------------------------

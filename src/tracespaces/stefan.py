@@ -43,10 +43,10 @@ from fractions import Fraction
 import numpy as np
 
 from .extension import ExtensionOperator
-from .grid import GridSpec, QuadratureMesh
+from .grid import GridSpec
 from .operators import MultiplierOperator
 from .spaces import SequenceBesovInner, SpaceSpec, space_norm, weighted_lp_norm
-from .trace import ORBIT_BAND, windowed_orbit
+from .trace import windowed_orbit
 
 __all__ = [
     "DegenerateCaseError",
@@ -185,8 +185,8 @@ def dt_boundedness_check(params: StefanParams, grid: GridSpec, seed: int = 7) ->
     the orbit then stays analytic far below the grid Nyquist frequency
     and its reflection joint at t = 0 is mild enough for the spectral
     time derivative to recover the trace datum accurately.  Like every
-    orbit norm, the derivative's is taken on the ORBIT_BAND mesh, with
-    the blocks of the grid.
+    orbit norm, the derivative's is taken on the orbit's mesh, with the
+    blocks of the grid.
     """
     conds = compatibility_conditions(params)
     if "dynamic" not in conds:
@@ -217,7 +217,7 @@ def dt_boundedness_check(params: StefanParams, grid: GridSpec, seed: int = 7) ->
     dt_trace = du.value_at_zero
     dt_err = float(np.linalg.norm(dt_trace - x1) / np.linalg.norm(x1))
 
-    mesh = QuadratureMesh.for_band(grid, ORBIT_BAND)
+    mesh = u.mesh
     inner_flat = SequenceBesovInner(0.0, q, dim=dim)
     inner_b = SequenceBesovInner(1.0 - 1.0 / q, q, dim=dim)
     s2 = 0.5 - 1.0 / (2.0 * q)

@@ -114,6 +114,12 @@ class OrbitFunction(GridFunction):
         tv.flags.writeable = False
         self.trace_value = tv
 
+    @property
+    def mesh(self) -> QuadratureMesh:
+        """The mesh of every norm of this orbit: the ORBIT_BAND mesh of its
+        grid, one shared object per grid."""
+        return QuadratureMesh.for_band(self.grid, ORBIT_BAND)
+
 
 def trace_at_zero(f: GridFunction) -> np.ndarray:
     """tr_0 f: the recorded datum for orbits, the synthesized value at
@@ -316,13 +322,12 @@ def trace_continuity_ratio(problem: TraceProblem, u: GridFunction,
                            kind: str = "F", r: float = 1.0) -> dict:
     """|| tr u ||_{D_A(theta, p or q)} over
     ||u||_{kind^{s+alpha}(X)} + ||u||_{kind^{s}(D_A(alpha, r))}, with the
-    blocks of u's grid.  An orbit is normed on the ORBIT_BAND mesh, any
-    other function on its own."""
+    blocks of u's grid.  An orbit is normed on its own mesh (`mesh`), any
+    other function on the mesh of its band."""
     x0 = trace_at_zero(u)
     num = interp_norm_resolvent(problem.op, problem.theta,
                                 problem.target_second_index(kind), x0)
-    mesh = (QuadratureMesh.for_band(u.grid, ORBIT_BAND)
-            if isinstance(u, OrbitFunction) else None)
+    mesh = u.mesh if isinstance(u, OrbitFunction) else None
     hi = SpaceSpec(kind, problem.s + problem.alpha, problem.p, problem.q, problem.gamma)
     lo = SpaceSpec(kind, problem.s, problem.p, problem.q, problem.gamma,
                    inner=InterpNormInner(problem.op, problem.alpha, r))
@@ -379,8 +384,7 @@ def semigroup_orbit_ratio(problem: TraceProblem, x, grid: GridSpec) -> dict:
     half = 0.5 * problem.alpha
     mixed = SpaceSpec("F", problem.s + half, problem.p, 1.0, problem.gamma,
                       inner=InterpNormInner(problem.op, half, 1.0))
-    mesh = QuadratureMesh.for_band(grid, ORBIT_BAND)
-    num = space_norm(u, outer, mesh=mesh) + space_norm(u, mixed, mesh=mesh)
+    num = space_norm(u, outer, mesh=u.mesh) + space_norm(u, mixed, mesh=u.mesh)
     den = interp_norm_resolvent(problem.op, problem.theta, problem.p,
                                 trace_at_zero(u))
     if den == 0.0:

@@ -315,6 +315,26 @@ def test_nan_vector_has_nan_norm(diag, x6, r):
 
 
 @pytest.mark.parametrize("r", [1.0, 1.5, 2.0, 3.0, math.inf])
+@pytest.mark.parametrize("form", ["resolvent", "semigroup"])
+def test_infinite_vector_has_infinite_norm(diag, x6, form, r):
+    """A row with an infinite component and no NaN has norm inf, in either
+    form and without a warning; a row that also holds a NaN stays NaN, and
+    the other rows of the batch keep their values."""
+    rows = np.zeros((5, 6), dtype=complex)
+    rows[0, 0] = math.inf
+    rows[1, :2] = (-math.inf, 1.0)
+    rows[2, 3] = complex(0.0, math.inf)
+    rows[3, :2] = (math.inf, math.nan)
+    rows[4] = x6
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = operators._batch_norm(diag, form, 0.6, r, rows, None)
+    np.testing.assert_array_equal(got[:3], math.inf)
+    assert math.isnan(got[3])
+    assert got[4] == operators._batch_norm(diag, form, 0.6, r, x6[None, :], None)[0]
+
+
+@pytest.mark.parametrize("r", [1.0, 1.5, 2.0, 3.0, math.inf])
 def test_kept_rule_matches_a_fresh_operator(x6, r):
     """In both forms the rule kept on an operator gives norms bitwise equal
     to a fresh operator with the same eigenvalues, for a batch and for

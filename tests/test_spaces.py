@@ -18,6 +18,7 @@ from tracespaces import (
     SequenceBesovInner,
     SpaceSpec,
     WeightedEuclideanInner,
+    WeightedSequenceInner,
     build_system,
     difference_seminorm,
     norm_equivalence_ratio,
@@ -166,6 +167,24 @@ def test_vector_inner_changes_norm(grid, system, mesh):
     doubled = space_norm(f, SpaceSpec("F", 0.5, 2.0, 2.0, 0.0, inner=inner),
                          system, mesh=mesh)
     assert doubled == pytest.approx(2.0 * plain, rel=1e-12)
+
+
+def test_inner_spaces_are_one_weighted_sequence_space():
+    """The Euclidean, weighted and sequence-Besov spaces are constructors of
+    one class: equal weights and z give one key and one norm."""
+    rng = np.random.default_rng(4)
+    vals = rng.standard_normal((9, 3)) + 1j * rng.standard_normal((9, 3))
+    same = (EuclideanInner(3), WeightedEuclideanInner([1.0, 1.0, 1.0]),
+            SequenceBesovInner(0.0, 2.0, dim=3), WeightedSequenceInner(np.ones(3), 2.0))
+    for inner in same:
+        assert isinstance(inner, WeightedSequenceInner)
+        assert inner.key == same[0].key
+        np.testing.assert_array_equal(inner.batch_norm(vals), same[0].batch_norm(vals))
+    besov = SequenceBesovInner(0.5, 3.0, dim=3)
+    np.testing.assert_array_equal(besov.weights, 2.0 ** (0.5 * np.arange(1, 4)))
+    assert besov.z == 3.0
+    with pytest.raises(ValueError):
+        besov.geometric_mix(WeightedEuclideanInner([1.0, 2.0, 3.0]), 0.5)  # z differs
 
 
 def test_sequence_besov_inner_closed_form():
@@ -338,10 +357,11 @@ def test_difference_seminorm_is_independent_of_cache_state(grid):
 @pytest.mark.parametrize("c", [1e-300, 1e-160, 1e-150, 1e150, 1e160, 1e300])
 @pytest.mark.parametrize("inner", [
     EuclideanInner(5), WeightedEuclideanInner([1.0, 0.5, 2.0, 3.0, 0.25]),
-], ids=["euclidean", "weighted"])
+    *(SequenceBesovInner(0.5, z, dim=5) for z in (1.0, 2.0, 3.0, 8.0, math.inf)),
+], ids=["euclidean", "weighted", "besov-z1", "besov-z2", "besov-z3", "besov-z8", "besov-zinf"])
 def test_euclidean_norms_stay_homogeneous_near_the_float_limits(inner, c):
-    """The squares of each row are taken after a power-of-two scaling, so
-    they neither underflow nor overflow."""
+    """Each row is scaled by a power of two before its squares or z-th
+    powers are taken, so they neither underflow nor overflow."""
     rng = np.random.default_rng(9)
     vals = rng.standard_normal((7, 5)) + 1j * rng.standard_normal((7, 5))
     with warnings.catch_warnings():
@@ -350,16 +370,24 @@ def test_euclidean_norms_stay_homogeneous_near_the_float_limits(inner, c):
     np.testing.assert_allclose(got / (c * inner.batch_norm(vals)), 1.0, rtol=0, atol=1e-13)
 
 
+def _row_scaled_lz(mags, z):
+    """The ell^z norms of rows of magnitudes, each row scaled by the power
+    of two that brings its largest entry into [1/2, 1) and scaled back."""
+    e = np.frexp(np.max(mags, axis=-1))[1]
+    return np.sum(np.ldexp(mags, -e[..., None]) ** z, axis=-1) ** (1 / z) * np.ldexp(1.0, e)
+
+
 @pytest.mark.parametrize("inner, norm", [
     (EuclideanInner(5), lambda v: np.sqrt(np.sum(np.abs(v) ** 2, axis=-1))),
     (WeightedEuclideanInner([1.0, 0.5, 2.0, 3.0, 0.25]),
      lambda v: np.sqrt(np.sum(np.abs(v * [1.0, 0.5, 2.0, 3.0, 0.25]) ** 2, axis=-1))),
-    (SequenceBesovInner(0.5, 3.0, dim=5),
-     lambda v: np.sum((np.abs(v) * 2.0 ** (0.5 * np.arange(1, 6))) ** 3.0, axis=-1) ** (1 / 3)),
+    (SequenceBesovInner(0.5, 3.0, dim=5), lambda v: _row_scaled_lz(
+        np.abs(v * 2.0 ** (0.5 * np.arange(1, 6))), 3.0)),
 ], ids=["euclidean", "weighted", "sequence-besov"])
 def test_inner_batch_norms_do_not_depend_on_chunking(inner, norm):
     """batch_norm takes its rows in chunks; over more rows than one chunk it
-    equals the same formula over the whole bank, bit for bit."""
+    equals the same formula over the whole bank, bit for bit.  At z = 2 that
+    is the plain Euclidean formula, since the row scaling is exact."""
     rng = np.random.default_rng(3)
     vals = rng.standard_normal((2100, 3, 5)) + 1j * rng.standard_normal((2100, 3, 5))
     got = inner.batch_norm(vals)

@@ -186,8 +186,9 @@ def test_right_inverse_ratio_inverts_the_orbit_continuity_ratio(grid, diag):
     got = right_inverse_check(problem, x, grid)
     cont = trace_continuity_ratio(problem, got["orbit"], "F", 1.0)
     assert got["ratio"] == cont["denominator"] / cont["numerator"]
-    # an orbit is normed on the orbit mesh
+    # an orbit is normed on its mesh, the one shared ORBIT_BAND mesh of its grid
     mesh = QuadratureMesh.for_band(grid, ORBIT_BAND)
+    assert got["orbit"].mesh is mesh
     hi = SpaceSpec("F", 1.0 - 0.2, 2.0, 2.0, 0.5)
     lo = SpaceSpec("F", -0.2, 2.0, 2.0, 0.5, inner=InterpNormInner(diag, 1.0, 1.0))
     assert cont["denominator"] == (space_norm(got["orbit"], hi, mesh=mesh)
