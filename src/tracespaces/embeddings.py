@@ -41,7 +41,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .spaces import SpaceSpec, WeightedEuclideanInner, _lq_combine, space_norm
+from .spaces import SpaceSpec, WeightedSequenceInner, _lq_combine, space_norm
 
 __all__ = [
     "EMBEDDING_EXAMPLE_PAIRS",
@@ -194,12 +194,13 @@ class MixedDerivativeParams:
                          float(self.q1), float(self.gamma1), inner=inner)
 
 
-def diagonal_holder_constant(inner0: WeightedEuclideanInner,
-                             inner1: WeightedEuclideanInner,
-                             inner_theta: WeightedEuclideanInner,
+def diagonal_holder_constant(inner0: WeightedSequenceInner,
+                             inner1: WeightedSequenceInner,
+                             inner_theta: WeightedSequenceInner,
                              theta: float) -> float:
     """Smallest C with ||x||_theta <= C ||x||_0^{1-theta} ||x||_1^{theta}
-    over x != 0, for three diagonal weights.
+    over x != 0, for three diagonal weights of weighted Euclidean (z = 2)
+    inner spaces; another z is a ValueError.
 
     In squared-magnitude coordinates the ratio is linear over a geometric
     mean of two linear forms; a stationary point on the simplex pins the
@@ -208,6 +209,8 @@ def diagonal_holder_constant(inner0: WeightedEuclideanInner,
     Candidates: all axes exactly, all coordinate pairs on an 801-point
     segment grid.
     """
+    if not inner0.z == inner1.z == inner_theta.z == 2.0:
+        raise ValueError("the Hölder constant is computed for z = 2 only")
     a = inner_theta.weights ** 2
     b = inner0.weights ** 2
     c = inner1.weights ** 2

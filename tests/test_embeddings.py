@@ -9,6 +9,7 @@ from tracespaces import (
     EMBEDDING_EXAMPLE_PAIRS,
     GridFunction,
     MixedDerivativeParams,
+    SequenceBesovInner,
     SpaceSpec,
     WeightedEuclideanInner,
     bf_sandwich_check,
@@ -142,6 +143,8 @@ def test_holder_constant_geometric_mix_is_one():
     w1 = WeightedEuclideanInner([0.3, 1.0, 0.7])
     got = diagonal_holder_constant(w0, w1, w0.geometric_mix(w1, 0.5), 0.5)
     assert got == pytest.approx(1.0, abs=1e-9)
+    with pytest.raises(ValueError, match="z = 2"):  # the squared-magnitude form needs z = 2
+        diagonal_holder_constant(w0, w1, SequenceBesovInner(0.5, 3.0, dim=3), 0.5)
 
 
 def test_holder_constant_matches_brute_force():
