@@ -151,9 +151,11 @@ class SequenceBesovInner(WeightedSequenceInner):
         super().__init__(2.0 ** (smoothness * np.arange(1, int(dim) + 1)), summability)
 
 
+@functools.lru_cache(maxsize=None)
 def default_inner(dim: int):
     """The inner space of a norm that names none: C for scalar values,
-    Euclidean C^dim otherwise."""
+    Euclidean C^dim otherwise; inner spaces are immutable, so one per dim
+    serves every norm."""
     return ScalarInner() if dim == 1 else EuclideanInner(dim)
 
 
