@@ -137,9 +137,10 @@ class SuiteConfig:
                dim: int = 1) -> Iterator[GridFunction]:
         """Seeded band-limited test functions on the config's grid on
         |xi| <= band, capped at the largest representable frequency, drawn
-        one at a time, so a function a caller does not keep is dropped with
-        its caches; the stream index separates the draws of different
-        suites."""
+        one at a time; the stream index separates the draws of different
+        suites.  Every suite iterates its family once and takes each draw
+        through all of its cases before the next, so a draw and its caches
+        are dropped once the next is drawn: at most two are alive."""
         grid = self.grid()
         band = min(band, grid.nyquist - grid.fundamental)
         for i in range(count):
@@ -236,45 +237,47 @@ def diffnorm_windows(config: SuiteConfig) -> list[tuple[float, float]]:
     return [(min(col), max(col)) for col in zip(*ratios)]
 
 
-def run_norms(config: SuiteConfig) -> VerificationReport:
-    family = list(config.family(24.0, config.family_size, stream=1))
-    cases = []
-
-    for s, p, g in _BF_DIAGONAL_PARAMS:
-        rel = 0.0
-        for f in family:
+def _family_norm_cases(config: SuiteConfig) -> list[CaseRecord]:
+    """The B/F diagonal, q-monotonicity and sandwich cases over the band-24
+    family, each draw taken through all of them before the next; the last
+    draw goes when this returns."""
+    qs = (1.0, 2.0, math.inf)
+    diagonal = [0.0] * len(_BF_DIAGONAL_PARAMS)
+    qmono = {(kind, pair): 0.0 for kind in ("B", "F") for pair in _QMONO_PAIRS}
+    sandwich = 0.0
+    hw = {(kind, side): 0.0 for kind in ("h", "w") for side in ("in", "out")}
+    hw_specs = (("h", SpaceSpec("H", 0.5, 2.0, gamma=0.3)),
+                ("w", SpaceSpec("W", 1.0, 2.0, gamma=0.3)))
+    for i, f in enumerate(config.family(24.0, config.family_size, stream=1)):
+        for j, (s, p, g) in enumerate(_BF_DIAGONAL_PARAMS):
             b = space_norm(f, SpaceSpec("B", s, p, p, g))
             fn = space_norm(f, SpaceSpec("F", s, p, p, g))
-            rel = max(rel, abs(b - fn) / max(b, fn))
-        cases.append(CaseRecord(f"bf_diagonal_s{s:g}_p{p:g}_g{g:g}", rel, 1e-8))
-
-    qs = (1.0, 2.0, math.inf)
-    for kind in ("B", "F"):
-        norms = [dict(zip(qs, q_monotonicity_check(f, kind, 0.5, 2.0, 0.3, qs)["norms"]))
-                 for f in family]
-        for q0, q1 in _QMONO_PAIRS:
-            ratio = max(n[q1] / n[q0] for n in norms)
-            cases.append(CaseRecord(f"qmono_{kind}_q{q0:g}_to_q{q1:g}", ratio,
-                                    1.0 + 1e-12))
-
-    worst = 0.0
-    for f in family:
+            diagonal[j] = max(diagonal[j], abs(b - fn) / max(b, fn))
+        for kind in ("B", "F"):
+            n = dict(zip(qs, q_monotonicity_check(f, kind, 0.5, 2.0, 0.3, qs)["norms"]))
+            for q0, q1 in _QMONO_PAIRS:
+                qmono[kind, (q0, q1)] = max(qmono[kind, (q0, q1)], n[q1] / n[q0])
         got = bf_sandwich_check(f, 0.5, 2.0, 1.5, 0.3)
-        worst = max(worst, got["f_norm"] / got["b_small_q"],
-                    got["b_large_q"] / got["f_norm"])
-    cases.append(CaseRecord("bf_sandwich_max_ratio", worst, 1.0 + 1e-12))
+        sandwich = max(sandwich, got["f_norm"] / got["b_small_q"],
+                       got["b_large_q"] / got["f_norm"])
+        if i < 8:
+            for kind, spec in hw_specs:
+                got = sandwich_ratios(f, spec)
+                for side in ("in", "out"):
+                    hw[kind, side] = max(hw[kind, side], got[f"ratio_{side}"])
 
-    h_in = h_out = w_in = w_out = 0.0
-    for f in family[:8]:
-        hs = sandwich_ratios(f, SpaceSpec("H", 0.5, 2.0, gamma=0.3))
-        ws = sandwich_ratios(f, SpaceSpec("W", 1.0, 2.0, gamma=0.3))
-        h_in, h_out = max(h_in, hs["ratio_in"]), max(h_out, hs["ratio_out"])
-        w_in, w_out = max(w_in, ws["ratio_in"]), max(w_out, ws["ratio_out"])
-    cases.append(CaseRecord("h_sandwich_in", h_in, compare="baseline"))
-    cases.append(CaseRecord("h_sandwich_out", h_out, compare="baseline"))
-    cases.append(CaseRecord("w_sandwich_in", w_in, compare="baseline"))
-    cases.append(CaseRecord("w_sandwich_out", w_out, compare="baseline"))
+    cases = [CaseRecord(f"bf_diagonal_s{s:g}_p{p:g}_g{g:g}", rel, 1e-8)
+             for (s, p, g), rel in zip(_BF_DIAGONAL_PARAMS, diagonal)]
+    cases += [CaseRecord(f"qmono_{kind}_q{q0:g}_to_q{q1:g}", ratio, 1.0 + 1e-12)
+              for (kind, (q0, q1)), ratio in qmono.items()]
+    cases.append(CaseRecord("bf_sandwich_max_ratio", sandwich, 1.0 + 1e-12))
+    cases += [CaseRecord(f"{kind}_sandwich_{side}", worst, compare="baseline")
+              for (kind, side), worst in hw.items()]
+    return cases
 
+
+def run_norms(config: SuiteConfig) -> VerificationReport:
+    cases = _family_norm_cases(config)
     for (s, p, q, gamma, m), (lo, hi) in zip(_DIFFNORM_PARAMS, diffnorm_windows(config)):
         tag = f"s{s:g}_q{q:g}_g{gamma:g}_m{m}"
         cases.append(CaseRecord(f"diffnorm_hi_{tag}", hi, compare="baseline"))
@@ -488,13 +491,14 @@ def run_trace_b(config: SuiteConfig, store: dict) -> VerificationReport:
 
 
 def run_sobolev(config: SuiteConfig) -> VerificationReport:
-    family = list(config.family(24.0, 12, stream=50))
-    cases = []
-    for i, (src, dst) in enumerate(EMBEDDING_EXAMPLE_PAIRS):
+    for src, dst in EMBEDDING_EXAMPLE_PAIRS:
         validate_embedding_pair(src, dst)
-        worst = max(sobolev_embed_ratio(f, src, dst)["ratio"]
-                    for f in family)
-        cases.append(CaseRecord(f"embed_ratio_pair{i}", worst, compare="baseline"))
+    worst = [0.0] * len(EMBEDDING_EXAMPLE_PAIRS)
+    for f in config.family(24.0, 12, stream=50):
+        for i, (src, dst) in enumerate(EMBEDDING_EXAMPLE_PAIRS):
+            worst[i] = max(worst[i], sobolev_embed_ratio(f, src, dst)["ratio"])
+    cases = [CaseRecord(f"embed_ratio_pair{i}", ratio, compare="baseline")
+             for i, ratio in enumerate(worst)]
 
     off_line = _refusal(lambda: validate_embedding_pair(SpaceSpec("F", 1.0, 2.0, 2.0, 0.0),
                                                         SpaceSpec("F", 0.5, 2.0, 2.0, 0.0)),
@@ -508,6 +512,17 @@ def run_sobolev(config: SuiteConfig) -> VerificationReport:
 # ---------------------------------------------------------------------
 
 
+def _family_worst(fns, checks) -> list[float]:
+    """The largest lhs / rhs of each (params, inners) mixed-derivative check
+    over the draws fns, each draw taken through every check in turn."""
+    worst = [0.0] * len(checks)
+    for f in fns:
+        for i, (params, inners) in enumerate(checks):
+            got = mixed_derivative_check(f, params, inners)
+            worst[i] = max(worst[i], got["lhs"] / got["rhs"])
+    return worst
+
+
 def run_mixed(config: SuiteConfig) -> VerificationReport:
     grid = config.grid()
     theta = Fraction(1, 2)
@@ -517,53 +532,49 @@ def run_mixed(config: SuiteConfig) -> VerificationReport:
                                      gamma1=Fraction(3, 10), **shared)
     params_b = MixedDerivativeParams("B", gamma0=Fraction(3, 10),
                                      gamma1=Fraction(3, 10), **shared)
+    params_x = MixedDerivativeParams("F", gamma0=Fraction(0),
+                                     gamma1=Fraction(3, 4), **shared)
     one = WeightedEuclideanInner([1.0])
     scalar = (one, one, one)
     cases = []
 
     # single plateau modes: one active block, so the chain collapses to an
-    # identity and both sides agree to rounding.  Each mode is floored onto
-    # the lattice of multiples of 1/(2L), which keeps it on its block's
-    # plateau (|xi| <= 1 for block 0, 1.5 * 2^(k-1) <= |xi| <= 2^k for block k)
+    # identity and both sides agree to rounding.  Each mode is capped below
+    # Nyquist, as the families are, and floored onto the lattice of
+    # multiples of 1/(2L), which keeps it on its block's plateau (|xi| <= 1
+    # for block 0, 1.5 * 2^(k-1) <= |xi| <= 2^k for block k) unless the cap
+    # takes it below; such a mode is dropped
+    dyadic = DyadicSystem.for_grid(grid)
+    top = grid.nyquist - grid.fundamental
     dev = 0.0
     for xi in (1.0, 2.0, 4.0):
-        xi = math.floor(xi / grid.fundamental + 1e-9) * grid.fundamental
+        xi = math.floor(min(xi, top) / grid.fundamental + 1e-9) * grid.fundamental
+        if np.max(dyadic.symbols([xi])) < 1.0:
+            continue
         f = GridFunction.from_coeff_map(grid, {xi: [1.2 + 0.7j]})
         got = mixed_derivative_check(f, params_f, scalar)
         dev = max(dev, abs(got["lhs"] / got["rhs"] - 1.0))
     cases.append(CaseRecord("single_mode_equality", dev, 1e-12))
 
-    def family_worst(fns, params, inners):
-        out = 0.0
-        for f in fns:
-            got = mixed_derivative_check(f, params, inners)
-            out = max(out, got["lhs"] / got["rhs"])
-        return out
-
-    family = list(config.family(16.0, 12, stream=60))
-    for kind, params in (("F", params_f), ("B", params_b)):
-        cases.append(CaseRecord(f"scalar_family_{kind}_unit_constant",
-                                family_worst(family, params, scalar), 1.0 + 1e-9))
+    unit_f, unit_b, crossweight = _family_worst(
+        config.family(16.0, 12, stream=60),
+        ((params_f, scalar), (params_b, scalar), (params_x, scalar)))
+    cases.append(CaseRecord("scalar_family_F_unit_constant", unit_f, 1.0 + 1e-9))
+    cases.append(CaseRecord("scalar_family_B_unit_constant", unit_b, 1.0 + 1e-9))
 
     inner0 = WeightedEuclideanInner([1.0, 0.6, 0.25])
     inner1 = WeightedEuclideanInner([0.4, 1.0, 0.7])
-    fam3 = list(config.family(16.0, 12, stream=61, dim=3))
-
     computed = (inner0, inner1, WeightedEuclideanInner([0.8, 0.75, 0.5]))
-    cases.append(CaseRecord("diagonal_family_computed_constant",
-                            family_worst(fam3, params_f, computed), 1.0 + 1e-9))
+    geometric = (inner0, inner1, inner0.geometric_mix(inner1, float(theta)))
+    computed_worst, geometric_worst = _family_worst(
+        config.family(16.0, 12, stream=61, dim=3),
+        ((params_f, computed), (params_f, geometric)))
+    cases.append(CaseRecord("diagonal_family_computed_constant", computed_worst, 1.0 + 1e-9))
     cases.append(CaseRecord("diagonal_holder_constant",
                             diagonal_holder_constant(*computed, float(theta)),
                             compare="info"))
-
-    geometric = (inner0, inner1, inner0.geometric_mix(inner1, float(theta)))
-    cases.append(CaseRecord("diagonal_family_geometric_mean",
-                            family_worst(fam3, params_f, geometric), 1.0 + 1e-9))
-
-    params_x = MixedDerivativeParams("F", gamma0=Fraction(0),
-                                     gamma1=Fraction(3, 4), **shared)
-    cases.append(CaseRecord("crossweight_family",
-                            family_worst(family, params_x, scalar), 1.0 + 1e-6))
+    cases.append(CaseRecord("diagonal_family_geometric_mean", geometric_worst, 1.0 + 1e-9))
+    cases.append(CaseRecord("crossweight_family", crossweight, 1.0 + 1e-6))
 
     return _report(config, "mixed", cases)
 

@@ -26,6 +26,7 @@ from tracespaces import (
     space_norm,
     weighted_lp_norm,
 )
+from tracespaces import spaces as spaces_module
 
 
 @pytest.fixture(scope="module")
@@ -393,3 +394,57 @@ def test_inner_batch_norms_do_not_depend_on_chunking(inner, norm):
     got = inner.batch_norm(vals)
     assert got.shape == (2100, 3)
     np.testing.assert_array_equal(got, norm(vals))
+
+
+def test_seminorm_blocks_stay_within_the_budget(monkeypatch):
+    """At L = 20 the seminorm's Delta-bank spans 1597 columns of 11521
+    nodes (281 MiB at once); it is synthesized in blocks of at most
+    _BLOCK_BYTES of node values."""
+    f = random_band_limited(GridSpec(20.0, 2048), (-8.0, 8.0), seed=3)
+    blocks = []
+    synthesize = QuadratureMesh.synthesize
+
+    def recorded(mesh, grid, active, coeffs):
+        out = synthesize(mesh, grid, active, coeffs)
+        blocks.append(out.nbytes)
+        return out
+
+    monkeypatch.setattr(QuadratureMesh, "synthesize", recorded)
+    assert math.isfinite(difference_seminorm(f, 1.5, 2.0, 1.0, 0.0, m=2))
+    assert len(blocks) > 1
+    assert max(blocks) <= spaces_module._BLOCK_BYTES
+
+
+def test_chunked_seminorm_matches_one_block(grid, monkeypatch):
+    """Synthesized in blocks of 64 KiB, three h-nodes each, the seminorm
+    agrees with its one-block value to rounding."""
+    def seminorms():
+        f = random_band_limited(grid, (-8.0, 8.0), seed=5)
+        return np.array([difference_seminorm(f, s, p, q, gamma, m)
+                         for s, p, q, gamma, m in ((0.5, 2.0, 1.0, 0.0, 1),
+                                                   (1.5, 2.0, math.inf, 0.5, 2))])
+
+    whole = seminorms()
+    monkeypatch.setattr(spaces_module, "_BLOCK_BYTES", 2 ** 16)
+    spaces_module._delta_bank.cache_clear()  # banks built under the small budget keep no factors
+    try:
+        chunked = seminorms()
+    finally:
+        spaces_module._delta_bank.cache_clear()
+    np.testing.assert_allclose(chunked, whole, rtol=1e-14, atol=0.0)
+
+
+def test_functions_on_one_active_set_share_the_seminorm_bank(grid):
+    """Two draws on one band share one Delta-bank, and each one's
+    seminorm is bitwise the same whichever of them is normed first."""
+    def draws():
+        return [random_band_limited(grid, (-8.0, 8.0), seed=seed) for seed in (21, 22)]
+
+    args = (0.5, 2.0, 2.0, 0.5, 1)
+    spaces_module._delta_bank.cache_clear()
+    first = [difference_seminorm(f, *args) for f in draws()]
+    assert spaces_module._delta_bank.cache_info().misses == 1
+    spaces_module._delta_bank.cache_clear()
+    second = [difference_seminorm(f, *args) for f in draws()[::-1]][::-1]
+    assert first == second
+    assert first[0] != first[1]

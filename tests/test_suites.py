@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -237,3 +238,37 @@ def test_upper_gamma_ratio_closed_forms_match_scipy(a):
     xs = np.geomspace(1e-3, 700.0, 241)
     got = np.array([_UPPER_GAMMA_RATIO[a](float(x)) for x in xs])
     np.testing.assert_allclose(got, gammaincc(a, xs), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("half_width, n_samples", [(4.0, 64), (20.0, 256), (40.0, 256)])
+def test_mixed_caps_its_single_modes_below_nyquist(half_width, n_samples):
+    """Where N <= 16 L the single modes 1, 2 and 4 reach Nyquist; each is
+    capped below it, as the families are, and kept while the cap leaves it
+    on its block's plateau.  At L = 40, N = 256 the mode 4 is capped to
+    1.5875, off block 2's plateau, and dropped."""
+    report = run_suite("mixed", SuiteConfig(half_width=half_width, n_samples=n_samples,
+                                            family_size=2))
+    assert len(report.cases) == 7
+    assert [c.case_id for c in report.cases if c.compare == "bound" and not c.passed] == []
+
+
+@pytest.mark.parametrize("suite", ["norms", "mixed", "sobolev"])
+def test_suites_hold_one_family_draw_at_a_time(suite, monkeypatch):
+    """Each draw goes through every case that uses it before the next is
+    drawn, so at most two draws are alive: the current one and the one
+    being drawn."""
+    live = weakref.WeakSet()
+    counts = []
+    draw = suites_module.random_band_limited
+
+    def counted(*args, **kwargs):
+        f = draw(*args, **kwargs)
+        live.add(f)
+        counts.append(len(live))
+        return f
+
+    monkeypatch.setattr(suites_module, "random_band_limited", counted)
+    report = run_suite(suite, SuiteConfig(family_size=4))
+    assert [c.case_id for c in report.cases if c.case_id == "error"] == []
+    assert len(counts) >= 8
+    assert max(counts) <= 2
