@@ -30,10 +30,10 @@ with the analytic t -> 0 tail appended from Delta^m_h f ~ h^m f^(m), so the
 computed value is stable under halving t_min.  Every q takes one h-rule:
 Gauss-Legendre cells [0, t_0], [t_0, t_1], ... between the scales, sized
 by the band, whose running sums give int_{|h|<=t} ||Delta^m_h f|| dh at
-every scale at once.  The h-rule and the multipliers of f^(m) and of
-every Delta^m_h f hold no coefficients: they form one Delta-bank per
-(grid, active set, m), which every function on that set shares, and the
-bank's columns are synthesized in chunks of a fixed byte budget, so the
+every scale at once.  The h-rule and the multiplier of f^(m) hold no
+coefficients: they form one Delta-bank per (grid, active set, m), which
+every function on that set shares.  The multipliers of Delta^m_h f are
+built and synthesized in chunks of h-nodes of a fixed byte budget, so the
 memory grows with the mesh, not with mesh x h-nodes.  Those averages and
 ||f^(m)|| at the nodes, free of s, p, q and gamma, are cached on f per
 (m, mesh, inner space), so every other parameter set on the same function
@@ -330,11 +330,11 @@ def weighted_lp_norm(f: GridFunction, p: float, gamma: float,
 
 _N_SCALES = 60  # geometric scale grid t_0 = L/N < ... < t_59 = 2L
 
-# The largest block of node values one synthesis of the Delta-bank writes,
+# The largest block of node values one synthesis of the seminorm writes,
 # in bytes: its h-columns go through `synthesize` in chunks of this size,
 # so the seminorm's memory grows with nodes x chunk, not nodes x h-nodes.
-# 4 MiB holds the pinned config's whole bank (577 nodes x 399 columns,
-# 3.5 MiB) in one chunk; a chunk holds at least one h-node.
+# 4 MiB holds the pinned config's whole set of columns (577 nodes x 399
+# columns, 3.5 MiB) in one chunk; a chunk holds at least one h-node.
 _BLOCK_BYTES = 4 * 2**20
 
 
@@ -358,37 +358,24 @@ def _h_rule(t: np.ndarray, rate: float) -> tuple[np.ndarray, np.ndarray]:
     return h, np.where(cell[:, None] <= np.arange(t.size), (half * w)[:, None], 0.0)
 
 
+def _scales(grid: GridSpec) -> np.ndarray:
+    L = grid.half_width
+    return np.geomspace(L / grid.n_samples, 2.0 * L, _N_SCALES)
+
+
 class _DeltaBank:
-    """The multipliers of the difference seminorm of order m on one active
-    set of a grid: the scales t, the h-rule with its cumulative weights,
-    the derivative factor (2 pi i xi)^m and the difference factors
-    (exp(+-2 pi i xi h) - 1)^m.  They hold no coefficients, so every
-    function on the set shares one bank.  The difference factors are kept
-    when both fit in _BLOCK_BYTES and built per chunk otherwise; the values
-    are the same either way."""
+    """The coefficient-free part of the difference seminorm of order m on
+    one active set of a grid: the frequencies xi, the scales t, the h-rule
+    with its cumulative weights and the derivative factor (2 pi i xi)^m.
+    Every function on the set shares one bank."""
 
     def __init__(self, grid: GridSpec, active: np.ndarray, m: int):
-        L = grid.half_width
-        self.t = np.geomspace(L / grid.n_samples, 2.0 * L, _N_SCALES)
-        self._xi = grid.frequencies()[active]
-        self._m = m
+        self.t = _scales(grid)
+        self.xi = grid.frequencies()[active]
+        self.m = m
         # ||Delta^m_h f(x)|| oscillates in h at most at 2 m band
-        self.h, self.cum = _h_rule(self.t, m * float(np.max(np.abs(self._xi), initial=0.0)))
-        self.derivative = (2j * np.pi * self._xi) ** m
-        fits = 2 * 16 * self._xi.size * self.h.size <= _BLOCK_BYTES
-        self._kept = self._differences(slice(None)) if fits else None
-
-    def _differences(self, cols: slice) -> tuple[np.ndarray, np.ndarray]:
-        h = self.h[cols]
-        return tuple((np.exp(2j * np.pi * np.multiply.outer(self._xi, step)) - 1.0) ** self._m
-                     for step in (h, -h))
-
-    def differences(self, cols: slice) -> tuple[np.ndarray, np.ndarray]:
-        """The (+h, -h) difference factors, (active, len) each, on the
-        h-nodes cols."""
-        if self._kept is None:
-            return self._differences(cols)
-        return tuple(d[:, cols] for d in self._kept)
+        self.h, self.cum = _h_rule(self.t, m * float(np.max(np.abs(self.xi), initial=0.0)))
+        self.derivative = (2j * np.pi * self.xi) ** m
 
 
 # a function's two orders (m = 1 and 2 in the norms suite) share the draw's
@@ -398,25 +385,27 @@ def _delta_bank(grid: GridSpec, active: bytes, m: int) -> _DeltaBank:
     return _DeltaBank(grid, np.frombuffer(active, dtype=np.intp), m)
 
 
-def _delta_averages(f: GridFunction, bank: _DeltaBank, mesh: QuadratureMesh,
-                    inner) -> np.ndarray:
+def _delta_averages(f: GridFunction, m: int, mesh: QuadratureMesh, inner) -> np.ndarray:
     """(nodes, 1 + scales) array: column 0 is ||f^(m)||, column j + 1
-    int_{|h|<=t_j} ||Delta^m_h f|| dh.  The bank's columns are synthesized
-    in chunks of at most _BLOCK_BYTES of node values, the first with the
-    derivative column, and each chunk's h-integrals are added into the
-    averages."""
+    int_{|h|<=t_j} ||Delta^m_h f|| dh.  The difference factors
+    (exp(+-2 pi i xi h) - 1)^m are built and synthesized in chunks of at
+    most _BLOCK_BYTES of node values, the first with the derivative column,
+    and each chunk's h-integrals are added into the averages."""
+    bank = _delta_bank(f.grid, f.active_indices.tobytes(), m)
     per_column = 16 * mesh.nodes.size * f.dim
     width = max((_BLOCK_BYTES // per_column - 1) // 2, 1)  # h-nodes per chunk
     avg = np.zeros((mesh.nodes.size, 1 + bank.t.size))
     for start in range(0, bank.h.size, width):
         cols = slice(start, start + width)
-        plus, minus = bank.differences(cols)
+        h = bank.h[cols]
+        plus, minus = ((np.exp(2j * np.pi * np.multiply.outer(bank.xi, step)) - 1.0) ** m
+                       for step in (h, -h))
         first = start == 0
         factors = np.column_stack([bank.derivative, plus, minus] if first else [plus, minus])
         mags = inner.batch_norm(_multiplier_values(f, factors, mesh))
         if first:
             avg[:, 0], mags = mags[:, 0], mags[:, 1:]
-        avg[:, 1:] += (mags[:, :plus.shape[1]] + mags[:, plus.shape[1]:]) @ bank.cum[cols]
+        avg[:, 1:] += (mags[:, :h.size] + mags[:, h.size:]) @ bank.cum[cols]
     return avg
 
 
@@ -443,13 +432,12 @@ def difference_seminorm(f: GridFunction, s: float, p: float, q: float, gamma: fl
         raise ValueError(f"need weight power gamma > -1, got gamma={gamma}")
     mesh = QuadratureMesh.for_function(f)
     inner = inner or default_inner(f.dim)
-    bank = _delta_bank(f.grid, f.active_indices.tobytes(), m)
-    t = bank.t
+    t = _scales(f.grid)
     t_min = t[0]
 
     # column 0 is ||f^(m)||, column j + 1 int_{|h|<=t_j} ||Delta^m_h f|| dh
     avg = f.cached(("diff", m, mesh.key, inner.key),
-                   lambda: _delta_averages(f, bank, mesh, inner))
+                   lambda: _delta_averages(f, m, mesh, inner))
     dmag = avg[:, 0]
     # the averaged core t^{-s} (t^{-1} int_{|h|<=t} ||Delta^m_h f|| dh)
     core = t ** (-s - 1.0) * avg[:, 1:]

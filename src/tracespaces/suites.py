@@ -523,6 +523,23 @@ def _family_worst(fns, checks) -> list[float]:
     return worst
 
 
+def _single_plateau_modes(grid: GridSpec) -> list[float]:
+    """The modes 1, 2 and 4 of the mixed suite's single-mode case, each
+    capped below Nyquist, as the families are, and floored onto the lattice
+    of multiples of 1/(2L).  A capped mode is kept while it lies on a
+    plateau (|xi| <= 1 for block 0, 1.5 * 2^(k-1) <= |xi| <= 2^k for block
+    k), where one block is active; a mode the cap takes into a transition
+    band, or onto a mode already kept, is dropped."""
+    dyadic = DyadicSystem.for_grid(grid)
+    top = grid.nyquist - grid.fundamental
+    modes = []
+    for xi in (1.0, 2.0, 4.0):
+        xi = math.floor(min(xi, top) / grid.fundamental + 1e-9) * grid.fundamental
+        if xi not in modes and np.max(dyadic.symbols([xi])) >= 1.0:
+            modes.append(xi)
+    return modes
+
+
 def run_mixed(config: SuiteConfig) -> VerificationReport:
     grid = config.grid()
     theta = Fraction(1, 2)
@@ -539,18 +556,9 @@ def run_mixed(config: SuiteConfig) -> VerificationReport:
     cases = []
 
     # single plateau modes: one active block, so the chain collapses to an
-    # identity and both sides agree to rounding.  Each mode is capped below
-    # Nyquist, as the families are, and floored onto the lattice of
-    # multiples of 1/(2L), which keeps it on its block's plateau (|xi| <= 1
-    # for block 0, 1.5 * 2^(k-1) <= |xi| <= 2^k for block k) unless the cap
-    # takes it below; such a mode is dropped
-    dyadic = DyadicSystem.for_grid(grid)
-    top = grid.nyquist - grid.fundamental
+    # identity and both sides agree to rounding
     dev = 0.0
-    for xi in (1.0, 2.0, 4.0):
-        xi = math.floor(min(xi, top) / grid.fundamental + 1e-9) * grid.fundamental
-        if np.max(dyadic.symbols([xi])) < 1.0:
-            continue
+    for xi in _single_plateau_modes(grid):
         f = GridFunction.from_coeff_map(grid, {xi: [1.2 + 0.7j]})
         got = mixed_derivative_check(f, params_f, scalar)
         dev = max(dev, abs(got["lhs"] / got["rhs"] - 1.0))

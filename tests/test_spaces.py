@@ -426,24 +426,25 @@ def test_chunked_seminorm_matches_one_block(grid, monkeypatch):
 
     whole = seminorms()
     monkeypatch.setattr(spaces_module, "_BLOCK_BYTES", 2 ** 16)
-    spaces_module._delta_bank.cache_clear()  # banks built under the small budget keep no factors
-    try:
-        chunked = seminorms()
-    finally:
-        spaces_module._delta_bank.cache_clear()
+    chunked = seminorms()
     np.testing.assert_allclose(chunked, whole, rtol=1e-14, atol=0.0)
 
 
 def test_functions_on_one_active_set_share_the_seminorm_bank(grid):
     """Two draws on one band share one Delta-bank, and each one's
-    seminorm is bitwise the same whichever of them is normed first."""
+    seminorm is bitwise the same whichever of them is normed first.  A
+    seminorm whose averages the function has cached builds no bank."""
     def draws():
         return [random_band_limited(grid, (-8.0, 8.0), seed=seed) for seed in (21, 22)]
 
     args = (0.5, 2.0, 2.0, 0.5, 1)
     spaces_module._delta_bank.cache_clear()
-    first = [difference_seminorm(f, *args) for f in draws()]
+    fs = draws()
+    first = [difference_seminorm(f, *args) for f in fs]
     assert spaces_module._delta_bank.cache_info().misses == 1
+    spaces_module._delta_bank.cache_clear()
+    assert difference_seminorm(fs[0], 0.75, 3.0, math.inf, 0.0, 1) > 0.0
+    assert spaces_module._delta_bank.cache_info().misses == 0
     spaces_module._delta_bank.cache_clear()
     second = [difference_seminorm(f, *args) for f in draws()[::-1]][::-1]
     assert first == second

@@ -20,7 +20,8 @@ from tracespaces import grid as grid_module
 from tracespaces.grid import GridError
 from tracespaces import suites as suites_module
 from tracespaces.report import VerificationReport, config_hash, render_reports
-from tracespaces.suites import _DIFFNORM_PARAMS, _UPPER_GAMMA_RATIO, diffnorm_windows
+from tracespaces.suites import (_DIFFNORM_PARAMS, _UPPER_GAMMA_RATIO, _single_plateau_modes,
+                               diffnorm_windows)
 
 
 def test_unknown_suite_rejected():
@@ -240,12 +241,21 @@ def test_upper_gamma_ratio_closed_forms_match_scipy(a):
     np.testing.assert_allclose(got, gammaincc(a, xs), rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("half_width, n_samples", [(4.0, 64), (20.0, 256), (40.0, 256)])
-def test_mixed_caps_its_single_modes_below_nyquist(half_width, n_samples):
+@pytest.mark.parametrize("half_width, n_samples, kept", [
+    (4.0, 64, [8, 16, 31]),
+    (20.0, 256, [40, 80, 127]),
+    (40.0, 256, [80, 127]),
+    (50.0, 256, [100]),
+])
+def test_mixed_caps_its_single_modes_below_nyquist(half_width, n_samples, kept):
     """Where N <= 16 L the single modes 1, 2 and 4 reach Nyquist; each is
     capped below it, as the families are, and kept while the cap leaves it
-    on its block's plateau.  At L = 40, N = 256 the mode 4 is capped to
-    1.5875, off block 2's plateau, and dropped."""
+    on a plateau.  `kept` lists the modes in multiples of 1/(2L).  At
+    L = 40, N = 256 the modes 2 and 4 both cap to 1.5875, on block 1's
+    plateau, and the second is dropped; at L = 50, N = 256 both cap to 1.27,
+    in the band between blocks 0 and 1, and are dropped."""
+    grid = GridSpec(half_width, n_samples)
+    assert _single_plateau_modes(grid) == [k * grid.fundamental for k in kept]
     report = run_suite("mixed", SuiteConfig(half_width=half_width, n_samples=n_samples,
                                             family_size=2))
     assert len(report.cases) == 7
