@@ -358,9 +358,12 @@ def _h_rule(t: np.ndarray, rate: float) -> tuple[np.ndarray, np.ndarray]:
     return h, np.where(cell[:, None] <= np.arange(t.size), (half * w)[:, None], 0.0)
 
 
+@functools.lru_cache(maxsize=None)
 def _scales(grid: GridSpec) -> np.ndarray:
     L = grid.half_width
-    return np.geomspace(L / grid.n_samples, 2.0 * L, _N_SCALES)
+    t = np.geomspace(L / grid.n_samples, 2.0 * L, _N_SCALES)
+    t.flags.writeable = False
+    return t
 
 
 class _DeltaBank:
@@ -372,7 +375,6 @@ class _DeltaBank:
     def __init__(self, grid: GridSpec, active: np.ndarray, m: int):
         self.t = _scales(grid)
         self.xi = grid.frequencies()[active]
-        self.m = m
         # ||Delta^m_h f(x)|| oscillates in h at most at 2 m band
         self.h, self.cum = _h_rule(self.t, m * float(np.max(np.abs(self.xi), initial=0.0)))
         self.derivative = (2j * np.pi * self.xi) ** m
@@ -398,8 +400,8 @@ def _delta_averages(f: GridFunction, m: int, mesh: QuadratureMesh, inner) -> np.
     for start in range(0, bank.h.size, width):
         cols = slice(start, start + width)
         h = bank.h[cols]
-        plus, minus = ((np.exp(2j * np.pi * np.multiply.outer(bank.xi, step)) - 1.0) ** m
-                       for step in (h, -h))
+        plus = (np.exp(2j * np.pi * np.multiply.outer(bank.xi, h)) - 1.0) ** m
+        minus = plus.conj()  # xi and h are real
         first = start == 0
         factors = np.column_stack([bank.derivative, plus, minus] if first else [plus, minus])
         mags = inner.batch_norm(_multiplier_values(f, factors, mesh))
