@@ -397,7 +397,7 @@ def test_inner_batch_norms_do_not_depend_on_chunking(inner, norm):
 
 
 def test_seminorm_blocks_stay_within_the_budget(monkeypatch):
-    """At L = 20 the seminorm's Delta-bank spans 1597 columns of 11521
+    """At L = 20 the seminorm spans 1597 h-columns of 11521
     nodes (281 MiB at once); it is synthesized in blocks of at most
     _BLOCK_BYTES of node values."""
     f = random_band_limited(GridSpec(20.0, 2048), (-8.0, 8.0), seed=3)
