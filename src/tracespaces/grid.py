@@ -23,18 +23,22 @@ frequency on each side, and no floor: one error budget sizes every mesh
 (see _CELLS_PER_WAVE).
 
 Every evaluation at quadrature nodes goes through one kernel,
-QuadratureMesh.synthesize, which has two paths; the size of the active
-set alone picks one (_NUFFT_MIN_MODES = 256), so a function's node values
-never depend on what is stacked with it or computed before it.
+QuadratureMesh.synthesize, which has two paths; the mesh, the grid and the
+active set alone pick one, so a function's node values never depend on
+what is stacked with it or computed before it.
 
-- Narrow sets: writing a signed frequency index as k + N/2 = a B + b with
-  B = isqrt(N), the mesh keeps, per GridSpec, the phase tables
-  exp(2 pi i t b / (2L)) for b < B and exp(2 pi i t (a B - N/2) / (2L))
-  for every a, so the mode matrix of any active set is a gathered product
-  of two table columns, built in fixed row chunks and multiplied at once
-  by a stacked coefficient matrix; no exp runs per call.  The tables hold
-  (B + N/B) complex values per node: 3 MB for 3073 nodes at N = 1024.
-- Wide sets: a type-2 NUFFT (Dutt & Rokhlin 1993; Barnett, Magland & af
+- Narrow sets: per GridSpec the mesh keeps one mode table, exp(2 pi i t k
+  / (2L)) at its nodes for every signed bin |k| <= kb, where kb is the band
+  the mesh resolves, n_cells / (_CELLS_PER_WAVE L), in bins.  A set whose
+  signed bins lo..hi span fewer than _NUFFT_MIN_MODES (256) and lie inside
+  the table scatters its coefficients into a zero (span x columns) block,
+  which one matmul per _SYNTH_ROWS row block multiplies by the table's
+  columns kb + lo .. kb + hi; no exp runs per call.  The table is built on
+  the first narrow call, in row blocks, and never when it would exceed
+  _MAX_TABLE_BYTES (24 MiB): the suites' tables take 0.3, 1.2, 2.7 and 4.8
+  MB at the pinned config and 10.7 MB at L = 2, band 24.
+- Every other set, wider, past the mesh's band or on a mesh with no
+  table: a type-2 NUFFT (Dutt & Rokhlin 1993; Barnett, Magland & af
   Klinteberg 2019).  The coefficients are divided by the Fourier
   transform of an exponential-of-semicircle kernel, placed on a 2N grid
   and inverse transformed, one FFT per column; each node then gathers the
@@ -45,18 +49,9 @@ never depend on what is stacked with it or computed before it.
   about 4e-15 of the largest value, below that of dense synthesis, whose
   phases t * xi round.
 
-A narrow active set's mode matrix is kept only once it is asked for twice
-in a row, as the functions of a seeded family, which share one active
-set, ask for it: the mesh remembers the (grid, active bins) of its last
-phase-table call, a second call on the same set builds the matrix into a
-kept array, and later calls multiply from it; a call on any other set
-drops it.  The product is the same chunked matmul either way, so every
-value is bitwise the same, and a stream of distinct sets keeps nothing.
-At most one matrix lives per mesh, nodes x modes with fewer than 256
-modes and at most _MAX_KEPT_BYTES (24 MiB): 2.6 MiB at 1729 nodes x 97
-modes.  All else derived is kept under explicit keys by one memo, _memo:
-node values and what follows from them on the GridFunction
-(GridFunction.cached), weights, phase tables and NUFFT plans on the mesh.
+All derived data is kept under explicit keys by one memo, _memo: node
+values and what follows from them on the GridFunction
+(GridFunction.cached), weights, mode tables and NUFFT plans on the mesh.
 GridFunction.evaluate stays dense synthesis at arbitrary points, the
 reference for both paths.
 """
@@ -296,30 +291,31 @@ _GL_NODES = 0.5 * (_GL_NODES + 1.0)  # shifted to [0, 1]
 _GL_WEIGHTS = 0.5 * _GL_WEIGHTS
 
 
-# The largest mode matrix a mesh keeps, in bytes.  The suites keep at most
-# 2.6 MiB at the pinned config and 10.2 MiB at L = 2 (3457 nodes x 193 modes);
-# a band near Nyquist on its own 18397-node mesh would keep 31.4 MiB, and the
-# shared-mesh cache holds eight meshes.
-_MAX_KEPT_BYTES = 24 * 2**20
+# The largest mode table a mesh keeps per GridSpec, in bytes; a mesh whose
+# table would be larger synthesizes every set by the NUFFT.  A table takes
+# about 32 n_cells^2 bytes, so meshes of up to 876 cells a side keep one:
+# every mesh the suites use at the pinned config (at most 4.8 MB) and at
+# L = 2 (10.7 MB), but not a band near Nyquist on its own 18397-node mesh
+# (301 MB); the shared-mesh cache holds eight meshes.
+_MAX_TABLE_BYTES = 24 * 2**20
 
-# Node rows per mode-matrix chunk of the phase-table product: a chunk of
-# 255 modes, the most that path takes, stays near 1 MB, inside the cache.
+# Node rows per block of the mode table's build and of the narrow product.
+# OpenBLAS packs a block's whole table slice, so the block bounds that
+# buffer: on fresh-functions (2305 nodes, two BLAS threads) peak RSS was
+# 0.5 % higher at 512 rows than at 256, 4.6 % at 1024 and 6.7 % with all
+# rows at once, at the same speed within noise; 128 and 64 rows saved 0.3
+# and 0.7 % but were slower.
 _SYNTH_ROWS = 256
 
-# QuadratureMesh.synthesize takes the NUFFT from this many active modes up
-# and the phase-table product below it.  Measured with the numpy spread at
-# 1536, 2304 and 3072 nodes (the ORBIT_BAND mesh, bands 24 and 32, with four
-# stored nodes per cell) and N = 1024 and 4096, against a product that
-# builds its mode matrix: at 256 modes the NUFFT takes 0.24-0.60 of the
-# product's time for 1 to 6 columns, 0.83-3.0 for 54 and 2.1-6.6 for 300;
-# at 128 modes 0.76-1.17 for 1 to 6 columns and 1.6-11 from 54 on; at 512
-# modes 0.18-0.31 for 1 to 6 and 0.33-3.3 from 54 on.  A kept mode matrix
-# favours the product more.
-# No cut-off wins everywhere and moving it moves values at rounding level,
-# so it stays; a full band (1023 modes, 54 columns, 1536 nodes, N = 1024)
-# takes 6.8 ms by the NUFFT against 53 ms by the product.  Those meshes now
-# store 1153, 1729 and 2305 nodes; both paths cost the same per node, so the
-# ratios, and the cut-off, stand.
+# QuadratureMesh.synthesize takes the table product for a set spanning
+# fewer signed bins than this and the NUFFT from it up.  The NUFFT's time
+# over the product's, measured at the pinned config's 1153, 1729 and 2305
+# nodes (N = 1024) for 1, 6, 54 and 300 columns: at a span of 128 bins
+# 1.7-5.5 at one BLAS thread and 2.6-14 at two; at 256 bins 0.73-2.8 at one
+# thread (the NUFFT wins at 6 columns, and at 54 on 1729 nodes) and 1.2-5.7
+# at two; at 512 bins 0.34-1.1 at one thread and 0.60-2.1 at two (the NUFFT
+# wins at 6 columns at both).  No other cut-off wins everywhere, and moving
+# it moves values at rounding level, so it stays.
 _NUFFT_MIN_MODES = 256
 
 # The NUFFT's kernel exp(beta (sqrt(1 - z^2) - 1)), z in [-1, 1], spans
@@ -405,11 +401,8 @@ class QuadratureMesh:
         self.nodes = np.concatenate([-pos[:0:-1], pos])
         self._cells = order * np.arange(2 * n_cells)[:, None] + np.arange(order + 1)
         self._lagrange = _lagrange_monomial_matrix(order)
-        # weights per gamma, phase tables and NUFFT plans per GridSpec; see _memo
+        # weights per gamma, mode tables and NUFFT plans per GridSpec; see _memo
         self._cache: dict[tuple, np.ndarray | tuple] = {}
-        # (grid, active bins) of the last phase-table call, and the mode
-        # matrix of that set once it has been asked for twice in a row
-        self._kept_modes: tuple[tuple | None, np.ndarray | None] = (None, None)
 
     @property
     def key(self) -> tuple:
@@ -436,20 +429,6 @@ class QuadratureMesh:
         return cls.for_band(f.grid, f.max_frequency)
 
     # -- synthesis ----------------------------------------------------
-
-    def _phase_table(self, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-        """(fine, coarse) phases at the nodes for k + N/2 = a B + b:
-        fine[:, b] = exp(2 pi i t b / (2L)), coarse[:, a] = exp(2 pi i t
-        (a B - N/2) / (2L)), with B = isqrt(N)."""
-        def build():
-            n = grid.n_samples
-            width = math.isqrt(n)
-            fine_k = np.arange(width)
-            coarse_k = width * np.arange(-(-n // width)) - n // 2
-            return tuple(np.exp((2j * np.pi) * np.multiply.outer(self.nodes, k * grid.fundamental))
-                         for k in (fine_k, coarse_k))
-
-        return _memo(self._cache, ("phase", grid), build)
 
     def _nufft_plan(self, grid: GridSpec) -> tuple:
         """(cols, vals, deconv): per node, the _NUFFT_WIDTH columns of the
@@ -489,35 +468,31 @@ class QuadratureMesh:
             np.einsum("nw,nwc->nc", vals[rows], on_grid[cols[rows]], out=out[rows])
         return out.view(complex)
 
-    def _mode_chunks(self, grid: GridSpec, active: np.ndarray):
-        """(rows, modes) per _SYNTH_ROWS node rows, modes[i, j] = exp(2 pi i
-        nodes[rows][i] xi_{active[j]}): gathered from the phase tables, or
-        read from the kept matrix of a set asked for twice in a row."""
-        key = (grid, active.tobytes())
-        kept_key, kept = self._kept_modes
-        if key == kept_key and kept is not None:
+    def _band_bins(self, grid: GridSpec) -> int:
+        """kb: the band the mesh resolves, n_cells / (_CELLS_PER_WAVE L),
+        in bins of grid, at most N/2 - 1 (1e-9 absorbs the rounding of an
+        exact quotient)."""
+        bins = self.n_cells / (_CELLS_PER_WAVE * self.half_width) / grid.fundamental
+        return min(int(bins + 1e-9), grid.n_samples // 2 - 1)
+
+    def _mode_table(self, grid: GridSpec, kb: int) -> np.ndarray | None:
+        """table[:, kb + k] = exp(2 pi i t k / (2L)) at the nodes for every
+        signed bin |k| <= kb, built in _SYNTH_ROWS row blocks on first use;
+        None when it would exceed _MAX_TABLE_BYTES."""
+        if 16 * self.nodes.size * (2 * kb + 1) > _MAX_TABLE_BYTES:
+            return None
+
+        def build():
+            xi = np.arange(kb + 1) * grid.fundamental
+            table = np.empty((self.nodes.size, 2 * kb + 1), dtype=complex)
             for start in range(0, self.nodes.size, _SYNTH_ROWS):
                 rows = slice(start, start + _SYNTH_ROWS)
-                yield rows, kept[rows]
-            return
-        # a second call in a row keeps the matrix it builds, once it is whole
-        # and if its complex values (16 bytes each) fit under _MAX_KEPT_BYTES;
-        # any other call drops the kept matrix and remembers its set only
-        keep = key == kept_key and 16 * self.nodes.size * active.size <= _MAX_KEPT_BYTES
-        self._kept_modes = (key, None)
-        kept = np.empty((self.nodes.size, active.size), dtype=complex) if keep else None
-        fine, coarse = self._phase_table(grid)
-        n = grid.n_samples
-        a, b = np.divmod((active + n // 2) % n, fine.shape[1])  # k + N/2 = a B + b
-        for start in range(0, self.nodes.size, _SYNTH_ROWS):
-            rows = slice(start, start + _SYNTH_ROWS)
-            modes = np.take(fine[rows], b, axis=1)
-            modes *= np.take(coarse[rows], a, axis=1)
-            if keep:
-                kept[rows] = modes
-            yield rows, modes
-        if keep:
-            self._kept_modes = (key, kept)
+                np.exp((2j * np.pi) * np.multiply.outer(self.nodes[rows], xi), out=table[rows, kb:])
+            # the phases of -k are the conjugates of those of k
+            np.conjugate(table[:, 2 * kb:kb:-1], out=table[:, :kb])
+            return table
+
+        return _memo(self._cache, ("modes", grid), build)
 
     def synthesize(self, grid: GridSpec, active: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
         """Values at the nodes of sum_j coeffs[j] exp(2 pi i xi_{active[j]} t),
@@ -525,18 +500,30 @@ class QuadratureMesh:
 
         active holds FFT-order bin indices of grid and coeffs has one row
         per active bin; its columns are independent functions, so stacking
-        several functions on one active set costs one product.  The size
-        of the active set alone picks the path, so a function's values
-        never depend on what is stacked with it or computed before it.
+        several functions on one active set costs one product.  The mesh,
+        the grid and the active set alone pick the path: a set spanning
+        fewer than _NUFFT_MIN_MODES signed bins inside the mesh's mode
+        table is one product over a slice of it, any other set the NUFFT;
+        so a function's values never depend on what is computed before it.
         """
         coeffs = np.asarray(coeffs, dtype=complex)
         if active.size == 0:
             return np.zeros((self.nodes.size, coeffs.shape[1]), dtype=complex)
-        if active.size >= _NUFFT_MIN_MODES:
+        n = grid.n_samples
+        bins = np.where(active < n // 2, active, active - n)
+        lo, hi = int(bins.min()), int(bins.max())
+        kb = self._band_bins(grid)
+        narrow = hi - lo + 1 < _NUFFT_MIN_MODES and -kb <= lo <= hi <= kb
+        table = self._mode_table(grid, kb) if narrow else None
+        if table is None:
             return self._synthesize_nufft(grid, active, coeffs)
+        block = np.zeros((hi - lo + 1, coeffs.shape[1]), dtype=complex)
+        block[bins - lo] = coeffs
+        modes = table[:, kb + lo:kb + hi + 1]
         out = np.empty((self.nodes.size, coeffs.shape[1]), dtype=complex)
-        for rows, modes in self._mode_chunks(grid, active):
-            np.matmul(modes, coeffs, out=out[rows])
+        for start in range(0, self.nodes.size, _SYNTH_ROWS):
+            rows = slice(start, start + _SYNTH_ROWS)
+            np.matmul(modes[rows], block, out=out[rows])
         return out
 
     # -- moment machinery ---------------------------------------------
@@ -615,10 +602,9 @@ class QuadratureMesh:
 
 
 # Safe to share, because a mesh's nodes follow from its key and all else
-# it holds is a cache keyed exactly; the bound keeps the phase tables and
-# NUFFT plans of meshes no longer in use (1216 bytes per node at N = 1024:
-# 1.4 MB on the 1153-node orbit mesh, 22 MB on the 18397 nodes of a band
-# near Nyquist) from piling up.
+# it holds is a cache keyed exactly; the bound keeps the mode tables (at most
+# _MAX_TABLE_BYTES each) and NUFFT plans (192 bytes per node) of meshes no
+# longer in use from piling up.
 @functools.lru_cache(maxsize=8)
 def _shared_mesh(half_width: float, n_cells: int) -> QuadratureMesh:
     return QuadratureMesh(half_width, n_cells)

@@ -392,7 +392,8 @@ def _delta_averages(f: GridFunction, m: int, mesh: QuadratureMesh, inner) -> np.
     int_{|h|<=t_j} ||Delta^m_h f|| dh.  The difference factors
     (exp(+-2 pi i xi h) - 1)^m are built and synthesized in chunks of at
     most _BLOCK_BYTES of node values, the first with the derivative column,
-    and each chunk's h-integrals are added into the averages."""
+    and each chunk's h-integrals are added into the averages at the scales
+    from its first h-node's cell on, below which its weights are zero."""
     bank = _delta_bank(f.grid, f.active_indices.tobytes(), m)
     per_column = 16 * mesh.nodes.size * f.dim
     width = max((_BLOCK_BYTES // per_column - 1) // 2, 1)  # h-nodes per chunk
@@ -400,6 +401,9 @@ def _delta_averages(f: GridFunction, m: int, mesh: QuadratureMesh, inner) -> np.
     for start in range(0, bank.h.size, width):
         cols = slice(start, start + width)
         h = bank.h[cols]
+        # h ascends by cell, so every weight of the chunk below its first
+        # row's first nonzero scale (that row's cell) is zero
+        low = int(np.flatnonzero(bank.cum[start])[0])
         plus = (np.exp(2j * np.pi * np.multiply.outer(bank.xi, h)) - 1.0) ** m
         minus = plus.conj()  # xi and h are real
         first = start == 0
@@ -407,7 +411,7 @@ def _delta_averages(f: GridFunction, m: int, mesh: QuadratureMesh, inner) -> np.
         mags = inner.batch_norm(_multiplier_values(f, factors, mesh))
         if first:
             avg[:, 0], mags = mags[:, 0], mags[:, 1:]
-        avg[:, 1:] += (mags[:, :h.size] + mags[:, h.size:]) @ bank.cum[cols]
+        avg[:, 1 + low:] += (mags[:, :h.size] + mags[:, h.size:]) @ bank.cum[cols, low:]
     return avg
 
 

@@ -13,7 +13,7 @@ from tracespaces import (
     random_band_limited,
     weighted_lp_norm,
 )
-from tracespaces.grid import _MAX_KEPT_BYTES, GridError
+from tracespaces.grid import _MAX_TABLE_BYTES, GridError
 
 
 def test_grid_spec_basics(grid):
@@ -283,9 +283,10 @@ def test_norm_homogeneity(scale, seed):
 @pytest.mark.parametrize("n,cells,dim", [(1024, 512, 6), (1024, 1536, 3), (8, 64, 2),
                                          (256, 512, 1), (2048, 512, 2)])
 def test_mesh_synthesis_matches_dense_evaluation(n, cells, dim):
-    """synthesize against dense exp synthesis on the full band: N >= 512
-    takes the NUFFT, N <= 256 (at most 255 modes) the phase tables; the
-    bound covers the rounding of the dense phase t * xi itself."""
+    """synthesize against dense exp synthesis on the full band: N = 8 takes
+    the mode table, its 7 bins lying inside the mesh's band, and every
+    other N the NUFFT; the bound covers the rounding of the dense phase
+    t * xi itself."""
     grid = GridSpec(1.0, n)
     mesh = QuadratureMesh(1.0, cells)
     edge = grid.nyquist - grid.fundamental
@@ -298,17 +299,19 @@ def test_mesh_synthesis_matches_dense_evaluation(n, cells, dim):
 
 @pytest.mark.parametrize("n,cells,dim,band", [
     (1024, 512, 6, (-63.5, 63.5)), (1024, 1536, 2, (200.0, 255.5)),
-    (2048, 512, 3, (-20.0, 20.0)), (4096, 256, 1, (-1023.5, -960.0)),
+    (2048, 512, 3, (-60.0, 60.0)), (4096, 256, 1, (-1023.5, -960.0)),
 ])
-def test_phase_table_synthesis_matches_dense_evaluation(n, cells, dim, band):
-    """Narrow active sets, up to the largest of 255 modes, keep the
-    phase-table product; same bound as on the full band."""
+def test_narrow_sets_off_the_mode_table_match_dense_evaluation(n, cells, dim, band):
+    """Narrow active sets, up to the largest of 255 bins, past their mesh's
+    band or on a mesh over the table cap take the NUFFT; same bound as on
+    the full band."""
     grid = GridSpec(1.0, n)
     mesh = QuadratureMesh(1.0, cells)
     f = random_band_limited(grid, band, seed=(n, dim), dim=dim)
     assert f.active_indices.size < 256
     dense = f.evaluate(mesh.nodes)
     got = mesh.synthesize(grid, f.active_indices, f.coeffs[f.active_indices])
+    assert ("modes", grid) not in mesh._cache
     assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
@@ -389,58 +392,59 @@ def test_mesh_synthesis_sparse_and_empty_active_sets(grid, mesh):
     assert empty.shape == (mesh.nodes.size, 4) and not np.any(empty)
 
 
-def test_kept_mode_matrix_leaves_synthesis_bitwise_unchanged(grid):
-    """The second call on one active set keeps its mode matrix and later
-    calls multiply from it; every call, and a call after another set in
-    between, equals the first call on a fresh mesh, bit for bit."""
-    f = random_band_limited(grid, (-10.0, 10.0), seed=3, dim=4)
-    g = random_band_limited(grid, (-20.0, 20.0), seed=4, dim=2)
+def _synthesize(mesh, f):
+    return mesh.synthesize(f.grid, f.active_indices, f.coeffs[f.active_indices])
+
+
+_NARROW = {
+    "crossing-zero": lambda grid: random_band_limited(grid, (-10.0, 10.0), seed=11),
+    "sparse": lambda grid: GridFunction.from_coeff_map(
+        grid, {-31.5: [1.0], -3.0: [2.0j], 0.0: [0.5], 17.5: [-1.0], 32.0: [3.0]}),
+    "dim-3": lambda grid: random_band_limited(grid, (-12.0, 24.0), seed=12, dim=3),
+}
+
+
+@pytest.mark.parametrize("case", list(_NARROW))
+def test_narrow_sets_in_band_take_the_mode_table(grid, case):
+    """A set spanning fewer than 256 bins inside the mesh's band is one
+    product over a slice of the mesh's mode table, within 2e-14 of the
+    largest value of dense synthesis with exact phases."""
+    f = _NARROW[case](grid)
+    mesh = QuadratureMesh(1.0, QuadratureMesh.for_band(grid, 32.0).n_cells)
+    got = _synthesize(mesh, f)
+    assert ("modes", grid) in mesh._cache
+    want = _exact_phase_synthesis(f, mesh.nodes)
+    assert np.max(np.abs(got - want)) <= 2e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("case", ["past-the-band", "span-256", "over-the-cap"])
+def test_wide_sets_take_the_nufft_bitwise(grid, case):
+    """A set past the mesh's band, one spanning 256 bins or more, and any
+    set on a mesh whose table would exceed _MAX_TABLE_BYTES take the NUFFT,
+    bit for bit, and the mesh builds no mode table for them."""
+    band, f = {
+        "past-the-band": (8.0, random_band_limited(grid, (20.0, 30.0), seed=13, dim=2)),
+        "span-256": (64.0, GridFunction.from_coeff_map(grid, {-64.0: [1.0], 63.5: [2.0]})),
+        "over-the-cap": (200.0, random_band_limited(grid, (-10.0, 10.0), seed=14)),
+    }[case]
+    mesh = QuadratureMesh(1.0, QuadratureMesh.for_band(grid, band).n_cells)
+    table_bytes = 16 * mesh.nodes.size * (2 * mesh._band_bins(grid) + 1)
+    assert (table_bytes > _MAX_TABLE_BYTES) == (case == "over-the-cap")
     active, coeffs = f.active_indices, f.coeffs[f.active_indices]
-    want = QuadratureMesh(1.0, 512).synthesize(grid, active, coeffs)
-    want_g = QuadratureMesh(1.0, 512).synthesize(grid, g.active_indices,
-                                                 g.coeffs[g.active_indices])
-    mesh = QuadratureMesh(1.0, 512)
-    for call in range(3):
-        np.testing.assert_array_equal(mesh.synthesize(grid, active, coeffs), want)
-        assert (mesh._kept_modes[1] is not None) == (call > 0)
-    np.testing.assert_array_equal(
-        mesh.synthesize(grid, g.active_indices, g.coeffs[g.active_indices]), want_g)
-    assert mesh._kept_modes[1] is None
-    for _ in range(3):
-        np.testing.assert_array_equal(mesh.synthesize(grid, active, coeffs), want)
-    # the kept matrix serves any coefficients on its set
-    other = coeffs[:, 1:3] * 1j
-    np.testing.assert_array_equal(mesh.synthesize(grid, active, other),
-                                  QuadratureMesh(1.0, 512).synthesize(grid, active, other))
+    np.testing.assert_array_equal(mesh.synthesize(grid, active, coeffs),
+                                  mesh._synthesize_nufft(grid, active, coeffs))
+    assert ("modes", grid) not in mesh._cache
 
 
-def test_distinct_active_sets_keep_no_mode_matrix(grid):
-    mesh = QuadratureMesh(1.0, 512)
-    for lo in range(-40, 0, 4):
-        f = random_band_limited(grid, (float(lo), lo + 20.0), seed=-lo, dim=2)
-        mesh.synthesize(grid, f.active_indices, f.coeffs[f.active_indices])
-        assert mesh._kept_modes[1] is None
-
-
-def test_mode_matrix_above_the_byte_cap_is_not_kept(grid):
-    """A narrow set near Nyquist on its own fine mesh (112 modes, 18397
-    nodes: 31.4 MiB) keeps no mode matrix, and its values are bitwise those
-    of a fresh mesh; a band-24 family mesh (1729 nodes x 97 modes) still
-    keeps its matrix."""
-    f = random_band_limited(grid, (200.0, 255.5), 1)
-    cells = QuadratureMesh.for_function(f).n_cells
-    active, coeffs = f.active_indices, f.coeffs[f.active_indices]
-    want = QuadratureMesh(1.0, cells).synthesize(grid, active, coeffs)
+def test_narrow_synthesis_does_not_depend_on_call_order(grid):
+    """Each narrow set gives bitwise the same values on a fresh mesh, again
+    on the same mesh, and after other sets on it."""
+    fs = [make(grid) for make in _NARROW.values()]
+    cells = QuadratureMesh.for_band(grid, 32.0).n_cells
+    fresh = [_synthesize(QuadratureMesh(1.0, cells), f) for f in fs]
     mesh = QuadratureMesh(1.0, cells)
-    assert 16 * mesh.nodes.size * active.size > _MAX_KEPT_BYTES
-    for _ in range(2):
-        np.testing.assert_array_equal(mesh.synthesize(grid, active, coeffs), want)
-        assert mesh._kept_modes[1] is None
-    g = random_band_limited(grid, (-24.0, 24.0), 2)
-    family_mesh = QuadratureMesh(1.0, QuadratureMesh.for_function(g).n_cells)
-    for _ in range(2):
-        family_mesh.synthesize(grid, g.active_indices, g.coeffs[g.active_indices])
-    assert family_mesh._kept_modes[1] is not None
+    for f, want in [*zip(fs, fresh), *zip(fs[::-1], fresh[::-1]), *zip(fs, fresh)]:
+        np.testing.assert_array_equal(_synthesize(mesh, f), want)
 
 
 def _csr_nufft_reference(mesh, grid, active, coeffs):
