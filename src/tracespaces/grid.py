@@ -51,7 +51,8 @@ what is stacked with it or computed before it.
 
 All derived data is kept under explicit keys by one memo, _memo: node
 values and what follows from them on the GridFunction
-(GridFunction.cached), weights, mode tables and NUFFT plans on the mesh.
+(GridFunction.cached), and weights, mode tables, NUFFT plans and the
+difference seminorm's h-rules on the mesh (QuadratureMesh.cached).
 GridFunction.evaluate stays dense synthesis at arbitrary points, the
 reference for both paths.
 """
@@ -167,7 +168,8 @@ class GridFunction:
     """
 
     def __init__(self, grid: GridSpec, coeffs: np.ndarray):
-        coeffs = np.ascontiguousarray(coeffs, dtype=complex)
+        # a copy: the caller's array stays writable
+        coeffs = np.array(coeffs, dtype=complex, order="C", ndmin=1)
         if coeffs.ndim == 1:
             coeffs = coeffs[:, None]
         if coeffs.shape[0] != grid.n_samples:
@@ -401,7 +403,8 @@ class QuadratureMesh:
         self.nodes = np.concatenate([-pos[:0:-1], pos])
         self._cells = order * np.arange(2 * n_cells)[:, None] + np.arange(order + 1)
         self._lagrange = _lagrange_monomial_matrix(order)
-        # weights per gamma, mode tables and NUFFT plans per GridSpec; see _memo
+        # weights per gamma, mode tables and NUFFT plans per GridSpec and the
+        # seminorm's h-rules; see cached
         self._cache: dict[tuple, np.ndarray | tuple] = {}
 
     @property
@@ -411,6 +414,11 @@ class QuadratureMesh:
 
     def __repr__(self):
         return f"QuadratureMesh(L={self.half_width}, cells={self.n_cells})"
+
+    def cached(self, key: tuple, compute):
+        """The array, or tuple of arrays, derived from this mesh under
+        `key`, computed once by compute(); see _memo."""
+        return _memo(self._cache, key, compute)
 
     @classmethod
     def for_band(cls, grid: GridSpec, band_max: float, min_cells: int = 4) -> "QuadratureMesh":
@@ -448,7 +456,7 @@ class QuadratureMesh:
                                             @ _nufft_kernel(_NUFFT_FT_NODES))
             return (cols % fine).astype(np.int32), vals, 1.0 / ft
 
-        return _memo(self._cache, ("nufft", grid), build)
+        return self.cached(("nufft", grid), build)
 
     def _synthesize_nufft(self, grid: GridSpec, active: np.ndarray,
                           coeffs: np.ndarray) -> np.ndarray:
@@ -492,7 +500,7 @@ class QuadratureMesh:
             np.conjugate(table[:, 2 * kb:kb:-1], out=table[:, :kb])
             return table
 
-        return _memo(self._cache, ("modes", grid), build)
+        return self.cached(("modes", grid), build)
 
     def synthesize(self, grid: GridSpec, active: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
         """Values at the nodes of sum_j coeffs[j] exp(2 pi i xi_{active[j]} t),
@@ -548,8 +556,8 @@ class QuadratureMesh:
 
     def weights(self, gamma: float) -> np.ndarray:
         """Node weights so that sum(w * g(nodes)) = int |t|^gamma * interp(g) dt."""
-        return _memo(self._cache, ("weights", gamma),
-                     lambda: self.weights_on_interval(gamma, -self.half_width, self.half_width))
+        L = self.half_width
+        return self.cached(("weights", gamma), lambda: self.weights_on_interval(gamma, -L, L))
 
     def weights_on_interval(self, gamma: float, lo: float, hi: float) -> np.ndarray:
         """Weights for int_{[lo,hi]} |t|^gamma * interp(g) dt (subset of [-L, L])."""

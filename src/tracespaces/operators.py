@@ -87,7 +87,7 @@ class MultiplierOperator:
     """Positive diagonal operator on C^n (Euclidean norm)."""
 
     def __init__(self, eigenvalues):
-        lam = np.atleast_1d(np.asarray(eigenvalues, dtype=float))
+        lam = np.array(eigenvalues, dtype=float, ndmin=1)  # a copy: the caller's stays writable
         if lam.ndim != 1 or lam.size == 0:
             raise ValueError("need a nonempty 1-d eigenvalue list")
         if not np.all((lam > 0) & np.isfinite(lam)):

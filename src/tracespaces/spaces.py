@@ -30,14 +30,14 @@ with the analytic t -> 0 tail appended from Delta^m_h f ~ h^m f^(m), so the
 computed value is stable under halving t_min.  Every q takes one h-rule:
 Gauss-Legendre cells [0, t_0], [t_0, t_1], ... between the scales, sized
 by the band, whose running sums give int_{|h|<=t} ||Delta^m_h f|| dh at
-every scale at once.  The h-rule and the multiplier of f^(m) hold no
-coefficients: they form one Delta-bank per (grid, active set, m), which
-every function on that set shares.  The multipliers of Delta^m_h f are
-built and synthesized in chunks of h-nodes of a fixed byte budget, so the
-memory grows with the mesh, not with mesh x h-nodes.  Those averages and
-||f^(m)|| at the nodes, free of s, p, q and gamma, are cached on f per
-(m, mesh, inner space), so every other parameter set on the same function
-reduces the cached array.
+every scale at once.  The h-rule holds no coefficients: f's mesh keeps
+it per (grid, m, m x band), so every function of that band shares one.
+The multipliers of f^(m) and Delta^m_h f are built and synthesized in
+chunks of h-nodes of a fixed byte budget, so the memory grows with the
+mesh, not with mesh x h-nodes.  Those averages and ||f^(m)|| at the
+nodes, free of s, p, q and gamma, are cached on f per (m, mesh, inner
+space), so every other parameter set on the same function reduces the
+cached array.
 """
 
 from __future__ import annotations
@@ -73,23 +73,9 @@ __all__ = [
 # exact defining values; cached norm magnitudes are keyed by it.
 # batch_norm maps values of shape (..., dim) to norms of shape (...).
 # One class, WeightedSequenceInner, computes every weighted ell^z norm:
-# the Euclidean, weighted Euclidean and sequence-Besov spaces are its
-# constructors.  ScalarInner is its dim-1 fast path, and InterpNormInner
-# takes its norms from `operators`.
+# the scalar, Euclidean, weighted Euclidean and sequence-Besov spaces are
+# its constructors.  InterpNormInner takes its norms from `operators`.
 # ---------------------------------------------------------------------
-
-
-class ScalarInner:
-    """C with the absolute value."""
-
-    dim = 1
-    key = ("scalar",)
-
-    def batch_norm(self, values: np.ndarray) -> np.ndarray:
-        return np.abs(values[..., 0])
-
-    def __repr__(self):
-        return "ScalarInner()"
 
 
 class WeightedSequenceInner:
@@ -98,10 +84,11 @@ class WeightedSequenceInner:
     the power of two of operators.scaled_rows, its ell^z taken, and the
     scale multiplied back, so the norm is homogeneous from the smallest
     floats to the largest.  At one z, the geometric mean of two weight
-    vectors gives the exact complex interpolation of the two norms."""
+    vectors gives the exact complex interpolation of the two norms.  At
+    dim 1 the norm is |a| w, with no product at w = 1."""
 
     def __init__(self, weights, z: float = 2.0):
-        u = np.atleast_1d(np.asarray(weights, dtype=float))
+        u = np.array(weights, dtype=float, ndmin=1)  # a copy: the caller's stays writable
         if u.ndim != 1 or not np.all((u > 0) & np.isfinite(u)):
             raise ValueError(f"component weights must be finite and positive, got {u}")
         if not z >= 1:
@@ -125,11 +112,21 @@ class WeightedSequenceInner:
         return _lq_combine(scaled, self.z, axis=1) * scale
 
     def batch_norm(self, values: np.ndarray) -> np.ndarray:
+        if self.dim == 1:
+            mags = np.abs(values[..., 0])
+            return mags if self._unit else mags * self.weights[0]
         return by_rows(self._norms, values)
 
     def __repr__(self):
         return (f"WeightedSequenceInner({np.array2string(self.weights, precision=6)}, "
                 f"z={self.z})")
+
+
+class ScalarInner(WeightedSequenceInner):
+    """C with the absolute value: the Euclidean space of dim 1."""
+
+    def __init__(self):
+        super().__init__(np.ones(1))
 
 
 class EuclideanInner(WeightedSequenceInner):
@@ -158,10 +155,10 @@ class SequenceBesovInner(WeightedSequenceInner):
 
 @functools.lru_cache(maxsize=None)
 def default_inner(dim: int):
-    """The inner space of a norm that names none: C for scalar values,
-    Euclidean C^dim otherwise; inner spaces are immutable, so one per dim
-    serves every norm."""
-    return ScalarInner() if dim == 1 else EuclideanInner(dim)
+    """The inner space of a norm that names none, Euclidean C^dim (C with
+    the absolute value at dim 1); inner spaces are immutable, so one per
+    dim serves every norm."""
+    return EuclideanInner(dim)
 
 
 class InterpNormInner:
@@ -338,11 +335,6 @@ _N_SCALES = 60  # geometric scale grid t_0 = L/N < ... < t_59 = 2L
 _BLOCK_BYTES = 4 * 2**20
 
 
-@functools.lru_cache(maxsize=None)
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
-
-
 def _h_rule(t: np.ndarray, rate: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes h > 0 and weights W[h, j] with
     int_{-t_j}^{t_j} g(h) dh ~ sum_h W[h, j] (g(h) + g(-h)) at every scale
@@ -351,40 +343,17 @@ def _h_rule(t: np.ndarray, rate: float) -> tuple[np.ndarray, np.ndarray]:
     width w gets 2 + ceil(rate * w) nodes."""
     a = np.concatenate([[0.0], t[:-1]])
     counts = 2 + np.ceil(rate * (t - a)).astype(int)
-    x, w = (np.concatenate(v) for v in zip(*(_leggauss(n) for n in counts)))
+    rules = [np.polynomial.legendre.leggauss(n) for n in counts]
+    x, w = (np.concatenate(v) for v in zip(*rules))
     cell = np.repeat(np.arange(t.size), counts)
     half = (0.5 * (t - a))[cell]
     h = (0.5 * (a + t))[cell] + half * x
     return h, np.where(cell[:, None] <= np.arange(t.size), (half * w)[:, None], 0.0)
 
 
-@functools.lru_cache(maxsize=None)
 def _scales(grid: GridSpec) -> np.ndarray:
     L = grid.half_width
-    t = np.geomspace(L / grid.n_samples, 2.0 * L, _N_SCALES)
-    t.flags.writeable = False
-    return t
-
-
-class _DeltaBank:
-    """The coefficient-free part of the difference seminorm of order m on
-    one active set of a grid: the frequencies xi, the scales t, the h-rule
-    with its cumulative weights and the derivative factor (2 pi i xi)^m.
-    Every function on the set shares one bank."""
-
-    def __init__(self, grid: GridSpec, active: np.ndarray, m: int):
-        self.t = _scales(grid)
-        self.xi = grid.frequencies()[active]
-        # ||Delta^m_h f(x)|| oscillates in h at most at 2 m band
-        self.h, self.cum = _h_rule(self.t, m * float(np.max(np.abs(self.xi), initial=0.0)))
-        self.derivative = (2j * np.pi * self.xi) ** m
-
-
-# a function's two orders (m = 1 and 2 in the norms suite) share the draw's
-# active set, so two banks serve a whole family
-@functools.lru_cache(maxsize=2)
-def _delta_bank(grid: GridSpec, active: bytes, m: int) -> _DeltaBank:
-    return _DeltaBank(grid, np.frombuffer(active, dtype=np.intp), m)
+    return np.geomspace(L / grid.n_samples, 2.0 * L, _N_SCALES)
 
 
 def _delta_averages(f: GridFunction, m: int, mesh: QuadratureMesh, inner) -> np.ndarray:
@@ -394,24 +363,27 @@ def _delta_averages(f: GridFunction, m: int, mesh: QuadratureMesh, inner) -> np.
     most _BLOCK_BYTES of node values, the first with the derivative column,
     and each chunk's h-integrals are added into the averages at the scales
     from its first h-node's cell on, below which its weights are zero."""
-    bank = _delta_bank(f.grid, f.active_indices.tobytes(), m)
+    rate = m * f.max_frequency  # ||Delta^m_h f(x)|| oscillates in h at most at 2 m band
+    hs, cum = mesh.cached(("h-rule", f.grid, m, rate), lambda: _h_rule(_scales(f.grid), rate))
+    xi = f.active_frequencies()
     per_column = 16 * mesh.nodes.size * f.dim
     width = max((_BLOCK_BYTES // per_column - 1) // 2, 1)  # h-nodes per chunk
-    avg = np.zeros((mesh.nodes.size, 1 + bank.t.size))
-    for start in range(0, bank.h.size, width):
+    avg = np.zeros((mesh.nodes.size, 1 + cum.shape[1]))
+    for start in range(0, hs.size, width):
         cols = slice(start, start + width)
-        h = bank.h[cols]
+        h = hs[cols]
         # h ascends by cell, so every weight of the chunk below its first
         # row's first nonzero scale (that row's cell) is zero
-        low = int(np.flatnonzero(bank.cum[start])[0])
-        plus = (np.exp(2j * np.pi * np.multiply.outer(bank.xi, h)) - 1.0) ** m
+        low = int(np.flatnonzero(cum[start])[0])
+        plus = (np.exp(2j * np.pi * np.multiply.outer(xi, h)) - 1.0) ** m
         minus = plus.conj()  # xi and h are real
         first = start == 0
-        factors = np.column_stack([bank.derivative, plus, minus] if first else [plus, minus])
+        factors = np.column_stack([(2j * np.pi * xi) ** m, plus, minus] if first
+                                  else [plus, minus])
         mags = inner.batch_norm(_multiplier_values(f, factors, mesh))
         if first:
             avg[:, 0], mags = mags[:, 0], mags[:, 1:]
-        avg[:, 1 + low:] += (mags[:, :h.size] + mags[:, h.size:]) @ bank.cum[cols, low:]
+        avg[:, 1 + low:] += (mags[:, :h.size] + mags[:, h.size:]) @ cum[cols, low:]
     return avg
 
 

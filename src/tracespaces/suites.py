@@ -639,11 +639,10 @@ def run_semigroup(config: SuiteConfig) -> VerificationReport:
     cases.append(CaseRecord("semigroup_norm_root_half",
                             abs(semi - math.sqrt(0.5)), 1e-6))
 
-    base = interp_norm_resolvent(MultiplierOperator.scalar(1.0), 0.5, 2.0, [1.0])
     scale_dev = 0.0
     for a in (0.25, 1.0, 4.0, 16.0):
         val = interp_norm_resolvent(MultiplierOperator.scalar(a), 0.5, 2.0, [1.0])
-        scale_dev = max(scale_dev, abs(val / a ** 0.5 / base - 1.0))
+        scale_dev = max(scale_dev, abs(val / a ** 0.5 / res - 1.0))
     cases.append(CaseRecord("resolvent_scaling_law", scale_dev, 1e-6))
 
     diag = MultiplierOperator.diagonal(_TRACE_EIGENVALUES)

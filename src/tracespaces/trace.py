@@ -110,7 +110,7 @@ class OrbitFunction(GridFunction):
 
     def __init__(self, grid: GridSpec, coeffs: np.ndarray, trace_value: np.ndarray):
         super().__init__(grid, coeffs)
-        tv = np.asarray(trace_value, dtype=complex)
+        tv = np.array(trace_value, dtype=complex)  # a copy: the caller's stays writable
         tv.flags.writeable = False
         self.trace_value = tv
 

@@ -55,6 +55,18 @@ def test_active_frequencies_are_read_only_and_match_the_grid(n, half_width):
     assert GridFunction(grid, np.zeros(n)).max_frequency == 0.0
 
 
+def test_construction_copies_the_callers_coefficients(grid):
+    """Given a C-contiguous complex array, 2-d or 1-d, the function keeps a
+    read-only copy: the caller's array stays writable, and writing to it
+    does not change the function."""
+    for c in (np.zeros((grid.n_samples, 1), dtype=complex), np.zeros(grid.n_samples, dtype=complex)):
+        c[1] = 1.0
+        f = GridFunction(grid, c)
+        c[2] = 1.0
+        np.testing.assert_array_equal(f.active_indices, [1])
+        assert f.coeffs[2, 0] == 0.0 and not f.coeffs.flags.writeable
+
+
 def test_from_samples_round_trip(grid):
     f = random_band_limited(grid, (-20.0, 20.0), seed=1)
     g = GridFunction.from_samples(grid, f.samples)

@@ -49,6 +49,16 @@ def test_operator_validation(diag, x6):
                 norm(diag, 0.5, 2.0, np.ones(shape))
 
 
+def test_operator_copies_the_callers_eigenvalues():
+    """The caller's eigenvalue array stays writable, and writing to it does
+    not change the operator."""
+    lam = np.array([0.5, 2.0, 8.0])
+    op = MultiplierOperator(lam)
+    lam[0] = 100.0
+    np.testing.assert_array_equal(op.eigenvalues, [0.5, 2.0, 8.0])
+    assert not op.eigenvalues.flags.writeable
+
+
 def test_resolvent_norm_unit_scalar():
     got = interp_norm_resolvent(MultiplierOperator.scalar(1.0), 0.5, 2.0, [1.0])
     assert got == pytest.approx(1.0, abs=1e-9)

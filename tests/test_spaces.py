@@ -15,6 +15,7 @@ from tracespaces import (
     InterpNormInner,
     MultiplierOperator,
     QuadratureMesh,
+    ScalarInner,
     SequenceBesovInner,
     SpaceSpec,
     WeightedEuclideanInner,
@@ -26,6 +27,7 @@ from tracespaces import (
     space_norm,
     weighted_lp_norm,
 )
+from tracespaces import grid as grid_module
 from tracespaces import spaces as spaces_module
 
 
@@ -186,6 +188,16 @@ def test_inner_spaces_are_one_weighted_sequence_space():
     assert besov.z == 3.0
     with pytest.raises(ValueError):
         besov.geometric_mix(WeightedEuclideanInner([1.0, 2.0, 3.0]), 0.5)  # z differs
+
+
+def test_inner_space_copies_the_callers_weights():
+    """The caller's weight array stays writable, and writing to it does not
+    change the inner space."""
+    w = np.array([1.0, 0.5, 2.0])
+    inner = WeightedSequenceInner(w, 3.0)
+    w[1] = 7.0
+    np.testing.assert_array_equal(inner.weights, [1.0, 0.5, 2.0])
+    assert not inner.weights.flags.writeable
 
 
 def test_sequence_besov_inner_closed_form():
@@ -430,22 +442,52 @@ def test_chunked_seminorm_matches_one_block(grid, monkeypatch):
     np.testing.assert_allclose(chunked, whole, rtol=1e-14, atol=0.0)
 
 
-def test_functions_on_one_active_set_share_the_seminorm_bank(grid):
-    """Two draws on one band share one Delta-bank, and each one's
-    seminorm is bitwise the same whichever of them is normed first.  A
-    seminorm whose averages the function has cached builds no bank."""
+def test_functions_of_one_band_share_the_seminorm_h_rule(grid, monkeypatch):
+    """The mesh keeps the seminorm's h-rule per (grid, m, band): two draws
+    on one band build one rule per m, a draw on another active set with the
+    same top frequency builds none, and so does a seminorm whose averages
+    the function has cached.  Each seminorm is bitwise the same whichever
+    draw is normed first."""
+    builds = []
+
+    def counted(t, rate, h_rule=spaces_module._h_rule):
+        builds.append(rate)
+        return h_rule(t, rate)
+
     def draws():
         return [random_band_limited(grid, (-8.0, 8.0), seed=seed) for seed in (21, 22)]
 
-    args = (0.5, 2.0, 2.0, 0.5, 1)
-    spaces_module._delta_bank.cache_clear()
+    def seminorms(fs):
+        return [difference_seminorm(f, *args) for f in fs for args in
+                ((0.5, 2.0, 2.0, 0.5, 1), (1.5, 2.0, 1.0, 0.0, 2))]
+
+    monkeypatch.setattr(spaces_module, "_h_rule", counted)
+    grid_module._shared_mesh.cache_clear()  # meshes without rules
     fs = draws()
-    first = [difference_seminorm(f, *args) for f in fs]
-    assert spaces_module._delta_bank.cache_info().misses == 1
-    spaces_module._delta_bank.cache_clear()
+    first = seminorms(fs)
+    assert builds == [8.0, 16.0]
+    assert difference_seminorm(random_band_limited(grid, (-8.0, 2.0), seed=23),
+                               0.5, 2.0, 2.0, 0.5, 1) > 0.0
+    assert builds == [8.0, 16.0]
+    grid_module._shared_mesh.cache_clear()
     assert difference_seminorm(fs[0], 0.75, 3.0, math.inf, 0.0, 1) > 0.0
-    assert spaces_module._delta_bank.cache_info().misses == 0
-    spaces_module._delta_bank.cache_clear()
-    second = [difference_seminorm(f, *args) for f in draws()[::-1]][::-1]
-    assert first == second
-    assert first[0] != first[1]
+    assert builds == [8.0, 16.0]
+    second = seminorms(draws()[::-1])
+    assert first == second[2:] + second[:2]
+    assert first[0] != first[2]
+
+
+def test_scalar_space_is_the_one_component_euclidean_space():
+    """ScalarInner, EuclideanInner(1) and the unit weight share one key and
+    norm each value by its modulus, bitwise; a weight w gives |a| w."""
+    rng = np.random.default_rng(6)
+    vals = rng.standard_normal((5, 4, 1)) + 1j * rng.standard_normal((5, 4, 1))
+    vals[0, :, 0] = [0.0, 1e-310 + 2e-310j, 1e300 - 1e300j, complex(math.inf, 1.0)]
+    same = (ScalarInner(), EuclideanInner(1), WeightedEuclideanInner([1.0]),
+            spaces_module.default_inner(1))
+    for inner in same:
+        assert inner.key == same[0].key
+        np.testing.assert_array_equal(inner.batch_norm(vals), np.abs(vals[..., 0]))
+    for inner, w in ((WeightedEuclideanInner([3.0]), 3.0),
+                     (SequenceBesovInner(0.5, 3.0, dim=1), 2.0 ** 0.5)):
+        np.testing.assert_array_equal(inner.batch_norm(vals), np.abs(vals[..., 0]) * w)

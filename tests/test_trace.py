@@ -170,6 +170,16 @@ def test_windowed_orbit_records_exact_trace(grid):
     np.testing.assert_array_equal(trace_at_zero(u), tv)
 
 
+def test_orbit_copies_the_callers_trace_value(grid, diag):
+    """The caller's complex datum stays writable, and writing to it does
+    not change the recorded trace."""
+    x = np.array([1.0 + 2.0j, -0.5j, 3.0, 0.25, 1.0, -1.0])
+    u = resolvent_orbit(grid, diag, x, 1, ExtensionOperator(2, 0))
+    x[0] = 0.0
+    np.testing.assert_array_equal(u.trace_value[0], 1.0 + 2.0j)
+    assert not u.trace_value.flags.writeable
+
+
 def test_trace_continuity_numerator_independent_of_r(grid, diag):
     problem = TraceProblem(diag, 0.0, 2.0, 2.0, 0.0, 1.0)
     u = random_band_limited(grid, (-16.0, 16.0), seed=12, dim=diag.dim)
