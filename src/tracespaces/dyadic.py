@@ -64,9 +64,8 @@ class DyadicSystem:
     def for_grid(cls, grid: GridSpec) -> "DyadicSystem":
         """The shallowest system (K >= 1) whose blocks cover every
         representable frequency of the grid, |xi| <= 2^K."""
-        top = grid.nyquist - grid.fundamental
         depth = 1
-        while 2 ** depth < top:
+        while 2 ** depth < grid.top:
             depth += 1
         return cls(depth)
 

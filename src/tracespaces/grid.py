@@ -17,10 +17,10 @@ evaluated by integrating the weight against a piecewise-cubic interpolant
 of the smooth factor g (never by blind quadrature of the product, which
 loses the |t|^gamma singularity for gamma < 0): in closed form on the cell
 at t = 0, and by Gauss-Legendre on every other cell, where t^gamma is
-analytic; p = inf takes that interpolant's maximum.  f's mesh,
-QuadratureMesh.for_function(f), has 12 cells per wavelength of f's top
-frequency on each side, and no floor: one error budget sizes every mesh
-(see _CELLS_PER_WAVE).
+analytic; p = inf takes that interpolant's maximum.  Every norm of f
+that names no mesh takes f.mesh, with 12 cells per wavelength of f's top
+frequency on each side (an orbit's of trace.ORBIT_BAND) and no floor above
+4 cells: one error budget sizes every mesh (see _CELLS_PER_WAVE).
 
 Every evaluation at quadrature nodes goes through one kernel,
 QuadratureMesh.synthesize, which has two paths; the mesh, the grid and the
@@ -109,6 +109,11 @@ class GridSpec:
     def fundamental(self) -> float:
         """Smallest positive representable frequency, 1/(2L)."""
         return 1.0 / (2.0 * self.half_width)
+
+    @property
+    def top(self) -> float:
+        """Largest representable frequency, one fundamental below Nyquist."""
+        return self.nyquist - self.fundamental
 
     @property
     def spacing(self) -> float:
@@ -243,6 +248,11 @@ class GridFunction:
         return float(np.max(np.abs(self.active_frequencies())))
 
     @property
+    def mesh(self) -> "QuadratureMesh":
+        """The mesh of every norm of f that names none: its band's."""
+        return QuadratureMesh.for_band(self.grid, self.max_frequency)
+
+    @property
     def value_at_zero(self) -> np.ndarray:
         """Sample value at t = 0 (a grid point)."""
         return self.samples[self.grid.n_samples // 2]
@@ -352,9 +362,14 @@ def _nufft_kernel(z: np.ndarray) -> np.ndarray:
 # (3.5e-5, 3.1e-4 and 8.0e-4 at seed 9001): about 4 times per halving, so
 # second order in the cell count, not the (h xi)^4 of a cubic interpolant
 # alone.  12 keeps the budget with a margin of 3; 6 does not.  There is no
-# floor: raising the band-8 and band-16 meshes to 256 cells moves no value
-# by more than 1.1e-4.
+# floor above the constructor's 4 cells: raising the band-8 and band-16
+# meshes to 256 cells moves no value by more than 1.1e-4.
 _CELLS_PER_WAVE = 12
+# The cap binds past band x L = 1667.  Against meshes at the grid's top
+# frequency with no cap (24570 cells a side at L = 400, N = 8192, 49146 at
+# L = 1000, N = 16384) it moves no semigroup case by more than 6.5e-8 and
+# no extension case by 8e-15, relative, and keeps semigroup at L = 1000,
+# N = 16384 at 2.3-2.8 s and 180 MB, not 5.6-6.3 s and 357 MB (2 cores).
 _MAX_CELLS = 20000
 
 
@@ -424,17 +439,19 @@ class QuadratureMesh:
     def for_band(cls, grid: GridSpec, band_max: float, min_cells: int = 4) -> "QuadratureMesh":
         """Mesh resolving oscillation up to |xi| = band_max: ceil(12
         max(band_max, 1) L) cells per side (_CELLS_PER_WAVE per wavelength),
-        graded toward 0, at least min_cells and at most _MAX_CELLS.  One
-        shared instance per key, so its tables and weights are built once.
-        A band that is not finite and >= 0 is a GridError."""
+        graded toward 0, at most _MAX_CELLS and at least min_cells: the
+        constructor's 4 (L = 0.25 asks for 3), which only bench/test_bench.py
+        overrides.  One shared instance per key, so its tables and weights
+        are built once.  A band that is not finite and >= 0 is a GridError."""
         if not 0.0 <= band_max < math.inf:
             raise GridError(f"band must be finite and >= 0, got {band_max}")
         need = int(math.ceil(_CELLS_PER_WAVE * max(band_max, 1.0) * grid.half_width))
         return _shared_mesh(grid.half_width, min(max(need, min_cells), _MAX_CELLS))
 
-    @classmethod
-    def for_function(cls, f: GridFunction) -> "QuadratureMesh":
-        return cls.for_band(f.grid, f.max_frequency)
+    @staticmethod
+    def for_function(f: GridFunction) -> "QuadratureMesh":
+        """f's own mesh, f.mesh."""
+        return f.mesh
 
     # -- synthesis ----------------------------------------------------
 

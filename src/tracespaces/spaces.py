@@ -12,8 +12,8 @@ and the plain norm ||f||_{L^p(w; X)}, whose one path is weighted_lp_norm.
 Every norm is one filter bank, whose magnitudes are synthesized once per
 mesh and cached on f, and one reduction: B, H and W take the ell^q over
 the copies of their weighted L^p norms (q = 1 but for B), F the L^p norm
-of the pointwise ell^q, and weighted_lp_norm the L^p norm of its one
-factor-1 copy.
+of the pointwise ell^q, and weighted_lp_norm the L^p norm of the one copy
+of the W bank at s = 0, whose factor is 1.
 
 B^s_{p,p} and F^s_{p,p} are evaluated as the same weighted double sum over
 (block, node) in two association orders, so they agree to float rounding.
@@ -242,8 +242,8 @@ def _magnitudes(f: GridFunction, mesh: QuadratureMesh, inner, kind: str, s: floa
                 sys: DyadicSystem | None = None) -> np.ndarray:
     """(n_filters, n_nodes) array of ||copy_j f(node)||_X over the filter
     bank of a norm kind: H (1 + xi^2)^{s/2}, W (2 pi i xi)^j for j <= s,
-    B and F the dyadic symbols, and "Lp", the factor 1 of
-    weighted_lp_norm.  Cached on f: node values per (bank, mesh),
+    whose bank at s = 0 is the one factor 1 of weighted_lp_norm, and B and
+    F the dyadic symbols.  Cached on f: node values per (bank, mesh),
     magnitudes per (bank, mesh, inner); the factors are built on f's
     active frequencies only on a miss.  A column that vanishes there gives
     a zero row and skips synthesis.  The mesh must span f's grid."""
@@ -253,9 +253,7 @@ def _magnitudes(f: GridFunction, mesh: QuadratureMesh, inner, kind: str, s: floa
 
     def magnitudes():
         xi = f.active_frequencies()
-        if kind == "Lp":
-            factors = np.ones((xi.size, 1))
-        elif kind == "H":
+        if kind == "H":
             factors = ((1.0 + xi ** 2) ** (s / 2.0))[:, None]
         elif kind == "W":
             factors = np.stack([(2j * np.pi * xi) ** j for j in range(int(s) + 1)], 1)
@@ -289,7 +287,7 @@ def space_norm(f: GridFunction, spec: SpaceSpec, sys: DyadicSystem | None = None
             raise GridError(
                 f"dyadic system with max block {sys.max_block} does not cover the "
                 f"band |xi| <= {f.max_frequency}")
-    mesh = mesh or QuadratureMesh.for_function(f)
+    mesh = mesh or f.mesh
     p, gamma = spec.p, spec.gamma
     mags = _magnitudes(f, mesh, inner, spec.kind, spec.s, sys)
     scales = 2.0 ** (spec.s * np.arange(mags.shape[0]))  # dyadic weights of B and F
@@ -307,17 +305,17 @@ def weighted_lp_norm(f: GridFunction, p: float, gamma: float,
                      interval: tuple[float, float] | None = None) -> float:
     """|| f ||_{L^p(|t|^gamma dt; X)} on [-L, L] (or on a subinterval).
 
-    The pointwise magnitude ||f(t)||_X of the factor-1 bank is sampled on
-    the mesh nodes and its p-th power integrated exactly against |t|^gamma as
-    a piecewise cubic.  p = inf returns the maximum of that cubic
-    interpolant of the magnitude (weight-independent).
+    The pointwise magnitude ||f(t)||_X of the W bank at s = 0, (2 pi i xi)^0
+    = 1, is sampled on the mesh nodes and its p-th power integrated exactly
+    against |t|^gamma as a piecewise cubic.  p = inf returns the maximum of
+    that cubic interpolant of the magnitude (weight-independent).
     """
     if not gamma > -1:
         raise GridError(f"power weight needs gamma > -1, got {gamma}")
     if not (p >= 1):
         raise GridError(f"integrability exponent must satisfy p >= 1, got {p}")
-    mesh = mesh or QuadratureMesh.for_function(f)
-    mags = _magnitudes(f, mesh, inner or default_inner(f.dim), "Lp")
+    mesh = mesh or f.mesh
+    mags = _magnitudes(f, mesh, inner or default_inner(f.dim), "W")
     return float(mesh.lp_norm(mags[0], p, gamma, interval))
 
 
@@ -408,7 +406,7 @@ def difference_seminorm(f: GridFunction, s: float, p: float, q: float, gamma: fl
         raise ValueError(f"need q >= 1, got {q}")
     if not gamma > -1:
         raise ValueError(f"need weight power gamma > -1, got gamma={gamma}")
-    mesh = QuadratureMesh.for_function(f)
+    mesh = f.mesh
     inner = inner or default_inner(f.dim)
     t = _scales(f.grid)
     t_min = t[0]

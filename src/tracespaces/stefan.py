@@ -46,7 +46,7 @@ from .extension import ExtensionOperator
 from .grid import GridSpec
 from .operators import MultiplierOperator
 from .spaces import SequenceBesovInner, SpaceSpec, space_norm, weighted_lp_norm
-from .trace import windowed_orbit
+from .trace import orbit_time_unit, windowed_orbit
 
 __all__ = [
     "DegenerateCaseError",
@@ -181,12 +181,12 @@ def dt_boundedness_check(params: StefanParams, grid: GridSpec, seed: int = 7) ->
     loss when the continuous trace is replaced by the model; the check
     requires the shifted trace smoothness 2 - 2/q - 4 epsilon to stay
     above the interior inner smoothness 1 - 1/q.  The eigenvalue ladder
-    4^n is normalized so its largest rung is 4 (a choice of time unit):
+    4^n is normalized so its largest rung is 4 in trace.orbit_time_unit:
     the orbit then stays analytic far below the grid Nyquist frequency
     and its reflection joint at t = 0 is mild enough for the spectral
-    time derivative to recover the trace datum accurately.  Like every
-    orbit norm, the derivative's is taken on the orbit's mesh, with the
-    blocks of the grid.
+    time derivative to recover the trace datum accurately.  The
+    derivative, a plain GridFunction, is passed the orbit's mesh, and
+    takes the blocks of the grid.
     """
     conds = compatibility_conditions(params)
     if "dynamic" not in conds:
@@ -200,7 +200,7 @@ def dt_boundedness_check(params: StefanParams, grid: GridSpec, seed: int = 7) ->
     spaces = classify_spaces(params)
     dim = 3  # spatial scales of the sequence model
 
-    lam = 4.0 ** np.arange(1, dim + 1) / 4.0 ** (dim - 1)
+    lam = 4.0 ** np.arange(1, dim + 1) / 4.0 ** (dim - 1) / orbit_time_unit(grid)
     op = MultiplierOperator.diagonal(lam)
     rng = np.random.default_rng(seed)
     x0 = (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) / math.sqrt(2)

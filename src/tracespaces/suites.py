@@ -84,6 +84,7 @@ from .trace import (
     TraceProblem,
     hardy_young_check,
     frac_power_reparam_ratio,
+    orbit_time_unit,
     resolvent_orbit,
     right_inverse_check,
     semigroup_orbit,
@@ -142,7 +143,7 @@ class SuiteConfig:
         through all of its cases before the next, so a draw and its caches
         are dropped once the next is drawn: at most two are alive."""
         grid = self.grid()
-        band = min(band, grid.nyquist - grid.fundamental)
+        band = min(band, grid.top)
         for i in range(count):
             yield random_band_limited(grid, (-band, band), (self.seed, stream, i), dim)
 
@@ -531,10 +532,9 @@ def _single_plateau_modes(grid: GridSpec) -> list[float]:
     k), where one block is active; a mode the cap takes into a transition
     band, or onto a mode already kept, is dropped."""
     dyadic = DyadicSystem.for_grid(grid)
-    top = grid.nyquist - grid.fundamental
     modes = []
     for xi in (1.0, 2.0, 4.0):
-        xi = math.floor(min(xi, top) / grid.fundamental + 1e-9) * grid.fundamental
+        xi = math.floor(min(xi, grid.top) / grid.fundamental + 1e-9) * grid.fundamental
         if xi not in modes and np.max(dyadic.symbols([xi])) >= 1.0:
             modes.append(xi)
     return modes
@@ -672,15 +672,18 @@ def run_semigroup(config: SuiteConfig) -> VerificationReport:
         cases.append(CaseRecord(f"orbit_ratio_set{i}", worst, compare="baseline"))
 
     # windowed scalar orbit against the incomplete-gamma closed form on the
-    # window plateau [-0.75 a, 0.6 L], where the orbit is exactly e^{-t}
-    u = semigroup_orbit(grid, unit, [1.0], ExtensionOperator(3, 0))
-    reach = min(config.half_width, 1.0)
-    t0, t1 = 0.05 * reach, 0.5 * reach
+    # window plateau [-0.75 a, 0.6 L], where the orbit is exactly e^{-t/T}
+    # with T the orbit time unit; the interval (0.05, 0.5) L lies there
+    T = orbit_time_unit(grid)
+    u = semigroup_orbit(grid, MultiplierOperator.scalar(1.0 / T), [1.0],
+                        ExtensionOperator(3, 0))
+    t0, t1 = 0.05 * config.half_width, 0.5 * config.half_width
     for tag, p, gamma in (("flat", 2.0, 0.0), ("weighted", 2.0, 0.5)):
-        computed = weighted_lp_norm(u, p, gamma, mesh=u.mesh, interval=(t0, t1))
+        computed = weighted_lp_norm(u, p, gamma, interval=(t0, t1))
         a = gamma + 1.0
         q = _UPPER_GAMMA_RATIO[a]
-        mass = math.gamma(a) / p ** a * (q(p * t0) - q(p * t1))
+        # int t^gamma e^{-p t / T} dt = T^a int tau^gamma e^{-p tau} dtau
+        mass = T ** a * math.gamma(a) / p ** a * (q(p * t0 / T) - q(p * t1 / T))
         cases.append(CaseRecord(f"orbit_plateau_norm_{tag}",
                                 abs(computed / mass ** (1.0 / p) - 1.0), 1e-4))
 

@@ -40,6 +40,7 @@ from .spaces import InterpNormInner, SpaceSpec, space_norm
 
 __all__ = [
     "ORBIT_BAND",
+    "orbit_time_unit",
     "TraceProblem",
     "OrbitFunction",
     "trace_at_zero",
@@ -138,6 +139,13 @@ def trace_at_zero(f: GridFunction) -> np.ndarray:
 # N = 1024, L = 1 this mesh moves no orbit ratio of the trace problems by
 # more than 2.5e-5 from its value on the full band's mesh (3066 cells).
 ORBIT_BAND = 16.0
+
+
+def orbit_time_unit(grid: GridSpec) -> float:
+    """max(L, 1), the unit dividing the eigenvalues of the stefan and
+    semigroup plateau orbits, so that at every L > 1 their structure spans a
+    fixed share of [-L, L], not a few samples; at L <= 1 it changes nothing."""
+    return max(grid.half_width, 1.0)
 
 
 def orbit_window(grid: GridSpec, left_reach: float):
@@ -322,16 +330,14 @@ def trace_continuity_ratio(problem: TraceProblem, u: GridFunction,
                            kind: str = "F", r: float = 1.0) -> dict:
     """|| tr u ||_{D_A(theta, p or q)} over
     ||u||_{kind^{s+alpha}(X)} + ||u||_{kind^{s}(D_A(alpha, r))}, with the
-    blocks of u's grid.  An orbit is normed on its own mesh (`mesh`), any
-    other function on the mesh of its band."""
+    blocks of u's grid, on u's own mesh."""
     x0 = trace_at_zero(u)
     num = interp_norm_resolvent(problem.op, problem.theta,
                                 problem.target_second_index(kind), x0)
-    mesh = u.mesh if isinstance(u, OrbitFunction) else None
     hi = SpaceSpec(kind, problem.s + problem.alpha, problem.p, problem.q, problem.gamma)
     lo = SpaceSpec(kind, problem.s, problem.p, problem.q, problem.gamma,
                    inner=InterpNormInner(problem.op, problem.alpha, r))
-    den = space_norm(u, hi, mesh=mesh) + space_norm(u, lo, mesh=mesh)
+    den = space_norm(u, hi) + space_norm(u, lo)
     if den == 0.0:
         raise ValueError("zero orbit has no trace ratio")
     return {"numerator": num, "denominator": den, "ratio": num / den,
@@ -384,7 +390,7 @@ def semigroup_orbit_ratio(problem: TraceProblem, x, grid: GridSpec) -> dict:
     half = 0.5 * problem.alpha
     mixed = SpaceSpec("F", problem.s + half, problem.p, 1.0, problem.gamma,
                       inner=InterpNormInner(problem.op, half, 1.0))
-    num = space_norm(u, outer, mesh=u.mesh) + space_norm(u, mixed, mesh=u.mesh)
+    num = space_norm(u, outer) + space_norm(u, mixed)
     den = interp_norm_resolvent(problem.op, problem.theta, problem.p,
                                 trace_at_zero(u))
     if den == 0.0:

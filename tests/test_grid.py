@@ -263,17 +263,20 @@ def test_for_band_shares_one_mesh_per_key(grid):
     assert QuadratureMesh.for_band(grid, 23.99) is mesh  # same cell count
     assert QuadratureMesh.for_band(grid, 48.0) is not mesh
     f = random_band_limited(grid, (-24.0, 24.0), seed=2)
-    assert QuadratureMesh.for_function(f) is QuadratureMesh.for_band(grid, f.max_frequency)
+    assert QuadratureMesh.for_function(f) is f.mesh is QuadratureMesh.for_band(grid, f.max_frequency)
 
 
 def test_for_band_sizes_meshes_by_cells_per_wavelength():
-    """12 cells per wavelength of the band on each side, with no floor."""
+    """12 cells per wavelength of the band on each side, and never fewer
+    than the constructor's 4."""
     for band, half_width, cells in ((8.0, 1.0, 96), (16.0, 1.0, 192), (24.0, 1.0, 288),
                                     (32.0, 1.0, 384), (24.0, 2.0, 576), (0.0, 1.0, 12),
                                     (0.1, 0.25, 4)):
         assert QuadratureMesh.for_band(GridSpec(half_width, 1024), band).n_cells == cells
-    assert QuadratureMesh.for_band(GridSpec(1.0, 1024), 4.0, min_cells=16).n_cells == 48
-    assert QuadratureMesh.for_band(GridSpec(1.0, 1024), 4.0, min_cells=256).n_cells == 256
+    # at L = 0.25 band 1 asks for 3 cells, below the constructor's floor
+    assert QuadratureMesh.for_band(GridSpec(0.25, 1024), 1.0).n_cells == 4
+    with pytest.raises(GridError, match="at least 4 cells"):
+        QuadratureMesh(0.25, 3)
 
 
 @pytest.mark.parametrize("band", [math.nan, math.inf, -1.0])

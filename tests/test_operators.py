@@ -381,11 +381,11 @@ def test_each_alpha_and_power_gets_its_own_rule(x6):
             assert got == operators._batch_norm(MultiplierOperator.diagonal(eigs), form, alpha,
                                                 2.0, x6[None, :], m)
     assert list(op._rules) == [(form, alpha, 2.0, m) for form in forms for alpha, m in orders]
-    # a sweep keeps the newest _MAX_RULES rules, the oldest dropped first
+    # a sweep keeps every rule it builds, in the order built
     op = MultiplierOperator.diagonal(eigs)
-    alphas = np.linspace(0.1, 0.9, operators._MAX_RULES + 5)
+    alphas = np.linspace(0.1, 0.9, 37)
     for alpha in alphas:
         interp_norm_resolvent(op, alpha, 2.0, x6)
-    assert list(op._rules) == [("resolvent", a, 2.0, 1) for a in alphas[5:]]
+    assert list(op._rules) == [("resolvent", a, 2.0, 1) for a in alphas]
     assert interp_norm_resolvent(op, 0.6, 2.0, x6) == interp_norm_resolvent(
         MultiplierOperator.diagonal(eigs), 0.6, 2.0, x6)

@@ -155,7 +155,7 @@ def test_norm_rejects_uncovered_band(grid, mesh):
 def test_besov_norm_homogeneity(scale, seed):
     grid = GridSpec(1.0, 256)
     system = build_system(6)
-    mesh = QuadratureMesh.for_band(grid, 16.0, min_cells=128)
+    mesh = QuadratureMesh(1.0, 192)
     f = random_band_limited(grid, (-16.0, 16.0), seed=seed)
     spec = SpaceSpec("B", 0.5, 2.0, 1.0, 0.3)
     base = space_norm(f, spec, system, mesh=mesh)
@@ -303,7 +303,7 @@ def test_interp_inner_scale_with_operator(grid, system):
     """The interpolation-norm inner on a scalar operator is a multiple of
     the plain modulus, so the F-norm scales by exactly that multiple."""
     from tracespaces import interp_norm_resolvent
-    mesh = QuadratureMesh.for_band(grid, 16.0, min_cells=256)
+    mesh = QuadratureMesh(1.0, 256)
     op = MultiplierOperator.scalar(2.0)
     f = random_band_limited(grid, (-16.0, 16.0), seed=41)
     inner = InterpNormInner(op, 0.5, 2.0)
@@ -325,7 +325,7 @@ def test_norm_is_independent_of_cache_state(grid, system, first, second):
     """A norm must not depend on what was computed on the function before
     it: inner spaces that differ only in the seventh digit of the
     interpolation order or of a weight are distinct cache keys."""
-    mesh = QuadratureMesh.for_band(grid, 16.0, min_cells=256)
+    mesh = QuadratureMesh(1.0, 256)
 
     def norm(f, inner):
         return space_norm(f, SpaceSpec("F", 0.5, 2.0, 2.0, 0.0, inner=inner), system, mesh=mesh)

@@ -70,7 +70,7 @@ def test_families_stay_below_nyquist():
     cfg = SuiteConfig(n_samples=64)
     grid = cfg.grid()
     (f,) = cfg.family(24.0, 1, stream=1)
-    assert f.max_frequency == grid.nyquist - grid.fundamental
+    assert f.max_frequency == grid.top == grid.nyquist - grid.fundamental
 
 
 def test_registry_covers_all_runners():
@@ -94,16 +94,16 @@ def test_suite_rerun_is_bitwise_identical():
 
 
 # At N = 64 the spectral time derivative of the stefan orbit is off by
-# 0.77 (0.28 at 128, 3.2e-3 at 512) against its bound 1e-3, and at N = 1024,
-# L = 2 by 1.27e-3: it needs N / (2 L) >= 512 samples per unit length, a
-# resolution floor of the model, not a raise.  At L = 2 every mesh has twice
-# the cells it has at L = 1.
+# 0.77 (0.28 at 128, 3.2e-3 at 512) against its bound 1e-3: a resolution
+# floor of the model in N, not a raise.  Its time unit follows L, so at
+# N = 1024 it passes at every L (7.9e-5 at L = 2, 6.0e-5 at L = 10).  At
+# L = 2 every mesh has twice the cells it has at L = 1.
 def _sweep_case(n, half_width, name):
     id_ = f"{n}-{name}" if half_width == 1.0 else f"{n}-L{half_width:g}-{name}"
     marks = ()
-    if name == "stefan" and n / (2 * half_width) < 512:
+    if name == "stefan" and n < 1024:
         marks = pytest.mark.xfail(strict=True, reason="stefan dt_trace_error is above 1e-3 "
-                                  "below N / (2 L) = 512")
+                                  "below N = 1024")
     return pytest.param(n, half_width, name, marks=marks, id=id_)
 
 
@@ -111,6 +111,10 @@ _SWEEP = [_sweep_case(n, half_width, name)
           for n, half_width in ((64, 1.0), (2048, 1.0), (1024, 2.0), (1024, 0.75))
           for name in SUITE_ORDER]
 _SWEEP.append(_sweep_case(1024, 10.0, "extension"))
+# the orbit time unit max(L, 1) at L > 1, which the stefan ladder and the
+# semigroup plateau need to pass at these configs
+_SWEEP += [_sweep_case(1024, 10.0, "stefan"), _sweep_case(1024, 20.0, "stefan"),
+           _sweep_case(64, 4.0, "semigroup"), _sweep_case(1024, 200.0, "semigroup")]
 
 
 @pytest.mark.parametrize("n_samples, half_width, suite", _SWEEP)

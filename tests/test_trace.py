@@ -20,6 +20,7 @@ from tracespaces import (
     right_inverse_check,
     select_extension_branch,
     semigroup_orbit,
+    semigroup_orbit_ratio,
     trace_at_zero,
     space_norm,
     trace_continuity_ratio,
@@ -190,19 +191,28 @@ def test_trace_continuity_numerator_independent_of_r(grid, diag):
 
 
 def test_right_inverse_ratio_inverts_the_orbit_continuity_ratio(grid, diag):
+    """The co-retraction ratio is the inverse continuity ratio of its orbit,
+    and every orbit norm that names no mesh takes the orbit's own mesh,
+    bitwise as when that mesh is passed."""
     problem = TraceProblem(diag, -0.2, 2.0, 2.0, 0.5, 1.0)
     rng = np.random.default_rng(23)
     x = rng.standard_normal(diag.dim) + 1j * rng.standard_normal(diag.dim)
     got = right_inverse_check(problem, x, grid)
     cont = trace_continuity_ratio(problem, got["orbit"], "F", 1.0)
     assert got["ratio"] == cont["denominator"] / cont["numerator"]
-    # an orbit is normed on its mesh, the one shared ORBIT_BAND mesh of its grid
+    # an orbit's mesh is the one shared ORBIT_BAND mesh of its grid, not its band's
     mesh = QuadratureMesh.for_band(grid, ORBIT_BAND)
-    assert got["orbit"].mesh is mesh
+    assert QuadratureMesh.for_function(got["orbit"]) is got["orbit"].mesh is mesh
+    assert mesh is not QuadratureMesh.for_band(grid, got["orbit"].max_frequency)
     hi = SpaceSpec("F", 1.0 - 0.2, 2.0, 2.0, 0.5)
     lo = SpaceSpec("F", -0.2, 2.0, 2.0, 0.5, inner=InterpNormInner(diag, 1.0, 1.0))
     assert cont["denominator"] == (space_norm(got["orbit"], hi, mesh=mesh)
                                    + space_norm(got["orbit"], lo, mesh=mesh))
+    semi = semigroup_orbit_ratio(problem, x, grid)
+    outer = SpaceSpec("F", 1.0 - 0.2, 2.0, 1.0, 0.5)
+    mixed = SpaceSpec("F", -0.2 + 0.5, 2.0, 1.0, 0.5, inner=InterpNormInner(diag, 0.5, 1.0))
+    assert semi["numerator"] == (space_norm(semi["orbit"], outer, mesh=mesh)
+                                 + space_norm(semi["orbit"], mixed, mesh=mesh))
 
 
 def test_frac_power_reparametrization_bounded(diag):
