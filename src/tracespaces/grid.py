@@ -27,27 +27,35 @@ QuadratureMesh.synthesize, which has two paths; the mesh, the grid and the
 active set alone pick one, so a function's node values never depend on
 what is stacked with it or computed before it.
 
-- Narrow sets: per GridSpec the mesh keeps one mode table, exp(2 pi i t k
-  / (2L)) at its nodes for every signed bin |k| <= kb, where kb is the band
-  the mesh resolves, n_cells / (_CELLS_PER_WAVE L), in bins.  A set whose
-  signed bins lo..hi span fewer than _NUFFT_MIN_MODES (256) and lie inside
-  the table scatters its coefficients into a zero (span x columns) block,
-  which one matmul per _SYNTH_ROWS row block multiplies by the table's
-  columns kb + lo .. kb + hi; no exp runs per call.  The table is built on
-  the first narrow call, in row blocks, and never when it would exceed
-  _MAX_TABLE_BYTES (24 MiB): the suites' tables take 0.3, 1.2, 2.7 and 4.8
-  MB at the pinned config and 10.7 MB at L = 2, band 24.
+- Narrow sets: per GridSpec the mesh keeps one real table of cos and sin
+  of 2 pi t k / (2L) at its nodes, interleaved, for every bin 0 <= k <= kb,
+  where kb is the band the mesh resolves, n_cells / (_CELLS_PER_WAVE L), in
+  bins, each phase reduced mod 1 from the exact product (_cycles).  A set
+  whose signed bins lo..hi span fewer than _NUFFT_MIN_MODES (256) and lie
+  inside the table is folded onto bins k >= 0: with
+  a_k = c_k + c_-k and b_k = c_k - c_-k,
+
+      sum_k c_k e^{i theta k t} = sum_{k >= 0} a_k cos theta k t + i b_k sin theta k t,
+
+  so its values are one real product of the table's columns for the bins
+  min(|lo|, |hi|)..max(|lo|, |hi|) (from 0 when the set crosses 0) with the
+  (a_k, i b_k) rows, read as complex; no exp runs per call.  The product
+  runs in _SYNTH_ROWS row blocks, which OpenBLAS keeps on the calling
+  thread.  The table is built on the first narrow call, in row blocks, and
+  never when the complex table of every signed bin would exceed
+  _MAX_TABLE_BYTES (24 MiB): the suites' tables take 0.16, 0.61, 1.36 and
+  2.4 MB at the pinned config.
 - Every other set, wider, past the mesh's band or on a mesh with no
   table: a type-2 NUFFT (Dutt & Rokhlin 1993; Barnett, Magland & af
   Klinteberg 2019).  The coefficients are divided by the Fourier
   transform of an exponential-of-semicircle kernel, placed on a 2N grid
   and inverse transformed, one FFT per column; each node then gathers the
   16 grid values its kernel reaches and sums them against its 16 kernel
-  values, 64 nodes per numpy contraction.  The mesh keeps the 16 grid
-  columns (int32) and kernel values (float64) per node and the N divisors
-  per GridSpec: 192 bytes per node, 1.8 MB for 9217 nodes.  Its error is
-  about 4e-15 of the largest value, below that of dense synthesis, whose
-  phases t * xi round.
+  values, in blocks of nodes sized by the column count (_spread_rows).
+  The mesh keeps the 16 grid columns (int32) and kernel values (float64)
+  per node and the N divisors per GridSpec: 192 bytes per node, 1.8 MB for
+  9217 nodes.  Its error is about 4e-15 of the largest value, below that
+  of dense synthesis, whose phases t * xi round.
 
 All derived data is kept under explicit keys by one memo, _memo: node
 values and what follows from them on the GridFunction
@@ -174,7 +182,20 @@ class GridFunction:
 
     def __init__(self, grid: GridSpec, coeffs: np.ndarray):
         # a copy: the caller's array stays writable
-        coeffs = np.array(coeffs, dtype=complex, order="C", ndmin=1)
+        self._adopt(grid, np.array(coeffs, dtype=complex, order="C", ndmin=1))
+
+    @classmethod
+    def _owning(cls, grid: GridSpec, coeffs: np.ndarray):
+        """A cls over coeffs itself when it is a complex C-contiguous array,
+        not a copy: for the constructors, whose array was just built or is
+        read-only, and which no one writes after."""
+        f = cls.__new__(cls)
+        GridFunction._adopt(f, grid, np.asarray(coeffs, dtype=complex, order="C"))
+        return f
+
+    def _adopt(self, grid: GridSpec, coeffs: np.ndarray) -> None:
+        """Take coeffs, a complex C-contiguous array, as the coefficients
+        and make it read-only."""
         if coeffs.ndim == 1:
             coeffs = coeffs[:, None]
         if coeffs.shape[0] != grid.n_samples:
@@ -200,7 +221,7 @@ class GridFunction:
             if v.shape[0] != dim:
                 raise GridError("all coefficient values must share one dimension")
             c[grid.freq_to_index(float(xi))] += v
-        return cls(grid, c)
+        return cls._owning(grid, c)
 
     @classmethod
     def from_samples(cls, grid: GridSpec, samples: np.ndarray) -> "GridFunction":
@@ -212,7 +233,7 @@ class GridFunction:
         alt = _alternating_signs(grid.n_samples)[:, None]
         coeffs = alt * np.fft.fft(samples, axis=0) / grid.n_samples
         coeffs[grid.n_samples // 2] = 0.0  # project off the unpaired Nyquist mode
-        return cls(grid, coeffs)
+        return cls._owning(grid, coeffs)
 
     # -- basic data ---------------------------------------------------
 
@@ -264,7 +285,7 @@ class GridFunction:
         factors = np.asarray(factors)
         if factors.shape != (self.grid.n_samples,):
             raise GridError("factor array must have one entry per frequency bin")
-        return GridFunction(self.grid, self._coeffs * factors[:, None])
+        return GridFunction._owning(self.grid, self._coeffs * factors[:, None])
 
     def derivative(self, order: int = 1) -> "GridFunction":
         xi = self.grid.frequencies()
@@ -303,31 +324,37 @@ _GL_NODES = 0.5 * (_GL_NODES + 1.0)  # shifted to [0, 1]
 _GL_WEIGHTS = 0.5 * _GL_WEIGHTS
 
 
-# The largest mode table a mesh keeps per GridSpec, in bytes; a mesh whose
-# table would be larger synthesizes every set by the NUFFT.  A table takes
-# about 32 n_cells^2 bytes, so meshes of up to 876 cells a side keep one:
-# every mesh the suites use at the pinned config (at most 4.8 MB) and at
-# L = 2 (10.7 MB), but not a band near Nyquist on its own 18397-node mesh
-# (301 MB); the shared-mesh cache holds eight meshes.
+# The cap on a mesh's mode table per GridSpec, in bytes; a mesh over it
+# synthesizes every set by the NUFFT.  It is checked on the bytes of a
+# complex table of every signed bin, 16 n_nodes (2 kb + 1), about 32
+# n_cells^2, so meshes of up to 876 cells a side keep one: every mesh the
+# suites use at the pinned config and at L = 2, but not a band near Nyquist
+# on its own 18397-node mesh.  The real table a mesh keeps takes 16 n_nodes
+# (kb + 1), about half of that: 2.4 MB at most at the pinned config, 5.4 MB
+# at L = 2, band 24; the shared-mesh cache holds eight meshes.
 _MAX_TABLE_BYTES = 24 * 2**20
 
 # Node rows per block of the mode table's build and of the narrow product.
-# OpenBLAS packs a block's whole table slice, so the block bounds that
-# buffer: on fresh-functions (2305 nodes, two BLAS threads) peak RSS was
-# 0.5 % higher at 512 rows than at 256, 4.6 % at 1024 and 6.7 % with all
-# rows at once, at the same speed within noise; 128 and 64 rows saved 0.3
-# and 0.7 % but were slower.
-_SYNTH_ROWS = 256
+# OpenBLAS keeps a product of at most 2^18 multiply-adds on the calling
+# thread, and a 64-row block of a narrow set of a few columns stays near
+# that.  Measured in process on the fresh-functions requests (2305
+# nodes, two BLAS threads, 3 runs of 120 requests): at 512, 256 and 128
+# rows CPU time was 1.9-2.0 times wall time, the second thread spinning;
+# at 64 and 32 rows it equalled wall time, at the same wall time within
+# noise.
+_SYNTH_ROWS = 64
 
 # QuadratureMesh.synthesize takes the table product for a set spanning
 # fewer signed bins than this and the NUFFT from it up.  The NUFFT's time
-# over the product's, measured at the pinned config's 1153, 1729 and 2305
-# nodes (N = 1024) for 1, 6, 54 and 300 columns: at a span of 128 bins
-# 1.7-5.5 at one BLAS thread and 2.6-14 at two; at 256 bins 0.73-2.8 at one
-# thread (the NUFFT wins at 6 columns, and at 54 on 1729 nodes) and 1.2-5.7
-# at two; at 512 bins 0.34-1.1 at one thread and 0.60-2.1 at two (the NUFFT
-# wins at 6 columns at both).  No other cut-off wins everywhere, and moving
-# it moves values at rounding level, so it stays.
+# over the folded product's, measured at the pinned config's 1153, 1729 and
+# 2305 nodes (N = 1024) for 1, 6, 54 and 300 columns, on sets centred on 0
+# (K = span / 2 folded bins) and one-sided (K = span), at one and two BLAS
+# threads: at a span of 128 bins 0.74-7.5 centred and 0.65-5.2 one-sided
+# (the NUFFT wins only at one column); at 256 bins 0.68-4.5 and 0.42-2.8
+# (the NUFFT wins at one column, and one-sided up to 54 at some sizes); at
+# 512 bins 0.40-2.5 and 0.28-1.1 (the NUFFT wins at most sizes below 300
+# columns).  No other cut-off wins everywhere, and moving it moves values
+# at rounding level, so it stays.
 _NUFFT_MIN_MODES = 256
 
 # The NUFFT's kernel exp(beta (sqrt(1 - z^2) - 1)), z in [-1, 1], spans
@@ -344,9 +371,35 @@ _NUFFT_FT_STEP = 2.0 / (4 * _NUFFT_WIDTH)
 _NUFFT_FT_NODES = -1.0 + _NUFFT_FT_STEP * (np.arange(4 * _NUFFT_WIDTH) + 0.5)
 
 
-# Nodes per gather-and-contract step of the NUFFT's spread: the gathered
-# (64, 16, 2 columns) block stays under 1 MB up to 54 columns.
-_SPREAD_ROWS = 64
+def _spread_rows(ncols: int) -> int:
+    """Nodes per gather-and-contract step of the NUFFT's spread: the
+    largest power of two, and at least 64, whose gathered block (rows,
+    _NUFFT_WIDTH, 2 ncols) of float64 fits 1 MiB: 2048 nodes at 2 columns,
+    1024 at 3, 64 from 33 columns on.  At 120001 nodes (L = 400, N = 8192)
+    that took a 2-column call from 69-84 to 19-32 ms and a 3-column call
+    from 64-85 to 36-43 ms, with the gather as np.take."""
+    rows = 64
+    while 2 * rows * _NUFFT_WIDTH * 16 * ncols <= 2**20:
+        rows *= 2
+    return rows
+
+
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's split of x into a 26-bit high part and the exact rest."""
+    c = 134217729.0 * x  # 2^27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _cycles(t: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """outer(t, xi) less its nearest integer, with the product formed
+    exactly (Dekker) before it is rounded: the phase in cycles in [-1/2,
+    1/2], off by one rounding of itself, where t * xi alone carries the
+    rounding of the whole product, up to kb / 2 cycles in a mode table."""
+    p = np.multiply.outer(t, xi)
+    (th, tl), (xh, xl) = _split(t[:, None]), _split(xi)
+    rest = ((th * xh - p) + th * xl + tl * xh) + tl * xl  # t xi - p, exactly
+    return (p - np.round(p)) + rest
 
 
 def _nufft_kernel(z: np.ndarray) -> np.ndarray:
@@ -479,18 +532,20 @@ class QuadratureMesh:
                           coeffs: np.ndarray) -> np.ndarray:
         """Type-2 NUFFT: deconvolve the coefficients, place them on the 2N
         grid, one inverse FFT per column, and interpolate onto the nodes:
-        per _SPREAD_ROWS nodes, gather the _NUFFT_WIDTH grid rows each node
-        reaches and contract them with its kernel values (real and
-        imaginary parts at once, on the float view)."""
+        per _spread_rows(ncols) nodes, gather the _NUFFT_WIDTH grid rows
+        each node reaches and contract them with its kernel values (real
+        and imaginary parts at once, on the float view)."""
         cols, vals, deconv = self._nufft_plan(grid)
         n = grid.n_samples
         padded = np.zeros((2 * n, coeffs.shape[1]), dtype=complex)
         padded[np.where(active < n // 2, active, active + n)] = coeffs * deconv[active, None]
         on_grid = np.fft.ifft(padded, axis=0, norm="forward").view(float)
         out = np.empty((self.nodes.size, on_grid.shape[1]))
-        for start in range(0, self.nodes.size, _SPREAD_ROWS):
-            rows = slice(start, start + _SPREAD_ROWS)
-            np.einsum("nw,nwc->nc", vals[rows], on_grid[cols[rows]], out=out[rows])
+        step = _spread_rows(coeffs.shape[1])
+        for start in range(0, self.nodes.size, step):
+            rows = slice(start, start + step)
+            np.einsum("nw,nwc->nc", vals[rows], np.take(on_grid, cols[rows], axis=0),
+                      out=out[rows])
         return out.view(complex)
 
     def _band_bins(self, grid: GridSpec) -> int:
@@ -501,20 +556,21 @@ class QuadratureMesh:
         return min(int(bins + 1e-9), grid.n_samples // 2 - 1)
 
     def _mode_table(self, grid: GridSpec, kb: int) -> np.ndarray | None:
-        """table[:, kb + k] = exp(2 pi i t k / (2L)) at the nodes for every
-        signed bin |k| <= kb, built in _SYNTH_ROWS row blocks on first use;
-        None when it would exceed _MAX_TABLE_BYTES."""
+        """table[:, 2k] = cos(2 pi t k / (2L)) and table[:, 2k + 1] = sin(2 pi
+        t k / (2L)) at the nodes for every bin 0 <= k <= kb, built in
+        _SYNTH_ROWS row blocks on first use; None when the complex table of
+        every signed bin would exceed _MAX_TABLE_BYTES."""
         if 16 * self.nodes.size * (2 * kb + 1) > _MAX_TABLE_BYTES:
             return None
 
         def build():
             xi = np.arange(kb + 1) * grid.fundamental
-            table = np.empty((self.nodes.size, 2 * kb + 1), dtype=complex)
+            table = np.empty((self.nodes.size, 2 * kb + 2))
             for start in range(0, self.nodes.size, _SYNTH_ROWS):
                 rows = slice(start, start + _SYNTH_ROWS)
-                np.exp((2j * np.pi) * np.multiply.outer(self.nodes[rows], xi), out=table[rows, kb:])
-            # the phases of -k are the conjugates of those of k
-            np.conjugate(table[:, 2 * kb:kb:-1], out=table[:, :kb])
+                phase = (2.0 * np.pi) * _cycles(self.nodes[rows], xi)
+                np.cos(phase, out=table[rows, 0::2])
+                np.sin(phase, out=table[rows, 1::2])
             return table
 
         return self.cached(("modes", grid), build)
@@ -528,8 +584,9 @@ class QuadratureMesh:
         several functions on one active set costs one product.  The mesh,
         the grid and the active set alone pick the path: a set spanning
         fewer than _NUFFT_MIN_MODES signed bins inside the mesh's mode
-        table is one product over a slice of it, any other set the NUFFT;
-        so a function's values never depend on what is computed before it.
+        table is folded onto bins k >= 0 and is one real product over a
+        slice of it, any other set the NUFFT; so a function's values never
+        depend on what is computed before it.
         """
         coeffs = np.asarray(coeffs, dtype=complex)
         if active.size == 0:
@@ -542,13 +599,24 @@ class QuadratureMesh:
         table = self._mode_table(grid, kb) if narrow else None
         if table is None:
             return self._synthesize_nufft(grid, active, coeffs)
-        block = np.zeros((hi - lo + 1, coeffs.shape[1]), dtype=complex)
-        block[bins - lo] = coeffs
-        modes = table[:, kb + lo:kb + hi + 1]
+        kmin = 0 if lo <= 0 <= hi else min(abs(lo), abs(hi))
+        kmax = max(abs(lo), abs(hi))
+        # c_k at k >= 0 and c_-k at k > 0, on the bins kmin..kmax
+        pos = np.zeros((kmax - kmin + 1, coeffs.shape[1]), dtype=complex)
+        neg = np.zeros_like(pos)
+        up = bins >= 0
+        pos[bins[up] - kmin] = coeffs[up]
+        neg[-bins[~up] - kmin] = coeffs[~up]
+        # rows a_k and i b_k, interleaved as the table's cos and sin columns
+        rhs = np.empty((2 * pos.shape[0], coeffs.shape[1]), dtype=complex)
+        np.add(pos, neg, out=rhs[0::2])
+        np.multiply(1j, pos - neg, out=rhs[1::2])
+        modes, rhs = table[:, 2 * kmin:2 * kmax + 2], rhs.view(float)
         out = np.empty((self.nodes.size, coeffs.shape[1]), dtype=complex)
+        real = out.view(float)
         for start in range(0, self.nodes.size, _SYNTH_ROWS):
             rows = slice(start, start + _SYNTH_ROWS)
-            np.matmul(modes[rows], block, out=out[rows])
+            np.matmul(modes[rows], rhs, out=real[rows])
         return out
 
     # -- moment machinery ---------------------------------------------
@@ -603,11 +671,18 @@ class QuadratureMesh:
                 interval: tuple[float, float] | None = None) -> np.ndarray:
         """(int |t|^gamma mags^p dt)^{1/p} along the last (node) axis, over
         [-L, L] or [lo, hi]; p = inf gives the maximum there of the cubic
-        interpolant of mags, at cell ends and the cubics' critical points."""
+        interpolant of mags, at cell ends and the cubics' critical points.
+
+        Each row sums in numpy's fixed order, not by a BLAS product, whose
+        order follows the rows stacked with it and the thread count, and
+        its root is taken in an array, as numpy's scalar power rounds
+        otherwise: so a row's norm is bitwise the same alone, in any batch
+        and at any number of BLAS threads."""
         lo, hi = (-self.half_width, self.half_width) if interval is None else interval
         if not math.isinf(p):
             w = self.weights(gamma) if interval is None else self.weights_on_interval(gamma, lo, hi)
-            return np.maximum(mags ** p @ w, 0.0) ** (1.0 / p)
+            total = np.maximum(np.sum(mags ** p * w, axis=-1, keepdims=True), 0.0)
+            return (total ** (1.0 / p))[..., 0]
         self._check_interval(lo, hi)
         cells = self.nodes[self._cells]
         meets = (cells[:, -1] >= lo) & (cells[:, 0] <= hi)
@@ -662,4 +737,4 @@ def random_band_limited(grid: GridSpec, band: tuple[float, float], seed,
     vals /= math.sqrt(2.0)
     c = np.zeros((grid.n_samples, dim), dtype=complex)
     c[ks % grid.n_samples] = vals
-    return GridFunction(grid, c)
+    return GridFunction._owning(grid, c)

@@ -428,7 +428,9 @@ def difference_seminorm(f: GridFunction, s: float, p: float, q: float, gamma: fl
         wts[0] *= 0.5
         wts[-1] *= 0.5
         tail = (tail_coeff * dmag) ** q * t_min ** ((m - s) * q) / ((m - s) * q)
-        G = (core ** q @ wts + tail) ** (1.0 / q)
+        # summed in numpy's fixed order: a BLAS product's order follows the
+        # thread count past about 10^4 nodes
+        G = (np.sum(core ** q * wts, axis=-1) + tail) ** (1.0 / q)
 
     return float(mesh.lp_norm(G, p, gamma))
 

@@ -111,6 +111,9 @@ class OrbitFunction(GridFunction):
 
     def __init__(self, grid: GridSpec, coeffs: np.ndarray, trace_value: np.ndarray):
         super().__init__(grid, coeffs)
+        self._record(trace_value)
+
+    def _record(self, trace_value: np.ndarray) -> None:
         tv = np.array(trace_value, dtype=complex)  # a copy: the caller's stays writable
         tv.flags.writeable = False
         self.trace_value = tv
@@ -187,8 +190,10 @@ def windowed_orbit(grid: GridSpec, ext: ExtensionOperator, orbit, trace_value) -
     # must be bitwise what the windowed formula produced there
     if not np.array_equal(vals[t.size // 2], tv):
         raise ValueError("trace value disagrees with the orbit at t = 0")
-    base = GridFunction.from_samples(grid, vals)
-    return OrbitFunction(grid, base.coeffs, trace_value=tv)
+    # the orbit shares the projection's read-only coefficients
+    orbit = OrbitFunction._owning(grid, GridFunction.from_samples(grid, vals).coeffs)
+    orbit._record(tv)
+    return orbit
 
 
 def resolvent_orbit(grid: GridSpec, op: MultiplierOperator, x, j: int,

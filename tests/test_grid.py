@@ -57,11 +57,12 @@ def test_active_frequencies_are_read_only_and_match_the_grid(n, half_width):
 
 def test_construction_copies_the_callers_coefficients(grid):
     """Given a C-contiguous complex array, 2-d or 1-d, the function keeps a
-    read-only copy: the caller's array stays writable, and writing to it
-    does not change the function."""
+    read-only copy: the caller's array stays writable and unaliased, and
+    writing to it does not change the function."""
     for c in (np.zeros((grid.n_samples, 1), dtype=complex), np.zeros(grid.n_samples, dtype=complex)):
         c[1] = 1.0
         f = GridFunction(grid, c)
+        assert c.flags.writeable and not np.shares_memory(c, f.coeffs)
         c[2] = 1.0
         np.testing.assert_array_equal(f.active_indices, [1])
         assert f.coeffs[2, 0] == 0.0 and not f.coeffs.flags.writeable
@@ -221,6 +222,20 @@ def test_sup_norm_on_interval_keeps_to_it(grid):
         got = weighted_lp_norm(f, math.inf, 0.0, mesh=QuadratureMesh(1.0, cells),
                                interval=(0.5, 1.0))
         assert got == pytest.approx(math.hypot(1.0, 0.8), rel=1e-9)
+
+
+@pytest.mark.parametrize("p, gamma", [(1.0, 0.0), (2.0, 0.5), (3.5, -0.4)])
+def test_lp_norm_of_a_row_does_not_depend_on_the_rows_stacked_with_it(p, gamma):
+    """On a 12001-node mesh every row of a 61-row bank has bitwise the norm
+    it has alone: a BLAS product's summation order would follow the
+    stack."""
+    mesh = QuadratureMesh(20.0, 2000)
+    assert mesh.nodes.size == 12001
+    mags = np.random.default_rng(17).random((61, mesh.nodes.size))
+    stacked = mesh.lp_norm(mags, p, gamma)
+    alone = np.array([mesh.lp_norm(row, p, gamma) for row in mags])
+    np.testing.assert_array_equal(stacked, alone)
+    np.testing.assert_array_equal(mesh.lp_norm(mags[:9], p, gamma), alone[:9])
 
 
 def test_norm_rejects_mesh_of_another_half_width(grid):
@@ -416,6 +431,11 @@ _NARROW = {
     "sparse": lambda grid: GridFunction.from_coeff_map(
         grid, {-31.5: [1.0], -3.0: [2.0j], 0.0: [0.5], 17.5: [-1.0], 32.0: [3.0]}),
     "dim-3": lambda grid: random_band_limited(grid, (-12.0, 24.0), seed=12, dim=3),
+    # the fold's edges on the band-32 mesh's table, kb = 64 bins
+    "one-sided-negative": lambda grid: random_band_limited(grid, (-30.0, -5.0), seed=15, dim=2),
+    "one-sided-positive": lambda grid: random_band_limited(grid, (5.0, 30.0), seed=16),
+    "lone-bin-0": lambda grid: GridFunction.from_coeff_map(grid, {0.0: [1.5 - 0.5j]}),
+    "lone-bin-minus-kb": lambda grid: GridFunction.from_coeff_map(grid, {-32.0: [0.5 + 2.0j]}),
 }
 
 
@@ -426,6 +446,7 @@ def test_narrow_sets_in_band_take_the_mode_table(grid, case):
     largest value of dense synthesis with exact phases."""
     f = _NARROW[case](grid)
     mesh = QuadratureMesh(1.0, QuadratureMesh.for_band(grid, 32.0).n_cells)
+    assert mesh._band_bins(grid) == 64
     got = _synthesize(mesh, f)
     assert ("modes", grid) in mesh._cache
     want = _exact_phase_synthesis(f, mesh.nodes)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from tracespaces import (
     ExtensionOperator,
+    GridFunction,
     InterpNormInner,
     MultiplierOperator,
     QuadratureMesh,
@@ -169,6 +170,23 @@ def test_windowed_orbit_records_exact_trace(grid):
 
     u = windowed_orbit(grid, ext, orbit, tv)
     np.testing.assert_array_equal(trace_at_zero(u), tv)
+
+
+def test_orbit_shares_its_base_coefficients(grid, monkeypatch):
+    """windowed_orbit keeps the read-only coefficients of the function it
+    projects onto the band, not a copy of them."""
+    bases = []
+    from_samples = GridFunction.from_samples.__func__
+
+    def recording(cls, g, samples):
+        bases.append(from_samples(cls, g, samples))
+        return bases[-1]
+
+    monkeypatch.setattr(GridFunction, "from_samples", classmethod(recording))
+    tv = np.array([1.5 - 0.5j])
+    u = windowed_orbit(grid, ExtensionOperator(2, 0), lambda t: tv * np.exp(-t)[:, None], tv)
+    assert len(bases) == 1 and u.coeffs is bases[0].coeffs
+    assert not u.coeffs.flags.writeable
 
 
 def test_orbit_copies_the_callers_trace_value(grid, diag):
