@@ -40,8 +40,10 @@ what is stacked with it or computed before it.
   so its values are one real product of the table's columns for the bins
   min(|lo|, |hi|)..max(|lo|, |hi|) (from 0 when the set crosses 0) with the
   (a_k, i b_k) rows, read as complex; no exp runs per call.  The product
-  runs in _SYNTH_ROWS row blocks, which OpenBLAS keeps on the calling
-  thread.  The table is built on the first narrow call, in row blocks, and
+  is _blocked_product, whose BLAS products of at most 2^18 multiply-adds
+  (_ONE_THREAD_MACS) OpenBLAS runs on the calling thread; the difference
+  seminorm's scale integral takes it too.  The table is built on the first
+  narrow call, in row blocks, and
   never when the complex table of every signed bin would exceed
   _MAX_TABLE_BYTES (24 MiB): the suites' tables take 0.16, 0.61, 1.36 and
   2.4 MB at the pinned config.
@@ -334,15 +336,23 @@ _GL_WEIGHTS = 0.5 * _GL_WEIGHTS
 # at L = 2, band 24; the shared-mesh cache holds eight meshes.
 _MAX_TABLE_BYTES = 24 * 2**20
 
-# Node rows per block of the mode table's build and of the narrow product.
-# OpenBLAS keeps a product of at most 2^18 multiply-adds on the calling
-# thread, and a 64-row block of a narrow set of a few columns stays near
-# that.  Measured in process on the fresh-functions requests (2305
-# nodes, two BLAS threads, 3 runs of 120 requests): at 512, 256 and 128
-# rows CPU time was 1.9-2.0 times wall time, the second thread spinning;
-# at 64 and 32 rows it equalled wall time, at the same wall time within
-# noise.
+# Node rows per block of the mode table's build, and the most rows of one
+# product of _blocked_product.
 _SYNTH_ROWS = 64
+
+# The most multiply-adds (rows x k x columns) in one BLAS product of
+# _blocked_product: 65536 x GEMM_MULTITHREAD_THRESHOLD (4), the bound
+# below which OpenBLAS runs a gemm on the calling thread on every CPU.  A
+# larger product can take a second thread, which spins while it waits and
+# slows badly when another process wants that core.  Replaying the
+# scalar-families suites' 305 synthesis and 100 scale products at two BLAS
+# threads (medians of 15 rounds, two replays): 64-row blocks and whole
+# scale products, as before, took 165 and 153 ms of wall and 309 and 283 ms
+# of CPU time; the helper took 183 and 163 ms of both.  10^6 stays on one
+# thread only where OpenBLAS takes its small-matrix path (SkylakeX, not
+# every CPU), and its 137 and 162 ms lay inside the quartiles of 2^18's, so
+# the portable bound stays.
+_ONE_THREAD_MACS = 2**18
 
 # QuadratureMesh.synthesize takes the table product for a set spanning
 # fewer signed bins than this and the NUFFT from it up.  The NUFFT's time
@@ -382,6 +392,30 @@ def _spread_rows(ncols: int) -> int:
     while 2 * rows * _NUFFT_WIDTH * 16 * ncols <= 2**20:
         rows *= 2
     return rows
+
+
+def _blocked_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for real 2-d a (n, k) and b (k, m), as BLAS products of at
+    most _ONE_THREAD_MACS multiply-adds each, which OpenBLAS runs on the
+    calling thread: blocks of every column and as many rows as fit, at
+    most _SYNTH_ROWS, or of one row and as many columns as fit when one
+    row of every column is past the limit (one column at the least, so
+    only a k past the limit passes it).  The full blocks and the shorter
+    last one each go to numpy as one stacked matmul, so numpy, not Python,
+    loops over the blocks.  The blocks follow from the shapes alone, so no
+    value depends on the BLAS thread count."""
+    (n, k), m = a.shape, b.shape[1]
+    rows = max(min(_SYNTH_ROWS, _ONE_THREAD_MACS // (k * m)), 1)
+    cols = max(min(m, _ONE_THREAD_MACS // (rows * k)), 1)
+    out = np.empty((n, m))
+    for r0, r1 in ((0, n - n % rows), (n - n % rows, n)):
+        for c0, c1 in ((0, m - m % cols), (m - m % cols, m)):
+            if r1 > r0 and c1 > c0:
+                r, c = min(rows, r1 - r0), min(cols, c1 - c0)
+                np.matmul(a[r0:r1].reshape(-1, 1, r, k),
+                          b[:, c0:c1].reshape(k, -1, c).swapaxes(0, 1),
+                          out=out[r0:r1, c0:c1].reshape(-1, r, (c1 - c0) // c, c).swapaxes(1, 2))
+    return out
 
 
 def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -611,13 +645,7 @@ class QuadratureMesh:
         rhs = np.empty((2 * pos.shape[0], coeffs.shape[1]), dtype=complex)
         np.add(pos, neg, out=rhs[0::2])
         np.multiply(1j, pos - neg, out=rhs[1::2])
-        modes, rhs = table[:, 2 * kmin:2 * kmax + 2], rhs.view(float)
-        out = np.empty((self.nodes.size, coeffs.shape[1]), dtype=complex)
-        real = out.view(float)
-        for start in range(0, self.nodes.size, _SYNTH_ROWS):
-            rows = slice(start, start + _SYNTH_ROWS)
-            np.matmul(modes[rows], rhs, out=real[rows])
-        return out
+        return _blocked_product(table[:, 2 * kmin:2 * kmax + 2], rhs.view(float)).view(complex)
 
     # -- moment machinery ---------------------------------------------
 

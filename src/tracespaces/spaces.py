@@ -33,11 +33,11 @@ by the band, whose running sums give int_{|h|<=t} ||Delta^m_h f|| dh at
 every scale at once.  The h-rule holds no coefficients: f's mesh keeps
 it per (grid, m, m x band), so every function of that band shares one.
 The multipliers of f^(m) and Delta^m_h f are built and synthesized in
-chunks of h-nodes of a fixed byte budget, so the memory grows with the
-mesh, not with mesh x h-nodes.  Those averages and ||f^(m)|| at the
-nodes, free of s, p, q and gamma, are cached on f per (m, mesh, inner
-space), so every other parameter set on the same function reduces the
-cached array.
+chunks of h-nodes of a fixed byte budget, but at least eight, so the
+memory grows with the mesh, not with mesh x h-nodes.  Those averages and
+||f^(m)|| at the nodes, free of s, p, q and gamma, are cached on f per
+(m, mesh, inner space), so every other parameter set on the same
+function reduces the cached array.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import DyadicSystem
-from .grid import GridError, GridFunction, GridSpec, QuadratureMesh
+from .grid import GridError, GridFunction, GridSpec, QuadratureMesh, _blocked_product
 from .operators import MultiplierOperator, batch_interp_norm_resolvent, by_rows, scaled_rows
 
 __all__ = [
@@ -329,8 +329,15 @@ _N_SCALES = 60  # geometric scale grid t_0 = L/N < ... < t_59 = 2L
 # in bytes: its h-columns go through `synthesize` in chunks of this size,
 # so the seminorm's memory grows with nodes x chunk, not nodes x h-nodes.
 # 4 MiB holds the pinned config's whole set of columns (577 nodes x 399
-# columns, 3.5 MiB) in one chunk; a chunk holds at least one h-node.
+# columns, 3.5 MiB) in one chunk.
 _BLOCK_BYTES = 4 * 2**20
+
+# The fewest h-nodes in a chunk, past _BLOCK_BYTES if need be: on a large
+# mesh a NUFFT call costs little more at 17 columns than at 3.  At L = 400,
+# N = 8192 (120001 nodes) the 4 MiB budget holds one h-node; with eight
+# (33 MB of node values a chunk), one m = 1 draw of _delta_averages (4250
+# h-nodes) took 56 s at one BLAS thread, not 114 s.
+_MIN_CHUNK_H = 8
 
 
 def _h_rule(t: np.ndarray, rate: float) -> tuple[np.ndarray, np.ndarray]:
@@ -358,14 +365,16 @@ def _delta_averages(f: GridFunction, m: int, mesh: QuadratureMesh, inner) -> np.
     """(nodes, 1 + scales) array: column 0 is ||f^(m)||, column j + 1
     int_{|h|<=t_j} ||Delta^m_h f|| dh.  The difference factors
     (exp(+-2 pi i xi h) - 1)^m are built and synthesized in chunks of at
-    most _BLOCK_BYTES of node values, the first with the derivative column,
-    and each chunk's h-integrals are added into the averages at the scales
-    from its first h-node's cell on, below which its weights are zero."""
+    most _BLOCK_BYTES of node values and at least _MIN_CHUNK_H h-nodes, the
+    first with the derivative column, and each chunk's h-integrals, one
+    blocked real product (grid._blocked_product), are added into the
+    averages at the scales from its first h-node's cell on, below which its
+    weights are zero."""
     rate = m * f.max_frequency  # ||Delta^m_h f(x)|| oscillates in h at most at 2 m band
     hs, cum = mesh.cached(("h-rule", f.grid, m, rate), lambda: _h_rule(_scales(f.grid), rate))
     xi = f.active_frequencies()
     per_column = 16 * mesh.nodes.size * f.dim
-    width = max((_BLOCK_BYTES // per_column - 1) // 2, 1)  # h-nodes per chunk
+    width = max((_BLOCK_BYTES // per_column - 1) // 2, _MIN_CHUNK_H)  # h-nodes per chunk
     avg = np.zeros((mesh.nodes.size, 1 + cum.shape[1]))
     for start in range(0, hs.size, width):
         cols = slice(start, start + width)
@@ -381,7 +390,7 @@ def _delta_averages(f: GridFunction, m: int, mesh: QuadratureMesh, inner) -> np.
         mags = inner.batch_norm(_multiplier_values(f, factors, mesh))
         if first:
             avg[:, 0], mags = mags[:, 0], mags[:, 1:]
-        avg[:, 1 + low:] += (mags[:, :h.size] + mags[:, h.size:]) @ cum[cols, low:]
+        avg[:, 1 + low:] += _blocked_product(mags[:, :h.size] + mags[:, h.size:], cum[cols, low:])
     return avg
 
 

@@ -13,7 +13,13 @@ from tracespaces import (
     random_band_limited,
     weighted_lp_norm,
 )
-from tracespaces.grid import _MAX_TABLE_BYTES, GridError
+from tracespaces.grid import (
+    _MAX_TABLE_BYTES,
+    _ONE_THREAD_MACS,
+    _SYNTH_ROWS,
+    GridError,
+    _blocked_product,
+)
 
 
 def test_grid_spec_basics(grid):
@@ -509,3 +515,51 @@ def test_nufft_spread_equals_the_sparse_product_bitwise(n, ncols):
     assert active.size >= 256
     np.testing.assert_array_equal(mesh.synthesize(grid, active, coeffs),
                                   _csr_nufft_reference(mesh, grid, active, coeffs))
+
+
+def _element_offsets(view: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """Flat indices into the C-contiguous float64 array base of every
+    element of view, a strided view into it."""
+    idx = np.indices(view.shape).reshape(view.ndim, -1)
+    addresses = view.ctypes.data + np.asarray(view.strides) @ idx
+    return (addresses - base.ctypes.data) // 8
+
+
+@pytest.mark.parametrize("n, k, m", [
+    (1, 34, 798),             # one row
+    (577, 199, 1),            # one column
+    (37, 8, 12),              # fewer rows than _SYNTH_ROWS
+    (577, 34, 798),           # the seminorm's synthesis at the pinned config
+    (577, 199, 60),           # its scale integral
+    (2305, 126, 72),          # a dim-6 fresh-functions request
+    (5, 4000, 300),           # one row, the columns split
+    (3, 2**17 + 3, 2),        # one column per block is the floor
+])
+def test_blocked_product_tiles_its_output_within_the_limit(monkeypatch, n, k, m):
+    """_blocked_product's BLAS products cover its output once each, stay
+    within _ONE_THREAD_MACS and _SYNTH_ROWS rows, and agree with the
+    unblocked product to 4 ulp of its largest value.  Past a thousand
+    terms the entries are small integers, whose sums are exact in any
+    order: there two summation orders of normal draws differ by tens of
+    ulp."""
+    rng = np.random.default_rng((n, k, m))
+    a, b = rng.standard_normal((n, k)), rng.standard_normal((k, m))
+    if k > 1000:
+        a, b = np.round(8 * a), np.round(8 * b)
+    writes, macs, matmul = [], [], np.matmul
+
+    def recorded(x, y, out):
+        writes.append(out)
+        macs.append(x.shape[-2] * x.shape[-1] * y.shape[-1])
+        assert x.shape[-2] <= _SYNTH_ROWS
+        return matmul(x, y, out=out)
+
+    monkeypatch.setattr(np, "matmul", recorded)
+    got = _blocked_product(a, b)
+    monkeypatch.undo()
+    hits = np.bincount(np.concatenate([_element_offsets(w, got) for w in writes]),
+                       minlength=n * m)
+    np.testing.assert_array_equal(hits, np.ones(n * m, dtype=int))
+    assert max(macs) <= _ONE_THREAD_MACS
+    ref = a @ b
+    assert np.max(np.abs(got - ref)) <= 4 * np.spacing(np.max(np.abs(ref)))

@@ -427,9 +427,53 @@ def test_seminorm_blocks_stay_within_the_budget(monkeypatch):
     assert max(blocks) <= spaces_module._BLOCK_BYTES
 
 
+def test_seminorm_products_stay_on_the_calling_thread(grid, monkeypatch):
+    """The seminorm's synthesis and scale integral at m = 1 and 2 on a
+    band-8 draw, and a dim-6, 120-bin interpolation-space request on the
+    band-32 mesh, take their real products through grid._blocked_product,
+    every BLAS product of which stays within _ONE_THREAD_MACS, so OpenBLAS
+    runs it on the calling thread."""
+    calls, macs = [], []
+    blocked, matmul = grid_module._blocked_product, np.matmul
+
+    def recorded_matmul(a, b, out):
+        macs.append(a.shape[-2] * a.shape[-1] * b.shape[-1])
+        return matmul(a, b, out=out)
+
+    def recorded(a, b):
+        calls.append((a.shape, b.shape))
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "matmul", recorded_matmul)
+            return blocked(a, b)
+
+    monkeypatch.setattr(grid_module, "_blocked_product", recorded)
+    monkeypatch.setattr(spaces_module, "_blocked_product", recorded)
+    f = random_band_limited(grid, (-8.0, 8.0), seed=41)
+    nodes = f.mesh.nodes.size
+    for m in (1, 2):
+        hs, _ = spaces_module._h_rule(spaces_module._scales(grid), m * f.max_frequency)
+        assert math.isfinite(difference_seminorm(f, 0.5, 2.0, 1.0, 0.0, m))
+        # one chunk: f^(m) and every h-node at +h and -h, as (re, im) pairs
+        assert any(a[0] == nodes and b[1] == 2 * (1 + 2 * hs.size) for a, b in calls)
+        assert ((nodes, hs.size), (hs.size, spaces_module._N_SCALES)) in calls
+    seminorm_macs = len(macs)
+    assert seminorm_macs > 0
+
+    coeffs = np.zeros((grid.n_samples, 6), dtype=complex)
+    coeffs[np.arange(-57, 63)] = np.random.default_rng(42).standard_normal((120, 6))  # in band
+    inner = InterpNormInner(MultiplierOperator.diagonal([0.5, 1.0, 2.0, 4.0, 8.0, 16.0]),
+                            alpha=0.5, r=2.0)
+    spec = SpaceSpec("F", 0.5, 2.0, 2.0, 0.0, inner=inner)
+    assert space_norm(GridFunction(grid, coeffs), spec,
+                      mesh=QuadratureMesh.for_band(grid, 32.0)) > 0.0
+    assert len(macs) > seminorm_macs
+    assert max(macs) <= grid_module._ONE_THREAD_MACS
+
+
 def test_chunked_seminorm_matches_one_block(grid, monkeypatch):
-    """Synthesized in blocks of 64 KiB, three h-nodes each, the seminorm
-    agrees with its one-block value to rounding."""
+    """With a budget of 64 KiB, three h-nodes, the seminorm is synthesized
+    in chunks of the floor of eight h-nodes, and agrees with its one-block
+    value to rounding."""
     def seminorms():
         f = random_band_limited(grid, (-8.0, 8.0), seed=5)
         return np.array([difference_seminorm(f, s, p, q, gamma, m)
@@ -437,9 +481,20 @@ def test_chunked_seminorm_matches_one_block(grid, monkeypatch):
                                                    (1.5, 2.0, math.inf, 0.5, 2))])
 
     whole = seminorms()
+    columns = []
+    synthesize = QuadratureMesh.synthesize
+
+    def recorded(mesh, grid, active, coeffs):
+        columns.append(coeffs.shape[1])
+        return synthesize(mesh, grid, active, coeffs)
+
     monkeypatch.setattr(spaces_module, "_BLOCK_BYTES", 2 ** 16)
+    monkeypatch.setattr(QuadratureMesh, "synthesize", recorded)
     chunked = seminorms()
     np.testing.assert_allclose(chunked, whole, rtol=1e-14, atol=0.0)
+    # the first chunk of each m adds the f^(m) column to its +h and -h
+    assert len(columns) > 2
+    assert max(columns) == 2 * spaces_module._MIN_CHUNK_H + 1
 
 
 def test_functions_of_one_band_share_the_seminorm_h_rule(grid, monkeypatch):
