@@ -18,9 +18,14 @@ of the smooth factor g (never by blind quadrature of the product, which
 loses the |t|^gamma singularity for gamma < 0): in closed form on the cell
 at t = 0, and by Gauss-Legendre on every other cell, where t^gamma is
 analytic; p = inf takes that interpolant's maximum.  Every norm of f
-that names no mesh takes f.mesh, with 12 cells per wavelength of f's top
-frequency on each side (an orbit's of trace.ORBIT_BAND) and no floor above
-4 cells: one error budget sizes every mesh (see _CELLS_PER_WAVE).
+that names no mesh takes f.mesh, with 6 cells per wavelength of f's top
+frequency at its widest cell on each side and no floor above 4 cells: one
+error budget sizes every mesh (see _CELLS_PER_WAVE).  A band-limited
+function's mesh is uniform, ceil(6 band L) cells a side; an orbit's mesh,
+of the band trace.ORBIT_BAND, and the extension suite's mesh for reflected
+functions are graded toward t = 0 with twice the cells, since extending
+across t = 0 leaves a joint of finite smoothness there, and a grading pays
+only near such a point.
 
 Every evaluation at quadrature nodes goes through one kernel,
 QuadratureMesh.synthesize, which has two paths; the mesh, the grid and the
@@ -29,10 +34,11 @@ what is stacked with it or computed before it.
 
 - Narrow sets: per GridSpec the mesh keeps one real table of cos and sin
   of 2 pi t k / (2L) at its nodes, interleaved, for every bin 0 <= k <= kb,
-  where kb is the band the mesh resolves, n_cells / (_CELLS_PER_WAVE L), in
-  bins, each phase reduced mod 1 from the exact product (_cycles).  A set
-  whose signed bins lo..hi span fewer than _NUFFT_MIN_MODES (256) and lie
-  inside the table is folded onto bins k >= 0: with
+  where kb is the band the mesh resolves, n_cells / (grading
+  _CELLS_PER_WAVE L), in bins, each phase reduced mod 1 from the exact
+  product (_cycles).  A set whose signed bins lo..hi span fewer than
+  _NUFFT_MIN_MODES (256) and lie inside the table is folded onto bins
+  k >= 0: with
   a_k = c_k + c_-k and b_k = c_k - c_-k,
 
       sum_k c_k e^{i theta k t} = sum_{k >= 0} a_k cos theta k t + i b_k sin theta k t,
@@ -45,8 +51,8 @@ what is stacked with it or computed before it.
   seminorm's scale integral takes it too.  The table is built on the first
   narrow call, in row blocks, and
   never when the complex table of every signed bin would exceed
-  _MAX_TABLE_BYTES (24 MiB): the suites' tables take 0.16, 0.61, 1.36 and
-  2.4 MB at the pinned config.
+  _MAX_TABLE_BYTES (24 MiB): the suites' tables take 0.08, 0.30 and 0.68 MB
+  at the pinned config, the fresh-functions benchmark's band-32 table 1.2 MB.
 - Every other set, wider, past the mesh's band or on a mesh with no
   table: a type-2 NUFFT (Dutt & Rokhlin 1993; Barnett, Magland & af
   Klinteberg 2019).  The coefficients are divided by the Fourier
@@ -272,7 +278,8 @@ class GridFunction:
 
     @property
     def mesh(self) -> "QuadratureMesh":
-        """The mesh of every norm of f that names none: its band's."""
+        """The mesh of every norm of f that names none: its band's uniform
+        mesh."""
         return QuadratureMesh.for_band(self.grid, self.max_frequency)
 
     @property
@@ -317,10 +324,12 @@ class GridFunction:
 # quadrature against |t|^gamma
 # ---------------------------------------------------------------------
 
-# The Gauss rule of every mesh cell off t = 0.  Cell 1 spans [a, 4 a], so
-# the branch point of t^gamma at 0 lies on its Bernstein ellipse rho = 3
-# and the error falls like 3^(-2 n): the worst relative error over cells
-# >= 1 is 4.5e-11 at 12 points, 1.2e-14 at 16 and 1.1e-14 at 24.
+# The Gauss rule of every mesh cell off t = 0.  Cell 1 of a graded mesh
+# spans [a, 4 a], so the branch point of t^gamma at 0 lies on its Bernstein
+# ellipse rho = 3 and the error falls like 3^(-2 n): the worst relative
+# error over cells >= 1 is 4.5e-11 at 12 points, 1.2e-14 at 16 and 1.1e-14
+# at 24.  Cell 1 of a uniform mesh spans [a, 2 a], where rho = 3 + 2 sqrt 2
+# and the error falls like 5.8^(-2 n), to rounding at 16 points.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _GL_NODES = 0.5 * (_GL_NODES + 1.0)  # shifted to [0, 1]
 _GL_WEIGHTS = 0.5 * _GL_WEIGHTS
@@ -328,12 +337,13 @@ _GL_WEIGHTS = 0.5 * _GL_WEIGHTS
 
 # The cap on a mesh's mode table per GridSpec, in bytes; a mesh over it
 # synthesizes every set by the NUFFT.  It is checked on the bytes of a
-# complex table of every signed bin, 16 n_nodes (2 kb + 1), about 32
-# n_cells^2, so meshes of up to 876 cells a side keep one: every mesh the
-# suites use at the pinned config and at L = 2, but not a band near Nyquist
-# on its own 18397-node mesh.  The real table a mesh keeps takes 16 n_nodes
-# (kb + 1), about half of that: 2.4 MB at most at the pinned config, 5.4 MB
-# at L = 2, band 24; the shared-mesh cache holds eight meshes.
+# complex table of every signed bin, 16 n_nodes (2 kb + 1), about 64
+# n_cells^2 on a uniform mesh and 32 n_cells^2 on a graded one, so meshes of
+# up to 626 and 887 cells a side keep one: every mesh the suites use at the
+# pinned config and at L = 2, but not a band near Nyquist on its own
+# 9199-node mesh.  The real table a mesh keeps takes 16 n_nodes (kb + 1),
+# about half of that: 0.68 MB at most at the pinned config, 2.7 MB at L = 2,
+# band 24; the shared-mesh cache holds eight meshes.
 _MAX_TABLE_BYTES = 24 * 2**20
 
 # Node rows per block of the mode table's build, and the most rows of one
@@ -356,7 +366,7 @@ _ONE_THREAD_MACS = 2**18
 
 # QuadratureMesh.synthesize takes the table product for a set spanning
 # fewer signed bins than this and the NUFFT from it up.  The NUFFT's time
-# over the folded product's, measured at the pinned config's 1153, 1729 and
+# over the folded product's, measured on graded meshes of 1153, 1729 and
 # 2305 nodes (N = 1024) for 1, 6, 54 and 300 columns, on sets centred on 0
 # (K = span / 2 folded bins) and one-sided (K = span), at one and two BLAS
 # threads: at a span of 128 bins 0.74-7.5 centred and 0.65-5.2 one-sided
@@ -440,21 +450,28 @@ def _nufft_kernel(z: np.ndarray) -> np.ndarray:
     return np.exp(_NUFFT_BETA * (np.sqrt(1.0 - z * z) - 1.0))
 
 
-# QuadratureMesh.for_band: cells per wavelength of the top frequency on
-# each side, and the cell count it never exceeds.  The one error budget:
-# doubling every mesh moves no baseline-compared value by more than 1e-3, a
-# tenth of the 0.01 baseline tolerance.  Measured over every suite at the
-# pinned config, the largest relative move from halving the cells per
-# wavelength 48 -> 24 -> 12 -> 6 was 4.3e-5, 1.7e-4 and 8.2e-4 at seed 2024
-# (3.5e-5, 3.1e-4 and 8.0e-4 at seed 9001): about 4 times per halving, so
-# second order in the cell count, not the (h xi)^4 of a cubic interpolant
-# alone.  12 keeps the budget with a margin of 3; 6 does not.  There is no
-# floor above the constructor's 4 cells: raising the band-8 and band-16
-# meshes to 256 cells moves no value by more than 1.1e-4.
-_CELLS_PER_WAVE = 12
-# The cap binds past band x L = 1667.  Against meshes at the grid's top
-# frequency with no cap (24570 cells a side at L = 400, N = 8192, 49146 at
-# L = 1000, N = 16384) it moves no semigroup case by more than 6.5e-8 and
+# QuadratureMesh.for_band: cells per wavelength of the top frequency at a
+# mesh's widest cell on each side, and the cell count it never exceeds.  The
+# widest cell sets a band-limited integrand's error, so a uniform mesh of
+# ceil(6 band L) cells, each L / M wide, matches a graded one of twice that,
+# whose last cell is about 2 L / M (Schwab, p- and hp-Finite Element
+# Methods, 1998); grading pays only near the joint at t = 0 of an orbit or
+# a reflected function.  The one error budget: doubling every mesh moves no
+# baseline-compared value by more than 1e-3, a tenth of the 0.01 baseline
+# tolerance.  Measured over every suite at the pinned config, the largest
+# relative move from halving the cells per wavelength 48 -> 24 -> 12 -> 6
+# -> 3 on the uniform meshes alone was 1.1e-5, 4.2e-5, 2.3e-4 and 1.4e-3 at
+# seed 2024 (1.9e-5, 8.1e-5, 8.0e-5 and 5.3e-4 at seed 9001), and on the
+# graded meshes alone 2.1e-6, 1.8e-5, 9.2e-5 and 8.2e-4 (3.1e-6, 3.5e-5,
+# 8.4e-5 and 8.0e-4): second order in the cell count or better, not the
+# (h xi)^4 of a cubic interpolant alone.  6 keeps the budget with a margin
+# of 4; 3 does not.  There is no floor above the constructor's 4 cells:
+# raising the band-8 and band-16 graded meshes to 256 cells moved no value
+# by more than 1.1e-4.
+_CELLS_PER_WAVE = 6
+# On graded meshes the cap binds past band x L = 1667, on uniform ones past
+# 3333.  Against meshes at the grid's top frequency with no cap (24570 graded
+# cells a side at L = 400, N = 8192, 49146 at L = 1000, N = 16384) it moves no semigroup case by more than 6.5e-8 and
 # no extension case by 8e-15, relative, and keeps semigroup at L = 1000,
 # N = 16384 at 2.3-2.8 s and 180 MB, not 5.6-6.3 s and 357 MB (2 cores).
 _MAX_CELLS = 20000
@@ -475,10 +492,11 @@ def _lagrange_monomial_matrix(order: int) -> np.ndarray:
 
 
 class QuadratureMesh:
-    """Symmetric cell mesh on [-L, L], graded toward t = 0.
+    """Symmetric cell mesh on [-L, L], graded toward t = 0 or uniform.
 
-    Positive-side cell edges are L*(i/M)^grading; the negative side
-    mirrors them.  Each cell carries order+1 equispaced interpolation
+    Positive-side cell edges are L*(i/M)^grading, with grading 2 (graded,
+    the constructor's default) or 1 (uniform); the negative side mirrors
+    them.  Each cell carries order+1 equispaced interpolation
     nodes, its two edges among them, and adjacent cells share the node
     at their common edge: nodes holds each distinct node once, ascending,
     order * 2M + 1 of them, and _cells[c] indexes cell c's nodes into it.
@@ -486,15 +504,15 @@ class QuadratureMesh:
     can be reused across every gamma.
     """
 
-    grading = 2.0
     order = 3  # piecewise-cubic interpolant
 
-    def __init__(self, half_width: float, n_cells: int):
+    def __init__(self, half_width: float, n_cells: int, graded: bool = True):
         if not (0 < half_width < np.inf and isinstance(n_cells, int | np.integer) and n_cells >= 4):
             raise GridError("need a finite positive half-width and an integer count of at "
                             f"least 4 cells per side, got {half_width} and {n_cells}")
         self.half_width = float(half_width)
         self.n_cells = int(n_cells)
+        self.grading = 2.0 if graded else 1.0
         order = self.order
         edges = half_width * (np.arange(n_cells + 1) / n_cells) ** self.grading
         self.pos_edges = edges
@@ -512,10 +530,11 @@ class QuadratureMesh:
     @property
     def key(self) -> tuple:
         """The defining values of the mesh: equal keys, equal nodes and weights."""
-        return (self.half_width, self.n_cells)
+        return (self.half_width, self.n_cells, self.grading)
 
     def __repr__(self):
-        return f"QuadratureMesh(L={self.half_width}, cells={self.n_cells})"
+        return (f"QuadratureMesh(L={self.half_width}, cells={self.n_cells}, "
+                f"grading={self.grading})")
 
     def cached(self, key: tuple, compute):
         """The array, or tuple of arrays, derived from this mesh under
@@ -523,17 +542,21 @@ class QuadratureMesh:
         return _memo(self._cache, key, compute)
 
     @classmethod
-    def for_band(cls, grid: GridSpec, band_max: float, min_cells: int = 4) -> "QuadratureMesh":
-        """Mesh resolving oscillation up to |xi| = band_max: ceil(12
-        max(band_max, 1) L) cells per side (_CELLS_PER_WAVE per wavelength),
-        graded toward 0, at most _MAX_CELLS and at least min_cells: the
-        constructor's 4 (L = 0.25 asks for 3), which only bench/test_bench.py
+    def for_band(cls, grid: GridSpec, band_max: float, min_cells: int = 4,
+                 graded: bool = False) -> "QuadratureMesh":
+        """Mesh resolving oscillation up to |xi| = band_max with
+        _CELLS_PER_WAVE cells per wavelength at its widest cell: uniform,
+        ceil(6 max(band_max, 1) L) cells per side, or, for a function with a
+        joint at t = 0, graded toward 0 with twice that, ceil(12 max(band_max,
+        1) L).  At most _MAX_CELLS and at least min_cells: the constructor's
+        4 (L = 0.25 asks for 2 or 3), which only bench/test_bench.py
         overrides.  One shared instance per key, so its tables and weights
         are built once.  A band that is not finite and >= 0 is a GridError."""
         if not 0.0 <= band_max < math.inf:
             raise GridError(f"band must be finite and >= 0, got {band_max}")
-        need = int(math.ceil(_CELLS_PER_WAVE * max(band_max, 1.0) * grid.half_width))
-        return _shared_mesh(grid.half_width, min(max(need, min_cells), _MAX_CELLS))
+        grading = 2.0 if graded else 1.0
+        need = int(math.ceil(grading * _CELLS_PER_WAVE * max(band_max, 1.0) * grid.half_width))
+        return _shared_mesh(grid.half_width, min(max(need, min_cells), _MAX_CELLS), graded)
 
     @staticmethod
     def for_function(f: GridFunction) -> "QuadratureMesh":
@@ -583,10 +606,10 @@ class QuadratureMesh:
         return out.view(complex)
 
     def _band_bins(self, grid: GridSpec) -> int:
-        """kb: the band the mesh resolves, n_cells / (_CELLS_PER_WAVE L),
-        in bins of grid, at most N/2 - 1 (1e-9 absorbs the rounding of an
-        exact quotient)."""
-        bins = self.n_cells / (_CELLS_PER_WAVE * self.half_width) / grid.fundamental
+        """kb: the band the mesh resolves, n_cells / (grading
+        _CELLS_PER_WAVE L), in bins of grid, at most N/2 - 1 (1e-9 absorbs
+        the rounding of an exact quotient)."""
+        bins = self.n_cells / (self.grading * _CELLS_PER_WAVE * self.half_width) / grid.fundamental
         return min(int(bins + 1e-9), grid.n_samples // 2 - 1)
 
     def _mode_table(self, grid: GridSpec, kb: int) -> np.ndarray | None:
@@ -729,13 +752,14 @@ class QuadratureMesh:
         return np.max(vals, axis=(-2, -1))
 
 
-# Safe to share, because a mesh's nodes follow from its key and all else
-# it holds is a cache keyed exactly; the bound keeps the mode tables (at most
-# _MAX_TABLE_BYTES each) and NUFFT plans (192 bytes per node) of meshes no
-# longer in use from piling up.
+# Safe to share, because a mesh's nodes follow from its key (half-width, cell
+# count and grading) and all else it holds is a cache keyed exactly; the
+# bound keeps the mode tables (at most _MAX_TABLE_BYTES each) and NUFFT plans
+# (192 bytes per node) of meshes no longer in use from piling up.  The
+# default report uses all eight.
 @functools.lru_cache(maxsize=8)
-def _shared_mesh(half_width: float, n_cells: int) -> QuadratureMesh:
-    return QuadratureMesh(half_width, n_cells)
+def _shared_mesh(half_width: float, n_cells: int, graded: bool) -> QuadratureMesh:
+    return QuadratureMesh(half_width, n_cells, graded)
 
 
 # ---------------------------------------------------------------------

@@ -328,8 +328,9 @@ _N_SCALES = 60  # geometric scale grid t_0 = L/N < ... < t_59 = 2L
 # The largest block of node values one synthesis of the seminorm writes,
 # in bytes: its h-columns go through `synthesize` in chunks of this size,
 # so the seminorm's memory grows with nodes x chunk, not nodes x h-nodes.
-# 4 MiB holds the pinned config's whole set of columns (577 nodes x 399
-# columns, 3.5 MiB) in one chunk.
+# 4 MiB holds the pinned config's whole set of columns (289 nodes x 399
+# columns, 1.8 MiB) in one chunk.  cli.main sets glibc's mmap threshold to
+# it, so chunks come from the heap, which it keeps padded.
 _BLOCK_BYTES = 4 * 2**20
 
 # The fewest h-nodes in a chunk, past _BLOCK_BYTES if need be: on a large

@@ -120,9 +120,10 @@ class OrbitFunction(GridFunction):
 
     @property
     def mesh(self) -> QuadratureMesh:
-        """The mesh of every norm of this orbit: the ORBIT_BAND mesh of its
-        grid, one shared object per grid."""
-        return QuadratureMesh.for_band(self.grid, ORBIT_BAND)
+        """The mesh of every norm of this orbit: the graded ORBIT_BAND mesh
+        of its grid, one shared object per grid; the orbit's extension
+        across t = 0 leaves a joint of finite smoothness there."""
+        return QuadratureMesh.for_band(self.grid, ORBIT_BAND, graded=True)
 
 
 def trace_at_zero(f: GridFunction) -> np.ndarray:
@@ -138,9 +139,12 @@ def trace_at_zero(f: GridFunction) -> np.ndarray:
 # ---------------------------------------------------------------------
 
 
-# The band of every orbit norm's mesh.  Orbits fill the grid band, but at
-# N = 1024, L = 1 this mesh moves no orbit ratio of the trace problems by
-# more than 2.5e-5 from its value on the full band's mesh (3066 cells).
+# The band of every orbit norm's mesh, which is graded: the orbit's
+# extension across t = 0 leaves a joint there, so its mesh keeps twice the
+# cells of a band-limited function's uniform one, 192 a side at N = 1024,
+# L = 1.  Orbits fill the grid band, but there this mesh moves no orbit
+# ratio of the trace problems by more than 2.5e-5 from its value on the
+# full band's graded mesh (3066 cells).
 ORBIT_BAND = 16.0
 
 

@@ -172,8 +172,9 @@ def test_cell_weights_match_adaptive_quadrature(half_width, cells, lo, hi, gamma
 
 def test_sup_norm_keeps_its_values_on_shared_nodes(grid):
     """p = inf reads each cell's cubic through _cells; the maxima are those
-    of the layout with four stored nodes per cell."""
-    mesh = QuadratureMesh.for_band(grid, 8.0)
+    of the layout with four stored nodes per cell, on the graded mesh
+    they were pinned on."""
+    mesh = QuadratureMesh(1.0, 96)
     f = random_band_limited(grid, (-8.0, 8.0), seed=11, dim=3)
     mags = np.abs(f.evaluate(mesh.nodes)).T
     assert mags.shape == (3, 6 * mesh.n_cells + 1)
@@ -288,14 +289,26 @@ def test_for_band_shares_one_mesh_per_key(grid):
 
 
 def test_for_band_sizes_meshes_by_cells_per_wavelength():
-    """12 cells per wavelength of the band on each side, and never fewer
-    than the constructor's 4."""
-    for band, half_width, cells in ((8.0, 1.0, 96), (16.0, 1.0, 192), (24.0, 1.0, 288),
-                                    (32.0, 1.0, 384), (24.0, 2.0, 576), (0.0, 1.0, 12),
-                                    (0.1, 0.25, 4)):
-        assert QuadratureMesh.for_band(GridSpec(half_width, 1024), band).n_cells == cells
-    # at L = 0.25 band 1 asks for 3 cells, below the constructor's floor
+    """6 cells per wavelength of the band at the widest cell on each side:
+    a uniform mesh takes ceil(6 band L) cells, a graded one twice that, and
+    neither fewer than the constructor's 4."""
+    for band, half_width, cells, graded_cells in (
+            (8.0, 1.0, 48, 96), (16.0, 1.0, 96, 192), (24.0, 1.0, 144, 288),
+            (32.0, 1.0, 192, 384), (24.0, 2.0, 288, 576), (0.0, 1.0, 6, 12), (0.1, 0.25, 4, 4)):
+        grid = GridSpec(half_width, 1024)
+        uniform = QuadratureMesh.for_band(grid, band)
+        graded = QuadratureMesh.for_band(grid, band, graded=True)
+        assert (uniform.n_cells, uniform.grading) == (cells, 1.0)
+        assert (graded.n_cells, graded.grading) == (graded_cells, 2.0)
+        # the widest cell, the last: L / M uniform, L (2 M - 1) / M^2 graded
+        for mesh in (uniform, graded):
+            widest = np.max(np.diff(mesh.pos_edges))
+            assert widest == pytest.approx(mesh.pos_edges[-1] - mesh.pos_edges[-2], rel=1e-12)
+            assert widest <= 1.0 / (6 * max(band, 1.0)) * (1.0 + 1e-12)
+    # at L = 0.25 band 1 asks for 2 uniform and 3 graded cells, below the
+    # constructor's floor
     assert QuadratureMesh.for_band(GridSpec(0.25, 1024), 1.0).n_cells == 4
+    assert QuadratureMesh.for_band(GridSpec(0.25, 1024), 1.0, graded=True).n_cells == 4
     with pytest.raises(GridError, match="at least 4 cells"):
         QuadratureMesh(0.25, 3)
 
@@ -451,7 +464,7 @@ def test_narrow_sets_in_band_take_the_mode_table(grid, case):
     product over a slice of the mesh's mode table, within 2e-14 of the
     largest value of dense synthesis with exact phases."""
     f = _NARROW[case](grid)
-    mesh = QuadratureMesh(1.0, QuadratureMesh.for_band(grid, 32.0).n_cells)
+    mesh = QuadratureMesh(1.0, QuadratureMesh.for_band(grid, 32.0).n_cells, graded=False)
     assert mesh._band_bins(grid) == 64
     got = _synthesize(mesh, f)
     assert ("modes", grid) in mesh._cache
@@ -469,7 +482,7 @@ def test_wide_sets_take_the_nufft_bitwise(grid, case):
         "span-256": (64.0, GridFunction.from_coeff_map(grid, {-64.0: [1.0], 63.5: [2.0]})),
         "over-the-cap": (200.0, random_band_limited(grid, (-10.0, 10.0), seed=14)),
     }[case]
-    mesh = QuadratureMesh(1.0, QuadratureMesh.for_band(grid, band).n_cells)
+    mesh = QuadratureMesh(1.0, QuadratureMesh.for_band(grid, band).n_cells, graded=False)
     table_bytes = 16 * mesh.nodes.size * (2 * mesh._band_bins(grid) + 1)
     assert (table_bytes > _MAX_TABLE_BYTES) == (case == "over-the-cap")
     active, coeffs = f.active_indices, f.coeffs[f.active_indices]
@@ -483,8 +496,8 @@ def test_narrow_synthesis_does_not_depend_on_call_order(grid):
     on the same mesh, and after other sets on it."""
     fs = [make(grid) for make in _NARROW.values()]
     cells = QuadratureMesh.for_band(grid, 32.0).n_cells
-    fresh = [_synthesize(QuadratureMesh(1.0, cells), f) for f in fs]
-    mesh = QuadratureMesh(1.0, cells)
+    fresh = [_synthesize(QuadratureMesh(1.0, cells, graded=False), f) for f in fs]
+    mesh = QuadratureMesh(1.0, cells, graded=False)
     for f, want in [*zip(fs, fresh), *zip(fs[::-1], fresh[::-1]), *zip(fs, fresh)]:
         np.testing.assert_array_equal(_synthesize(mesh, f), want)
 
@@ -529,9 +542,9 @@ def _element_offsets(view: np.ndarray, base: np.ndarray) -> np.ndarray:
     (1, 34, 798),             # one row
     (577, 199, 1),            # one column
     (37, 8, 12),              # fewer rows than _SYNTH_ROWS
-    (577, 34, 798),           # the seminorm's synthesis at the pinned config
+    (577, 34, 798),           # the seminorm's synthesis on a band-8 graded mesh
     (577, 199, 60),           # its scale integral
-    (2305, 126, 72),          # a dim-6 fresh-functions request
+    (2305, 126, 72),          # a dim-6 request on a band-32 graded mesh
     (5, 4000, 300),           # one row, the columns split
     (3, 2**17 + 3, 2),        # one column per block is the floor
 ])

@@ -152,8 +152,17 @@ def test_doubling_every_mesh_keeps_the_error_budget(monkeypatch):
     every bound case of every suite still passes, and no baseline-compared
     value moves by more than 1e-3 of itself, a tenth of the baseline
     tolerance."""
-    config = SuiteConfig(family_size=2)
+    _assert_doubling_keeps_the_error_budget(monkeypatch, SuiteConfig(family_size=2))
 
+
+def test_doubling_keeps_the_error_budget_off_the_pinned_config(monkeypatch):
+    """The same budget at L = 2, where no baselines are pinned, so only this
+    check holds the values of the baseline-compared cases."""
+    _assert_doubling_keeps_the_error_budget(monkeypatch,
+                                            SuiteConfig(half_width=2.0, family_size=2))
+
+
+def _assert_doubling_keeps_the_error_budget(monkeypatch, config):
     def baseline_values():
         reports = run_all(config)
         failed = [(r.suite, c.case_id) for r in reports for c in r.cases

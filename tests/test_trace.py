@@ -199,6 +199,24 @@ def test_orbit_copies_the_callers_trace_value(grid, diag):
     assert not u.trace_value.flags.writeable
 
 
+def test_band_limited_meshes_are_uniform_and_orbit_meshes_graded(grid):
+    """A band-limited function's mesh is uniform; an orbit's, whose
+    extension across t = 0 leaves a joint there, is graded toward 0 with
+    twice the cells.  Both keep the same widest cell and resolve the same
+    band, and they are different objects."""
+    u = windowed_orbit(grid, ExtensionOperator(2, 0), lambda t: np.exp(-t)[:, None],
+                       np.array([1.0]))
+    f = random_band_limited(grid, (-ORBIT_BAND, ORBIT_BAND), seed=5)
+    smooth, joint = f.mesh, u.mesh
+    assert smooth is not joint and smooth.key != joint.key
+    assert smooth.grading == 1.0 and joint.grading == 2.0
+    assert joint.n_cells == 2 * smooth.n_cells
+    np.testing.assert_allclose(np.diff(smooth.pos_edges), 1.0 / smooth.n_cells, rtol=1e-12)
+    widest = [np.max(np.diff(m.pos_edges)) for m in (smooth, joint)]
+    assert widest[1] <= widest[0] == pytest.approx(widest[1], rel=1.0 / joint.n_cells)
+    assert smooth._band_bins(grid) == joint._band_bins(grid) == ORBIT_BAND / grid.fundamental
+
+
 def test_trace_continuity_numerator_independent_of_r(grid, diag):
     problem = TraceProblem(diag, 0.0, 2.0, 2.0, 0.0, 1.0)
     u = random_band_limited(grid, (-16.0, 16.0), seed=12, dim=diag.dim)
@@ -218,8 +236,8 @@ def test_right_inverse_ratio_inverts_the_orbit_continuity_ratio(grid, diag):
     got = right_inverse_check(problem, x, grid)
     cont = trace_continuity_ratio(problem, got["orbit"], "F", 1.0)
     assert got["ratio"] == cont["denominator"] / cont["numerator"]
-    # an orbit's mesh is the one shared ORBIT_BAND mesh of its grid, not its band's
-    mesh = QuadratureMesh.for_band(grid, ORBIT_BAND)
+    # an orbit's mesh is the one shared graded ORBIT_BAND mesh of its grid, not its band's
+    mesh = QuadratureMesh.for_band(grid, ORBIT_BAND, graded=True)
     assert QuadratureMesh.for_function(got["orbit"]) is got["orbit"].mesh is mesh
     assert mesh is not QuadratureMesh.for_band(grid, got["orbit"].max_frequency)
     hi = SpaceSpec("F", 1.0 - 0.2, 2.0, 2.0, 0.5)
