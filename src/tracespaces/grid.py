@@ -28,17 +28,26 @@ across t = 0 leaves a joint of finite smoothness there, and a grading pays
 only near such a point.
 
 Every evaluation at quadrature nodes goes through one kernel,
-QuadratureMesh.synthesize, which has two paths; the mesh, the grid and the
-active set alone pick one, so a function's node values never depend on
-what is stacked with it or computed before it.
+QuadratureMesh.synthesize, which has three paths; the mesh, the grid, the
+active set and the column count alone pick one, so a function's node
+values never depend on what is computed before it.  On a uniform mesh
+they can depend, at rounding level, on how many columns are stacked with
+it, since the column count picks between the FFT and the mode table.
 
-- Narrow sets: per GridSpec the mesh keeps one real table of cos and sin
-  of 2 pi t k / (2L) at its nodes, interleaved, for every bin 0 <= k <= kb,
-  where kb is the band the mesh resolves, n_cells / (grading
-  _CELLS_PER_WAVE L), in bins, each phase reduced mod 1 from the exact
-  product (_cycles).  A set whose signed bins lo..hi span fewer than
-  _NUFFT_MIN_MODES (256) and lie inside the table is folded onto bins
-  k >= 0: with
+- FFT, on a uniform mesh of M cells a side, for a set whose signed bins
+  span at most 6M: the nodes -L + n L / (3M), n = 0..6M, are the points of
+  a DFT of length 6M over the period 2L, so the node values are one
+  inverse FFT of length 6M of (-1)^k c_k, the bins folded mod 6M, with
+  node 6M equal to node 0 (_synthesize_fft).  It is exact to rounding: no
+  kernel, no deconvolution, no 2N grid.
+- Mode table, for a set whose signed bins lo..hi span fewer than
+  _NUFFT_MIN_MODES (256) and lie inside the band the mesh resolves, kb =
+  n_cells / (grading _CELLS_PER_WAVE L) bins: on a graded mesh always, on a
+  uniform one when it has more than _FFT_MAX_COLUMNS (8) columns, as the
+  seminorm's hundreds do and a norm request's few do not.  Per GridSpec the mesh
+  keeps one real table of cos and sin of 2 pi t k / (2L) at its nodes,
+  interleaved, for every bin 0 <= k <= kb, each phase reduced mod 1 from
+  the exact product (_cycles).  The set is folded onto bins k >= 0: with
   a_k = c_k + c_-k and b_k = c_k - c_-k,
 
       sum_k c_k e^{i theta k t} = sum_{k >= 0} a_k cos theta k t + i b_k sin theta k t,
@@ -49,13 +58,12 @@ what is stacked with it or computed before it.
   is _blocked_product, whose BLAS products of at most 2^18 multiply-adds
   (_ONE_THREAD_MACS) OpenBLAS runs on the calling thread; the difference
   seminorm's scale integral takes it too.  The table is built on the first
-  narrow call, in row blocks, and
-  never when the complex table of every signed bin would exceed
-  _MAX_TABLE_BYTES (24 MiB): the suites' tables take 0.08, 0.30 and 0.68 MB
-  at the pinned config, the fresh-functions benchmark's band-32 table 1.2 MB.
-- Every other set, wider, past the mesh's band or on a mesh with no
-  table: a type-2 NUFFT (Dutt & Rokhlin 1993; Barnett, Magland & af
-  Klinteberg 2019).  The coefficients are divided by the Fourier
+  call that takes it, in row blocks, and never when the complex table of
+  every signed bin would exceed _MAX_TABLE_BYTES (24 MiB).
+- NUFFT, for every other set: on a graded mesh, one too wide or past the
+  mesh's band or over the table cap; on a uniform mesh, one spanning more
+  than 6M bins.  A type-2 NUFFT (Dutt & Rokhlin 1993; Barnett, Magland &
+  af Klinteberg 2019): the coefficients are divided by the Fourier
   transform of an exponential-of-semicircle kernel, placed on a 2N grid
   and inverse transformed, one FFT per column; each node then gathers the
   16 grid values its kernel reaches and sums them against its 16 kernel
@@ -70,7 +78,7 @@ values and what follows from them on the GridFunction
 (GridFunction.cached), and weights, mode tables, NUFFT plans and the
 difference seminorm's h-rules on the mesh (QuadratureMesh.cached).
 GridFunction.evaluate stays dense synthesis at arbitrary points, the
-reference for both paths.
+reference for every path.
 """
 
 from __future__ import annotations
@@ -206,6 +214,9 @@ class GridFunction:
         and make it read-only."""
         if coeffs.ndim == 1:
             coeffs = coeffs[:, None]
+        if coeffs.ndim != 2 or coeffs.shape[1] == 0:
+            raise GridError("coefficients must be one column or an (N, dim) array with "
+                            f"dim >= 1, got shape {coeffs.shape}")
         if coeffs.shape[0] != grid.n_samples:
             raise GridError("coefficient array length must equal n_samples")
         nyq = grid.n_samples // 2
@@ -336,14 +347,15 @@ _GL_WEIGHTS = 0.5 * _GL_WEIGHTS
 
 
 # The cap on a mesh's mode table per GridSpec, in bytes; a mesh over it
-# synthesizes every set by the NUFFT.  It is checked on the bytes of a
-# complex table of every signed bin, 16 n_nodes (2 kb + 1), about 64
-# n_cells^2 on a uniform mesh and 32 n_cells^2 on a graded one, so meshes of
-# up to 626 and 887 cells a side keep one: every mesh the suites use at the
-# pinned config and at L = 2, but not a band near Nyquist on its own
-# 9199-node mesh.  The real table a mesh keeps takes 16 n_nodes (kb + 1),
-# about half of that: 0.68 MB at most at the pinned config, 2.7 MB at L = 2,
-# band 24; the shared-mesh cache holds eight meshes.
+# synthesizes every set by the FFT if uniform and by the NUFFT if graded.
+# It is checked on the bytes of a complex table of every signed bin, 16
+# n_nodes (2 kb + 1), about 64 n_cells^2 on a uniform mesh and 32 n_cells^2
+# on a graded one, so meshes of up to 626 and 887 cells a side may keep
+# one.  The real table a mesh keeps takes 16 n_nodes (kb + 1), about half
+# of that, and is built only when some call takes it: in the default report
+# the band-8 and band-16 meshes build one (75 and 298 KB), at L = 2 the
+# band-8 and band-16 meshes (298 KB and 1.1 MB), and the fresh-functions
+# benchmark's band-32 mesh 1.1 MB; the shared-mesh cache holds eight meshes.
 _MAX_TABLE_BYTES = 24 * 2**20
 
 # Node rows per block of the mode table's build, and the most rows of one
@@ -364,11 +376,12 @@ _SYNTH_ROWS = 64
 # the portable bound stays.
 _ONE_THREAD_MACS = 2**18
 
-# QuadratureMesh.synthesize takes the table product for a set spanning
-# fewer signed bins than this and the NUFFT from it up.  The NUFFT's time
-# over the folded product's, measured on graded meshes of 1153, 1729 and
-# 2305 nodes (N = 1024) for 1, 6, 54 and 300 columns, on sets centred on 0
-# (K = span / 2 folded bins) and one-sided (K = span), at one and two BLAS
+# The widest set, in signed bins, QuadratureMesh.synthesize may take the
+# mode table for; a wider set takes the FFT on a uniform mesh, within 6M
+# bins, and the NUFFT on a graded one.  On graded meshes the NUFFT's time
+# over the folded product's, measured on meshes of 1153, 1729 and 2305
+# nodes (N = 1024) for 1, 6, 54 and 300 columns, on sets centred on 0 (K =
+# span / 2 folded bins) and one-sided (K = span), at one and two BLAS
 # threads: at a span of 128 bins 0.74-7.5 centred and 0.65-5.2 one-sided
 # (the NUFFT wins only at one column); at 256 bins 0.68-4.5 and 0.42-2.8
 # (the NUFFT wins at one column, and one-sided up to 54 at some sizes); at
@@ -376,6 +389,17 @@ _ONE_THREAD_MACS = 2**18
 # columns).  No other cut-off wins everywhere, and moving it moves values
 # at rounding level, so it stays.
 _NUFFT_MIN_MODES = 256
+
+# On a uniform mesh a narrow set of at most this many columns takes the FFT,
+# and one of more the mode table.  Timing both paths at every synthesis call
+# of the three benchmark workloads where both apply (434 calls on meshes of
+# 37 to 1153 nodes, 1 to 399 columns, two BLAS threads), the FFT won at few
+# columns and the table at the seminorm's hundreds: 0.40-0.46 against
+# 0.60-0.66 ms at 373-399 columns on the 289-node band-8 mesh.  Over those
+# calls this cut took 68.9 ms, the table alone 78.6 ms, the FFT alone 87.1
+# ms, and a four-constant cost model in nodes, bins and columns 66.4 ms, a
+# gap too small to carry that model.
+_FFT_MAX_COLUMNS = 8
 
 # The NUFFT's kernel exp(beta (sqrt(1 - z^2) - 1)), z in [-1, 1], spans
 # _NUFFT_WIDTH cells of a twice oversampled grid, with beta = 2.30 width
@@ -500,8 +524,9 @@ class QuadratureMesh:
     nodes, its two edges among them, and adjacent cells share the node
     at their common edge: nodes holds each distinct node once, ascending,
     order * 2M + 1 of them, and _cells[c] indexes cell c's nodes into it.
-    Node positions are weight-independent, so a function's node values
-    can be reused across every gamma.
+    A uniform mesh's nodes are L j / (3M), j = -3M..3M, the points of a DFT
+    of length 6M.  Node positions are weight-independent, so a function's
+    node values can be reused across every gamma.
     """
 
     order = 3  # piecewise-cubic interpolant
@@ -516,11 +541,18 @@ class QuadratureMesh:
         order = self.order
         edges = half_width * (np.arange(n_cells + 1) / n_cells) ** self.grading
         self.pos_edges = edges
-        u = np.linspace(0.0, 1.0, order + 1)[:-1]  # a cell's nodes but its right edge
-        a, b = edges[:-1], edges[1:]
-        pos = np.append((a[:, None] + (b - a)[:, None] * u[None, :]).ravel(), edges[-1])
-        # ascending: the mirrored positive nodes, then t = 0 and the positive ones
-        self.nodes = np.concatenate([-pos[:0:-1], pos])
+        if graded:
+            u = np.linspace(0.0, 1.0, order + 1)[:-1]  # a cell's nodes but its right edge
+            a, b = edges[:-1], edges[1:]
+            pos = np.append((a[:, None] + (b - a)[:, None] * u[None, :]).ravel(), edges[-1])
+            # ascending: the mirrored positive nodes, then t = 0 and the positive ones
+            self.nodes = np.concatenate([-pos[:0:-1], pos])
+        else:
+            # t_j = L j / (3M), j = -3M..3M: the points of a DFT of length 6M
+            # over the period 2L, each one correctly rounded quotient times L,
+            # so 0, +-L and the cell edges are exact and the nodes symmetric
+            j = np.arange(-order * n_cells, order * n_cells + 1)
+            self.nodes = half_width * (j / (order * n_cells))
         self._cells = order * np.arange(2 * n_cells)[:, None] + np.arange(order + 1)
         self._lagrange = _lagrange_monomial_matrix(order)
         # weights per gamma, mode tables and NUFFT plans per GridSpec and the
@@ -605,6 +637,20 @@ class QuadratureMesh:
                       out=out[rows])
         return out.view(complex)
 
+    def _synthesize_fft(self, bins: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+        """On a uniform mesh of M cells a side, whose nodes t_n = -L + n L /
+        (3M), n = 0..6M, are the points of a DFT of length P = 6M over the
+        period 2L: sum_k c_k exp(i pi k t_n / L) = sum_k (-1)^k c_k exp(2 pi
+        i k n / P), one inverse DFT of the signed bins k folded mod P into
+        the output; node P takes node 0's value.  The bins must
+        span at most P, so that no two fold onto one."""
+        period = self.nodes.size - 1
+        out = np.zeros((period + 1, coeffs.shape[1]), dtype=complex)
+        out[bins % period] = np.where((bins % 2 == 1)[:, None], -coeffs, coeffs)
+        out[:period] = np.fft.ifft(out[:period], axis=0, norm="forward")
+        out[period] = out[0]
+        return out
+
     def _band_bins(self, grid: GridSpec) -> int:
         """kb: the band the mesh resolves, n_cells / (grading
         _CELLS_PER_WAVE L), in bins of grid, at most N/2 - 1 (1e-9 absorbs
@@ -612,14 +658,10 @@ class QuadratureMesh:
         bins = self.n_cells / (self.grading * _CELLS_PER_WAVE * self.half_width) / grid.fundamental
         return min(int(bins + 1e-9), grid.n_samples // 2 - 1)
 
-    def _mode_table(self, grid: GridSpec, kb: int) -> np.ndarray | None:
+    def _mode_table(self, grid: GridSpec, kb: int) -> np.ndarray:
         """table[:, 2k] = cos(2 pi t k / (2L)) and table[:, 2k + 1] = sin(2 pi
         t k / (2L)) at the nodes for every bin 0 <= k <= kb, built in
-        _SYNTH_ROWS row blocks on first use; None when the complex table of
-        every signed bin would exceed _MAX_TABLE_BYTES."""
-        if 16 * self.nodes.size * (2 * kb + 1) > _MAX_TABLE_BYTES:
-            return None
-
+        _SYNTH_ROWS row blocks on first use."""
         def build():
             xi = np.arange(kb + 1) * grid.fundamental
             table = np.empty((self.nodes.size, 2 * kb + 2))
@@ -638,12 +680,15 @@ class QuadratureMesh:
 
         active holds FFT-order bin indices of grid and coeffs has one row
         per active bin; its columns are independent functions, so stacking
-        several functions on one active set costs one product.  The mesh,
-        the grid and the active set alone pick the path: a set spanning
-        fewer than _NUFFT_MIN_MODES signed bins inside the mesh's mode
-        table is folded onto bins k >= 0 and is one real product over a
-        slice of it, any other set the NUFFT; so a function's values never
-        depend on what is computed before it.
+        several functions on one active set costs one call.  The mesh, the
+        grid, the active set and the column count alone pick the path (see
+        the module docstring): a set spanning fewer than _NUFFT_MIN_MODES
+        signed bins inside the mesh's band and table cap is folded onto bins
+        k >= 0 and is one real product over a slice of the mode table, on a
+        graded mesh always and on a uniform one above _FFT_MAX_COLUMNS
+        columns; any other set spanning at most 6M bins on a uniform mesh is
+        one inverse FFT of length 6M, and the rest the NUFFT.  So a
+        function's values never depend on what is computed before it.
         """
         coeffs = np.asarray(coeffs, dtype=complex)
         if active.size == 0:
@@ -652,10 +697,17 @@ class QuadratureMesh:
         bins = np.where(active < n // 2, active, active - n)
         lo, hi = int(bins.min()), int(bins.max())
         kb = self._band_bins(grid)
-        narrow = hi - lo + 1 < _NUFFT_MIN_MODES and -kb <= lo <= hi <= kb
-        table = self._mode_table(grid, kb) if narrow else None
-        if table is None:
+        # a uniform mesh's 6M + 1 nodes hold one period of 6M bins
+        fft = self.grading == 1.0 and hi - lo + 1 < self.nodes.size
+        narrow = (hi - lo + 1 < _NUFFT_MIN_MODES and -kb <= lo <= hi <= kb
+                  and 16 * self.nodes.size * (2 * kb + 1) <= _MAX_TABLE_BYTES)
+        if narrow and fft:
+            narrow = coeffs.shape[1] > _FFT_MAX_COLUMNS
+        if not narrow:
+            if fft:
+                return self._synthesize_fft(bins, coeffs)
             return self._synthesize_nufft(grid, active, coeffs)
+        table = self._mode_table(grid, kb)
         kmin = 0 if lo <= 0 <= hi else min(abs(lo), abs(hi))
         kmax = max(abs(lo), abs(hi))
         # c_k at k >= 0 and c_-k at k > 0, on the bins kmin..kmax

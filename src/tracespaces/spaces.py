@@ -258,7 +258,7 @@ def _magnitudes(f: GridFunction, mesh: QuadratureMesh, inner, kind: str, s: floa
         elif kind == "W":
             factors = np.stack([(2j * np.pi * xi) ** j for j in range(int(s) + 1)], 1)
         else:
-            factors = sys.symbols(xi).T
+            factors = sys.grid_symbols(f.grid)[:, f.active_indices].T
         live = np.flatnonzero(np.any(factors != 0.0, axis=0))
         vals = f.cached(("bank", key, mesh.key),
                         lambda: _multiplier_values(f, factors[:, live], mesh))

@@ -201,7 +201,7 @@ def run_dyadic(config: SuiteConfig) -> VerificationReport:
     # the snapped symbols of the two blocks meeting at any frequency are
     # complementary 26-bit values, so both products and their sum are exact
     err = 0.0
-    blocks = sys.symbols(grid.frequencies())
+    blocks = sys.grid_symbols(grid)
     for f in config.family(250.0, config.family_size, stream=100):
         f = GridFunction(grid, f.coeffs.astype(np.complex64).astype(complex))
         total = np.zeros_like(f.coeffs)

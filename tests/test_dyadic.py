@@ -122,3 +122,27 @@ def test_depth_follows_the_grid(n_samples, half_width, depth):
 def test_build_system_validation():
     with pytest.raises(Exception):
         build_system(-1)
+    # a depth that is no integer would give blocks that no K names
+    for depth in (2.5, float("nan"), 0, "8"):
+        with pytest.raises(ValueError, match="integer >= 1"):
+            DyadicSystem(depth)
+
+
+@pytest.mark.parametrize("n_samples, half_width", [(1024, 1.0), (64, 0.25), (2048, 20.0)])
+def test_grid_symbols_are_the_symbols_at_every_bin(n_samples, half_width):
+    """The per-grid table holds symbols(xi) at each bin, bit for bit, is
+    read-only and is built once per (system, grid); block projection reads
+    its rows."""
+    grid = GridSpec(half_width, n_samples)
+    system = DyadicSystem.for_grid(grid)
+    table = system.grid_symbols(grid)
+    assert table.shape == (system.max_block + 1, n_samples) and not table.flags.writeable
+    assert DyadicSystem(system.max_block).grid_symbols(GridSpec(half_width, n_samples)) is table
+    xi = grid.frequencies()
+    np.testing.assert_array_equal(table, system.symbols(xi))
+    for j in (0, 1, n_samples // 2 - 1, n_samples // 2 + 1, n_samples - 1):
+        np.testing.assert_array_equal(table[:, j], system.symbols([xi[j]])[:, 0])
+    f = random_band_limited(grid, (-grid.top, grid.top), seed=3)
+    for k in (0, system.max_block):
+        np.testing.assert_array_equal(apply_block(system, k, f).coeffs[:, 0],
+                                      system.symbols(xi)[k] * f.coeffs[:, 0])

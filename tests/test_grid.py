@@ -13,6 +13,7 @@ from tracespaces import (
     random_band_limited,
     weighted_lp_norm,
 )
+from tracespaces import grid as grid_module
 from tracespaces.grid import (
     _MAX_TABLE_BYTES,
     _ONE_THREAD_MACS,
@@ -72,6 +73,16 @@ def test_construction_copies_the_callers_coefficients(grid):
         c[2] = 1.0
         np.testing.assert_array_equal(f.active_indices, [1])
         assert f.coeffs[2, 0] == 0.0 and not f.coeffs.flags.writeable
+
+
+def test_coefficients_without_columns_are_rejected(grid):
+    """A function takes at least one column: none would leave every norm
+    nothing to reduce."""
+    for coeffs in (np.zeros((grid.n_samples, 0)), np.zeros((grid.n_samples, 1, 2))):
+        with pytest.raises(GridError, match="dim >= 1"):
+            GridFunction(grid, coeffs)
+    with pytest.raises(GridError, match="dim >= 1"):
+        random_band_limited(grid, (-4.0, 4.0), seed=1, dim=0)
 
 
 def test_from_samples_round_trip(grid):
@@ -414,21 +425,37 @@ def test_nufft_synthesis_matches_dense_evaluation(n, half_width, cells, dim, ban
         assert np.max(np.abs(got[at_l[0]] - got[at_l[1]])) <= 2e-14 * scale
 
 
+def _bins(f):
+    """f's active bins k, signed, in the order of its active indices."""
+    return np.rint(f.active_frequencies() / f.grid.fundamental).astype(int)
+
+
 @pytest.mark.parametrize("band", [(-10.0, 10.0), (-64.0, 63.5), (-255.5, 255.5)])
 def test_synthesis_path_does_not_depend_on_stacked_columns(grid, band):
-    """A column synthesized alone equals the same column inside a stack of
-    300 to within 1e-15, below the 5e-15 by which the two paths differ; the
-    NUFFT treats each column on its own, bit for bit."""
-    mesh = QuadratureMesh(1.0, 512)
+    """On a graded mesh a column synthesized alone equals the same column
+    inside a stack of 300 to within 1e-15, below the 5e-15 by which the two
+    paths differ; the NUFFT treats each column on its own, bit for bit.  On
+    the uniform band-32 mesh the FFT treats each column on its own too, but
+    a narrow set takes it alone and the mode table in the stack (past
+    _FFT_MAX_COLUMNS), so there the two differ by the paths' own gap,
+    within 5e-15 of the largest value."""
     f = random_band_limited(grid, band, seed=5, dim=300)
     active, coeffs = f.active_indices, f.coeffs[f.active_indices]
-    stacked = mesh.synthesize(grid, active, coeffs)
-    for j in (0, 299):
-        alone = mesh.synthesize(grid, active, coeffs[:, j:j + 1])[:, 0]
-        if active.size >= 256:
-            np.testing.assert_array_equal(alone, stacked[:, j])
-        else:
-            assert np.max(np.abs(alone - stacked[:, j])) <= 1e-15 * np.max(np.abs(stacked))
+    for mesh in (QuadratureMesh(1.0, 512),
+                 QuadratureMesh(1.0, QuadratureMesh.for_band(grid, 32.0).n_cells, graded=False)):
+        stacked = mesh.synthesize(grid, active, coeffs)
+        scale = np.max(np.abs(stacked))
+        for j in (0, 299):
+            alone = mesh.synthesize(grid, active, coeffs[:, j:j + 1])[:, 0]
+            if active.size >= 256:
+                np.testing.assert_array_equal(alone, stacked[:, j])
+            elif mesh.grading != 1.0:
+                assert np.max(np.abs(alone - stacked[:, j])) <= 1e-15 * scale
+            else:
+                np.testing.assert_array_equal(
+                    alone, mesh._synthesize_fft(_bins(f), coeffs[:, j:j + 1])[:, 0])
+                assert np.max(np.abs(alone - stacked[:, j])) <= 5e-15 * scale
+        assert (("modes", grid) in mesh._cache) == (active.size < 256)
 
 
 def test_mesh_synthesis_sparse_and_empty_active_sets(grid, mesh):
@@ -461,34 +488,112 @@ _NARROW = {
 @pytest.mark.parametrize("case", list(_NARROW))
 def test_narrow_sets_in_band_take_the_mode_table(grid, case):
     """A set spanning fewer than 256 bins inside the mesh's band is one
-    product over a slice of the mesh's mode table, within 2e-14 of the
+    product over a slice of the mesh's mode table on a graded mesh, and on
+    a uniform mesh above _FFT_MAX_COLUMNS columns, as at the seminorm's 399;
+    with fewer it takes the FFT.  Either path is within 2e-14 of the
     largest value of dense synthesis with exact phases."""
     f = _NARROW[case](grid)
-    mesh = QuadratureMesh(1.0, QuadratureMesh.for_band(grid, 32.0).n_cells, graded=False)
-    assert mesh._band_bins(grid) == 64
-    got = _synthesize(mesh, f)
-    assert ("modes", grid) in mesh._cache
-    want = _exact_phase_synthesis(f, mesh.nodes)
+    cells = QuadratureMesh.for_band(grid, 32.0).n_cells
+    graded = QuadratureMesh(1.0, 2 * cells)
+    assert graded._band_bins(grid) == 64
+    got = _synthesize(graded, f)
+    assert ("modes", grid) in graded._cache
+    want = _exact_phase_synthesis(f, graded.nodes)
     assert np.max(np.abs(got - want)) <= 2e-14 * np.max(np.abs(want))
+    stacked = GridFunction(grid, np.tile(f.coeffs, 399 // f.dim))
+    for g in (f, stacked):
+        mesh = QuadratureMesh(1.0, cells, graded=False)
+        assert mesh._band_bins(grid) == 64
+        got = _synthesize(mesh, g)
+        table = g.dim > grid_module._FFT_MAX_COLUMNS
+        assert table == (g is stacked)
+        assert (("modes", grid) in mesh._cache) == table
+        if not table:
+            np.testing.assert_array_equal(
+                got, mesh._synthesize_fft(_bins(g), g.coeffs[g.active_indices]))
+        want = _exact_phase_synthesis(g, mesh.nodes)
+        assert np.max(np.abs(got - want)) <= 2e-14 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("case", ["past-the-band", "span-256", "over-the-cap"])
 def test_wide_sets_take_the_nufft_bitwise(grid, case):
     """A set past the mesh's band, one spanning 256 bins or more, and any
-    set on a mesh whose table would exceed _MAX_TABLE_BYTES take the NUFFT,
-    bit for bit, and the mesh builds no mode table for them."""
+    set on a mesh whose table would exceed _MAX_TABLE_BYTES take the NUFFT
+    on a graded mesh and the FFT on a uniform one, bit for bit, and the
+    mesh builds no mode table for them."""
     band, f = {
         "past-the-band": (8.0, random_band_limited(grid, (20.0, 30.0), seed=13, dim=2)),
         "span-256": (64.0, GridFunction.from_coeff_map(grid, {-64.0: [1.0], 63.5: [2.0]})),
         "over-the-cap": (200.0, random_band_limited(grid, (-10.0, 10.0), seed=14)),
     }[case]
-    mesh = QuadratureMesh(1.0, QuadratureMesh.for_band(grid, band).n_cells, graded=False)
-    table_bytes = 16 * mesh.nodes.size * (2 * mesh._band_bins(grid) + 1)
-    assert (table_bytes > _MAX_TABLE_BYTES) == (case == "over-the-cap")
     active, coeffs = f.active_indices, f.coeffs[f.active_indices]
-    np.testing.assert_array_equal(mesh.synthesize(grid, active, coeffs),
-                                  mesh._synthesize_nufft(grid, active, coeffs))
-    assert ("modes", grid) not in mesh._cache
+    for graded in (True, False):
+        mesh = QuadratureMesh(1.0, QuadratureMesh.for_band(grid, band, graded=graded).n_cells,
+                              graded=graded)
+        table_bytes = 16 * mesh.nodes.size * (2 * mesh._band_bins(grid) + 1)
+        assert (table_bytes > _MAX_TABLE_BYTES) == (case == "over-the-cap")
+        want = (mesh._synthesize_nufft(grid, active, coeffs) if graded
+                else mesh._synthesize_fft(_bins(f), coeffs))
+        np.testing.assert_array_equal(mesh.synthesize(grid, active, coeffs), want)
+        assert ("modes", grid) not in mesh._cache
+        assert (("nufft", grid) in mesh._cache) == graded
+
+
+@pytest.mark.parametrize("half_width, n, cells", [(0.25, 1024, 64), (1.0, 1024, 97),
+                                                  (20.0, 16384, 150)])
+@pytest.mark.parametrize("case", ["crossing-zero", "one-sided", "lone-bin", "span-6M",
+                                  "span-6M-plus-1"])
+def test_fft_synthesis_matches_exact_phases(half_width, n, cells, case):
+    """On a uniform mesh of M cells a side, a set spanning at most 6M bins
+    takes one inverse DFT of length 6M, within 2e-14 of the largest value
+    of dense synthesis at the DFT's points -L + n L / (3M) with exact
+    phases k (n - 3M) / (6M) mod 1, formed in integers; its nodes at -L and
+    L are one period apart.  A set spanning 6M + 1 bins, which would fold
+    two bins onto one, takes the NUFFT, bit for bit.  M = 97 makes 6M = 582
+    not a product of small primes."""
+    grid = GridSpec(half_width, n)
+    mesh = QuadratureMesh(half_width, cells, graded=False)
+    period = 6 * cells
+    rng = np.random.default_rng((n, cells))
+    first = -period // 2 + 7
+    lo, hi = {"crossing-zero": (-40, 25), "one-sided": (-300, -90), "lone-bin": (first, first),
+              "span-6M": (first, first + period - 1),
+              "span-6M-plus-1": (first, first + period)}[case]
+    bins = np.arange(lo, hi + 1)
+    coeffs = np.zeros((n, 2), dtype=complex)
+    coeffs[bins % n] = rng.standard_normal((bins.size, 2)) + 1j * rng.standard_normal(
+        (bins.size, 2))
+    f = GridFunction(grid, coeffs)
+    got = _synthesize(mesh, f)
+    assert (("nufft", grid) in mesh._cache) == (case == "span-6M-plus-1")
+    active = f.coeffs[f.active_indices]
+    if case == "span-6M-plus-1":
+        np.testing.assert_array_equal(got, mesh._synthesize_nufft(grid, f.active_indices, active))
+        return
+    np.testing.assert_array_equal(got, mesh._synthesize_fft(_bins(f), active))
+    cycles = np.multiply.outer(np.arange(period + 1) - period // 2, bins) % period
+    want = np.exp((2j * np.pi / period) * cycles) @ coeffs[bins % n]
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) <= 2e-14 * scale
+    assert np.max(np.abs(got[0] - got[-1])) <= 2e-14 * scale
+
+
+@pytest.mark.parametrize("half_width, cells", [(1.0, 4), (1.0, 192), (0.25, 97), (20.0, 960),
+                                               (0.1, 7), (400.0, 12000)])
+def test_uniform_nodes_are_the_dft_points(half_width, cells):
+    """A uniform mesh's nodes are L (n - 3M) / (3M), n = 0..6M: the points
+    -L + n L / (3M) of a DFT of length 6M over [-L, L), each within one
+    rounding of the exact point, exactly symmetric about an exact 0, with
+    the cell edges, +-L among them, exact."""
+    mesh = QuadratureMesh(half_width, cells, graded=False)
+    m3 = 3 * cells
+    n = np.arange(2 * m3 + 1)
+    np.testing.assert_array_equal(mesh.nodes, half_width * ((n - m3) / m3))
+    np.testing.assert_allclose(mesh.nodes, -half_width + n * half_width / m3,
+                               rtol=0, atol=2 * np.spacing(half_width))
+    np.testing.assert_array_equal(mesh.nodes, -mesh.nodes[::-1])
+    assert mesh.nodes[m3] == 0.0 and mesh.nodes[-1] == half_width
+    np.testing.assert_array_equal(mesh.nodes[m3::3], mesh.pos_edges)
 
 
 def test_narrow_synthesis_does_not_depend_on_call_order(grid):
