@@ -63,8 +63,10 @@ class DyadicSystem:
     max_block: int = 8
 
     def __post_init__(self):
-        # an integer, so that equal systems have equal keys and K + 1 blocks
-        if not (isinstance(self.max_block, numbers.Integral) and self.max_block >= 1):
+        # an integer, so that equal systems have equal keys and K + 1 blocks;
+        # a bool is an Integral, but True is no depth
+        if (isinstance(self.max_block, bool) or not isinstance(self.max_block, numbers.Integral)
+                or self.max_block < 1):
             raise ValueError(f"max_block must be an integer >= 1, got {self.max_block!r}")
 
     @classmethod

@@ -17,38 +17,32 @@ evaluated by integrating the weight against a piecewise-cubic interpolant
 of the smooth factor g (never by blind quadrature of the product, which
 loses the |t|^gamma singularity for gamma < 0): in closed form on the cell
 at t = 0, and by Gauss-Legendre on every other cell, where t^gamma is
-analytic; p = inf takes that interpolant's maximum.  Every norm of f
-that names no mesh takes f.mesh, with 6 cells per wavelength of f's top
-frequency at its widest cell on each side and no floor above 4 cells: one
-error budget sizes every mesh (see _CELLS_PER_WAVE).  A band-limited
-function's mesh is uniform, ceil(6 band L) cells a side; an orbit's mesh,
-of the band trace.ORBIT_BAND, and the extension suite's mesh for reflected
-functions are graded toward t = 0 with twice the cells, since extending
-across t = 0 leaves a joint of finite smoothness there, and a grading pays
-only near such a point.
+analytic; p = inf takes that interpolant's maximum.  Every mesh is
+uniform: M cells a side, with its nodes at L j / (3M), j = -3M..3M, the
+points of a DFT of length 6M over the period 2L.  Every norm of f that
+names no mesh takes f.mesh, with 6 cells per wavelength of f's top
+frequency and no floor above 4 cells: one error budget sizes every mesh
+(see _CELLS_PER_WAVE).  A band-limited function's mesh has ceil(6 band L)
+cells a side; an orbit's mesh and the extension suite's mesh for reflected
+functions, whose extension across t = 0 leaves a joint of finite
+smoothness there, take twice the cells of their band (trace.ORBIT_BAND in
+the orbit time unit max(L, 1), and 32).
 
 Every evaluation at quadrature nodes goes through one kernel,
-QuadratureMesh.synthesize, which has three paths; the mesh, the grid, the
+QuadratureMesh.synthesize, which has two paths; the mesh, the grid, the
 active set and the column count alone pick one, so a function's node
-values never depend on what is computed before it.  On a uniform mesh
-they can depend, at rounding level, on how many columns are stacked with
-it, since the column count picks between the FFT and the mode table.
+values never depend on what is computed before it.  They can depend, at
+rounding level, on how many columns are stacked with it, since the column
+count picks between the two.
 
-- FFT, on a uniform mesh of M cells a side, for a set whose signed bins
-  span at most 6M: the nodes -L + n L / (3M), n = 0..6M, are the points of
-  a DFT of length 6M over the period 2L, so the node values are one
-  inverse FFT of length 6M of (-1)^k c_k, the bins folded mod 6M, with
-  node 6M equal to node 0 (_synthesize_fft).  It is exact to rounding: no
-  kernel, no deconvolution, no 2N grid.
-- Mode table, for a set whose signed bins lo..hi span fewer than
-  _NUFFT_MIN_MODES (256) and lie inside the band the mesh resolves, kb =
-  n_cells / (grading _CELLS_PER_WAVE L) bins: on a graded mesh always, on a
-  uniform one when it has more than _FFT_MAX_COLUMNS (8) columns, as the
-  seminorm's hundreds do and a norm request's few do not.  Per GridSpec the mesh
-  keeps one real table of cos and sin of 2 pi t k / (2L) at its nodes,
-  interleaved, for every bin 0 <= k <= kb, each phase reduced mod 1 from
-  the exact product (_cycles).  The set is folded onto bins k >= 0: with
-  a_k = c_k + c_-k and b_k = c_k - c_-k,
+- Mode table, for a call of more than _FFT_MAX_COLUMNS (8) columns, as the
+  seminorm's hundreds are and a norm request's few are not, on a set whose
+  signed bins lo..hi span fewer than _TABLE_MAX_SPAN (256) and lie inside
+  the band the mesh resolves, kb = n_cells / (_CELLS_PER_WAVE L) bins.  Per
+  GridSpec the mesh keeps one real table of cos and sin of 2 pi t k / (2L)
+  at its nodes, interleaved, for every bin 0 <= k <= kb, each phase
+  reduced mod 1 from the exact product (_cycles).  The set is folded onto
+  bins k >= 0: with a_k = c_k + c_-k and b_k = c_k - c_-k,
 
       sum_k c_k e^{i theta k t} = sum_{k >= 0} a_k cos theta k t + i b_k sin theta k t,
 
@@ -60,23 +54,17 @@ it, since the column count picks between the FFT and the mode table.
   seminorm's scale integral takes it too.  The table is built on the first
   call that takes it, in row blocks, and never when the complex table of
   every signed bin would exceed _MAX_TABLE_BYTES (24 MiB).
-- NUFFT, for every other set: on a graded mesh, one too wide or past the
-  mesh's band or over the table cap; on a uniform mesh, one spanning more
-  than 6M bins.  A type-2 NUFFT (Dutt & Rokhlin 1993; Barnett, Magland &
-  af Klinteberg 2019): the coefficients are divided by the Fourier
-  transform of an exponential-of-semicircle kernel, placed on a 2N grid
-  and inverse transformed, one FFT per column; each node then gathers the
-  16 grid values its kernel reaches and sums them against its 16 kernel
-  values, in blocks of nodes sized by the column count (_spread_rows).
-  The mesh keeps the 16 grid columns (int32) and kernel values (float64)
-  per node and the N divisors per GridSpec: 192 bytes per node, 1.8 MB for
-  9217 nodes.  Its error is about 4e-15 of the largest value, below that
-  of dense synthesis, whose phases t * xi round.
+- FFT, for every other set: the nodes -L + n L / (3M), n = 0..6M, are the
+  points of a DFT of length 6M over the period 2L, so the node values are
+  one inverse FFT of length 6M of (-1)^k c_k, with node 6M equal to node 0
+  (_synthesize_fft).  Bins k and k + 6M take equal values at every DFT
+  point, so the signed bins are summed mod 6M, in a fixed order, and the
+  FFT is exact to rounding at the nodes for a set of any span.
 
 All derived data is kept under explicit keys by one memo, _memo: node
 values and what follows from them on the GridFunction
-(GridFunction.cached), and weights, mode tables, NUFFT plans and the
-difference seminorm's h-rules on the mesh (QuadratureMesh.cached).
+(GridFunction.cached), and weights, mode tables and the difference
+seminorm's h-rules on the mesh (QuadratureMesh.cached).
 GridFunction.evaluate stays dense synthesis at arbitrary points, the
 reference for every path.
 """
@@ -335,27 +323,25 @@ class GridFunction:
 # quadrature against |t|^gamma
 # ---------------------------------------------------------------------
 
-# The Gauss rule of every mesh cell off t = 0.  Cell 1 of a graded mesh
-# spans [a, 4 a], so the branch point of t^gamma at 0 lies on its Bernstein
-# ellipse rho = 3 and the error falls like 3^(-2 n): the worst relative
-# error over cells >= 1 is 4.5e-11 at 12 points, 1.2e-14 at 16 and 1.1e-14
-# at 24.  Cell 1 of a uniform mesh spans [a, 2 a], where rho = 3 + 2 sqrt 2
-# and the error falls like 5.8^(-2 n), to rounding at 16 points.
+# The Gauss rule of every mesh cell off t = 0.  The cell nearest 0, cell 1,
+# spans [a, 2 a], so the branch point of t^gamma at 0 lies on its Bernstein
+# ellipse rho = 3 + 2 sqrt 2 and the error falls like 5.8^(-2 n), to
+# rounding at 16 points; every other cell lies farther from 0 against its
+# width.  No cell [a, 4 a], whose rho = 3 set the 16, is left: 12 points
+# would do, but 16 keeps every weight as it is.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _GL_NODES = 0.5 * (_GL_NODES + 1.0)  # shifted to [0, 1]
 _GL_WEIGHTS = 0.5 * _GL_WEIGHTS
 
 
 # The cap on a mesh's mode table per GridSpec, in bytes; a mesh over it
-# synthesizes every set by the FFT if uniform and by the NUFFT if graded.
-# It is checked on the bytes of a complex table of every signed bin, 16
-# n_nodes (2 kb + 1), about 64 n_cells^2 on a uniform mesh and 32 n_cells^2
-# on a graded one, so meshes of up to 626 and 887 cells a side may keep
-# one.  The real table a mesh keeps takes 16 n_nodes (kb + 1), about half
-# of that, and is built only when some call takes it: in the default report
-# the band-8 and band-16 meshes build one (75 and 298 KB), at L = 2 the
-# band-8 and band-16 meshes (298 KB and 1.1 MB), and the fresh-functions
-# benchmark's band-32 mesh 1.1 MB; the shared-mesh cache holds eight meshes.
+# synthesizes every set by the FFT.  It is checked on the bytes of a complex
+# table of every signed bin, 16 n_nodes (2 kb + 1), about 64 n_cells^2, so
+# meshes of up to 626 cells a side may keep one.  The real table a mesh
+# keeps takes 16 n_nodes (kb + 1), about half of that, and is built only
+# when some call takes it: in the default report the band-8 and band-16
+# meshes build one (75 and 298 KB), and the fresh-functions benchmark's
+# band-32 mesh 1.1 MB; the shared-mesh cache holds eight meshes.
 _MAX_TABLE_BYTES = 24 * 2**20
 
 # Node rows per block of the mode table's build, and the most rows of one
@@ -377,55 +363,26 @@ _SYNTH_ROWS = 64
 _ONE_THREAD_MACS = 2**18
 
 # The widest set, in signed bins, QuadratureMesh.synthesize may take the
-# mode table for; a wider set takes the FFT on a uniform mesh, within 6M
-# bins, and the NUFFT on a graded one.  On graded meshes the NUFFT's time
-# over the folded product's, measured on meshes of 1153, 1729 and 2305
-# nodes (N = 1024) for 1, 6, 54 and 300 columns, on sets centred on 0 (K =
-# span / 2 folded bins) and one-sided (K = span), at one and two BLAS
-# threads: at a span of 128 bins 0.74-7.5 centred and 0.65-5.2 one-sided
-# (the NUFFT wins only at one column); at 256 bins 0.68-4.5 and 0.42-2.8
-# (the NUFFT wins at one column, and one-sided up to 54 at some sizes); at
-# 512 bins 0.40-2.5 and 0.28-1.1 (the NUFFT wins at most sizes below 300
-# columns).  No other cut-off wins everywhere, and moving it moves values
-# at rounding level, so it stays.
-_NUFFT_MIN_MODES = 256
+# mode table for; a wider set takes the FFT.  It binds only on meshes of
+# 384 to 626 cells a side, where the band kb reaches 128 bins within the
+# table cap.  Timed there against the FFT at N = 2048, for 9, 54 and 300
+# columns on sets centred on 0 and one-sided, at one and two BLAS threads:
+# on 2305 and 3073 nodes the FFT took 0.3-2.4 times the table's time at a
+# span of 128 bins and 0.2-1.4 times above it; on 3757 nodes, whose period
+# 3756 has the prime factor 313, 0.6-3.2 and 0.3-2.3 times.  No cut wins
+# everywhere, and moving it moves values at rounding level, so it stays.
+_TABLE_MAX_SPAN = 256
 
-# On a uniform mesh a narrow set of at most this many columns takes the FFT,
-# and one of more the mode table.  Timing both paths at every synthesis call
-# of the three benchmark workloads where both apply (434 calls on meshes of
-# 37 to 1153 nodes, 1 to 399 columns, two BLAS threads), the FFT won at few
+# A narrow set of at most this many columns takes the FFT, and one of more
+# the mode table.  Timing both paths at every synthesis call of the three
+# benchmark workloads where both apply (434 calls on meshes of 37 to 1153
+# nodes, 1 to 399 columns, two BLAS threads), the FFT won at few
 # columns and the table at the seminorm's hundreds: 0.40-0.46 against
 # 0.60-0.66 ms at 373-399 columns on the 289-node band-8 mesh.  Over those
 # calls this cut took 68.9 ms, the table alone 78.6 ms, the FFT alone 87.1
 # ms, and a four-constant cost model in nodes, bins and columns 66.4 ms, a
 # gap too small to carry that model.
 _FFT_MAX_COLUMNS = 8
-
-# The NUFFT's kernel exp(beta (sqrt(1 - z^2) - 1)), z in [-1, 1], spans
-# _NUFFT_WIDTH cells of a twice oversampled grid, with beta = 2.30 width
-# for that oversampling (Barnett, Magland & af Klinteberg 2019).  Against
-# phases computed exactly its error is about 4e-15 of the largest value.
-_NUFFT_WIDTH = 16
-_NUFFT_BETA = 2.30 * _NUFFT_WIDTH
-# The kernel's Fourier transform is taken by the midpoint rule at a quarter
-# cell: exact to rounding, since the kernel is smooth inside [-1, 1] and
-# below 1e-16 at its ends.  Gauss-Legendre is not: at 64 nodes it is off
-# by 2e-15 to 8e-15, which would bias every NUFFT value by as much.
-_NUFFT_FT_STEP = 2.0 / (4 * _NUFFT_WIDTH)
-_NUFFT_FT_NODES = -1.0 + _NUFFT_FT_STEP * (np.arange(4 * _NUFFT_WIDTH) + 0.5)
-
-
-def _spread_rows(ncols: int) -> int:
-    """Nodes per gather-and-contract step of the NUFFT's spread: the
-    largest power of two, and at least 64, whose gathered block (rows,
-    _NUFFT_WIDTH, 2 ncols) of float64 fits 1 MiB: 2048 nodes at 2 columns,
-    1024 at 3, 64 from 33 columns on.  At 120001 nodes (L = 400, N = 8192)
-    that took a 2-column call from 69-84 to 19-32 ms and a 3-column call
-    from 64-85 to 36-43 ms, with the gather as np.take."""
-    rows = 64
-    while 2 * rows * _NUFFT_WIDTH * 16 * ncols <= 2**20:
-        rows *= 2
-    return rows
 
 
 def _blocked_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -470,34 +427,30 @@ def _cycles(t: np.ndarray, xi: np.ndarray) -> np.ndarray:
     return (p - np.round(p)) + rest
 
 
-def _nufft_kernel(z: np.ndarray) -> np.ndarray:
-    return np.exp(_NUFFT_BETA * (np.sqrt(1.0 - z * z) - 1.0))
-
-
-# QuadratureMesh.for_band: cells per wavelength of the top frequency at a
-# mesh's widest cell on each side, and the cell count it never exceeds.  The
-# widest cell sets a band-limited integrand's error, so a uniform mesh of
-# ceil(6 band L) cells, each L / M wide, matches a graded one of twice that,
-# whose last cell is about 2 L / M (Schwab, p- and hp-Finite Element
-# Methods, 1998); grading pays only near the joint at t = 0 of an orbit or
-# a reflected function.  The one error budget: doubling every mesh moves no
+# QuadratureMesh.for_band: cells per wavelength of the top frequency on
+# each side, and the cell count it never exceeds.  Every mesh is uniform,
+# its cells L / M wide, so one grading serves every function; an orbit or a
+# reflected function, whose extension across t = 0 leaves a joint there,
+# asks for twice the band, and so twice the cells, of a band-limited
+# function.  The one error budget: doubling every mesh moves no
 # baseline-compared value by more than 1e-3, a tenth of the 0.01 baseline
 # tolerance.  Measured over every suite at the pinned config, the largest
 # relative move from halving the cells per wavelength 48 -> 24 -> 12 -> 6
-# -> 3 on the uniform meshes alone was 1.1e-5, 4.2e-5, 2.3e-4 and 1.4e-3 at
-# seed 2024 (1.9e-5, 8.1e-5, 8.0e-5 and 5.3e-4 at seed 9001), and on the
-# graded meshes alone 2.1e-6, 1.8e-5, 9.2e-5 and 8.2e-4 (3.1e-6, 3.5e-5,
-# 8.4e-5 and 8.0e-4): second order in the cell count or better, not the
-# (h xi)^4 of a cubic interpolant alone.  6 keeps the budget with a margin
-# of 4; 3 does not.  There is no floor above the constructor's 4 cells:
-# raising the band-8 and band-16 graded meshes to 256 cells moved no value
-# by more than 1.1e-4.
+# -> 3 was 1.1e-5, 4.2e-5, 2.3e-4 and 1.7e-3 at seed 2024 (1.9e-5, 8.1e-5,
+# 1.0e-4 and 1.7e-3 at seed 9001): second order in the cell count or
+# better, not the (h xi)^4 of a cubic interpolant alone.  6 keeps the
+# budget with a margin of 4; 3 does not.  There is no floor above the
+# constructor's 4 cells: raising every mesh to 256 cells moved no value by
+# more than 3.2e-4 (2.9e-4 at seed 9001).
 _CELLS_PER_WAVE = 6
-# On graded meshes the cap binds past band x L = 1667, on uniform ones past
-# 3333.  Against meshes at the grid's top frequency with no cap (24570 graded
-# cells a side at L = 400, N = 8192, 49146 at L = 1000, N = 16384) it moves no semigroup case by more than 6.5e-8 and
-# no extension case by 8e-15, relative, and keeps semigroup at L = 1000,
-# N = 16384 at 2.3-2.8 s and 180 MB, not 5.6-6.3 s and 357 MB (2 cores).
+# A band-limited function's mesh reaches the cap past band x L = 3333, an
+# orbit's, 192 max(L, 1) cells a side, past L = 104.2, and the extension
+# suite's, 384 L, past L = 52.1.  It was set on the graded orbit meshes of
+# an earlier layout: against meshes at the grid's top frequency with no cap
+# (24570 graded cells a side at L = 400, N = 8192, 49146 at L = 1000, N =
+# 16384) it moved no semigroup case by more than 6.5e-8 and no extension
+# case by 8e-15, relative, and kept semigroup at L = 1000, N = 16384 at
+# 2.3-2.8 s and 180 MB, not 5.6-6.3 s and 357 MB (2 cores).
 _MAX_CELLS = 20000
 
 
@@ -516,57 +469,49 @@ def _lagrange_monomial_matrix(order: int) -> np.ndarray:
 
 
 class QuadratureMesh:
-    """Symmetric cell mesh on [-L, L], graded toward t = 0 or uniform.
+    """Symmetric uniform cell mesh on [-L, L].
 
-    Positive-side cell edges are L*(i/M)^grading, with grading 2 (graded,
-    the constructor's default) or 1 (uniform); the negative side mirrors
-    them.  Each cell carries order+1 equispaced interpolation
+    Positive-side cell edges are L i / M, i = 0..M; the negative side
+    mirrors them.  Each cell carries order+1 equispaced interpolation
     nodes, its two edges among them, and adjacent cells share the node
     at their common edge: nodes holds each distinct node once, ascending,
-    order * 2M + 1 of them, and _cells[c] indexes cell c's nodes into it.
-    A uniform mesh's nodes are L j / (3M), j = -3M..3M, the points of a DFT
-    of length 6M.  Node positions are weight-independent, so a function's
-    node values can be reused across every gamma.
+    order * 2M + 1 of them, L j / (3M), j = -3M..3M, the points of a DFT of
+    length 6M, and _cells[c] indexes cell c's nodes into it.  Node
+    positions are weight-independent, so a function's node values can be
+    reused across every gamma.
     """
 
     order = 3  # piecewise-cubic interpolant
+    # the cell edges' exponent; constant since every mesh is uniform, and
+    # kept because the benchmark's span recorder keys meshes by it
+    grading = 1.0
 
-    def __init__(self, half_width: float, n_cells: int, graded: bool = True):
+    def __init__(self, half_width: float, n_cells: int):
         if not (0 < half_width < np.inf and isinstance(n_cells, int | np.integer) and n_cells >= 4):
             raise GridError("need a finite positive half-width and an integer count of at "
                             f"least 4 cells per side, got {half_width} and {n_cells}")
         self.half_width = float(half_width)
         self.n_cells = int(n_cells)
-        self.grading = 2.0 if graded else 1.0
         order = self.order
-        edges = half_width * (np.arange(n_cells + 1) / n_cells) ** self.grading
-        self.pos_edges = edges
-        if graded:
-            u = np.linspace(0.0, 1.0, order + 1)[:-1]  # a cell's nodes but its right edge
-            a, b = edges[:-1], edges[1:]
-            pos = np.append((a[:, None] + (b - a)[:, None] * u[None, :]).ravel(), edges[-1])
-            # ascending: the mirrored positive nodes, then t = 0 and the positive ones
-            self.nodes = np.concatenate([-pos[:0:-1], pos])
-        else:
-            # t_j = L j / (3M), j = -3M..3M: the points of a DFT of length 6M
-            # over the period 2L, each one correctly rounded quotient times L,
-            # so 0, +-L and the cell edges are exact and the nodes symmetric
-            j = np.arange(-order * n_cells, order * n_cells + 1)
-            self.nodes = half_width * (j / (order * n_cells))
+        self.pos_edges = half_width * (np.arange(n_cells + 1) / n_cells)
+        # t_j = L j / (3M), j = -3M..3M: the points of a DFT of length 6M
+        # over the period 2L, each one correctly rounded quotient times L,
+        # so 0, +-L and the cell edges are exact and the nodes symmetric
+        j = np.arange(-order * n_cells, order * n_cells + 1)
+        self.nodes = half_width * (j / (order * n_cells))
         self._cells = order * np.arange(2 * n_cells)[:, None] + np.arange(order + 1)
         self._lagrange = _lagrange_monomial_matrix(order)
-        # weights per gamma, mode tables and NUFFT plans per GridSpec and the
-        # seminorm's h-rules; see cached
+        # weights per gamma, mode tables per GridSpec and the seminorm's
+        # h-rules; see cached
         self._cache: dict[tuple, np.ndarray | tuple] = {}
 
     @property
     def key(self) -> tuple:
         """The defining values of the mesh: equal keys, equal nodes and weights."""
-        return (self.half_width, self.n_cells, self.grading)
+        return (self.half_width, self.n_cells)
 
     def __repr__(self):
-        return (f"QuadratureMesh(L={self.half_width}, cells={self.n_cells}, "
-                f"grading={self.grading})")
+        return f"QuadratureMesh(L={self.half_width}, cells={self.n_cells})"
 
     def cached(self, key: tuple, compute):
         """The array, or tuple of arrays, derived from this mesh under
@@ -574,21 +519,19 @@ class QuadratureMesh:
         return _memo(self._cache, key, compute)
 
     @classmethod
-    def for_band(cls, grid: GridSpec, band_max: float, min_cells: int = 4,
-                 graded: bool = False) -> "QuadratureMesh":
+    def for_band(cls, grid: GridSpec, band_max: float, min_cells: int = 4) -> "QuadratureMesh":
         """Mesh resolving oscillation up to |xi| = band_max with
-        _CELLS_PER_WAVE cells per wavelength at its widest cell: uniform,
-        ceil(6 max(band_max, 1) L) cells per side, or, for a function with a
-        joint at t = 0, graded toward 0 with twice that, ceil(12 max(band_max,
-        1) L).  At most _MAX_CELLS and at least min_cells: the constructor's
-        4 (L = 0.25 asks for 2 or 3), which only bench/test_bench.py
+        _CELLS_PER_WAVE cells per wavelength: ceil(6 max(band_max, 1) L)
+        cells per side, the 1e-9 absorbing the rounding of a product that
+        is an integer in exact arithmetic, such as an orbit's band 32 / L
+        times L.  At most _MAX_CELLS and at least min_cells: the
+        constructor's 4 (L = 0.25 asks for 2), which only bench/test_bench.py
         overrides.  One shared instance per key, so its tables and weights
         are built once.  A band that is not finite and >= 0 is a GridError."""
         if not 0.0 <= band_max < math.inf:
             raise GridError(f"band must be finite and >= 0, got {band_max}")
-        grading = 2.0 if graded else 1.0
-        need = int(math.ceil(grading * _CELLS_PER_WAVE * max(band_max, 1.0) * grid.half_width))
-        return _shared_mesh(grid.half_width, min(max(need, min_cells), _MAX_CELLS), graded)
+        need = int(math.ceil(_CELLS_PER_WAVE * max(band_max, 1.0) * grid.half_width - 1e-9))
+        return _shared_mesh(grid.half_width, min(max(need, min_cells), _MAX_CELLS))
 
     @staticmethod
     def for_function(f: GridFunction) -> "QuadratureMesh":
@@ -597,65 +540,32 @@ class QuadratureMesh:
 
     # -- synthesis ----------------------------------------------------
 
-    def _nufft_plan(self, grid: GridSpec) -> tuple:
-        """(cols, vals, deconv): per node, the _NUFFT_WIDTH columns of the
-        oversampled 2N grid that the kernel reaches and the kernel's value
-        at each, both (n_nodes, _NUFFT_WIDTH); and 1 / (the kernel's Fourier
-        transform) at each bin of grid, in FFT order."""
-        def build():
-            n = grid.n_samples
-            fine = 2 * n
-            half = 0.5 * _NUFFT_WIDTH
-            s = self.nodes * (fine * grid.fundamental)  # node positions in fine cells
-            cols = np.ceil(s - half).astype(np.int64)[:, None] + np.arange(_NUFFT_WIDTH)
-            vals = _nufft_kernel((cols - s[:, None]) / half)
-            # int_{-half}^{half} kernel(x / half) exp(-2 pi i k x / fine) dx
-            omega = np.fft.fftfreq(n, 1.0 / n) * (2.0 * np.pi * half / fine)
-            ft = (half * _NUFFT_FT_STEP) * (np.cos(np.multiply.outer(omega, _NUFFT_FT_NODES))
-                                            @ _nufft_kernel(_NUFFT_FT_NODES))
-            return (cols % fine).astype(np.int32), vals, 1.0 / ft
-
-        return self.cached(("nufft", grid), build)
-
-    def _synthesize_nufft(self, grid: GridSpec, active: np.ndarray,
-                          coeffs: np.ndarray) -> np.ndarray:
-        """Type-2 NUFFT: deconvolve the coefficients, place them on the 2N
-        grid, one inverse FFT per column, and interpolate onto the nodes:
-        per _spread_rows(ncols) nodes, gather the _NUFFT_WIDTH grid rows
-        each node reaches and contract them with its kernel values (real
-        and imaginary parts at once, on the float view)."""
-        cols, vals, deconv = self._nufft_plan(grid)
-        n = grid.n_samples
-        padded = np.zeros((2 * n, coeffs.shape[1]), dtype=complex)
-        padded[np.where(active < n // 2, active, active + n)] = coeffs * deconv[active, None]
-        on_grid = np.fft.ifft(padded, axis=0, norm="forward").view(float)
-        out = np.empty((self.nodes.size, on_grid.shape[1]))
-        step = _spread_rows(coeffs.shape[1])
-        for start in range(0, self.nodes.size, step):
-            rows = slice(start, start + step)
-            np.einsum("nw,nwc->nc", vals[rows], np.take(on_grid, cols[rows], axis=0),
-                      out=out[rows])
-        return out.view(complex)
-
     def _synthesize_fft(self, bins: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-        """On a uniform mesh of M cells a side, whose nodes t_n = -L + n L /
-        (3M), n = 0..6M, are the points of a DFT of length P = 6M over the
-        period 2L: sum_k c_k exp(i pi k t_n / L) = sum_k (-1)^k c_k exp(2 pi
-        i k n / P), one inverse DFT of the signed bins k folded mod P into
-        the output; node P takes node 0's value.  The bins must
-        span at most P, so that no two fold onto one."""
+        """The nodes t_n = -L + n L / (3M), n = 0..6M, are the points of a
+        DFT of length P = 6M over the period 2L: sum_k c_k exp(i pi k t_n /
+        L) = sum_k (-1)^k c_k exp(2 pi i k n / P), one inverse DFT of the
+        signed bins k folded mod P; node P takes node 0's value.  Bins k and
+        k + P take equal values at every DFT point, so the fold is exact for
+        a set of any span: lap j, the bins lo + j P .. lo + (j + 1) P - 1,
+        lands on distinct rows, and the laps are added in turn from j = 0."""
         period = self.nodes.size - 1
+        signed = np.where((bins % 2 == 1)[:, None], -coeffs, coeffs)
         out = np.zeros((period + 1, coeffs.shape[1]), dtype=complex)
-        out[bins % period] = np.where((bins % 2 == 1)[:, None], -coeffs, coeffs)
+        lap = (bins - int(bins.min())) // period
+        if lap.any():
+            for j in range(int(lap.max()) + 1):
+                out[bins[lap == j] % period] += signed[lap == j]
+        else:
+            out[bins % period] = signed
         out[:period] = np.fft.ifft(out[:period], axis=0, norm="forward")
         out[period] = out[0]
         return out
 
     def _band_bins(self, grid: GridSpec) -> int:
-        """kb: the band the mesh resolves, n_cells / (grading
-        _CELLS_PER_WAVE L), in bins of grid, at most N/2 - 1 (1e-9 absorbs
-        the rounding of an exact quotient)."""
-        bins = self.n_cells / (self.grading * _CELLS_PER_WAVE * self.half_width) / grid.fundamental
+        """kb: the band the mesh resolves, n_cells / (_CELLS_PER_WAVE L), in
+        bins of grid, at most N/2 - 1 (1e-9 absorbs the rounding of an exact
+        quotient)."""
+        bins = self.n_cells / (_CELLS_PER_WAVE * self.half_width) / grid.fundamental
         return min(int(bins + 1e-9), grid.n_samples // 2 - 1)
 
     def _mode_table(self, grid: GridSpec, kb: int) -> np.ndarray:
@@ -682,14 +592,17 @@ class QuadratureMesh:
         per active bin; its columns are independent functions, so stacking
         several functions on one active set costs one call.  The mesh, the
         grid, the active set and the column count alone pick the path (see
-        the module docstring): a set spanning fewer than _NUFFT_MIN_MODES
-        signed bins inside the mesh's band and table cap is folded onto bins
-        k >= 0 and is one real product over a slice of the mode table, on a
-        graded mesh always and on a uniform one above _FFT_MAX_COLUMNS
-        columns; any other set spanning at most 6M bins on a uniform mesh is
-        one inverse FFT of length 6M, and the rest the NUFFT.  So a
-        function's values never depend on what is computed before it.
+        the module docstring): a call of more than _FFT_MAX_COLUMNS columns
+        on a set spanning fewer than _TABLE_MAX_SPAN signed bins inside the
+        mesh's band and table cap is folded onto bins k >= 0 and is one real
+        product over a slice of the mode table; every other call is one
+        inverse FFT of length 6M, for a set of any span.  So a function's
+        values never depend on what is computed before it.  A grid of
+        another half-width than the mesh's is a GridError: the nodes would
+        not be the points of its DFT.
         """
+        if grid.half_width != self.half_width:
+            raise GridError(f"mesh half-width {self.half_width} != grid's {grid.half_width}")
         coeffs = np.asarray(coeffs, dtype=complex)
         if active.size == 0:
             return np.zeros((self.nodes.size, coeffs.shape[1]), dtype=complex)
@@ -697,16 +610,10 @@ class QuadratureMesh:
         bins = np.where(active < n // 2, active, active - n)
         lo, hi = int(bins.min()), int(bins.max())
         kb = self._band_bins(grid)
-        # a uniform mesh's 6M + 1 nodes hold one period of 6M bins
-        fft = self.grading == 1.0 and hi - lo + 1 < self.nodes.size
-        narrow = (hi - lo + 1 < _NUFFT_MIN_MODES and -kb <= lo <= hi <= kb
-                  and 16 * self.nodes.size * (2 * kb + 1) <= _MAX_TABLE_BYTES)
-        if narrow and fft:
-            narrow = coeffs.shape[1] > _FFT_MAX_COLUMNS
-        if not narrow:
-            if fft:
-                return self._synthesize_fft(bins, coeffs)
-            return self._synthesize_nufft(grid, active, coeffs)
+        if not (coeffs.shape[1] > _FFT_MAX_COLUMNS and hi - lo + 1 < _TABLE_MAX_SPAN
+                and -kb <= lo <= hi <= kb
+                and 16 * self.nodes.size * (2 * kb + 1) <= _MAX_TABLE_BYTES):
+            return self._synthesize_fft(bins, coeffs)
         table = self._mode_table(grid, kb)
         kmin = 0 if lo <= 0 <= hi else min(abs(lo), abs(hi))
         kmax = max(abs(lo), abs(hi))
@@ -804,14 +711,15 @@ class QuadratureMesh:
         return np.max(vals, axis=(-2, -1))
 
 
-# Safe to share, because a mesh's nodes follow from its key (half-width, cell
-# count and grading) and all else it holds is a cache keyed exactly; the
-# bound keeps the mode tables (at most _MAX_TABLE_BYTES each) and NUFFT plans
-# (192 bytes per node) of meshes no longer in use from piling up.  The
-# default report uses all eight.
+# Safe to share, because a mesh's nodes follow from its key (half-width and
+# cell count) and all else it holds is a cache keyed exactly; the bound
+# keeps the mode tables (at most _MAX_TABLE_BYTES each) of meshes no longer
+# in use from piling up.  The default report uses
+# eight: band-limited meshes of 6 to 144 cells, the orbits' 192 and the
+# extension suite's 384.
 @functools.lru_cache(maxsize=8)
-def _shared_mesh(half_width: float, n_cells: int, graded: bool) -> QuadratureMesh:
-    return QuadratureMesh(half_width, n_cells, graded)
+def _shared_mesh(half_width: float, n_cells: int) -> QuadratureMesh:
+    return QuadratureMesh(half_width, n_cells)
 
 
 # ---------------------------------------------------------------------
@@ -824,6 +732,8 @@ def random_band_limited(grid: GridSpec, band: tuple[float, float], seed,
     """Seeded function with i.i.d. standard complex normal coefficients on
     every representable frequency inside [band[0], band[1]]."""
     lo, hi = band
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise GridError(f"band edges must be finite, got {band}")
     if hi < lo:
         raise GridError("band must be ordered")
     if hi >= grid.nyquist or lo <= -grid.nyquist:

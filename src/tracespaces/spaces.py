@@ -246,9 +246,8 @@ def _magnitudes(f: GridFunction, mesh: QuadratureMesh, inner, kind: str, s: floa
     F the dyadic symbols.  Cached on f: node values per (bank, mesh),
     magnitudes per (bank, mesh, inner); the factors are built on f's
     active frequencies only on a miss.  A column that vanishes there gives
-    a zero row and skips synthesis.  The mesh must span f's grid."""
-    if mesh.half_width != f.grid.half_width:
-        raise GridError(f"mesh half-width {mesh.half_width} != grid's {f.grid.half_width}")
+    a zero row and skips synthesis.  The mesh must span f's grid, or
+    synthesis raises a GridError."""
     key = sys if kind in ("B", "F") else (kind, s)
 
     def magnitudes():
@@ -334,10 +333,11 @@ _N_SCALES = 60  # geometric scale grid t_0 = L/N < ... < t_59 = 2L
 _BLOCK_BYTES = 4 * 2**20
 
 # The fewest h-nodes in a chunk, past _BLOCK_BYTES if need be: on a large
-# mesh a NUFFT call costs little more at 17 columns than at 3.  At L = 400,
-# N = 8192 (120001 nodes) the 4 MiB budget holds one h-node; with eight
-# (33 MB of node values a chunk), one m = 1 draw of _delta_averages (4250
-# h-nodes) took 56 s at one BLAS thread, not 114 s.
+# mesh each synthesis call has a fixed cost that more columns share.  At
+# L = 400, N = 8192 (120001 nodes) the 4 MiB budget holds one h-node; with
+# eight (33 MB of node values a chunk), one m = 1 draw of _delta_averages
+# (4250 h-nodes) took 56 s at one BLAS thread, not 114 s, when these calls
+# took a NUFFT, whose cost grew little from 3 columns to 17.
 _MIN_CHUNK_H = 8
 
 

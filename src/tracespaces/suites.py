@@ -366,8 +366,9 @@ def run_extension(config: SuiteConfig) -> VerificationReport:
                 worst = max(worst, got["rel_defect"])
     cases.append(CaseRecord("intertwine_max_rel_defect", worst, 1e-6))
 
-    # graded: a reflected function has a joint of finite smoothness at t = 0
-    mesh = QuadratureMesh.for_band(config.grid(), 32.0, graded=True)
+    # twice the cells of band 32, ceil(12 * 32 L) a side: a reflected
+    # function has a joint of finite smoothness at t = 0
+    mesh = QuadratureMesh.for_band(config.grid(), 64.0)
     test_fns = (lambda t: np.exp(np.sin(2.0 * np.pi * t)),
                 lambda t: 1.0 / (1.0 + (2.0 * t) ** 2))
     refl_worst = 0.0

@@ -120,10 +120,13 @@ class OrbitFunction(GridFunction):
 
     @property
     def mesh(self) -> QuadratureMesh:
-        """The mesh of every norm of this orbit: the graded ORBIT_BAND mesh
-        of its grid, one shared object per grid; the orbit's extension
-        across t = 0 leaves a joint of finite smoothness there."""
-        return QuadratureMesh.for_band(self.grid, ORBIT_BAND, graded=True)
+        """The mesh of every norm of this orbit, one shared object per grid:
+        twice the cells of ORBIT_BAND in the orbit time unit, ceil(12
+        ORBIT_BAND max(L, 1)) a side, since the orbit's extension across
+        t = 0 leaves a joint of finite smoothness there."""
+        grid = self.grid
+        band = 2.0 * ORBIT_BAND * orbit_time_unit(grid) / grid.half_width
+        return QuadratureMesh.for_band(grid, band)
 
 
 def trace_at_zero(f: GridFunction) -> np.ndarray:
@@ -139,12 +142,15 @@ def trace_at_zero(f: GridFunction) -> np.ndarray:
 # ---------------------------------------------------------------------
 
 
-# The band of every orbit norm's mesh, which is graded: the orbit's
-# extension across t = 0 leaves a joint there, so its mesh keeps twice the
-# cells of a band-limited function's uniform one, 192 a side at N = 1024,
-# L = 1.  Orbits fill the grid band, but there this mesh moves no orbit
-# ratio of the trace problems by more than 2.5e-5 from its value on the
-# full band's graded mesh (3066 cells).
+# The band of every orbit norm's mesh, in the orbit time unit max(L, 1):
+# the orbit's extension across t = 0 leaves a joint there, so its uniform
+# mesh takes twice the cells of a band-limited function's, 192 a side at
+# every L <= 1, the cells of the band-32 mesh at L = 1.  Below L = 1 the
+# orbits keep their time scale, so their mesh keeps its cells; sized by L
+# instead, the doubling check moved semigroup by 1.9e-3 at L = 0.5.
+# Orbits fill the grid band, but against the full band's mesh (3066
+# cells) at L = 1 this one moves no orbit ratio of the trace problems by
+# more than 8.7e-7, and the semigroup and stefan ratios by at most 1.6e-4.
 ORBIT_BAND = 16.0
 
 

@@ -128,6 +128,14 @@ def test_build_system_validation():
             DyadicSystem(depth)
 
 
+@pytest.mark.parametrize("depth", [True, False])
+def test_system_rejects_a_bool_depth(depth):
+    """A bool is an Integral, but DyadicSystem(True) is no system of depth
+    1; it is rejected as operators._order rejects a bool power."""
+    with pytest.raises(ValueError, match="integer >= 1"):
+        DyadicSystem(depth)
+
+
 @pytest.mark.parametrize("n_samples, half_width", [(1024, 1.0), (64, 0.25), (2048, 20.0)])
 def test_grid_symbols_are_the_symbols_at_every_bin(n_samples, half_width):
     """The per-grid table holds symbols(xi) at each bin, bit for bit, is

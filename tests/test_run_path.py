@@ -31,8 +31,9 @@ def test_import_loads_no_scipy():
 def test_suites_pass_with_scipy_blocked():
     """semigroup runs the incomplete-gamma plateau and the operators' Gamma
     and Beta closed forms; its orbits and trace-f's fill the band, so their
-    synthesis takes the NUFFT.  With every scipy import an ImportError,
-    every bound case still passes at N = 1024 and 4096."""
+    synthesis takes the FFT, folded onto the mesh's period at N = 4096.
+    With every scipy import an ImportError, every bound case still passes
+    at N = 1024 and 4096."""
     code = """
 import json, sys
 sys.modules["scipy"] = None

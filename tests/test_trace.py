@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from tracespaces import (
     ExtensionOperator,
     GridFunction,
+    GridSpec,
     InterpNormInner,
     MultiplierOperator,
     QuadratureMesh,
@@ -199,22 +200,29 @@ def test_orbit_copies_the_callers_trace_value(grid, diag):
     assert not u.trace_value.flags.writeable
 
 
-def test_band_limited_meshes_are_uniform_and_orbit_meshes_graded(grid):
-    """A band-limited function's mesh is uniform; an orbit's, whose
-    extension across t = 0 leaves a joint there, is graded toward 0 with
-    twice the cells.  Both keep the same widest cell and resolve the same
-    band, and they are different objects."""
+@pytest.mark.parametrize("half_width, cells", [
+    (0.19, 192), (0.25, 192), (0.5, 192), (0.75, 192), (1.0, 192), (1.3, 250), (2.0, 384), (20.0, 3840),
+    (150.0, 20000)])
+def test_orbit_meshes_take_twice_the_cells_in_the_orbit_time_unit(half_width, cells):
+    """An orbit's mesh, whose extension across t = 0 leaves a joint there,
+    takes twice the cells of a band-limited function's at ORBIT_BAND,
+    counted in the orbit time unit max(L, 1): ceil(12 ORBIT_BAND max(L,
+    1)) a side, so below L = 1 it keeps the 192 cells of L = 1, and past L
+    = 104.2 it stops at the cap.  It is uniform, one shared object per
+    grid, and the band-32 mesh at L = 1."""
+    grid = GridSpec(half_width, 1024)
     u = windowed_orbit(grid, ExtensionOperator(2, 0), lambda t: np.exp(-t)[:, None],
                        np.array([1.0]))
-    f = random_band_limited(grid, (-ORBIT_BAND, ORBIT_BAND), seed=5)
-    smooth, joint = f.mesh, u.mesh
-    assert smooth is not joint and smooth.key != joint.key
-    assert smooth.grading == 1.0 and joint.grading == 2.0
-    assert joint.n_cells == 2 * smooth.n_cells
-    np.testing.assert_allclose(np.diff(smooth.pos_edges), 1.0 / smooth.n_cells, rtol=1e-12)
-    widest = [np.max(np.diff(m.pos_edges)) for m in (smooth, joint)]
-    assert widest[1] <= widest[0] == pytest.approx(widest[1], rel=1.0 / joint.n_cells)
-    assert smooth._band_bins(grid) == joint._band_bins(grid) == ORBIT_BAND / grid.fundamental
+    mesh = u.mesh
+    assert (mesh.n_cells, mesh.grading) == (cells, 1.0)
+    assert mesh is u.mesh is QuadratureMesh.for_band(
+        grid, 2 * ORBIT_BAND * max(half_width, 1.0) / half_width)
+    np.testing.assert_allclose(np.diff(mesh.pos_edges), half_width / cells, rtol=0.0,
+                               atol=2 * np.spacing(half_width))
+    if half_width == 1.0:
+        assert mesh is QuadratureMesh.for_band(grid, 32.0)
+        f = random_band_limited(grid, (-ORBIT_BAND, ORBIT_BAND), seed=5)
+        assert 2 * f.mesh.n_cells == cells
 
 
 def test_trace_continuity_numerator_independent_of_r(grid, diag):
@@ -236,8 +244,8 @@ def test_right_inverse_ratio_inverts_the_orbit_continuity_ratio(grid, diag):
     got = right_inverse_check(problem, x, grid)
     cont = trace_continuity_ratio(problem, got["orbit"], "F", 1.0)
     assert got["ratio"] == cont["denominator"] / cont["numerator"]
-    # an orbit's mesh is the one shared graded ORBIT_BAND mesh of its grid, not its band's
-    mesh = QuadratureMesh.for_band(grid, ORBIT_BAND, graded=True)
+    # an orbit's mesh is the one shared mesh of twice ORBIT_BAND's cells, not its band's
+    mesh = QuadratureMesh.for_band(grid, 2 * ORBIT_BAND)
     assert QuadratureMesh.for_function(got["orbit"]) is got["orbit"].mesh is mesh
     assert mesh is not QuadratureMesh.for_band(grid, got["orbit"].max_frequency)
     hi = SpaceSpec("F", 1.0 - 0.2, 2.0, 2.0, 0.5)
