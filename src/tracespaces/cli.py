@@ -20,7 +20,6 @@ import os
 import sys
 
 from .report import BaselineStore, render_reports
-from .spaces import _BLOCK_BYTES
 from .suites import SUITE_ORDER, SuiteConfig, run_suite
 
 __all__ = ["main", "build_parser"]
@@ -53,47 +52,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# glibc's heap settings for a run (mallopt parameters M_TOP_PAD and
-# M_MMAP_THRESHOLD).  The seminorm allocates and frees a few MiB of node values
-# per function.  By default glibc trims the heap top back to 128 KiB after
-# each call whenever the freed top exceeds twice the largest block it has
-# unmapped, and the next call faults every page in again: the norms suite of
-# the default report took 65,748 minor faults and 596-786 ms, against 398
-# faults and 330-503 ms with these settings (seed 2024, two BLAS threads).
-# Setting the pad freezes glibc's dynamic mmap threshold where it stands, so
-# blocks above it would be mapped and unmapped on every use: norms at L = 40,
-# N = 4096 then took 3.6 million faults and 12-16 s, against 0.46 million and
-# 7.4-11 s by default.  So the threshold is set to the seminorm's chunk
-# budget, spaces._BLOCK_BYTES (4 MiB): its node values come from the padded
-# heap, and larger blocks keep a mapping of their own, zeroed lazily by the
-# kernel.  There norms took 18,000-20,000 faults; at L = 20, N = 16384, 76,000
-# against 270,000 by default, and 91 MB peak RSS against 102 MB, in the same
-# time within the box's spread.  Pages of the pad are touched only when used.
-_M_TOP_PAD, _M_MMAP_THRESHOLD = -2, -3
-_HEAP_SETTINGS = ((_M_TOP_PAD, 16 * 2**20), (_M_MMAP_THRESHOLD, _BLOCK_BYTES))
-
-
-def _set_heap() -> None:
-    """Apply _HEAP_SETTINGS where the C library is glibc; elsewhere a no-op."""
-    try:
-        libc = os.confstr("CS_GNU_LIBC_VERSION")
-    except (AttributeError, ValueError):  # no confstr, or no such name: not glibc
-        return
-    if not libc:
-        return
-    import ctypes
-
-    mallopt = ctypes.CDLL(None).mallopt
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    for param, value in _HEAP_SETTINGS:
-        mallopt(param, value)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _set_heap()
     try:
         config = SuiteConfig(half_width=args.grid_l, n_samples=args.grid_n,
                              seed=args.seed, family_size=args.family_size)

@@ -23,7 +23,8 @@ points of a DFT of length 6M over the period 2L.  Every norm of f that
 names no mesh takes f.mesh, with 6 cells per wavelength of f's top
 frequency and no floor above 4 cells: one error budget sizes every mesh
 (see _CELLS_PER_WAVE).  A band-limited function's mesh has ceil(6 band L)
-cells a side; an orbit's mesh and the extension suite's mesh for reflected
+cells a side, rounded up to a 5-smooth count so that the FFT of its period
+is fast; an orbit's mesh and the extension suite's mesh for reflected
 functions, whose extension across t = 0 leaves a joint of finite
 smoothness there, take twice the cells of their band (trace.ORBIT_BAND in
 the orbit time unit max(L, 1), and 32).
@@ -40,8 +41,8 @@ count picks between the two.
   signed bins lo..hi span fewer than _TABLE_MAX_SPAN (256) and lie inside
   the band the mesh resolves, kb = n_cells / (_CELLS_PER_WAVE L) bins.  Per
   GridSpec the mesh keeps one real table of cos and sin of 2 pi t k / (2L)
-  at its nodes, interleaved, for every bin 0 <= k <= kb, each phase
-  reduced mod 1 from the exact product (_cycles).  The set is folded onto
+  at its nodes, interleaved, for every bin 0 <= k <= kb, its phase j k / 6M
+  cycles at node j reduced mod 6M in integers.  The set is folded onto
   bins k >= 0: with a_k = c_k + c_-k and b_k = c_k - c_-k,
 
       sum_k c_k e^{i theta k t} = sum_{k >= 0} a_k cos theta k t + i b_k sin theta k t,
@@ -364,13 +365,12 @@ _ONE_THREAD_MACS = 2**18
 
 # The widest set, in signed bins, QuadratureMesh.synthesize may take the
 # mode table for; a wider set takes the FFT.  It binds only on meshes of
-# 384 to 626 cells a side, where the band kb reaches 128 bins within the
+# 384 to 625 cells a side, where the band kb reaches 128 bins within the
 # table cap.  Timed there against the FFT at N = 2048, for 9, 54 and 300
 # columns on sets centred on 0 and one-sided, at one and two BLAS threads:
 # on 2305 and 3073 nodes the FFT took 0.3-2.4 times the table's time at a
-# span of 128 bins and 0.2-1.4 times above it; on 3757 nodes, whose period
-# 3756 has the prime factor 313, 0.6-3.2 and 0.3-2.3 times.  No cut wins
-# everywhere, and moving it moves values at rounding level, so it stays.
+# span of 128 bins and 0.2-1.4 times above it.  No cut wins everywhere,
+# and moving it moves values at rounding level, so it stays.
 _TABLE_MAX_SPAN = 256
 
 # A narrow set of at most this many columns takes the FFT, and one of more
@@ -409,24 +409,6 @@ def _blocked_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dekker's split of x into a 26-bit high part and the exact rest."""
-    c = 134217729.0 * x  # 2^27 + 1
-    hi = c - (c - x)
-    return hi, x - hi
-
-
-def _cycles(t: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """outer(t, xi) less its nearest integer, with the product formed
-    exactly (Dekker) before it is rounded: the phase in cycles in [-1/2,
-    1/2], off by one rounding of itself, where t * xi alone carries the
-    rounding of the whole product, up to kb / 2 cycles in a mode table."""
-    p = np.multiply.outer(t, xi)
-    (th, tl), (xh, xl) = _split(t[:, None]), _split(xi)
-    rest = ((th * xh - p) + th * xl + tl * xh) + tl * xl  # t xi - p, exactly
-    return (p - np.round(p)) + rest
-
-
 # QuadratureMesh.for_band: cells per wavelength of the top frequency on
 # each side, and the cell count it never exceeds.  Every mesh is uniform,
 # its cells L / M wide, so one grading serves every function; an orbit or a
@@ -443,15 +425,26 @@ def _cycles(t: np.ndarray, xi: np.ndarray) -> np.ndarray:
 # constructor's 4 cells: raising every mesh to 256 cells moved no value by
 # more than 3.2e-4 (2.9e-4 at seed 9001).
 _CELLS_PER_WAVE = 6
-# A band-limited function's mesh reaches the cap past band x L = 3333, an
-# orbit's, 192 max(L, 1) cells a side, past L = 104.2, and the extension
-# suite's, 384 L, past L = 52.1.  It was set on the graded orbit meshes of
+# A band-limited function's mesh reaches the cap past band x L = 3280.5
+# (6 band L past 19683 = 3^9, the 5-smooth count below it), an orbit's,
+# 192 max(L, 1) cells a side, past L = 102.5, and the extension suite's,
+# 384 L, past L = 51.3.  It was set on the graded orbit meshes of
 # an earlier layout: against meshes at the grid's top frequency with no cap
 # (24570 graded cells a side at L = 400, N = 8192, 49146 at L = 1000, N =
 # 16384) it moved no semigroup case by more than 6.5e-8 and no extension
 # case by 8e-15, relative, and kept semigroup at L = 1000, N = 16384 at
 # 2.3-2.8 s and 180 MB, not 5.6-6.3 s and 357 MB (2 cores).
 _MAX_CELLS = 20000
+
+
+def _five_smooth(n: int) -> int:
+    """The least count >= n with no prime factor above 5, for 1 <= n <=
+    _MAX_CELLS = 2^5 5^4: the least that divides 30^20.  The FFT of a
+    period 6M is slow where M has a large prime factor: 9 columns of a
+    129-bin set at N = 2048 took 1.80 ms on 626 cells (2 x 313), 0.91 on 640."""
+    while 30**20 % n:
+        n += 1
+    return n
 
 
 def _lagrange_monomial_matrix(order: int) -> np.ndarray:
@@ -524,14 +517,15 @@ class QuadratureMesh:
         _CELLS_PER_WAVE cells per wavelength: ceil(6 max(band_max, 1) L)
         cells per side, the 1e-9 absorbing the rounding of a product that
         is an integer in exact arithmetic, such as an orbit's band 32 / L
-        times L.  At most _MAX_CELLS and at least min_cells: the
-        constructor's 4 (L = 0.25 asks for 2), which only bench/test_bench.py
-        overrides.  One shared instance per key, so its tables and weights
-        are built once.  A band that is not finite and >= 0 is a GridError."""
+        times L, rounded up to a 5-smooth count (_five_smooth).  At most
+        _MAX_CELLS and at least min_cells: the constructor's 4 (L = 0.25
+        asks for 2), which only bench/test_bench.py overrides.  One shared
+        instance per key, so its tables and weights are built once.  A band
+        that is not finite and >= 0 is a GridError."""
         if not 0.0 <= band_max < math.inf:
             raise GridError(f"band must be finite and >= 0, got {band_max}")
         need = int(math.ceil(_CELLS_PER_WAVE * max(band_max, 1.0) * grid.half_width - 1e-9))
-        return _shared_mesh(grid.half_width, min(max(need, min_cells), _MAX_CELLS))
+        return _shared_mesh(grid.half_width, _five_smooth(min(max(need, min_cells), _MAX_CELLS)))
 
     @staticmethod
     def for_function(f: GridFunction) -> "QuadratureMesh":
@@ -571,13 +565,17 @@ class QuadratureMesh:
     def _mode_table(self, grid: GridSpec, kb: int) -> np.ndarray:
         """table[:, 2k] = cos(2 pi t k / (2L)) and table[:, 2k + 1] = sin(2 pi
         t k / (2L)) at the nodes for every bin 0 <= k <= kb, built in
-        _SYNTH_ROWS row blocks on first use."""
+        _SYNTH_ROWS row blocks on first use.  Node j = -P/2..P/2 is the DFT
+        point j / P of the period P = 6M, where bin k turns j k / P cycles,
+        reduced mod P in integers: the table holds the FFT path's points."""
         def build():
-            xi = np.arange(kb + 1) * grid.fundamental
+            half = self.order * self.n_cells  # P / 2
+            j = np.arange(-half, half + 1)
             table = np.empty((self.nodes.size, 2 * kb + 2))
             for start in range(0, self.nodes.size, _SYNTH_ROWS):
                 rows = slice(start, start + _SYNTH_ROWS)
-                phase = (2.0 * np.pi) * _cycles(self.nodes[rows], xi)
+                turns = (np.multiply.outer(j[rows], np.arange(kb + 1)) + half) % (2 * half) - half
+                phase = np.pi * (turns / half)
                 np.cos(phase, out=table[rows, 0::2])
                 np.sin(phase, out=table[rows, 1::2])
             return table

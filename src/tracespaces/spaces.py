@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -328,16 +329,15 @@ _N_SCALES = 60  # geometric scale grid t_0 = L/N < ... < t_59 = 2L
 # in bytes: its h-columns go through `synthesize` in chunks of this size,
 # so the seminorm's memory grows with nodes x chunk, not nodes x h-nodes.
 # 4 MiB holds the pinned config's whole set of columns (289 nodes x 399
-# columns, 1.8 MiB) in one chunk.  cli.main sets glibc's mmap threshold to
-# it, so chunks come from the heap, which it keeps padded.
+# columns, 1.8 MiB) in one chunk.
 _BLOCK_BYTES = 4 * 2**20
 
-# The fewest h-nodes in a chunk, past _BLOCK_BYTES if need be: on a large
-# mesh each synthesis call has a fixed cost that more columns share.  At
-# L = 400, N = 8192 (120001 nodes) the 4 MiB budget holds one h-node; with
-# eight (33 MB of node values a chunk), one m = 1 draw of _delta_averages
-# (4250 h-nodes) took 56 s at one BLAS thread, not 114 s, when these calls
-# took a NUFFT, whose cost grew little from 3 columns to 17.
+# The fewest h-nodes in a chunk, past _BLOCK_BYTES if need be: each FFT of
+# a large mesh's period has a fixed cost that more columns share.  At L =
+# 400, N = 8192 (73729 nodes) the budget holds one h-node; with eight (19
+# MB a chunk), one m = 1 draw of _delta_averages (4250 h-nodes) took
+# 29.0-31.3 s at two BLAS threads, not 35.1-37.5 s, and 33.3-33.9 s at one,
+# not 32.5-35.8 s, at 175 MB peak RSS, not 118 MB.
 _MIN_CHUNK_H = 8
 
 
@@ -405,8 +405,8 @@ def difference_seminorm(f: GridFunction, s: float, p: float, q: float, gamma: fl
     over scales t in [L/N, 2L] plus the analytic t -> 0 tail, followed by
     the weighted L^p norm in x.  q = inf takes the scale supremum.
     """
-    if not (float(m).is_integer() and m >= 1):
-        raise ValueError(f"need an integer difference order m >= 1, got {m}")
+    if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
+        raise ValueError(f"need an integer difference order m >= 1, got {m!r}")
     m = int(m)
     if not 0 < s < m:
         raise ValueError(f"need smoothness 0 < s < m, got s={s}, m={m}")

@@ -28,6 +28,7 @@ Suite map:
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -112,6 +113,11 @@ class SuiteConfig:
     family_size: int = 50
 
     def __post_init__(self):
+        for name in ("n_samples", "seed", "family_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # a numpy integer hashes as an int
         n = self.n_samples
         if n < 64 or n & (n - 1):
             raise ValueError(f"n_samples must be a power of two >= 64, got {n}")

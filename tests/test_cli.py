@@ -1,7 +1,4 @@
 import json
-import os
-import subprocess
-import sys
 
 import pytest
 
@@ -142,37 +139,3 @@ def test_pin_into_a_plain_file_is_a_usage_error(tmp_path, capsys, monkeypatch, u
     err = capsys.readouterr().err
     assert "usage:" in err and "is not a directory" in err
     assert calls == []
-
-
-# Frees three 3 MiB blocks at the heap top per round: by default glibc trims
-# them off once a 3 MiB block has set its mmap threshold, so each round
-# faults their 2304 pages in again.
-_HEAP_ROUNDS = """
-import resource, sys
-import numpy as np
-from tracespaces import cli
-if sys.argv[1] == "set":
-    cli._set_heap()
-n = 3 * 2**20 // 8
-np.ones(n)
-def round_trip():
-    blocks = [np.ones(n) for _ in range(3)]
-    del blocks
-round_trip()
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-for _ in range(10):
-    round_trip()
-print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-"""
-
-
-@pytest.mark.skipif(not hasattr(os, "confstr") or "CS_GNU_LIBC_VERSION" not in os.confstr_names,
-                    reason="the heap settings apply to glibc only")
-def test_heap_settings_keep_freed_blocks_mapped():
-    """With cli's heap settings, blocks of a few MiB freed at the heap top
-    stay mapped, so allocating them again faults no page in."""
-    if not os.confstr("CS_GNU_LIBC_VERSION"):
-        pytest.skip("the heap settings apply to glibc only")
-    got = subprocess.run([sys.executable, "-c", _HEAP_ROUNDS, "set"], capture_output=True,
-                         text=True, check=True)
-    assert int(got.stdout) < 200

@@ -312,11 +312,14 @@ def test_for_band_shares_one_mesh_per_key(grid):
 
 def test_for_band_sizes_meshes_by_cells_per_wavelength():
     """6 cells per wavelength of the band on each side: ceil(6 band L)
-    cells, each L / M wide, and never fewer than the constructor's 4; a
-    product that is an integer in exact arithmetic takes that integer."""
+    cells, rounded up to a 5-smooth count, each L / M wide, and never fewer
+    than the constructor's 4; a product that is an integer in exact
+    arithmetic takes that integer."""
     for band, half_width, cells in (
             (8.0, 1.0, 48), (16.0, 1.0, 96), (24.0, 1.0, 144), (32.0, 1.0, 192), (64.0, 1.0, 384),
-            (24.0, 2.0, 288), (0.0, 1.0, 6), (0.1, 0.25, 4), (8.5, 1.3, 67),
+            (24.0, 2.0, 288), (0.0, 1.0, 6), (0.1, 0.25, 4),
+            # 67 = 67 and 626 = 2 x 313 round up to 72 and 640
+            (8.5, 1.3, 72), (104.3, 1.0, 640),
             # 6 (32 / L) L rounds to 192 + 3e-14 here
             (32.0 / 0.19, 0.19, 192), (32.0 / 0.49, 0.49, 192)):
         grid = GridSpec(half_width, 1024)
@@ -483,6 +486,23 @@ def test_narrow_sets_in_band_take_the_mode_table(grid, case):
                 got, mesh._synthesize_fft(_bins(g), g.coeffs[g.active_indices]))
         want = _exact_phase_synthesis(g, mesh.nodes)
         assert np.max(np.abs(got - want)) <= 2e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("half_width, n, band", [(20.0, 4096, 4.0), (1.3, 2048, 24.0),
+                                                  (4.0, 4096, 16.0), (1.0, 1024, 32.0)])
+def test_mode_table_matches_the_fft_at_the_dft_points(half_width, n, band):
+    """Node j of a mesh is the DFT point j / 6M, so the mode table's phase
+    of bin k there is j k / 6M cycles, reduced in integers: nine columns
+    of a lone bin at 0, +-1 and the six bins at each band edge take the
+    table within 2e-15 of the FFT."""
+    grid = GridSpec(half_width, n)
+    mesh = QuadratureMesh.for_band(grid, band)
+    kb = mesh._band_bins(grid)
+    coeffs = np.ones((1, 9), dtype=complex)
+    for k in [0, 1, -1, *range(kb - 5, kb + 1), *range(-kb, -kb + 6)]:
+        got = mesh.synthesize(grid, np.array([k % n]), coeffs)
+        assert np.max(np.abs(got - mesh._synthesize_fft(np.array([k]), coeffs))) <= 2e-15
+    assert ("modes", grid) in mesh._cache
 
 
 @pytest.mark.parametrize("case", ["past-the-band", "span-256", "over-the-cap"])

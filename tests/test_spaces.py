@@ -219,7 +219,7 @@ def test_difference_seminorm_validation(grid, f24):
     with pytest.raises(ValueError):
         difference_seminorm(f24, 0.5, math.nan, 1.0, 0.0, m=1)
     f8 = random_band_limited(grid, (-8.0, 8.0), seed=31)
-    for m in (1.5, 0, math.nan, math.inf):  # needs an integer m >= 1
+    for m in (1.5, 0, math.nan, math.inf, True, 1.0):  # needs an integer m >= 1, not a bool
         with pytest.raises(ValueError):
             difference_seminorm(f8, 0.5, 2.0, 2.0, 0.0, m=m)
 

@@ -45,6 +45,21 @@ def test_config_validation():
         SuiteConfig(family_size=1)
 
 
+@pytest.mark.parametrize("field, value", [("n_samples", 1024.0), ("n_samples", True),
+                                          ("seed", 1.5), ("seed", False),
+                                          ("family_size", 2.5), ("family_size", "50")])
+def test_config_rejects_non_integer_fields(field, value):
+    """n_samples, seed and family_size must be integers, not bools: a float
+    or a bool is a ValueError that names the field, before any other check;
+    a numpy integer is kept as an int, so the config hashes."""
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        SuiteConfig(**{field: value})
+    config = SuiteConfig(**{field: np.int64(64)})
+    assert type(getattr(config, field)) is int
+    want = config_hash(SuiteConfig(**{field: 64}).config_dict())
+    assert config_hash(config.config_dict()) == want
+
+
 def test_config_dict_round_trips_hashable_fields():
     cfg = SuiteConfig(seed=5)
     d = cfg.config_dict()
