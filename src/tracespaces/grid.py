@@ -30,42 +30,36 @@ smoothness there, take twice the cells of their band (trace.ORBIT_BAND in
 the orbit time unit max(L, 1), and 32).
 
 Every evaluation at quadrature nodes goes through one kernel,
-QuadratureMesh.synthesize, which has two paths; the mesh, the grid, the
-active set and the column count alone pick one, so a function's node
-values never depend on what is computed before it.  They can depend, at
-rounding level, on how many columns are stacked with it, since the column
-count picks between the two.
+QuadratureMesh.synthesize, which has two paths and keeps no table.  One
+rule picks the path from the active set and the column count alone, so a
+function's node values never depend on what is computed before it.  They
+can depend, at rounding level, on how many columns are stacked with it.
 
-- Mode table, for a call of more than _FFT_MAX_COLUMNS (8) columns, as the
-  seminorm's hundreds are and a norm request's few are not, on a set whose
-  signed bins lo..hi span fewer than _TABLE_MAX_SPAN (256) and lie inside
-  the band the mesh resolves, kb = n_cells / (_CELLS_PER_WAVE L) bins.  Per
-  GridSpec the mesh keeps one real table of cos and sin of 2 pi t k / (2L)
-  at its nodes, interleaved, for every bin 0 <= k <= kb, its phase j k / 6M
-  cycles at node j reduced mod 6M in integers.  The set is folded onto
-  bins k >= 0: with a_k = c_k + c_-k and b_k = c_k - c_-k,
+- FFT: the nodes -L + n L / (3M), n = 0..6M, are the points of a DFT of
+  length 6M over the period 2L, so the node values are one inverse FFT of
+  length 6M of (-1)^k c_k, with node 6M equal to node 0 (_synthesize_fft).
+  Bins k and k + 6M take equal values at every DFT point, so the signed
+  bins are summed mod 6M, in a fixed order, and the FFT is exact to
+  rounding at the nodes for a set of any span.
+- Folded columns: the set's signed bins lo..hi fold onto the K bins
+  k >= 0 from min(|lo|, |hi|) (from 0 when the set crosses 0) to
+  max(|lo|, |hi|).  With a_k = c_k + c_-k and b_k = c_k - c_-k,
 
-      sum_k c_k e^{i theta k t} = sum_{k >= 0} a_k cos theta k t + i b_k sin theta k t,
+      sum_k c_k e^{i theta k t} = sum_{k >= 0} a_k cos theta k t + i b_k sin theta k t.
 
-  so its values are one real product of the table's columns for the bins
-  min(|lo|, |hi|)..max(|lo|, |hi|) (from 0 when the set crosses 0) with the
-  (a_k, i b_k) rows, read as complex; no exp runs per call.  The product
-  is _blocked_product, whose BLAS products of at most 2^18 multiply-adds
-  (_ONE_THREAD_MACS) OpenBLAS runs on the calling thread; the difference
-  seminorm's scale integral takes it too.  The table is built on the first
-  call that takes it, in row blocks, and never when the complex table of
-  every signed bin would exceed _MAX_TABLE_BYTES (24 MiB).
-- FFT, for every other set: the nodes -L + n L / (3M), n = 0..6M, are the
-  points of a DFT of length 6M over the period 2L, so the node values are
-  one inverse FFT of length 6M of (-1)^k c_k, with node 6M equal to node 0
-  (_synthesize_fft).  Bins k and k + 6M take equal values at every DFT
-  point, so the signed bins are summed mod 6M, in a fixed order, and the
-  FFT is exact to rounding at the nodes for a set of any span.
+  A call with fewer than _TABLE_MAX_SPAN folded bins and more columns
+  than K, as the difference seminorm's hundreds are, takes those K cos/sin
+  columns from the FFT of the lone bins, interleaved as one real array, and
+  its values are one real product of them with the (a_k, i b_k) rows, read
+  as complex.  The product is _blocked_product, whose BLAS products of at
+  most 2^18 multiply-adds (_ONE_THREAD_MACS) OpenBLAS runs on the calling
+  thread; the seminorm's scale integral takes it too.  The columns are
+  never larger than the call's output, so no cap is needed.
 
 All derived data is kept under explicit keys by one memo, _memo: node
 values and what follows from them on the GridFunction
-(GridFunction.cached), and weights, mode tables and the difference
-seminorm's h-rules on the mesh (QuadratureMesh.cached).
+(GridFunction.cached), and weights and the difference seminorm's h-rules
+on the mesh (QuadratureMesh.cached).
 GridFunction.evaluate stays dense synthesis at arbitrary points, the
 reference for every path.
 """
@@ -335,18 +329,7 @@ _GL_NODES = 0.5 * (_GL_NODES + 1.0)  # shifted to [0, 1]
 _GL_WEIGHTS = 0.5 * _GL_WEIGHTS
 
 
-# The cap on a mesh's mode table per GridSpec, in bytes; a mesh over it
-# synthesizes every set by the FFT.  It is checked on the bytes of a complex
-# table of every signed bin, 16 n_nodes (2 kb + 1), about 64 n_cells^2, so
-# meshes of up to 626 cells a side may keep one.  The real table a mesh
-# keeps takes 16 n_nodes (kb + 1), about half of that, and is built only
-# when some call takes it: in the default report the band-8 and band-16
-# meshes build one (75 and 298 KB), and the fresh-functions benchmark's
-# band-32 mesh 1.1 MB; the shared-mesh cache holds eight meshes.
-_MAX_TABLE_BYTES = 24 * 2**20
-
-# Node rows per block of the mode table's build, and the most rows of one
-# product of _blocked_product.
+# The most rows of one product of _blocked_product.
 _SYNTH_ROWS = 64
 
 # The most multiply-adds (rows x k x columns) in one BLAS product of
@@ -363,29 +346,18 @@ _SYNTH_ROWS = 64
 # the portable bound stays.
 _ONE_THREAD_MACS = 2**18
 
-# The widest set, in signed bins, QuadratureMesh.synthesize may take the
-# mode table for; a wider set takes the FFT.  It binds only on meshes of
-# 384 to 625 cells a side, where the band kb reaches 128 bins within the
-# table cap.  Timed there against the FFT at N = 2048, for 9, 54 and 300
-# columns on sets centred on 0 and one-sided, at one and two BLAS threads:
-# on 2305 and 3073 nodes the FFT took 0.3-2.4 times the table's time at a
-# span of 128 bins and 0.2-1.4 times above it.  No cut wins everywhere,
-# and moving it moves values at rounding level, so it stays.
-_TABLE_MAX_SPAN = 256
-
-# A narrow set of at most this many columns takes the FFT, and one of more
-# the mode table.  Timing both paths at every synthesis call of the three
-# benchmark workloads where both apply (434 calls on meshes of 37 to 1153
-# nodes, 1 to 399 columns, two BLAS threads), the FFT won at few
-# columns and the table at the seminorm's hundreds: 0.40-0.46 against
-# 0.60-0.66 ms at 373-399 columns on the 289-node band-8 mesh.  Over those
-# calls this cut took 68.9 ms, the table alone 78.6 ms, the FFT alone 87.1
-# ms, and a four-constant cost model in nodes, bins and columns 66.4 ms, a
-# gap too small to carry that model.
-_FFT_MAX_COLUMNS = 8
+# A call folding onto fewer bins K than this, with more columns than K,
+# takes its K cos/sin columns from the FFT and one real product of 4 K
+# multiply-adds a node and column; the FFT takes about log2(6M), so the cut
+# hardly moves with the mesh.  Timed against the FFT (medians of 15, one and
+# two BLAS threads, 289 to 5761 nodes, sets crossing 0 and one-sided), the
+# folded columns took 0.14-0.29 times its time at K = 16, 0.29-0.53 at 32,
+# 0.82-1.39 at 64 and 2.7-7.7 at 128 at 399 columns; at 54 columns, which
+# the column rule also lets through, 0.49-1.7 at K = 16 and 1.0-2.2 at 32.
+_TABLE_MAX_SPAN = 64
 
 
-def _blocked_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _blocked_product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """a @ b for real 2-d a (n, k) and b (k, m), as BLAS products of at
     most _ONE_THREAD_MACS multiply-adds each, which OpenBLAS runs on the
     calling thread: blocks of every column and as many rows as fit, at
@@ -394,11 +366,12 @@ def _blocked_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     only a k past the limit passes it).  The full blocks and the shorter
     last one each go to numpy as one stacked matmul, so numpy, not Python,
     loops over the blocks.  The blocks follow from the shapes alone, so no
-    value depends on the BLAS thread count."""
+    value depends on the BLAS thread count.  Written into out, a float
+    (n, m) array, when given."""
     (n, k), m = a.shape, b.shape[1]
     rows = max(min(_SYNTH_ROWS, _ONE_THREAD_MACS // (k * m)), 1)
     cols = max(min(m, _ONE_THREAD_MACS // (rows * k)), 1)
-    out = np.empty((n, m))
+    out = np.empty((n, m)) if out is None else out
     for r0, r1 in ((0, n - n % rows), (n - n % rows, n)):
         for c0, c1 in ((0, m - m % cols), (m - m % cols, m)):
             if r1 > r0 and c1 > c0:
@@ -494,8 +467,7 @@ class QuadratureMesh:
         self.nodes = half_width * (j / (order * n_cells))
         self._cells = order * np.arange(2 * n_cells)[:, None] + np.arange(order + 1)
         self._lagrange = _lagrange_monomial_matrix(order)
-        # weights per gamma, mode tables per GridSpec and the seminorm's
-        # h-rules; see cached
+        # weights per gamma and the seminorm's h-rules; see cached
         self._cache: dict[tuple, np.ndarray | tuple] = {}
 
     @property
@@ -520,7 +492,7 @@ class QuadratureMesh:
         times L, rounded up to a 5-smooth count (_five_smooth).  At most
         _MAX_CELLS and at least min_cells: the constructor's 4 (L = 0.25
         asks for 2), which only bench/test_bench.py overrides.  One shared
-        instance per key, so its tables and weights are built once.  A band
+        instance per key, so its weights and h-rules are built once.  A band
         that is not finite and >= 0 is a GridError."""
         if not 0.0 <= band_max < math.inf:
             raise GridError(f"band must be finite and >= 0, got {band_max}")
@@ -534,17 +506,21 @@ class QuadratureMesh:
 
     # -- synthesis ----------------------------------------------------
 
-    def _synthesize_fft(self, bins: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    def _synthesize_fft(self, bins: np.ndarray, coeffs: np.ndarray,
+                        out: np.ndarray | None = None) -> np.ndarray:
         """The nodes t_n = -L + n L / (3M), n = 0..6M, are the points of a
         DFT of length P = 6M over the period 2L: sum_k c_k exp(i pi k t_n /
         L) = sum_k (-1)^k c_k exp(2 pi i k n / P), one inverse DFT of the
         signed bins k folded mod P; node P takes node 0's value.  Bins k and
         k + P take equal values at every DFT point, so the fold is exact for
         a set of any span: lap j, the bins lo + j P .. lo + (j + 1) P - 1,
-        lands on distinct rows, and the laps are added in turn from j = 0."""
+        lands on distinct rows, and the laps are added in turn from j = 0.
+        The bins are placed into out, when given, and the inverse DFT is
+        copied back into it."""
         period = self.nodes.size - 1
         signed = np.where((bins % 2 == 1)[:, None], -coeffs, coeffs)
-        out = np.zeros((period + 1, coeffs.shape[1]), dtype=complex)
+        out = np.empty((period + 1, coeffs.shape[1]), dtype=complex) if out is None else out
+        out[...] = 0.0
         lap = (bins - int(bins.min())) // period
         if lap.any():
             for j in range(int(lap.max()) + 1):
@@ -555,77 +531,52 @@ class QuadratureMesh:
         out[period] = out[0]
         return out
 
-    def _band_bins(self, grid: GridSpec) -> int:
-        """kb: the band the mesh resolves, n_cells / (_CELLS_PER_WAVE L), in
-        bins of grid, at most N/2 - 1 (1e-9 absorbs the rounding of an exact
-        quotient)."""
-        bins = self.n_cells / (_CELLS_PER_WAVE * self.half_width) / grid.fundamental
-        return min(int(bins + 1e-9), grid.n_samples // 2 - 1)
-
-    def _mode_table(self, grid: GridSpec, kb: int) -> np.ndarray:
-        """table[:, 2k] = cos(2 pi t k / (2L)) and table[:, 2k + 1] = sin(2 pi
-        t k / (2L)) at the nodes for every bin 0 <= k <= kb, built in
-        _SYNTH_ROWS row blocks on first use.  Node j = -P/2..P/2 is the DFT
-        point j / P of the period P = 6M, where bin k turns j k / P cycles,
-        reduced mod P in integers: the table holds the FFT path's points."""
-        def build():
-            half = self.order * self.n_cells  # P / 2
-            j = np.arange(-half, half + 1)
-            table = np.empty((self.nodes.size, 2 * kb + 2))
-            for start in range(0, self.nodes.size, _SYNTH_ROWS):
-                rows = slice(start, start + _SYNTH_ROWS)
-                turns = (np.multiply.outer(j[rows], np.arange(kb + 1)) + half) % (2 * half) - half
-                phase = np.pi * (turns / half)
-                np.cos(phase, out=table[rows, 0::2])
-                np.sin(phase, out=table[rows, 1::2])
-            return table
-
-        return self.cached(("modes", grid), build)
-
-    def synthesize(self, grid: GridSpec, active: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    def synthesize(self, grid: GridSpec, active: np.ndarray, coeffs: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
         """Values at the nodes of sum_j coeffs[j] exp(2 pi i xi_{active[j]} t),
-        shape (n_nodes, ncols).
+        shape (n_nodes, ncols), written into out when it is given (a complex
+        array of that shape, as numpy's out), else into a new array.
 
         active holds FFT-order bin indices of grid and coeffs has one row
         per active bin; its columns are independent functions, so stacking
-        several functions on one active set costs one call.  The mesh, the
-        grid, the active set and the column count alone pick the path (see
-        the module docstring): a call of more than _FFT_MAX_COLUMNS columns
-        on a set spanning fewer than _TABLE_MAX_SPAN signed bins inside the
-        mesh's band and table cap is folded onto bins k >= 0 and is one real
-        product over a slice of the mode table; every other call is one
-        inverse FFT of length 6M, for a set of any span.  So a function's
-        values never depend on what is computed before it.  A grid of
-        another half-width than the mesh's is a GridError: the nodes would
-        not be the points of its DFT.
+        several functions on one active set costs one call.  One rule picks
+        the path from the active set and the column count alone (see the
+        module docstring): a call whose set folds onto K < _TABLE_MAX_SPAN
+        bins k >= 0, with more than K columns, is one real product of those
+        K cos/sin columns, taken from the FFT of the lone bins, with the
+        folded rows; every other call is one inverse FFT of length 6M, for a
+        set of any span.  A grid of another half-width than the mesh's is a
+        GridError: the nodes would not be the points of its DFT.
         """
         if grid.half_width != self.half_width:
             raise GridError(f"mesh half-width {self.half_width} != grid's {grid.half_width}")
         coeffs = np.asarray(coeffs, dtype=complex)
         if active.size == 0:
-            return np.zeros((self.nodes.size, coeffs.shape[1]), dtype=complex)
+            out = np.empty((self.nodes.size, coeffs.shape[1]), complex) if out is None else out
+            out[...] = 0.0
+            return out
         n = grid.n_samples
         bins = np.where(active < n // 2, active, active - n)
         lo, hi = int(bins.min()), int(bins.max())
-        kb = self._band_bins(grid)
-        if not (coeffs.shape[1] > _FFT_MAX_COLUMNS and hi - lo + 1 < _TABLE_MAX_SPAN
-                and -kb <= lo <= hi <= kb
-                and 16 * self.nodes.size * (2 * kb + 1) <= _MAX_TABLE_BYTES):
-            return self._synthesize_fft(bins, coeffs)
-        table = self._mode_table(grid, kb)
         kmin = 0 if lo <= 0 <= hi else min(abs(lo), abs(hi))
         kmax = max(abs(lo), abs(hi))
+        k = kmax - kmin + 1
+        if not k < min(coeffs.shape[1], _TABLE_MAX_SPAN):
+            return self._synthesize_fft(bins, coeffs, out)
+        # cos and sin of bin kmin + i at the nodes, interleaved in columns 2i, 2i + 1
+        modes = self._synthesize_fft(np.arange(kmin, kmax + 1), np.eye(k)).view(float)
         # c_k at k >= 0 and c_-k at k > 0, on the bins kmin..kmax
-        pos = np.zeros((kmax - kmin + 1, coeffs.shape[1]), dtype=complex)
+        pos = np.zeros((k, coeffs.shape[1]), dtype=complex)
         neg = np.zeros_like(pos)
         up = bins >= 0
         pos[bins[up] - kmin] = coeffs[up]
         neg[-bins[~up] - kmin] = coeffs[~up]
-        # rows a_k and i b_k, interleaved as the table's cos and sin columns
-        rhs = np.empty((2 * pos.shape[0], coeffs.shape[1]), dtype=complex)
+        # rows a_k and i b_k, interleaved as the cos and sin columns
+        rhs = np.empty((2 * k, coeffs.shape[1]), dtype=complex)
         np.add(pos, neg, out=rhs[0::2])
         np.multiply(1j, pos - neg, out=rhs[1::2])
-        return _blocked_product(table[:, 2 * kmin:2 * kmax + 2], rhs.view(float)).view(complex)
+        vals = _blocked_product(modes, rhs.view(float), None if out is None else out.view(float))
+        return vals.view(complex)
 
     # -- moment machinery ---------------------------------------------
 
@@ -710,9 +661,9 @@ class QuadratureMesh:
 
 
 # Safe to share, because a mesh's nodes follow from its key (half-width and
-# cell count) and all else it holds is a cache keyed exactly; the bound
-# keeps the mode tables (at most _MAX_TABLE_BYTES each) of meshes no longer
-# in use from piling up.  The default report uses
+# cell count) and all else it holds is a cache keyed exactly: weights per
+# gamma and the seminorm's h-rules, a few node vectors each, so the bound
+# keeps little alive on meshes no longer in use.  The default report uses
 # eight: band-limited meshes of 6 to 144 cells, the orbits' 192 and the
 # extension suite's 384.
 @functools.lru_cache(maxsize=8)

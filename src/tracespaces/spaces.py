@@ -224,10 +224,11 @@ def _lq_combine(arr: np.ndarray, q: float, axis: int = 0) -> np.ndarray:
     return np.sum(arr ** q, axis=axis) ** (1.0 / q)
 
 
-def _multiplier_values(f: GridFunction, factors: np.ndarray,
-                       mesh: QuadratureMesh) -> np.ndarray:
+def _multiplier_values(f: GridFunction, factors: np.ndarray, mesh: QuadratureMesh,
+                       out: np.ndarray | None = None) -> np.ndarray:
     """(n_nodes, n_filters, dim) node values of the filtered copies of f:
-    copy j has coefficients factors[:, j] * c_k over f's active bins.
+    copy j has coefficients factors[:, j] * c_k over f's active bins,
+    written into out, a complex (n_nodes, n_filters dim) array, when given.
 
     Every Fourier multiplier a norm applies (dyadic blocks, the potential
     symbol, derivatives, differences) goes through this one stacked
@@ -235,7 +236,7 @@ def _multiplier_values(f: GridFunction, factors: np.ndarray,
     """
     active = f.active_indices
     bank = factors[:, :, None] * f.coeffs[active][:, None, :]
-    vals = mesh.synthesize(f.grid, active, bank.reshape(active.size, factors.shape[1] * f.dim))
+    vals = mesh.synthesize(f.grid, active, bank.reshape(active.size, factors.shape[1] * f.dim), out)
     return vals.reshape(mesh.nodes.size, factors.shape[1], f.dim)
 
 
@@ -329,7 +330,9 @@ _N_SCALES = 60  # geometric scale grid t_0 = L/N < ... < t_59 = 2L
 # in bytes: its h-columns go through `synthesize` in chunks of this size,
 # so the seminorm's memory grows with nodes x chunk, not nodes x h-nodes.
 # 4 MiB holds the pinned config's whole set of columns (289 nodes x 399
-# columns, 1.8 MiB) in one chunk.
+# columns, 1.8 MiB) in one chunk.  Each call allocates one block of its
+# chunk's size, whose views every chunk reuses, so the heap's history does
+# not decide how many pages the chunks fault.
 _BLOCK_BYTES = 4 * 2**20
 
 # The fewest h-nodes in a chunk, past _BLOCK_BYTES if need be: each FFT of
@@ -374,9 +377,11 @@ def _delta_averages(f: GridFunction, m: int, mesh: QuadratureMesh, inner) -> np.
     rate = m * f.max_frequency  # ||Delta^m_h f(x)|| oscillates in h at most at 2 m band
     hs, cum = mesh.cached(("h-rule", f.grid, m, rate), lambda: _h_rule(_scales(f.grid), rate))
     xi = f.active_frequencies()
-    per_column = 16 * mesh.nodes.size * f.dim
-    width = max((_BLOCK_BYTES // per_column - 1) // 2, _MIN_CHUNK_H)  # h-nodes per chunk
-    avg = np.zeros((mesh.nodes.size, 1 + cum.shape[1]))
+    nodes, dim = mesh.nodes.size, f.dim
+    width = max((_BLOCK_BYTES // (16 * nodes * dim) - 1) // 2, _MIN_CHUNK_H)  # h-nodes per chunk
+    # each chunk's node values, then its +-h magnitude sums, at its start
+    block = np.empty(2 * nodes * (2 * min(width, hs.size) + 1) * dim)
+    avg = np.zeros((nodes, 1 + cum.shape[1]))
     for start in range(0, hs.size, width):
         cols = slice(start, start + width)
         h = hs[cols]
@@ -388,10 +393,13 @@ def _delta_averages(f: GridFunction, m: int, mesh: QuadratureMesh, inner) -> np.
         first = start == 0
         factors = np.column_stack([(2j * np.pi * xi) ** m, plus, minus] if first
                                   else [plus, minus])
-        mags = inner.batch_norm(_multiplier_values(f, factors, mesh))
+        values = block[:2 * nodes * factors.shape[1] * dim].view(complex).reshape(nodes, -1)
+        mags = inner.batch_norm(_multiplier_values(f, factors, mesh, values))
         if first:
             avg[:, 0], mags = mags[:, 0], mags[:, 1:]
-        avg[:, 1 + low:] += _blocked_product(mags[:, :h.size] + mags[:, h.size:], cum[cols, low:])
+        sums = block[:nodes * h.size].reshape(nodes, -1)
+        np.add(mags[:, :h.size], mags[:, h.size:], out=sums)
+        avg[:, 1 + low:] += _blocked_product(sums, cum[cols, low:])
     return avg
 
 

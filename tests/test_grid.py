@@ -15,7 +15,6 @@ from tracespaces import (
 )
 from tracespaces import grid as grid_module
 from tracespaces.grid import (
-    _MAX_TABLE_BYTES,
     _ONE_THREAD_MACS,
     _SYNTH_ROWS,
     GridError,
@@ -372,10 +371,9 @@ def test_mesh_synthesis_matches_dense_evaluation(n, cells, dim):
     (1024, 512, 1, (-64.0, 64.0)),
 ])
 def test_narrow_sets_off_the_mode_table_match_dense_evaluation(n, cells, dim, band):
-    """Sets of up to 257 bins, stacked nine times past _FFT_MAX_COLUMNS
-    columns, take the FFT when they lie past their mesh's band, on a mesh
-    over the table cap (1536 cells) or span 256 bins or more; same bound
-    as on the full band."""
+    """Sets of up to 257 bins, stacked nine times, fold onto at least as
+    many bins k >= 0 as they have columns, or onto _TABLE_MAX_SPAN or more,
+    so they take the FFT, bit for bit; same bound as on the full band."""
     grid = GridSpec(1.0, n)
     mesh = QuadratureMesh(1.0, cells)
     f = random_band_limited(grid, band, seed=(n, dim), dim=dim)
@@ -383,7 +381,7 @@ def test_narrow_sets_off_the_mode_table_match_dense_evaluation(n, cells, dim, ba
     assert f.active_indices.size <= 257
     dense = f.evaluate(mesh.nodes)
     got = mesh.synthesize(grid, f.active_indices, f.coeffs[f.active_indices])
-    assert ("modes", grid) not in mesh._cache
+    np.testing.assert_array_equal(got, mesh._synthesize_fft(_bins(f), f.coeffs[f.active_indices]))
     assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
@@ -416,10 +414,10 @@ def _bins(f):
 @pytest.mark.parametrize("band", [(-10.0, 10.0), (-64.0, 63.5), (-255.5, 255.5)])
 def test_synthesis_path_does_not_depend_on_stacked_columns(grid, band):
     """A column synthesized alone takes the FFT, which treats each column
-    on its own: inside a stack of 300 a set of 256 bins or more takes it
-    too and gives the same column bit for bit, while a narrow set takes
-    the mode table (past _FFT_MAX_COLUMNS), so the two differ by the
-    paths' own gap, within 5e-15 of the largest value."""
+    on its own: inside a stack of 300 a set folding onto 64 bins or more
+    takes it too and gives the same column bit for bit, while a narrower
+    set takes its folded cos/sin columns, so the two differ by the paths'
+    own gap, within 5e-15 of the largest value."""
     f = random_band_limited(grid, band, seed=5, dim=300)
     active, coeffs = f.active_indices, f.coeffs[f.active_indices]
     for mesh in (QuadratureMesh(1.0, 512),
@@ -434,7 +432,6 @@ def test_synthesis_path_does_not_depend_on_stacked_columns(grid, band):
                 np.testing.assert_array_equal(alone, stacked[:, j])
             else:
                 assert np.max(np.abs(alone - stacked[:, j])) <= 5e-15 * scale
-        assert (("modes", grid) in mesh._cache) == (active.size < 256)
 
 
 def test_mesh_synthesis_sparse_and_empty_active_sets(grid, mesh):
@@ -451,12 +448,26 @@ def _synthesize(mesh, f):
     return mesh.synthesize(f.grid, f.active_indices, f.coeffs[f.active_indices])
 
 
+def _folded_calls(monkeypatch):
+    """The columns of every real product that QuadratureMesh.synthesize
+    makes from now on: one per call that takes its folded cos/sin columns,
+    none per call that takes the FFT."""
+    calls, blocked = [], grid_module._blocked_product
+
+    def recorded(a, b, out=None):
+        calls.append(a)
+        return blocked(a, b, out)
+
+    monkeypatch.setattr(grid_module, "_blocked_product", recorded)
+    return calls
+
+
 _NARROW = {
     "crossing-zero": lambda grid: random_band_limited(grid, (-10.0, 10.0), seed=11),
     "sparse": lambda grid: GridFunction.from_coeff_map(
         grid, {-31.5: [1.0], -3.0: [2.0j], 0.0: [0.5], 17.5: [-1.0], 32.0: [3.0]}),
     "dim-3": lambda grid: random_band_limited(grid, (-12.0, 24.0), seed=12, dim=3),
-    # the fold's edges on the band-32 mesh's table, kb = 64 bins
+    # one-sided sets, folded from min(|lo|, |hi|), and lone bins
     "one-sided-negative": lambda grid: random_band_limited(grid, (-30.0, -5.0), seed=15, dim=2),
     "one-sided-positive": lambda grid: random_band_limited(grid, (5.0, 30.0), seed=16),
     "lone-bin-0": lambda grid: GridFunction.from_coeff_map(grid, {0.0: [1.5 - 0.5j]}),
@@ -465,52 +476,83 @@ _NARROW = {
 
 
 @pytest.mark.parametrize("case", list(_NARROW))
-def test_narrow_sets_in_band_take_the_mode_table(grid, case):
-    """A set spanning fewer than 256 bins inside the mesh's band is one
-    product over a slice of the mesh's mode table above _FFT_MAX_COLUMNS
-    columns, as at the seminorm's 399; with fewer it takes the FFT.  Either
-    path is within 2e-14 of the largest value of dense synthesis with exact
-    phases."""
+def test_narrow_sets_in_band_take_the_mode_table(grid, monkeypatch, case):
+    """A set folding onto K < 64 bins k >= 0 takes its mode table, the K
+    cos/sin columns from the FFT of its lone bins, built for the call: one
+    real product of them with the folded rows, when it has more than K
+    columns, as at the seminorm's 399.  Alone, with no more columns than K,
+    it takes the FFT, and so does the sparse set, stacked, on its 65 folded
+    bins.  Either path is within 2e-14 of the largest value of dense
+    synthesis with exact phases."""
     f = _NARROW[case](grid)
-    cells = QuadratureMesh.for_band(grid, 32.0).n_cells
+    mesh = QuadratureMesh.for_band(grid, 32.0)
     stacked = GridFunction(grid, np.tile(f.coeffs, 399 // f.dim))
+    calls = _folded_calls(monkeypatch)
     for g in (f, stacked):
-        mesh = QuadratureMesh(1.0, cells)
-        assert mesh._band_bins(grid) == 64
         got = _synthesize(mesh, g)
-        table = g.dim > grid_module._FFT_MAX_COLUMNS
-        assert table == (g is stacked)
-        assert (("modes", grid) in mesh._cache) == table
-        if not table:
+        folded = g is stacked and case != "sparse"
+        assert len(calls) == folded
+        if not folded:
             np.testing.assert_array_equal(
                 got, mesh._synthesize_fft(_bins(g), g.coeffs[g.active_indices]))
         want = _exact_phase_synthesis(g, mesh.nodes)
         assert np.max(np.abs(got - want)) <= 2e-14 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("bins, columns, folded", [
+    ((-20, 20), 22, 21), ((-20, 20), 21, None),  # 21 folded bins against the columns
+    ((5, 67), 300, 63), ((5, 68), 300, None),  # 63 and 64
+    ((-67, -5), 300, 63), ((-63, 63), 300, None), ((-62, 0), 300, 63),
+])
+def test_synthesis_path_follows_one_rule(grid, monkeypatch, bins, columns, folded):
+    """The set's bins lo..hi fold onto the K bins from min(|lo|, |hi|) (from
+    0 when they cross 0) to max(|lo|, |hi|); the call takes its K folded
+    cos/sin columns when K is below both its column count and
+    _TABLE_MAX_SPAN, and the FFT, bit for bit, otherwise.  The columns hold
+    2 K floats a node, never more bytes than the call's output."""
+    assert grid_module._TABLE_MAX_SPAN == 64
+    mesh = QuadratureMesh.for_band(grid, 32.0)
+    ks = np.arange(bins[0], bins[1] + 1)
+    rng = np.random.default_rng(len(ks))
+    coeffs = rng.standard_normal((ks.size, columns)) + 1j * rng.standard_normal((ks.size, columns))
+    calls = _folded_calls(monkeypatch)
+    got = mesh.synthesize(grid, ks % grid.n_samples, coeffs)
+    fft = mesh._synthesize_fft(ks, coeffs)
+    if folded is None:
+        assert not calls
+        np.testing.assert_array_equal(got, fft)
+    else:
+        modes, = calls
+        assert modes.shape == (mesh.nodes.size, 2 * folded) and modes.nbytes <= got.nbytes
+        assert np.max(np.abs(got - fft)) <= 5e-15 * np.max(np.abs(fft))
+
+
 @pytest.mark.parametrize("half_width, n, band", [(20.0, 4096, 4.0), (1.3, 2048, 24.0),
                                                   (4.0, 4096, 16.0), (1.0, 1024, 32.0)])
 def test_mode_table_matches_the_fft_at_the_dft_points(half_width, n, band):
-    """Node j of a mesh is the DFT point j / 6M, so the mode table's phase
-    of bin k there is j k / 6M cycles, reduced in integers: nine columns
-    of a lone bin at 0, +-1 and the six bins at each band edge take the
-    table within 2e-15 of the FFT."""
+    """The folded columns are the FFT's own values: nine columns of a lone
+    bin k at 0, +-1 and the six bins at each edge of the band take one cos
+    and one sin column, so they equal the FFT of the lone bin |k| bit for
+    bit (its conjugate for k < 0), and the FFT of bin k within 2e-15."""
     grid = GridSpec(half_width, n)
     mesh = QuadratureMesh.for_band(grid, band)
-    kb = mesh._band_bins(grid)
+    kb = int(band / grid.fundamental)
     coeffs = np.ones((1, 9), dtype=complex)
     for k in [0, 1, -1, *range(kb - 5, kb + 1), *range(-kb, -kb + 6)]:
         got = mesh.synthesize(grid, np.array([k % n]), coeffs)
+        lone = mesh._synthesize_fft(np.array([abs(k)]), coeffs)
+        np.testing.assert_array_equal(got, lone if k >= 0 else lone.conj())
         assert np.max(np.abs(got - mesh._synthesize_fft(np.array([k]), coeffs))) <= 2e-15
-    assert ("modes", grid) in mesh._cache
 
 
 @pytest.mark.parametrize("case", ["past-the-band", "span-256", "over-the-cap"])
-def test_sets_off_the_table_take_the_fft_bitwise(grid, case):
-    """A stack of more than _FFT_MAX_COLUMNS columns on a set past the
-    mesh's band, on one spanning 256 bins or more, or on any set over a
-    mesh whose table would exceed _MAX_TABLE_BYTES takes the FFT, bit for
-    bit, and the mesh builds no mode table for it."""
+def test_sets_off_the_table_take_the_fft_bitwise(grid, monkeypatch, case):
+    """A stack on a set that folds onto at least as many bins as it has
+    columns (21 bins for 12 columns on the band-8 mesh, and for 9 on the
+    7201-node band-200 mesh) or onto 64 or more (129 for 9 columns) takes
+    the FFT, bit for bit, with no real product.  On the band-200 mesh, 22
+    columns of the same set take its 21 folded columns, whose bytes are at
+    most the output's: no mesh is too large for them."""
     band, f = {
         "past-the-band": (8.0, random_band_limited(grid, (20.0, 30.0), seed=13, dim=12)),
         "span-256": (64.0, GridFunction.from_coeff_map(grid, {-64.0: [1.0] * 9, 63.5: [2.0] * 9})),
@@ -518,11 +560,19 @@ def test_sets_off_the_table_take_the_fft_bitwise(grid, case):
     }[case]
     active, coeffs = f.active_indices, f.coeffs[f.active_indices]
     mesh = QuadratureMesh(1.0, QuadratureMesh.for_band(grid, band).n_cells)
-    table_bytes = 16 * mesh.nodes.size * (2 * mesh._band_bins(grid) + 1)
-    assert (table_bytes > _MAX_TABLE_BYTES) == (case == "over-the-cap")
+    calls = _folded_calls(monkeypatch)
     np.testing.assert_array_equal(mesh.synthesize(grid, active, coeffs),
                                   mesh._synthesize_fft(_bins(f), coeffs))
-    assert ("modes", grid) not in mesh._cache
+    assert not calls
+    if case == "over-the-cap":
+        assert mesh.nodes.size == 7201
+        wide = np.tile(coeffs, (1, 3))[:, :22]
+        got = mesh.synthesize(grid, active, wide)
+        modes, = calls
+        assert modes.shape == (7201, 42)
+        assert modes.nbytes <= got.nbytes
+        fft = mesh._synthesize_fft(_bins(f), wide)
+        assert np.max(np.abs(got - fft)) <= 5e-15 * np.max(np.abs(fft))
 
 
 @pytest.mark.parametrize("half_width, n, cells", [(0.25, 1024, 64), (1.0, 1024, 97),
@@ -561,10 +611,12 @@ def test_fft_folds_sets_wider_than_the_period(half_width, case):
 
 
 def _assert_exact_at_the_dft_points(half_width, n, cells, bins):
-    """The FFT path, bit for bit, on random coefficients at the signed
-    bins, is within 2e-14 of the largest value of dense synthesis at the
-    DFT's points -L + n L / (3M) with exact phases k (n - 3M) / (6M) mod 1,
-    formed in integers; its nodes at -L and L are one period apart."""
+    """The FFT path on random coefficients at the signed bins, and
+    synthesize, which takes it bit for bit but for a lone bin (one folded
+    bin for two columns takes its cos/sin columns), are within 2e-14 of the
+    largest value of dense synthesis at the DFT's points -L + n L / (3M)
+    with exact phases k (n - 3M) / (6M) mod 1, formed in integers; their
+    nodes at -L and L are one period apart."""
     grid = GridSpec(half_width, n)
     mesh = QuadratureMesh(half_width, cells)
     period = 6 * cells
@@ -573,13 +625,15 @@ def _assert_exact_at_the_dft_points(half_width, n, cells, bins):
     coeffs[bins % n] = rng.standard_normal((bins.size, 2)) + 1j * rng.standard_normal(
         (bins.size, 2))
     f = GridFunction(grid, coeffs)
-    got = _synthesize(mesh, f)
-    np.testing.assert_array_equal(got, mesh._synthesize_fft(_bins(f), f.coeffs[f.active_indices]))
+    got, fft = _synthesize(mesh, f), mesh._synthesize_fft(_bins(f), f.coeffs[f.active_indices])
+    if bins.size > 1:
+        np.testing.assert_array_equal(got, fft)
     cycles = np.multiply.outer(np.arange(period + 1) - period // 2, bins) % period
     want = np.exp((2j * np.pi / period) * cycles) @ coeffs[bins % n]
     scale = np.max(np.abs(want))
-    assert np.max(np.abs(got - want)) <= 2e-14 * scale
-    assert np.max(np.abs(got[0] - got[-1])) <= 2e-14 * scale
+    for vals in (got, fft):
+        assert np.max(np.abs(vals - want)) <= 2e-14 * scale
+        assert np.max(np.abs(vals[0] - vals[-1])) <= 2e-14 * scale
 
 
 @pytest.mark.parametrize("half_width, cells", [(1.0, 4), (1.0, 192), (0.25, 97), (20.0, 960),

@@ -1,5 +1,10 @@
 import math
+import os
+import platform
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -416,8 +421,8 @@ def test_seminorm_blocks_stay_within_the_budget(monkeypatch):
     blocks = []
     synthesize = QuadratureMesh.synthesize
 
-    def recorded(mesh, grid, active, coeffs):
-        out = synthesize(mesh, grid, active, coeffs)
+    def recorded(mesh, grid, active, coeffs, out=None):
+        out = synthesize(mesh, grid, active, coeffs, out)
         blocks.append(out.nbytes)
         return out
 
@@ -429,7 +434,7 @@ def test_seminorm_blocks_stay_within_the_budget(monkeypatch):
 
 def test_seminorm_products_stay_on_the_calling_thread(grid, monkeypatch):
     """The seminorm's synthesis and scale integral at m = 1 and 2 on a
-    band-8 draw, and a dim-6, 120-bin interpolation-space request on the
+    band-8 draw, and a dim-6, 41-bin interpolation-space request on the
     band-32 mesh, take their real products through grid._blocked_product,
     every BLAS product of which stays within _ONE_THREAD_MACS, so OpenBLAS
     runs it on the calling thread."""
@@ -440,11 +445,11 @@ def test_seminorm_products_stay_on_the_calling_thread(grid, monkeypatch):
         macs.append(a.shape[-2] * a.shape[-1] * b.shape[-1])
         return matmul(a, b, out=out)
 
-    def recorded(a, b):
+    def recorded(a, b, out=None):
         calls.append((a.shape, b.shape))
         with monkeypatch.context() as patch:
             patch.setattr(np, "matmul", recorded_matmul)
-            return blocked(a, b)
+            return blocked(a, b, out)
 
     monkeypatch.setattr(grid_module, "_blocked_product", recorded)
     monkeypatch.setattr(spaces_module, "_blocked_product", recorded)
@@ -460,7 +465,8 @@ def test_seminorm_products_stay_on_the_calling_thread(grid, monkeypatch):
     assert seminorm_macs > 0
 
     coeffs = np.zeros((grid.n_samples, 6), dtype=complex)
-    coeffs[np.arange(-57, 63)] = np.random.default_rng(42).standard_normal((120, 6))  # in band
+    # 21 folded bins, fewer than the request's columns: it takes the real product
+    coeffs[np.arange(-20, 21)] = np.random.default_rng(42).standard_normal((41, 6))
     inner = InterpNormInner(MultiplierOperator.diagonal([0.5, 1.0, 2.0, 4.0, 8.0, 16.0]),
                             alpha=0.5, r=2.0)
     spec = SpaceSpec("F", 0.5, 2.0, 2.0, 0.0, inner=inner)
@@ -484,9 +490,9 @@ def test_chunked_seminorm_matches_one_block(grid, monkeypatch):
     columns = []
     synthesize = QuadratureMesh.synthesize
 
-    def recorded(mesh, grid, active, coeffs):
+    def recorded(mesh, grid, active, coeffs, out=None):
         columns.append(coeffs.shape[1])
-        return synthesize(mesh, grid, active, coeffs)
+        return synthesize(mesh, grid, active, coeffs, out)
 
     monkeypatch.setattr(spaces_module, "_BLOCK_BYTES", 2 ** 16)
     monkeypatch.setattr(QuadratureMesh, "synthesize", recorded)
@@ -495,6 +501,46 @@ def test_chunked_seminorm_matches_one_block(grid, monkeypatch):
     # the first chunk of each m adds the f^(m) column to its +h and -h
     assert len(columns) > 2
     assert max(columns) == 2 * spaces_module._MIN_CHUNK_H + 1
+
+
+_FAULTS_PER_CALL = """
+import resource, sys
+import numpy as np
+from tracespaces import GridSpec, difference_seminorm, random_band_limited
+history = []
+if sys.argv[1] == "history":  # a heap left with holes: eight arrays, every other one freed
+    history = [np.ones(int(size) // 8) for size in np.geomspace(1e5, 4e6, 8)]
+    del history[::2]
+grid = GridSpec(1.0, 1024)
+fs = [random_band_limited(grid, (-8.0, 8.0), seed=seed) for seed in range(11)]
+for m, s in ((1, 0.5), (2, 1.5)):
+    difference_seminorm(fs[0], s, 2.0, 1.0, 0.0, m)  # the mesh, its weights and h-rule
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for f in fs[1:]:
+        difference_seminorm(f, s, 2.0, 1.0, 0.0, m)
+    print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc" or sys.platform != "linux",
+                    reason="counts the minor faults of glibc's heap on Linux")
+@pytest.mark.parametrize("start", ["clean", "history"])
+def test_seminorm_faults_do_not_follow_the_heap_history(start):
+    """The seminorm's chunk temporaries live in one block per call, so a
+    call takes about the same few dozen minor page faults from a clean
+    heap and from one left with holes, in a fresh interpreter: at most 250
+    a call on ten band-8 draws at m = 1 and 2 after one warm-up draw.  When
+    each chunk allocated its own node values and glibc trimmed the heap top
+    between calls, a call from a clean start took 690-900."""
+    pytest.importorskip("resource")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _FAULTS_PER_CALL, start],
+                          env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    faults = [float(line) for line in proc.stdout.split()]
+    assert len(faults) == 2 and max(faults) <= 250, faults
 
 
 def test_functions_of_one_band_share_the_seminorm_h_rule(grid, monkeypatch):
