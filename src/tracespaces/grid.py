@@ -30,38 +30,22 @@ smoothness there, take twice the cells of their band (trace.ORBIT_BAND in
 the orbit time unit max(L, 1), and 32).
 
 Every evaluation at quadrature nodes goes through one kernel,
-QuadratureMesh.synthesize, which has two paths and keeps no table.  One
-rule picks the path from the active set and the column count alone, so a
-function's node values never depend on what is computed before it.  They
-can depend, at rounding level, on how many columns are stacked with it.
-
-- FFT: the nodes -L + n L / (3M), n = 0..6M, are the points of a DFT of
-  length 6M over the period 2L, so the node values are one inverse FFT of
-  length 6M of (-1)^k c_k, with node 6M equal to node 0 (_synthesize_fft).
-  Bins k and k + 6M take equal values at every DFT point, so the signed
-  bins are summed mod 6M, in a fixed order, and the FFT is exact to
-  rounding at the nodes for a set of any span.
-- Folded columns: the set's signed bins lo..hi fold onto the K bins
-  k >= 0 from min(|lo|, |hi|) (from 0 when the set crosses 0) to
-  max(|lo|, |hi|).  With a_k = c_k + c_-k and b_k = c_k - c_-k,
-
-      sum_k c_k e^{i theta k t} = sum_{k >= 0} a_k cos theta k t + i b_k sin theta k t.
-
-  A call with fewer than _TABLE_MAX_SPAN folded bins and more columns
-  than K, as the difference seminorm's hundreds are, takes those K cos/sin
-  columns from the FFT of the lone bins, interleaved as one real array, and
-  its values are one real product of them with the (a_k, i b_k) rows, read
-  as complex.  The product is _blocked_product, whose BLAS products of at
-  most 2^18 multiply-adds (_ONE_THREAD_MACS) OpenBLAS runs on the calling
-  thread; the seminorm's scale integral takes it too.  The columns are
-  never larger than the call's output, so no cap is needed.
+QuadratureMesh.synthesize, which has one path and keeps no table: the
+nodes -L + n L / (3M), n = 0..6M, are the points of a DFT of length 6M over
+the period 2L, so the node values are one inverse FFT of length 6M of
+(-1)^k c_k, in place in the output, with node 6M equal to node 0.  Bins k
+and k + 6M take equal values at every DFT point, so the signed bins are
+summed mod 6M, in a fixed order, and the FFT is exact to rounding at the
+nodes for a set of any span.  Each column is transformed on its own, so a
+function's node values are bitwise the same whatever is computed before
+it, whatever columns are stacked with it and whatever the output's layout.
 
 All derived data is kept under explicit keys by one memo, _memo: node
 values and what follows from them on the GridFunction
 (GridFunction.cached), and weights and the difference seminorm's h-rules
 on the mesh (QuadratureMesh.cached).
 GridFunction.evaluate stays dense synthesis at arbitrary points, the
-reference for every path.
+reference for synthesis.
 """
 
 from __future__ import annotations
@@ -329,59 +313,6 @@ _GL_NODES = 0.5 * (_GL_NODES + 1.0)  # shifted to [0, 1]
 _GL_WEIGHTS = 0.5 * _GL_WEIGHTS
 
 
-# The most rows of one product of _blocked_product.
-_SYNTH_ROWS = 64
-
-# The most multiply-adds (rows x k x columns) in one BLAS product of
-# _blocked_product: 65536 x GEMM_MULTITHREAD_THRESHOLD (4), the bound
-# below which OpenBLAS runs a gemm on the calling thread on every CPU.  A
-# larger product can take a second thread, which spins while it waits and
-# slows badly when another process wants that core.  Replaying the
-# scalar-families suites' 305 synthesis and 100 scale products at two BLAS
-# threads (medians of 15 rounds, two replays): 64-row blocks and whole
-# scale products, as before, took 165 and 153 ms of wall and 309 and 283 ms
-# of CPU time; the helper took 183 and 163 ms of both.  10^6 stays on one
-# thread only where OpenBLAS takes its small-matrix path (SkylakeX, not
-# every CPU), and its 137 and 162 ms lay inside the quartiles of 2^18's, so
-# the portable bound stays.
-_ONE_THREAD_MACS = 2**18
-
-# A call folding onto fewer bins K than this, with more columns than K,
-# takes its K cos/sin columns from the FFT and one real product of 4 K
-# multiply-adds a node and column; the FFT takes about log2(6M), so the cut
-# hardly moves with the mesh.  Timed against the FFT (medians of 15, one and
-# two BLAS threads, 289 to 5761 nodes, sets crossing 0 and one-sided), the
-# folded columns took 0.14-0.29 times its time at K = 16, 0.29-0.53 at 32,
-# 0.82-1.39 at 64 and 2.7-7.7 at 128 at 399 columns; at 54 columns, which
-# the column rule also lets through, 0.49-1.7 at K = 16 and 1.0-2.2 at 32.
-_TABLE_MAX_SPAN = 64
-
-
-def _blocked_product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """a @ b for real 2-d a (n, k) and b (k, m), as BLAS products of at
-    most _ONE_THREAD_MACS multiply-adds each, which OpenBLAS runs on the
-    calling thread: blocks of every column and as many rows as fit, at
-    most _SYNTH_ROWS, or of one row and as many columns as fit when one
-    row of every column is past the limit (one column at the least, so
-    only a k past the limit passes it).  The full blocks and the shorter
-    last one each go to numpy as one stacked matmul, so numpy, not Python,
-    loops over the blocks.  The blocks follow from the shapes alone, so no
-    value depends on the BLAS thread count.  Written into out, a float
-    (n, m) array, when given."""
-    (n, k), m = a.shape, b.shape[1]
-    rows = max(min(_SYNTH_ROWS, _ONE_THREAD_MACS // (k * m)), 1)
-    cols = max(min(m, _ONE_THREAD_MACS // (rows * k)), 1)
-    out = np.empty((n, m)) if out is None else out
-    for r0, r1 in ((0, n - n % rows), (n - n % rows, n)):
-        for c0, c1 in ((0, m - m % cols), (m - m % cols, m)):
-            if r1 > r0 and c1 > c0:
-                r, c = min(rows, r1 - r0), min(cols, c1 - c0)
-                np.matmul(a[r0:r1].reshape(-1, 1, r, k),
-                          b[:, c0:c1].reshape(k, -1, c).swapaxes(0, 1),
-                          out=out[r0:r1, c0:c1].reshape(-1, r, (c1 - c0) // c, c).swapaxes(1, 2))
-    return out
-
-
 # QuadratureMesh.for_band: cells per wavelength of the top frequency on
 # each side, and the cell count it never exceeds.  Every mesh is uniform,
 # its cells L / M wide, so one grading serves every function; an orbit or a
@@ -506,77 +437,49 @@ class QuadratureMesh:
 
     # -- synthesis ----------------------------------------------------
 
-    def _synthesize_fft(self, bins: np.ndarray, coeffs: np.ndarray,
-                        out: np.ndarray | None = None) -> np.ndarray:
-        """The nodes t_n = -L + n L / (3M), n = 0..6M, are the points of a
-        DFT of length P = 6M over the period 2L: sum_k c_k exp(i pi k t_n /
-        L) = sum_k (-1)^k c_k exp(2 pi i k n / P), one inverse DFT of the
-        signed bins k folded mod P; node P takes node 0's value.  Bins k and
-        k + P take equal values at every DFT point, so the fold is exact for
-        a set of any span: lap j, the bins lo + j P .. lo + (j + 1) P - 1,
-        lands on distinct rows, and the laps are added in turn from j = 0.
-        The bins are placed into out, when given, and the inverse DFT is
-        copied back into it."""
+    def synthesize(self, grid: GridSpec, active: np.ndarray, coeffs: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+        """Values at the nodes of sum_j coeffs[j] exp(2 pi i xi_{active[j]} t),
+        shape (n_nodes, ncols), written into out when it is given (a complex
+        array of that shape, as numpy's out), else into a new C-ordered array.
+
+        active holds FFT-order bin indices of grid and coeffs has one row
+        per active bin; its columns are independent functions, so stacking
+        several functions on one active set costs one call.  The nodes t_n =
+        -L + n L / (3M), n = 0..6M, are the points of a DFT of length P = 6M
+        over the period 2L: sum_k c_k exp(i pi k t_n / L) = sum_k (-1)^k c_k
+        exp(2 pi i k n / P), one inverse DFT of the signed bins k folded mod
+        P, run in place along out's node axis; node P takes node 0's value.
+        Bins k and k + P take equal values at every DFT point, so the fold is
+        exact for a set of any span: lap j, the bins lo + j P .. lo + (j + 1)
+        P - 1, lands on distinct rows, and the laps are added in turn from j
+        = 0.  Each column is transformed on its own, so its values do not
+        depend on the columns stacked with it; out's layout sets only the
+        stride of the transform (the transpose of a C-ordered (ncols, n_nodes)
+        array makes each column contiguous), not its values.  A grid of
+        another half-width than the mesh's is a GridError: the nodes would not
+        be the points of its DFT.
+        """
+        if grid.half_width != self.half_width:
+            raise GridError(f"mesh half-width {self.half_width} != grid's {grid.half_width}")
+        coeffs = np.asarray(coeffs, dtype=complex)
         period = self.nodes.size - 1
-        signed = np.where((bins % 2 == 1)[:, None], -coeffs, coeffs)
         out = np.empty((period + 1, coeffs.shape[1]), dtype=complex) if out is None else out
         out[...] = 0.0
+        if active.size == 0:
+            return out
+        n = grid.n_samples
+        bins = np.where(active < n // 2, active, active - n)
+        signed = coeffs * (1.0 - 2.0 * (bins % 2))[:, None]  # (-1)^k, exact
         lap = (bins - int(bins.min())) // period
         if lap.any():
             for j in range(int(lap.max()) + 1):
                 out[bins[lap == j] % period] += signed[lap == j]
         else:
             out[bins % period] = signed
-        out[:period] = np.fft.ifft(out[:period], axis=0, norm="forward")
+        np.fft.ifft(out[:period], axis=0, norm="forward", out=out[:period])
         out[period] = out[0]
         return out
-
-    def synthesize(self, grid: GridSpec, active: np.ndarray, coeffs: np.ndarray,
-                   out: np.ndarray | None = None) -> np.ndarray:
-        """Values at the nodes of sum_j coeffs[j] exp(2 pi i xi_{active[j]} t),
-        shape (n_nodes, ncols), written into out when it is given (a complex
-        array of that shape, as numpy's out), else into a new array.
-
-        active holds FFT-order bin indices of grid and coeffs has one row
-        per active bin; its columns are independent functions, so stacking
-        several functions on one active set costs one call.  One rule picks
-        the path from the active set and the column count alone (see the
-        module docstring): a call whose set folds onto K < _TABLE_MAX_SPAN
-        bins k >= 0, with more than K columns, is one real product of those
-        K cos/sin columns, taken from the FFT of the lone bins, with the
-        folded rows; every other call is one inverse FFT of length 6M, for a
-        set of any span.  A grid of another half-width than the mesh's is a
-        GridError: the nodes would not be the points of its DFT.
-        """
-        if grid.half_width != self.half_width:
-            raise GridError(f"mesh half-width {self.half_width} != grid's {grid.half_width}")
-        coeffs = np.asarray(coeffs, dtype=complex)
-        if active.size == 0:
-            out = np.empty((self.nodes.size, coeffs.shape[1]), complex) if out is None else out
-            out[...] = 0.0
-            return out
-        n = grid.n_samples
-        bins = np.where(active < n // 2, active, active - n)
-        lo, hi = int(bins.min()), int(bins.max())
-        kmin = 0 if lo <= 0 <= hi else min(abs(lo), abs(hi))
-        kmax = max(abs(lo), abs(hi))
-        k = kmax - kmin + 1
-        if not k < min(coeffs.shape[1], _TABLE_MAX_SPAN):
-            return self._synthesize_fft(bins, coeffs, out)
-        # cos and sin of bin kmin + i at the nodes, interleaved in columns 2i, 2i + 1
-        modes = self._synthesize_fft(np.arange(kmin, kmax + 1), np.eye(k)).view(float)
-        # c_k at k >= 0 and c_-k at k > 0, on the bins kmin..kmax
-        pos = np.zeros((k, coeffs.shape[1]), dtype=complex)
-        neg = np.zeros_like(pos)
-        up = bins >= 0
-        pos[bins[up] - kmin] = coeffs[up]
-        neg[-bins[~up] - kmin] = coeffs[~up]
-        # rows a_k and i b_k, interleaved as the cos and sin columns
-        rhs = np.empty((2 * k, coeffs.shape[1]), dtype=complex)
-        np.add(pos, neg, out=rhs[0::2])
-        np.multiply(1j, pos - neg, out=rhs[1::2])
-        vals = _blocked_product(modes, rhs.view(float), None if out is None else out.view(float))
-        return vals.view(complex)
 
     # -- moment machinery ---------------------------------------------
 

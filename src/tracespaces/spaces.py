@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import DyadicSystem
-from .grid import GridError, GridFunction, GridSpec, QuadratureMesh, _blocked_product
+from .grid import GridError, GridFunction, GridSpec, QuadratureMesh
 from .operators import MultiplierOperator, batch_interp_norm_resolvent, by_rows, scaled_rows
 
 __all__ = [
@@ -332,7 +332,9 @@ _N_SCALES = 60  # geometric scale grid t_0 = L/N < ... < t_59 = 2L
 # 4 MiB holds the pinned config's whole set of columns (289 nodes x 399
 # columns, 1.8 MiB) in one chunk.  Each call allocates one block of its
 # chunk's size, whose views every chunk reuses, so the heap's history does
-# not decide how many pages the chunks fault.
+# not decide how many pages the chunks fault.  The node values are
+# column-major in it, the transpose of a C-ordered (columns, nodes) array,
+# so each column's inverse FFT runs along contiguous memory.
 _BLOCK_BYTES = 4 * 2**20
 
 # The fewest h-nodes in a chunk, past _BLOCK_BYTES if need be: each FFT of
@@ -342,6 +344,48 @@ _BLOCK_BYTES = 4 * 2**20
 # 29.0-31.3 s at two BLAS threads, not 35.1-37.5 s, and 33.3-33.9 s at one,
 # not 32.5-35.8 s, at 175 MB peak RSS, not 118 MB.
 _MIN_CHUNK_H = 8
+
+
+# The most rows of one product of _blocked_product.
+_SYNTH_ROWS = 64
+
+# The most multiply-adds (rows x k x columns) in one BLAS product of
+# _blocked_product: 65536 x GEMM_MULTITHREAD_THRESHOLD (4), the bound
+# below which OpenBLAS runs a gemm on the calling thread on every CPU.  A
+# larger product can take a second thread, which spins while it waits and
+# slows badly when another process wants that core.  Replaying the
+# scalar-families suites' 305 synthesis and 100 scale products at two BLAS
+# threads (medians of 15 rounds, two replays): 64-row blocks and whole
+# scale products, as before, took 165 and 153 ms of wall and 309 and 283 ms
+# of CPU time; the helper took 183 and 163 ms of both.  10^6 stays on one
+# thread only where OpenBLAS takes its small-matrix path (SkylakeX, not
+# every CPU), and its 137 and 162 ms lay inside the quartiles of 2^18's, so
+# the portable bound stays.
+_ONE_THREAD_MACS = 2**18
+
+
+def _blocked_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for real 2-d a (n, k) and b (k, m), as BLAS products of at
+    most _ONE_THREAD_MACS multiply-adds each, which OpenBLAS runs on the
+    calling thread: blocks of every column and as many rows as fit, at
+    most _SYNTH_ROWS, or of one row and as many columns as fit when one
+    row of every column is past the limit (one column at the least, so
+    only a k past the limit passes it).  The full blocks and the shorter
+    last one each go to numpy as one stacked matmul, so numpy, not Python,
+    loops over the blocks.  The blocks follow from the shapes alone, so no
+    value depends on the BLAS thread count."""
+    (n, k), m = a.shape, b.shape[1]
+    rows = max(min(_SYNTH_ROWS, _ONE_THREAD_MACS // (k * m)), 1)
+    cols = max(min(m, _ONE_THREAD_MACS // (rows * k)), 1)
+    out = np.empty((n, m))
+    for r0, r1 in ((0, n - n % rows), (n - n % rows, n)):
+        for c0, c1 in ((0, m - m % cols), (m - m % cols, m)):
+            if r1 > r0 and c1 > c0:
+                r, c = min(rows, r1 - r0), min(cols, c1 - c0)
+                np.matmul(a[r0:r1].reshape(-1, 1, r, k),
+                          b[:, c0:c1].reshape(k, -1, c).swapaxes(0, 1),
+                          out=out[r0:r1, c0:c1].reshape(-1, r, (c1 - c0) // c, c).swapaxes(1, 2))
+    return out
 
 
 def _h_rule(t: np.ndarray, rate: float) -> tuple[np.ndarray, np.ndarray]:
@@ -371,7 +415,7 @@ def _delta_averages(f: GridFunction, m: int, mesh: QuadratureMesh, inner) -> np.
     (exp(+-2 pi i xi h) - 1)^m are built and synthesized in chunks of at
     most _BLOCK_BYTES of node values and at least _MIN_CHUNK_H h-nodes, the
     first with the derivative column, and each chunk's h-integrals, one
-    blocked real product (grid._blocked_product), are added into the
+    blocked real product (_blocked_product), are added into the
     averages at the scales from its first h-node's cell on, below which its
     weights are zero."""
     rate = m * f.max_frequency  # ||Delta^m_h f(x)|| oscillates in h at most at 2 m band
@@ -393,7 +437,7 @@ def _delta_averages(f: GridFunction, m: int, mesh: QuadratureMesh, inner) -> np.
         first = start == 0
         factors = np.column_stack([(2j * np.pi * xi) ** m, plus, minus] if first
                                   else [plus, minus])
-        values = block[:2 * nodes * factors.shape[1] * dim].view(complex).reshape(nodes, -1)
+        values = block[:2 * nodes * factors.shape[1] * dim].view(complex).reshape(-1, nodes).T
         mags = inner.batch_norm(_multiplier_values(f, factors, mesh, values))
         if first:
             avg[:, 0], mags = mags[:, 0], mags[:, 1:]

@@ -13,13 +13,7 @@ from tracespaces import (
     random_band_limited,
     weighted_lp_norm,
 )
-from tracespaces import grid as grid_module
-from tracespaces.grid import (
-    _ONE_THREAD_MACS,
-    _SYNTH_ROWS,
-    GridError,
-    _blocked_product,
-)
+from tracespaces.grid import GridError
 
 
 def test_grid_spec_basics(grid):
@@ -371,17 +365,16 @@ def test_mesh_synthesis_matches_dense_evaluation(n, cells, dim):
     (1024, 512, 1, (-64.0, 64.0)),
 ])
 def test_narrow_sets_off_the_mode_table_match_dense_evaluation(n, cells, dim, band):
-    """Sets of up to 257 bins, stacked nine times, fold onto at least as
-    many bins k >= 0 as they have columns, or onto _TABLE_MAX_SPAN or more,
-    so they take the FFT, bit for bit; same bound as on the full band."""
+    """Sets of up to 257 bins, stacked nine times, give each copy bit for
+    bit the values of the set alone; same bound as on the full band."""
     grid = GridSpec(1.0, n)
     mesh = QuadratureMesh(1.0, cells)
-    f = random_band_limited(grid, band, seed=(n, dim), dim=dim)
-    f = GridFunction(grid, np.tile(f.coeffs, 9))
+    one = random_band_limited(grid, band, seed=(n, dim), dim=dim)
+    f = GridFunction(grid, np.tile(one.coeffs, 9))
     assert f.active_indices.size <= 257
     dense = f.evaluate(mesh.nodes)
-    got = mesh.synthesize(grid, f.active_indices, f.coeffs[f.active_indices])
-    np.testing.assert_array_equal(got, mesh._synthesize_fft(_bins(f), f.coeffs[f.active_indices]))
+    got = _synthesize(mesh, f)
+    np.testing.assert_array_equal(got, np.tile(_synthesize(mesh, one), 9))
     assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
@@ -406,32 +399,47 @@ def _exact_phase_synthesis(f, t):
     return np.concatenate(out)
 
 
-def _bins(f):
-    """f's active bins k, signed, in the order of its active indices."""
-    return np.rint(f.active_frequencies() / f.grid.fundamental).astype(int)
-
-
 @pytest.mark.parametrize("band", [(-10.0, 10.0), (-64.0, 63.5), (-255.5, 255.5)])
 def test_synthesis_path_does_not_depend_on_stacked_columns(grid, band):
-    """A column synthesized alone takes the FFT, which treats each column
-    on its own: inside a stack of 300 a set folding onto 64 bins or more
-    takes it too and gives the same column bit for bit, while a narrower
-    set takes its folded cos/sin columns, so the two differ by the paths'
-    own gap, within 5e-15 of the largest value."""
+    """The inverse FFT treats each column on its own, so a column
+    synthesized alone equals, bit for bit, the same column in a stack of
+    300, narrow set or wide."""
     f = random_band_limited(grid, band, seed=5, dim=300)
     active, coeffs = f.active_indices, f.coeffs[f.active_indices]
     for mesh in (QuadratureMesh(1.0, 512),
                  QuadratureMesh(1.0, QuadratureMesh.for_band(grid, 32.0).n_cells)):
         stacked = mesh.synthesize(grid, active, coeffs)
-        scale = np.max(np.abs(stacked))
         for j in (0, 299):
             alone = mesh.synthesize(grid, active, coeffs[:, j:j + 1])[:, 0]
-            np.testing.assert_array_equal(
-                alone, mesh._synthesize_fft(_bins(f), coeffs[:, j:j + 1])[:, 0])
-            if active.size >= 256:
-                np.testing.assert_array_equal(alone, stacked[:, j])
-            else:
-                assert np.max(np.abs(alone - stacked[:, j])) <= 5e-15 * scale
+            np.testing.assert_array_equal(alone, stacked[:, j])
+
+
+@pytest.mark.parametrize("half_width, n, band, columns", [
+    (1.0, 1024, 8.0, 400), (1.0, 1024, 32.0, 400), (20.0, 4096, 8.0, 64),
+    (1.0, 16384, 1000.0, 4),  # 6000 cells a side
+])
+def test_synthesis_into_either_layout_is_one_fft(monkeypatch, half_width, n, band, columns):
+    """synthesize into the transpose of a C-ordered (columns, nodes) array,
+    as the seminorm's block, gives bit for bit the values of a new C-ordered
+    array, for one column and for a stack whose first column is that one;
+    no call makes a matrix product."""
+    grid = GridSpec(half_width, n)
+    mesh = QuadratureMesh.for_band(grid, band)
+    f = random_band_limited(grid, (-band, band), seed=columns, dim=columns)
+    active, coeffs = f.active_indices, f.coeffs[f.active_indices]
+    products = []
+    monkeypatch.setattr(np, "matmul", lambda *args, **kwargs: products.append(args))
+    pairs = []
+    for cols in (coeffs[:, :1], coeffs):
+        block = np.full((cols.shape[1], mesh.nodes.size), np.nan, dtype=complex)
+        pairs.append((mesh.synthesize(grid, active, cols),
+                      mesh.synthesize(grid, active, cols, out=block.T), block))
+    monkeypatch.undo()
+    assert not products
+    for want, got, block in pairs:
+        assert want.flags.c_contiguous and got.base is block
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(pairs[0][0][:, 0], pairs[1][0][:, 0])
 
 
 def test_mesh_synthesis_sparse_and_empty_active_sets(grid, mesh):
@@ -448,26 +456,12 @@ def _synthesize(mesh, f):
     return mesh.synthesize(f.grid, f.active_indices, f.coeffs[f.active_indices])
 
 
-def _folded_calls(monkeypatch):
-    """The columns of every real product that QuadratureMesh.synthesize
-    makes from now on: one per call that takes its folded cos/sin columns,
-    none per call that takes the FFT."""
-    calls, blocked = [], grid_module._blocked_product
-
-    def recorded(a, b, out=None):
-        calls.append(a)
-        return blocked(a, b, out)
-
-    monkeypatch.setattr(grid_module, "_blocked_product", recorded)
-    return calls
-
-
 _NARROW = {
     "crossing-zero": lambda grid: random_band_limited(grid, (-10.0, 10.0), seed=11),
     "sparse": lambda grid: GridFunction.from_coeff_map(
         grid, {-31.5: [1.0], -3.0: [2.0j], 0.0: [0.5], 17.5: [-1.0], 32.0: [3.0]}),
     "dim-3": lambda grid: random_band_limited(grid, (-12.0, 24.0), seed=12, dim=3),
-    # one-sided sets, folded from min(|lo|, |hi|), and lone bins
+    # one-sided sets and lone bins
     "one-sided-negative": lambda grid: random_band_limited(grid, (-30.0, -5.0), seed=15, dim=2),
     "one-sided-positive": lambda grid: random_band_limited(grid, (5.0, 30.0), seed=16),
     "lone-bin-0": lambda grid: GridFunction.from_coeff_map(grid, {0.0: [1.5 - 0.5j]}),
@@ -476,103 +470,17 @@ _NARROW = {
 
 
 @pytest.mark.parametrize("case", list(_NARROW))
-def test_narrow_sets_in_band_take_the_mode_table(grid, monkeypatch, case):
-    """A set folding onto K < 64 bins k >= 0 takes its mode table, the K
-    cos/sin columns from the FFT of its lone bins, built for the call: one
-    real product of them with the folded rows, when it has more than K
-    columns, as at the seminorm's 399.  Alone, with no more columns than K,
-    it takes the FFT, and so does the sparse set, stacked, on its 65 folded
-    bins.  Either path is within 2e-14 of the largest value of dense
+def test_narrow_sets_in_band_take_the_mode_table(grid, case):
+    """A narrow set on the band-32 mesh, alone and stacked to 399 columns
+    as the seminorm's, is within 2e-14 of the largest value of dense
     synthesis with exact phases."""
     f = _NARROW[case](grid)
     mesh = QuadratureMesh.for_band(grid, 32.0)
     stacked = GridFunction(grid, np.tile(f.coeffs, 399 // f.dim))
-    calls = _folded_calls(monkeypatch)
     for g in (f, stacked):
         got = _synthesize(mesh, g)
-        folded = g is stacked and case != "sparse"
-        assert len(calls) == folded
-        if not folded:
-            np.testing.assert_array_equal(
-                got, mesh._synthesize_fft(_bins(g), g.coeffs[g.active_indices]))
         want = _exact_phase_synthesis(g, mesh.nodes)
         assert np.max(np.abs(got - want)) <= 2e-14 * np.max(np.abs(want))
-
-
-@pytest.mark.parametrize("bins, columns, folded", [
-    ((-20, 20), 22, 21), ((-20, 20), 21, None),  # 21 folded bins against the columns
-    ((5, 67), 300, 63), ((5, 68), 300, None),  # 63 and 64
-    ((-67, -5), 300, 63), ((-63, 63), 300, None), ((-62, 0), 300, 63),
-])
-def test_synthesis_path_follows_one_rule(grid, monkeypatch, bins, columns, folded):
-    """The set's bins lo..hi fold onto the K bins from min(|lo|, |hi|) (from
-    0 when they cross 0) to max(|lo|, |hi|); the call takes its K folded
-    cos/sin columns when K is below both its column count and
-    _TABLE_MAX_SPAN, and the FFT, bit for bit, otherwise.  The columns hold
-    2 K floats a node, never more bytes than the call's output."""
-    assert grid_module._TABLE_MAX_SPAN == 64
-    mesh = QuadratureMesh.for_band(grid, 32.0)
-    ks = np.arange(bins[0], bins[1] + 1)
-    rng = np.random.default_rng(len(ks))
-    coeffs = rng.standard_normal((ks.size, columns)) + 1j * rng.standard_normal((ks.size, columns))
-    calls = _folded_calls(monkeypatch)
-    got = mesh.synthesize(grid, ks % grid.n_samples, coeffs)
-    fft = mesh._synthesize_fft(ks, coeffs)
-    if folded is None:
-        assert not calls
-        np.testing.assert_array_equal(got, fft)
-    else:
-        modes, = calls
-        assert modes.shape == (mesh.nodes.size, 2 * folded) and modes.nbytes <= got.nbytes
-        assert np.max(np.abs(got - fft)) <= 5e-15 * np.max(np.abs(fft))
-
-
-@pytest.mark.parametrize("half_width, n, band", [(20.0, 4096, 4.0), (1.3, 2048, 24.0),
-                                                  (4.0, 4096, 16.0), (1.0, 1024, 32.0)])
-def test_mode_table_matches_the_fft_at_the_dft_points(half_width, n, band):
-    """The folded columns are the FFT's own values: nine columns of a lone
-    bin k at 0, +-1 and the six bins at each edge of the band take one cos
-    and one sin column, so they equal the FFT of the lone bin |k| bit for
-    bit (its conjugate for k < 0), and the FFT of bin k within 2e-15."""
-    grid = GridSpec(half_width, n)
-    mesh = QuadratureMesh.for_band(grid, band)
-    kb = int(band / grid.fundamental)
-    coeffs = np.ones((1, 9), dtype=complex)
-    for k in [0, 1, -1, *range(kb - 5, kb + 1), *range(-kb, -kb + 6)]:
-        got = mesh.synthesize(grid, np.array([k % n]), coeffs)
-        lone = mesh._synthesize_fft(np.array([abs(k)]), coeffs)
-        np.testing.assert_array_equal(got, lone if k >= 0 else lone.conj())
-        assert np.max(np.abs(got - mesh._synthesize_fft(np.array([k]), coeffs))) <= 2e-15
-
-
-@pytest.mark.parametrize("case", ["past-the-band", "span-256", "over-the-cap"])
-def test_sets_off_the_table_take_the_fft_bitwise(grid, monkeypatch, case):
-    """A stack on a set that folds onto at least as many bins as it has
-    columns (21 bins for 12 columns on the band-8 mesh, and for 9 on the
-    7201-node band-200 mesh) or onto 64 or more (129 for 9 columns) takes
-    the FFT, bit for bit, with no real product.  On the band-200 mesh, 22
-    columns of the same set take its 21 folded columns, whose bytes are at
-    most the output's: no mesh is too large for them."""
-    band, f = {
-        "past-the-band": (8.0, random_band_limited(grid, (20.0, 30.0), seed=13, dim=12)),
-        "span-256": (64.0, GridFunction.from_coeff_map(grid, {-64.0: [1.0] * 9, 63.5: [2.0] * 9})),
-        "over-the-cap": (200.0, random_band_limited(grid, (-10.0, 10.0), seed=14, dim=9)),
-    }[case]
-    active, coeffs = f.active_indices, f.coeffs[f.active_indices]
-    mesh = QuadratureMesh(1.0, QuadratureMesh.for_band(grid, band).n_cells)
-    calls = _folded_calls(monkeypatch)
-    np.testing.assert_array_equal(mesh.synthesize(grid, active, coeffs),
-                                  mesh._synthesize_fft(_bins(f), coeffs))
-    assert not calls
-    if case == "over-the-cap":
-        assert mesh.nodes.size == 7201
-        wide = np.tile(coeffs, (1, 3))[:, :22]
-        got = mesh.synthesize(grid, active, wide)
-        modes, = calls
-        assert modes.shape == (7201, 42)
-        assert modes.nbytes <= got.nbytes
-        fft = mesh._synthesize_fft(_bins(f), wide)
-        assert np.max(np.abs(got - fft)) <= 5e-15 * np.max(np.abs(fft))
 
 
 @pytest.mark.parametrize("half_width, n, cells", [(0.25, 1024, 64), (1.0, 1024, 97),
@@ -611,11 +519,9 @@ def test_fft_folds_sets_wider_than_the_period(half_width, case):
 
 
 def _assert_exact_at_the_dft_points(half_width, n, cells, bins):
-    """The FFT path on random coefficients at the signed bins, and
-    synthesize, which takes it bit for bit but for a lone bin (one folded
-    bin for two columns takes its cos/sin columns), are within 2e-14 of the
-    largest value of dense synthesis at the DFT's points -L + n L / (3M)
-    with exact phases k (n - 3M) / (6M) mod 1, formed in integers; their
+    """synthesize on random coefficients at the signed bins is within 2e-14
+    of the largest value of dense synthesis at the DFT's points -L + n L /
+    (3M) with exact phases k (n - 3M) / (6M) mod 1, formed in integers; its
     nodes at -L and L are one period apart."""
     grid = GridSpec(half_width, n)
     mesh = QuadratureMesh(half_width, cells)
@@ -625,15 +531,12 @@ def _assert_exact_at_the_dft_points(half_width, n, cells, bins):
     coeffs[bins % n] = rng.standard_normal((bins.size, 2)) + 1j * rng.standard_normal(
         (bins.size, 2))
     f = GridFunction(grid, coeffs)
-    got, fft = _synthesize(mesh, f), mesh._synthesize_fft(_bins(f), f.coeffs[f.active_indices])
-    if bins.size > 1:
-        np.testing.assert_array_equal(got, fft)
+    got = _synthesize(mesh, f)
     cycles = np.multiply.outer(np.arange(period + 1) - period // 2, bins) % period
     want = np.exp((2j * np.pi / period) * cycles) @ coeffs[bins % n]
     scale = np.max(np.abs(want))
-    for vals in (got, fft):
-        assert np.max(np.abs(vals - want)) <= 2e-14 * scale
-        assert np.max(np.abs(vals[0] - vals[-1])) <= 2e-14 * scale
+    assert np.max(np.abs(got - want)) <= 2e-14 * scale
+    assert np.max(np.abs(got[0] - got[-1])) <= 2e-14 * scale
 
 
 @pytest.mark.parametrize("half_width, cells", [(1.0, 4), (1.0, 192), (0.25, 97), (20.0, 960),
@@ -663,51 +566,3 @@ def test_narrow_synthesis_does_not_depend_on_call_order(grid):
     mesh = QuadratureMesh(1.0, cells)
     for f, want in [*zip(fs, fresh), *zip(fs[::-1], fresh[::-1]), *zip(fs, fresh)]:
         np.testing.assert_array_equal(_synthesize(mesh, f), want)
-
-
-def _element_offsets(view: np.ndarray, base: np.ndarray) -> np.ndarray:
-    """Flat indices into the C-contiguous float64 array base of every
-    element of view, a strided view into it."""
-    idx = np.indices(view.shape).reshape(view.ndim, -1)
-    addresses = view.ctypes.data + np.asarray(view.strides) @ idx
-    return (addresses - base.ctypes.data) // 8
-
-
-@pytest.mark.parametrize("n, k, m", [
-    (1, 34, 798),             # one row
-    (577, 199, 1),            # one column
-    (37, 8, 12),              # fewer rows than _SYNTH_ROWS
-    (577, 34, 798),           # the seminorm's synthesis on a 577-node mesh
-    (577, 199, 60),           # its scale integral
-    (2305, 126, 72),          # a dim-6 request on a 2305-node mesh
-    (5, 4000, 300),           # one row, the columns split
-    (3, 2**17 + 3, 2),        # one column per block is the floor
-])
-def test_blocked_product_tiles_its_output_within_the_limit(monkeypatch, n, k, m):
-    """_blocked_product's BLAS products cover its output once each, stay
-    within _ONE_THREAD_MACS and _SYNTH_ROWS rows, and agree with the
-    unblocked product to 4 ulp of its largest value.  Past a thousand
-    terms the entries are small integers, whose sums are exact in any
-    order: there two summation orders of normal draws differ by tens of
-    ulp."""
-    rng = np.random.default_rng((n, k, m))
-    a, b = rng.standard_normal((n, k)), rng.standard_normal((k, m))
-    if k > 1000:
-        a, b = np.round(8 * a), np.round(8 * b)
-    writes, macs, matmul = [], [], np.matmul
-
-    def recorded(x, y, out):
-        writes.append(out)
-        macs.append(x.shape[-2] * x.shape[-1] * y.shape[-1])
-        assert x.shape[-2] <= _SYNTH_ROWS
-        return matmul(x, y, out=out)
-
-    monkeypatch.setattr(np, "matmul", recorded)
-    got = _blocked_product(a, b)
-    monkeypatch.undo()
-    hits = np.bincount(np.concatenate([_element_offsets(w, got) for w in writes]),
-                       minlength=n * m)
-    np.testing.assert_array_equal(hits, np.ones(n * m, dtype=int))
-    assert max(macs) <= _ONE_THREAD_MACS
-    ref = a @ b
-    assert np.max(np.abs(got - ref)) <= 4 * np.spacing(np.max(np.abs(ref)))

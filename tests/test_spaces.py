@@ -433,47 +433,79 @@ def test_seminorm_blocks_stay_within_the_budget(monkeypatch):
 
 
 def test_seminorm_products_stay_on_the_calling_thread(grid, monkeypatch):
-    """The seminorm's synthesis and scale integral at m = 1 and 2 on a
-    band-8 draw, and a dim-6, 41-bin interpolation-space request on the
-    band-32 mesh, take their real products through grid._blocked_product,
-    every BLAS product of which stays within _ONE_THREAD_MACS, so OpenBLAS
-    runs it on the calling thread."""
+    """The seminorm's scale integral at m = 1 and 2 on a band-8 draw takes
+    its real products through _blocked_product, every BLAS product of which
+    stays within _ONE_THREAD_MACS, so OpenBLAS runs it on the calling
+    thread."""
     calls, macs = [], []
-    blocked, matmul = grid_module._blocked_product, np.matmul
+    blocked, matmul = spaces_module._blocked_product, np.matmul
 
     def recorded_matmul(a, b, out):
         macs.append(a.shape[-2] * a.shape[-1] * b.shape[-1])
         return matmul(a, b, out=out)
 
-    def recorded(a, b, out=None):
+    def recorded(a, b):
         calls.append((a.shape, b.shape))
         with monkeypatch.context() as patch:
             patch.setattr(np, "matmul", recorded_matmul)
-            return blocked(a, b, out)
+            return blocked(a, b)
 
-    monkeypatch.setattr(grid_module, "_blocked_product", recorded)
     monkeypatch.setattr(spaces_module, "_blocked_product", recorded)
     f = random_band_limited(grid, (-8.0, 8.0), seed=41)
     nodes = f.mesh.nodes.size
     for m in (1, 2):
         hs, _ = spaces_module._h_rule(spaces_module._scales(grid), m * f.max_frequency)
         assert math.isfinite(difference_seminorm(f, 0.5, 2.0, 1.0, 0.0, m))
-        # one chunk: f^(m) and every h-node at +h and -h, as (re, im) pairs
-        assert any(a[0] == nodes and b[1] == 2 * (1 + 2 * hs.size) for a, b in calls)
         assert ((nodes, hs.size), (hs.size, spaces_module._N_SCALES)) in calls
-    seminorm_macs = len(macs)
-    assert seminorm_macs > 0
+    assert macs and max(macs) <= spaces_module._ONE_THREAD_MACS
 
-    coeffs = np.zeros((grid.n_samples, 6), dtype=complex)
-    # 21 folded bins, fewer than the request's columns: it takes the real product
-    coeffs[np.arange(-20, 21)] = np.random.default_rng(42).standard_normal((41, 6))
-    inner = InterpNormInner(MultiplierOperator.diagonal([0.5, 1.0, 2.0, 4.0, 8.0, 16.0]),
-                            alpha=0.5, r=2.0)
-    spec = SpaceSpec("F", 0.5, 2.0, 2.0, 0.0, inner=inner)
-    assert space_norm(GridFunction(grid, coeffs), spec,
-                      mesh=QuadratureMesh.for_band(grid, 32.0)) > 0.0
-    assert len(macs) > seminorm_macs
-    assert max(macs) <= grid_module._ONE_THREAD_MACS
+
+def _element_offsets(view: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """Flat indices into the C-contiguous float64 array base of every
+    element of view, a strided view into it."""
+    idx = np.indices(view.shape).reshape(view.ndim, -1)
+    addresses = view.ctypes.data + np.asarray(view.strides) @ idx
+    return (addresses - base.ctypes.data) // 8
+
+
+@pytest.mark.parametrize("n, k, m", [
+    (1, 34, 798),             # one row
+    (577, 199, 1),            # one column
+    (37, 8, 12),              # fewer rows than _SYNTH_ROWS
+    (577, 34, 798),           # many rows and columns
+    (577, 199, 60),           # the seminorm's scale integral on 577 nodes
+    (2305, 126, 72),          # rows not a multiple of the block
+    (5, 4000, 300),           # one row, the columns split
+    (3, 2**17 + 3, 2),        # one column per block is the floor
+])
+def test_blocked_product_tiles_its_output_within_the_limit(monkeypatch, n, k, m):
+    """_blocked_product's BLAS products cover its output once each, stay
+    within _ONE_THREAD_MACS and _SYNTH_ROWS rows, and agree with the
+    unblocked product to 4 ulp of its largest value.  Past a thousand
+    terms the entries are small integers, whose sums are exact in any
+    order: there two summation orders of normal draws differ by tens of
+    ulp."""
+    rng = np.random.default_rng((n, k, m))
+    a, b = rng.standard_normal((n, k)), rng.standard_normal((k, m))
+    if k > 1000:
+        a, b = np.round(8 * a), np.round(8 * b)
+    writes, macs, matmul = [], [], np.matmul
+
+    def recorded(x, y, out):
+        writes.append(out)
+        macs.append(x.shape[-2] * x.shape[-1] * y.shape[-1])
+        assert x.shape[-2] <= spaces_module._SYNTH_ROWS
+        return matmul(x, y, out=out)
+
+    monkeypatch.setattr(np, "matmul", recorded)
+    got = spaces_module._blocked_product(a, b)
+    monkeypatch.undo()
+    hits = np.bincount(np.concatenate([_element_offsets(w, got) for w in writes]),
+                       minlength=n * m)
+    np.testing.assert_array_equal(hits, np.ones(n * m, dtype=int))
+    assert max(macs) <= spaces_module._ONE_THREAD_MACS
+    ref = a @ b
+    assert np.max(np.abs(got - ref)) <= 4 * np.spacing(np.max(np.abs(ref)))
 
 
 def test_chunked_seminorm_matches_one_block(grid, monkeypatch):
